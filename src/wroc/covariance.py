@@ -3,25 +3,37 @@
 The covariance of the wAUC vector splits into a diseased and a non-diseased
 part, reflecting independence of the two groups.  Entries are estimated on
 the finite-sample variance scale (the covariance of the estimates as they
-stand, with no asymptotic rescaling), with per-subject cluster products
-``sum_i c1_i * c2_i / (m1 * m2)`` carrying the cluster structure.
+stand, with no asymptotic rescaling).
 
-Two computation paths:
+Every analytic path has one shape: each value gets a score, the scores are
+summed per subject with ``bincount`` into an n_subjects x n_strata matrix
+``G``, and one Gram product ``G'G`` over subjects carries the cluster
+structure (structural components, DeLong et al. 1988, clustered by subject
+as in Obuchowski 1997).  Cost is linear in the number of values; no
+within-subject pairs are enumerated.
 
-* Full-AUC measures use exact placement values (structural components): the
-  per-subject sums of placement deviations are empirically covaried across
-  subjects with a ddof-1 factor, which reduces exactly to the classic
+* Full-AUC measures score each value by its exact placement.  The per-subject
+  sums are centred by ``omega * c_i`` and covaried across subjects with an
+  ``n / (n - 1)`` factor, which reduces exactly to the classic
   structural-component AUC covariance when every subject contributes one
   measurement.  No density estimation is involved.
-* Interval measures integrate the survival-based integrand on a
-  Gauss-Legendre grid (64 nodes per axis); atomic measures evaluate the same
-  integrand as finite sums over their atoms.  Both need the density ratio of
-  the two groups at the non-diseased thresholds, estimated by Gaussian
-  kernels with a Silverman-type bandwidth.
+* Interval measures integrate on a Gauss-Legendre grid (64 nodes); atomic
+  measures use their atoms as the grid.  A value's score is
+  ``g(v) = sum_p w_p * 1[v > t_p]`` over the grid thresholds ``t_p``, where
+  on the non-diseased side ``w_p`` carries the density ratio of the two
+  groups at ``t_p``, estimated by Gaussian kernels with a Silverman-type
+  bandwidth.  The part is ``(G'G - (C'C) o (m m')) / (n_a n_b)`` with ``C``
+  the per-subject value counts, ``m`` each stratum's weighted mean score and
+  ``n_a`` its number of values.  This path has no ``n / (n - 1)`` factor:
+  it is the plug-in value of the pair-pooled integrand
+  ``sum_pq w_p w_q (S(t_p, t_q) - S(t_p) S(t_q))`` weighted by the share of
+  within-subject pairs, and it is kept so rather than aligned with the
+  placement path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,35 +146,7 @@ def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
     return float(out[0]) if scalar else out
 
 
-# -- within-subject pair pooling ----------------------------------------
-
-
-def _subject_blocks(stratum: Stratum) -> np.ndarray:
-    """Values reordered so each subject's block is contiguous and ascending."""
-    order = np.argsort(stratum.subjects, kind="stable")
-    return stratum.values[order]
-
-
-def _within_subject_pairs(s1: Stratum, s2: Stratum) -> tuple[np.ndarray, np.ndarray]:
-    """All cross pairs (v1, v2) drawn from the same subject, both strata."""
-    v1 = _subject_blocks(s1)
-    v2 = _subject_blocks(s2)
-    c1 = s1.counts
-    c2 = s2.counts
-    if c1.size and (c1 == 1).all() and (c2 == 1).all():
-        return v1, v2
-    left = np.repeat(v1, np.repeat(c2, c1))
-    starts2 = np.concatenate(([0], np.cumsum(c2)[:-1]))
-    chunks = []
-    for i in range(c1.size):
-        if c1[i] and c2[i]:
-            block = np.arange(starts2[i], starts2[i] + c2[i])
-            chunks.append(np.tile(block, c1[i]))
-    if chunks:
-        right = v2[np.concatenate(chunks)]
-    else:
-        right = np.empty(0)
-    return left, right
+# -- within-subject joint exceedance ------------------------------------
 
 
 def joint_survival(dataset: MarkerDataset, group: str, marker1: int, marker2: int,
@@ -170,36 +154,20 @@ def joint_survival(dataset: MarkerDataset, group: str, marker1: int, marker2: in
                    time2: int | None = None) -> float:
     """Fraction of within-subject cross pairs jointly above (x1, x2).
 
-    The denominator counts every available pair ``sum_i c1_i * c2_i`` with
-    per-subject counts pooled over the requested times, so it never exceeds
-    the number of enumerated pairs.
+    Computed as ``sum_i a_i * b_i / sum_i c1_i * c2_i``, where ``a_i`` and
+    ``b_i`` count subject i's values above x1 and x2 and the denominator
+    counts every available pair, with per-subject counts pooled over the
+    requested times.
     """
     s1 = dataset.stratum(group, marker1, time1)
     s2 = dataset.stratum(group, marker2, time2)
-    left, right = _within_subject_pairs(s1, s2)
-    if left.size == 0:
+    pairs = int(s1.counts @ s2.counts)
+    if pairs == 0:
         raise ValueError("no subject contributes pairs to the joint survival")
-    hits = np.count_nonzero((left > x1) & (right > x2))
-    return float(hits) / left.size
-
-
-def _exceedance_grid(left: np.ndarray, right: np.ndarray,
-                     t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """C[a, b] = #{pairs with left > t1[a] and right > t2[b]}.
-
-    Strictness is exact: thresholds are nudged one ulp up so histogram bins
-    starting there count only strictly greater values.
-    """
-    if left.size == 0:
-        return np.zeros((t1.size, t2.size))
-    e1, inv1 = np.unique(np.nextafter(t1, np.inf), return_inverse=True)
-    e2, inv2 = np.unique(np.nextafter(t2, np.inf), return_inverse=True)
-    edges1 = np.concatenate(([-np.inf], e1, [np.inf]))
-    edges2 = np.concatenate(([-np.inf], e2, [np.inf]))
-    hist, _, _ = np.histogram2d(left, right, bins=[edges1, edges2])
-    suffix = np.flip(np.flip(hist, 0).cumsum(0), 0)
-    suffix = np.flip(np.flip(suffix, 1).cumsum(1), 1)
-    return suffix[np.ix_(inv1 + 1, inv2 + 1)]
+    n_subjects = s1.n_subjects
+    above1 = np.bincount(s1.subjects[s1.values > x1], minlength=n_subjects)
+    above2 = np.bincount(s2.subjects[s2.values > x2], minlength=n_subjects)
+    return float(above1 @ above2) / pairs
 
 
 # -- covariance paths ----------------------------------------------------
@@ -234,43 +202,63 @@ def _placement_parts(dataset: MarkerDataset, strata, midrank: bool):
     return sigma1, sigma2
 
 
+def _score_sums(stratum: Stratum, thresholds: np.ndarray, weights: np.ndarray,
+                n_subjects: int) -> np.ndarray:
+    """Per-subject sums of ``g(v) = sum_p weights[p] * 1[v > thresholds[p]]``.
+
+    One sort of the thresholds and a cumulative weight sum give ``g`` for
+    every value at once; ``side="left"`` counts only thresholds strictly
+    below ``v``, so ties between a value and a threshold score nothing.
+    """
+    order = np.argsort(thresholds, kind="stable")
+    cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
+    below = np.searchsorted(thresholds[order], stratum.values, side="left")
+    return np.bincount(stratum.subjects, weights=cumulative[below], minlength=n_subjects)
+
+
+def _gram_part(strata, thresholds, weights, means, n_subjects: int) -> np.ndarray:
+    """``(G'G - (C'C) o (m m')) / (n n')`` for one group.
+
+    ``G`` holds per-subject score sums and ``C`` per-subject value counts,
+    one column per stratum; ``m`` is each stratum's weighted mean score and
+    ``n`` its number of values.  ``G'G`` is the weighted joint exceedance
+    summed over every within-subject cross pair of values, and ``C'C``
+    counts those pairs.
+    """
+    scores = np.column_stack([_score_sums(st, t, w, n_subjects)
+                              for st, t, w in zip(strata, thresholds, weights)])
+    counts = np.column_stack([st.counts for st in strata])
+    sizes = np.array([st.n for st in strata], dtype=float)
+    centre = (counts.T @ counts) * np.outer(means, means)
+    return (scores.T @ scores - centre) / np.outer(sizes, sizes)
+
+
 def _integral_parts(dataset: MarkerDataset, strata, u_nodes: np.ndarray,
                     u_weights: np.ndarray, bandwidth_rule):
-    n_s = len(strata)
+    xs = [dataset.stratum("diseased", marker, time) for marker, time in strata]
+    ys = [dataset.stratum("nondiseased", marker, time) for marker, time in strata]
     thresholds = []
     rocs = []
-    ratios = []
-    xs = []
-    ys = []
-    for marker, time in strata:
-        x = dataset.stratum("diseased", marker, time)
-        y = dataset.stratum("nondiseased", marker, time)
-        y_surv = EmpiricalSurvival(y.sorted_values, presorted=True)
-        t = y_surv.inverse_survival_many(u_nodes)
-        x_surv = EmpiricalSurvival(x.sorted_values, presorted=True)
+    ratio_weights = []
+    for x, y in zip(xs, ys):
+        t = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival_many(u_nodes)
         thresholds.append(t)
-        rocs.append(x_surv.survival(t))
-        ratios.append(_density_ratio_at(x, y, t, bandwidth_rule))
-        xs.append(x)
-        ys.append(y)
-    sigma1 = np.zeros((n_s, n_s))
-    sigma2 = np.zeros((n_s, n_s))
-    for a in range(n_s):
-        for b in range(a, n_s):
-            left, right = _within_subject_pairs(xs[a], xs[b])
-            joint_d = _exceedance_grid(left, right, thresholds[a], thresholds[b])
-            joint_d /= max(left.size, 1)
-            bracket_d = joint_d - np.outer(rocs[a], rocs[b])
-            weight_d = left.size / (xs[a].n * xs[b].n)
-            sigma1[a, b] = sigma1[b, a] = weight_d * (u_weights @ bracket_d @ u_weights)
-
-            left, right = _within_subject_pairs(ys[a], ys[b])
-            joint_n = _exceedance_grid(left, right, thresholds[a], thresholds[b])
-            joint_n /= max(left.size, 1)
-            bracket_n = (joint_n - np.outer(u_nodes, u_nodes)) * np.outer(ratios[a], ratios[b])
-            weight_n = left.size / (ys[a].n * ys[b].n)
-            sigma2[a, b] = sigma2[b, a] = weight_n * (u_weights @ bracket_n @ u_weights)
+        rocs.append(EmpiricalSurvival(x.sorted_values, presorted=True).survival(t))
+        ratio_weights.append(u_weights * _density_ratio_at(x, y, t, bandwidth_rule))
+    mean_dis = np.array([u_weights @ roc for roc in rocs])
+    mean_non = np.array([w @ u_nodes for w in ratio_weights])
+    sigma1 = _gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, dataset.n_diseased)
+    sigma2 = _gram_part(ys, thresholds, ratio_weights, mean_non, dataset.n_nondiseased)
     return sigma1, sigma2
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -300,7 +288,7 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         sigma1, sigma2 = _placement_parts(dataset, strata, midrank)
         method = "placement"
     elif measure.kind == "pauc":
-        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        glx, glw = _gauss_legendre(n_nodes)
         half = 0.5 * (measure.upper - measure.lower)
         mid = 0.5 * (measure.upper + measure.lower)
         u_nodes = mid + half * glx

@@ -907,6 +907,7 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
             mu_d = tuple(float(v) for v in entries.pop("mu_diseased").split(","))
             mu_n = tuple(float(v) for v in entries.pop("mu_nondiseased").split(","))
             variances = tuple(float(v) for v in entries.pop("variances").split(","))
+            rho = pop_float("rho", 0.0)
             spec = ScenarioSpec(
                 name=entries.pop("name", "custom"),
                 family=family or "normal",
@@ -914,10 +915,12 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
                 mu_diseased=mu_d,
                 mu_nondiseased=mu_n,
                 variances=variances,
-                rho_diseased=pop_float("rho_diseased", pop_float("rho", 0.0) or 0.0),
-                rho_nondiseased=pop_float("rho_nondiseased", pop_float("rho", 0.0) or 0.0),
-                cluster_sizes_diseased=_parse_int_pair(entries.pop("clusters_diseased", "1")),
-                cluster_sizes_nondiseased=_parse_int_pair(entries.pop("clusters_nondiseased", "1")),
+                rho_diseased=pop_float("rho_diseased", rho),
+                rho_nondiseased=pop_float("rho_nondiseased", rho),
+                cluster_sizes_diseased=_parse_int_pair(
+                    entries.pop("cluster_sizes_diseased", "1")),
+                cluster_sizes_nondiseased=_parse_int_pair(
+                    entries.pop("cluster_sizes_nondiseased", "1")),
                 n_diseased=m_val if m_val is not None else 50,
                 n_nondiseased=j_val if j_val is not None else 50,
                 n_reps=reps,
@@ -927,7 +930,6 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
                 alpha=alpha if alpha is not None else 0.05,
                 correlation_scope=entries.pop("correlation_scope", "all"),
             )
-            entries.pop("rho", None)
             measures = None
             weight_methods = None
         else:

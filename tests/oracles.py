@@ -166,3 +166,86 @@ def joint_survival_oracle(dataset, group, marker1, marker2, s, t):
                 if a > s and b > t:
                     hits += 1
     return hits / pairs if pairs else 0.0
+
+
+def _stratum_values(record, marker, time):
+    """One subject's values for a (marker, time) stratum; time None pools."""
+    return [v for (mk, tk), cell in sorted(record.cells.items())
+            if mk == marker and (time is None or tk == time) for v in cell]
+
+
+def _percentile_oracle(ordered, q):
+    """Linear-interpolation percentile of an ascending list."""
+    pos = q / 100.0 * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
+
+
+def _kde_oracle(values, point):
+    """Gaussian kernel density at ``point``, Silverman-type bandwidth."""
+    n = len(values)
+    mean = sum(values) / n
+    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
+    ordered = sorted(values)
+    iqr = _percentile_oracle(ordered, 75.0) - _percentile_oracle(ordered, 25.0)
+    h = 0.9 * min(c for c in (sd, iqr / 1.34) if c > 0.0) * n ** (-0.2)
+    total = sum(math.exp(-0.5 * ((point - v) / h) ** 2) for v in values)
+    return total / (n * h * math.sqrt(2.0 * math.pi))
+
+
+def integral_covariance_oracle(dataset, strata, nodes, weights):
+    """Diseased and non-diseased covariance parts of a grid-weighted wAUC.
+
+    From the definition: for strata a, b the diseased entry is
+    ``1/(n_a n_b)`` times the sum, over every subject, every cross pair
+    (v from stratum a, v' from stratum b) of that subject's values, and
+    every node pair (p, q), of
+    ``w_p w_q (1[v > t_ap] 1[v' > t_bq] - R_a(t_ap) R_b(t_bq))``, where
+    ``t_ap`` is the non-diseased threshold for rate ``u_p`` and ``R_a`` the
+    diseased survival.  The non-diseased entry sums
+    ``w_p w_q r_ap r_bq (1[y > t_ap] 1[y' > t_bq] - u_p u_q)`` with ``r`` the
+    kernel density ratio at the threshold.  ``n_a`` counts stratum a's
+    values in the group.
+    """
+    values = {}
+    for group, records in (("diseased", dataset.diseased),
+                           ("nondiseased", dataset.nondiseased)):
+        values[group] = [[_stratum_values(rec, marker, time) for marker, time in strata]
+                         for rec in records]
+    pooled = {group: [[v for subject in rows for v in subject[a]]
+                      for a in range(len(strata))]
+              for group, rows in values.items()}
+    thresholds = []
+    rocs = []
+    ratios = []
+    for a in range(len(strata)):
+        xs = pooled["diseased"][a]
+        ys = pooled["nondiseased"][a]
+        t = [inverse_survival_oracle(ys, u) for u in nodes]
+        thresholds.append(t)
+        rocs.append([sum(1 for v in xs if v > tp) / len(xs) for tp in t])
+        ratios.append([_kde_oracle(xs, tp) / _kde_oracle(ys, tp) for tp in t])
+    size = len(strata)
+    out = {}
+    for group in ("diseased", "nondiseased"):
+        sigma = [[0.0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(size):
+                total = 0.0
+                for subject in values[group]:
+                    for v1 in subject[a]:
+                        for v2 in subject[b]:
+                            for p in range(len(nodes)):
+                                for q in range(len(nodes)):
+                                    joint = float(v1 > thresholds[a][p]
+                                                  and v2 > thresholds[b][q])
+                                    if group == "diseased":
+                                        term = joint - rocs[a][p] * rocs[b][q]
+                                    else:
+                                        term = ((joint - nodes[p] * nodes[q])
+                                                * ratios[a][p] * ratios[b][q])
+                                    total += weights[p] * weights[q] * term
+                sigma[a][b] = total / (len(pooled[group][a]) * len(pooled[group][b]))
+        out[group] = sigma
+    return out["diseased"], out["nondiseased"]

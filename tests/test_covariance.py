@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from wroc import covariance
 from wroc.covariance import (
     bootstrap_covariance,
     contrast_covariance,
@@ -19,7 +20,11 @@ from wroc.errors import DegenerateDensityError
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
-from oracles import delong_variance_oracle, joint_survival_oracle
+from oracles import (
+    delong_variance_oracle,
+    integral_covariance_oracle,
+    joint_survival_oracle,
+)
 
 FULL = WeightMeasure.full_auc()
 PAUC = WeightMeasure.partial_auc(0.0, 0.6)
@@ -175,6 +180,58 @@ def test_pauc_sigma_symmetric_and_decomposed():
         est.sigma, est.sigma_diseased + est.sigma_nondiseased)
     assert np.all(np.isfinite(est.sigma))
     assert est.sigma[0, 0] > 0
+
+
+def _tied_cells(rng, n_subjects, shift, n_markers, n_times, missing):
+    """Cells with 1-3 replicates rounded to halves; subject 1 lacks the
+    ``missing`` cells."""
+    subjects = []
+    for i in range(n_subjects):
+        cells = {}
+        for marker in range(1, n_markers + 1):
+            for time in range(1, n_times + 1):
+                if i == 0 and (marker, time) in missing:
+                    continue
+                size = int(rng.integers(1, 4))
+                cells[(marker, time)] = tuple(np.round(2 * rng.normal(shift, 1, size)) / 2)
+        subjects.append(cells)
+    return subjects
+
+
+@pytest.mark.parametrize("measure", [PAUC, WeightMeasure.point_mass(0.2)],
+                         ids=["pauc:0,0.6", "sens:0.2"])
+@pytest.mark.parametrize("layout", ["pooled", "longitudinal"])
+def test_integral_sigma_matches_pair_oracle(measure, layout, monkeypatch):
+    # the PSD repair fires on most datasets this small and unevenly
+    # clustered; compare the parts it starts from
+    monkeypatch.setattr(covariance, "_repair_part", lambda part: (part, False))
+    rng = np.random.default_rng(21)
+    if layout == "pooled":
+        # two strata, each marker pooled over two times; default 64-node grid
+        design, n_nodes, n_subjects = None, 64, (4, 4)
+        empty, missing = (2, None), {(2, 1), (2, 2)}
+    else:
+        # one stratum per marker and time; 12 nodes keep the oracle's
+        # node-pair loop short
+        design, n_nodes, n_subjects = StudyDesign.longitudinal(2), 12, (6, 5)
+        empty, missing = (2, 2), {(2, 2)}
+    ds = clustered_dataset(_tied_cells(rng, n_subjects[0], 1.0, 2, 2, missing),
+                           _tied_cells(rng, n_subjects[1], 0.0, 2, 2, missing),
+                           n_markers=2, n_times=2)
+    # subject 1 of each group has no values in stratum ``empty``
+    assert ds.stratum("diseased", *empty).counts[0] == 0
+    assert ds.stratum("nondiseased", *empty).counts[0] == 0
+    est = sigma_matrix(ds, design, measure, n_nodes=n_nodes)
+    if measure.kind == "pauc":
+        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = 0.3 + 0.3 * glx, 0.3 * glw
+    else:
+        nodes, weights = [0.2], [1.0]
+    strata = design.strata() if design else [(1, None), (2, None)]
+    want_d, want_n = integral_covariance_oracle(ds, strata, list(nodes), list(weights))
+    for got, want in ((est.sigma_diseased, want_d), (est.sigma_nondiseased, want_n)):
+        want = np.asarray(want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_pauc_sigma_degenerate_density_propagates():

@@ -396,7 +396,25 @@ correlation_scope = modality
     assert sc.n_diseased == 30
     assert sc.n_nondiseased == 40
     assert sc.rho_diseased == 0.3
+    assert sc.rho_nondiseased == 0.3
     assert sc.correlation_scope == "modality"
+
+
+def test_parse_custom_scenario_cluster_sizes():
+    text = """study = custom
+design = longitudinal:2
+mu_diseased = 1,1
+mu_nondiseased = 0,0
+variances = 1,1
+cluster_sizes_diseased = 2,4
+cluster_sizes_nondiseased = 3
+"""
+    sc = parse_scenario_text(text)
+    assert sc.cluster_sizes_diseased == (2, 4)
+    assert sc.cluster_sizes_nondiseased == (3, 3)
+    assert sc.config_dict()["cluster_sizes_diseased"] == [2, 4]
+    with pytest.raises(DataFormatError):
+        parse_scenario_text(text.replace("cluster_sizes_diseased", "clusters_diseased"))
 
 
 def test_parse_errors():
