@@ -25,9 +25,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .covariance import bootstrap_covariance, contrast_covariance, sigma_matrix
+from .covariance import bootstrap_covariance, sigma_matrix
 from .dataset import MarkerDataset, read_dataset_csv, validate
-from .designs import StudyDesign, parse_design
+from .designs import parse_design
 from .errors import (
     DataFormatError,
     DegenerateDensityError,
@@ -35,26 +35,15 @@ from .errors import (
     WrocError,
 )
 from .estimators import empirical_roc, wauc_vector
-from .inference import (
-    custom_weights,
-    delta_h,
-    equal_weights,
-    optimal_weights,
-    pair_contrast,
-    variance_delta,
-    z_test,
-)
+from .inference import compare_modalities
 from .measures import parse_measure
 from .simulation import (
+    DEFAULT_RHO,
     parse_scenario_file,
     run_method_comparison,
     run_study,
     study_names,
-    table1_scenario,
-    table2_scenario,
-    table3_scenario,
-    table4_scenario,
-    null_scenario,
+    study_scenario,
 )
 
 EXIT_OK = 0
@@ -82,20 +71,12 @@ def _load_dataset(path: str) -> tuple[MarkerDataset, str]:
     return dataset, digest
 
 
-def _resolve_weights(spec: str, design: StudyDesign, cov_diff: np.ndarray,
-                     ridge: float | None):
-    if spec == "equal":
-        return equal_weights(design.n_pairs)
-    if spec == "optimal":
-        return optimal_weights(cov_diff, ridge=ridge)
-    if spec.startswith("custom:"):
-        try:
-            values = [float(tok) for tok in spec[len("custom:"):].split(",")]
-        except ValueError as exc:
-            raise DataFormatError(f"bad custom weights {spec!r}: {exc}") from exc
-        return custom_weights(values)
-    raise DataFormatError(
-        f"unknown weights {spec!r}, expected equal, optimal or custom:w1,w2,...")
+def _covariance(args, dataset, design, measure):
+    """The bootstrap covariance with ``--bootstrap B``, else the analytic one."""
+    if args.bootstrap:
+        return bootstrap_covariance(dataset, design, measure, args.bootstrap, args.seed,
+                                    midrank=args.midrank)
+    return sigma_matrix(dataset, design, measure, midrank=args.midrank)
 
 
 def _emit(report: dict, args) -> None:
@@ -147,12 +128,7 @@ def _cmd_analyze(args) -> int:
     design = parse_design(args.design) if args.design else None
     measure = parse_measure(args.measure)
     omega = wauc_vector(dataset, design, measure, midrank=args.midrank)
-    if args.bootstrap:
-        cov = bootstrap_covariance(dataset, design, measure,
-                                   args.bootstrap, args.seed,
-                                   midrank=args.midrank)
-    else:
-        cov = sigma_matrix(dataset, design, measure, midrank=args.midrank)
+    cov = _covariance(args, dataset, design, measure)
     variances = np.diag(cov.sigma)
     report = _report_header("analyze", args, digest)
     report["seed"] = args.seed
@@ -176,40 +152,30 @@ def _cmd_compare(args) -> int:
     dataset, digest = _load_dataset(args.input)
     design = parse_design(args.design)
     measure = parse_measure(args.measure)
-    omega = wauc_vector(dataset, design, measure, midrank=args.midrank)
-    if args.bootstrap:
-        cov = bootstrap_covariance(dataset, design, measure,
-                                   args.bootstrap, args.seed,
-                                   midrank=args.midrank)
-    else:
-        cov = sigma_matrix(dataset, design, measure, midrank=args.midrank)
-    cov_diff = contrast_covariance(cov.sigma, design)
-    weights = _resolve_weights(args.weights, design, cov_diff, args.ridge)
-    contrast = pair_contrast(design, weights)
-    estimate = delta_h(omega, contrast)
-    var = variance_delta(cov, contrast)
-    test = z_test(estimate, var.total, alpha=args.alpha)
+    result = compare_modalities(dataset, design, measure, weights=args.weights,
+                                alpha=args.alpha, ridge=args.ridge, midrank=args.midrank,
+                                covariance=_covariance(args, dataset, design, measure))
     report = _report_header("compare", args, digest)
     report["seed"] = args.seed
     report["results"] = {
         "measure": measure.selector(),
-        "labels": list(omega.labels),
-        "wauc": [float(v) for v in omega.values],
-        "delta": test.estimate,
-        "variance": test.variance,
-        "variance_diseased": var.diseased,
-        "variance_nondiseased": var.nondiseased,
-        "se": float(np.sqrt(test.variance)),
-        "z": test.z,
-        "p_value": test.p_value,
-        "ci_lower": test.ci_lower,
-        "ci_upper": test.ci_upper,
-        "alpha": test.alpha,
-        "weights": [float(w) for w in weights.weights],
-        "weight_method": weights.method,
-        "weights_fell_back": weights.fell_back,
-        "covariance_method": cov.method,
-        "psd_repaired": cov.repaired,
+        "labels": list(result.wauc.labels),
+        "wauc": [float(v) for v in result.wauc.values],
+        "delta": result.estimate,
+        "variance": result.variance,
+        "variance_diseased": result.variance_diseased,
+        "variance_nondiseased": result.variance_nondiseased,
+        "se": float(np.sqrt(result.variance)),
+        "z": result.z,
+        "p_value": result.p_value,
+        "ci_lower": result.ci_lower,
+        "ci_upper": result.ci_upper,
+        "alpha": result.alpha,
+        "weights": [float(w) for w in result.weights.weights],
+        "weight_method": result.weights.method,
+        "weights_fell_back": result.weights.fell_back,
+        "covariance_method": result.covariance.method,
+        "psd_repaired": result.covariance.repaired,
     }
     _emit(report, args)
     return EXIT_OK
@@ -218,45 +184,24 @@ def _cmd_compare(args) -> int:
 # -- simulate ------------------------------------------------------------
 
 
-def _build_scenario(args):
-    if args.scenario:
-        return parse_scenario_file(args.scenario)
-    if not args.study:
-        raise DataFormatError("simulate needs a study name or --scenario FILE")
-    study = args.study
-    reps = args.reps
-    seed = args.seed
-    if study == "table1":
-        return table1_scenario(args.rho, args.n, args.family or "normal",
-                               n_reps=reps, seed=seed)
-    if study == "table2":
-        return table2_scenario(args.rho, args.n, args.family or "lognormal",
-                               n_reps=reps, seed=seed)
-    if study == "table3":
-        return table3_scenario(args.rho, args.n, n_reps=reps, seed=seed)
-    if study == "table4":
-        return table4_scenario(args.n, args.family or "lognormal",
-                               n_reps=reps, seed=seed)
-    if study == "null":
-        return null_scenario(args.rho, args.n, n_reps=reps, seed=seed)
-    raise DataFormatError(f"unknown study {study!r}")
-
-
 def _cmd_simulate(args) -> int:
-    scenario = _build_scenario(args)
+    if args.scenario:
+        scenario = parse_scenario_file(args.scenario)
+    elif args.study:
+        scenario = study_scenario(args.study, args.n, rho=args.rho, family=args.family,
+                                  n_reps=args.reps, seed=args.seed)
+    else:
+        raise DataFormatError("simulate needs a study name or --scenario FILE")
     threads = args.threads if args.threads else _default_threads()
     if scenario.name.startswith("table2"):
         result = run_method_comparison(scenario, component=args.component,
                                        n_jobs=threads)
-        payload = result.to_dict()
-        rows = [cell.to_dict() for cell in result.cells]
     else:
         result = run_study(scenario, n_jobs=threads)
-        payload = result.to_dict()
-        rows = [cell.to_dict() for cell in result.cells]
+    rows = [cell.to_dict() for cell in result.cells]
     report = _report_header("simulate", args, None)
     report["seed"] = scenario.seed
-    report["results"] = payload
+    report["results"] = result.to_dict()
     if args.output:
         with open(args.output + ".json", "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
@@ -339,10 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("study", nargs="?", choices=study_names(),
                        help="named study; omit when using --scenario")
     p_sim.add_argument("--scenario", help="key = value scenario file")
-    p_sim.add_argument("--rho", type=float, default=0.5)
+    p_sim.add_argument("--rho", type=float,
+                       help=f"within-subject correlation (default {DEFAULT_RHO:g}) "
+                            "for studies that take it")
     p_sim.add_argument("--n", type=int, default=50,
                        help="subjects per group")
-    p_sim.add_argument("--family", choices=("normal", "lognormal"))
+    p_sim.add_argument("--family", choices=("normal", "lognormal"),
+                       help="marker distribution for studies that take it")
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--seed", type=int, default=20240817)
     p_sim.add_argument("--component", type=int, default=1,

@@ -48,6 +48,7 @@ from .estimators import (
     _auc_core,
     _placements,
     design_strata,
+    stratum_labels,
     wauc_vector,
 )
 from .measures import WeightMeasure
@@ -85,7 +86,11 @@ class CovarianceEstimate:
 
 
 def silverman_bandwidth(values) -> float:
-    """0.9 * min(sd, IQR / 1.34) * n^(-1/5), skipping zero candidates."""
+    """0.9 * min(sd, IQR / 1.34) * n^(-1/5), skipping zero candidates.
+
+    Raises ``DegenerateDensityError`` when no candidate is positive or the
+    product underflows to zero.
+    """
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise DegenerateDensityError("need at least 2 values for a density estimate")
@@ -95,18 +100,7 @@ def silverman_bandwidth(values) -> float:
     candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
     if not candidates:
         raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
-    return 0.9 * min(candidates) * v.size ** (-0.2)
-
-
-def _resolve_bandwidth(values: np.ndarray, rule) -> float:
-    if callable(rule):
-        h = float(rule(values))
-    elif isinstance(rule, (int, float)):
-        h = float(rule)
-    elif rule == "silverman":
-        h = silverman_bandwidth(values)
-    else:
-        raise ValueError(f"unknown bandwidth rule {rule!r}")
+    h = 0.9 * min(candidates) * v.size ** (-0.2)
     if not h > 0.0:
         raise DegenerateDensityError(f"non-positive bandwidth {h}")
     return h
@@ -117,9 +111,9 @@ def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndar
     return np.exp(-0.5 * z * z).sum(axis=1) / (values.size * bandwidth * _SQRT_2PI)
 
 
-def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray, rule) -> np.ndarray:
-    hx = _resolve_bandwidth(x.values, rule)
-    hy = _resolve_bandwidth(y.values, rule)
+def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray) -> np.ndarray:
+    hx = silverman_bandwidth(x.values)
+    hy = silverman_bandwidth(y.values)
     f_dis = _kde_at(x.values, thresholds, hx)
     f_non = _kde_at(y.values, thresholds, hy)
     if np.any(f_non <= 0.0):
@@ -129,8 +123,7 @@ def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray, rule) -> n
     return f_dis / f_non
 
 
-def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = None,
-                  bandwidth_rule="silverman"):
+def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = None):
     """Ratio of diseased to non-diseased density at the threshold for rate u.
 
     This is the slope ratio of the two survival curves that scales the
@@ -142,7 +135,7 @@ def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
     scalar = np.isscalar(u)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     thresholds = y_surv.inverse_survival_many(u_arr)
-    out = _density_ratio_at(x, y, thresholds, bandwidth_rule)
+    out = _density_ratio_at(x, y, thresholds)
     return float(out[0]) if scalar else out
 
 
@@ -234,7 +227,7 @@ def _gram_part(strata, thresholds, weights, means, n_subjects: int) -> np.ndarra
 
 
 def _integral_parts(dataset: MarkerDataset, strata, u_nodes: np.ndarray,
-                    u_weights: np.ndarray, bandwidth_rule):
+                    u_weights: np.ndarray):
     xs = [dataset.stratum("diseased", marker, time) for marker, time in strata]
     ys = [dataset.stratum("nondiseased", marker, time) for marker, time in strata]
     thresholds = []
@@ -244,7 +237,7 @@ def _integral_parts(dataset: MarkerDataset, strata, u_nodes: np.ndarray,
         t = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival_many(u_nodes)
         thresholds.append(t)
         rocs.append(EmpiricalSurvival(x.sorted_values, presorted=True).survival(t))
-        ratio_weights.append(u_weights * _density_ratio_at(x, y, t, bandwidth_rule))
+        ratio_weights.append(u_weights * _density_ratio_at(x, y, t))
     mean_dis = np.array([u_weights @ roc for roc in rocs])
     mean_non = np.array([w @ u_nodes for w in ratio_weights])
     sigma1 = _gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, dataset.n_diseased)
@@ -275,7 +268,7 @@ def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
                  measure: WeightMeasure, *, midrank: bool = False,
-                 bandwidth_rule="silverman", n_nodes: int = DEFAULT_NODES) -> CovarianceEstimate:
+                 n_nodes: int = DEFAULT_NODES) -> CovarianceEstimate:
     """Analytic covariance of the wAUC vector over the design's strata.
 
     Returned on the finite-sample scale: the diagonal estimates the variance
@@ -293,12 +286,12 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         mid = 0.5 * (measure.upper + measure.lower)
         u_nodes = mid + half * glx
         u_weights = half * glw
-        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights, bandwidth_rule)
+        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights)
         method = "quadrature"
     else:
         u_nodes = np.asarray([u for u, _ in measure.atoms])
         u_weights = np.asarray([m for _, m in measure.atoms])
-        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights, bandwidth_rule)
+        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights)
         method = "atoms"
     if measure.normalized:
         scale = measure.total_mass ** 2
@@ -306,15 +299,11 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         sigma2 = sigma2 / scale
     sigma1, repaired1 = _repair_part(sigma1)
     sigma2, repaired2 = _repair_part(sigma2)
-    if design is None:
-        labels = tuple(f"marker{marker}" for marker, _ in strata)
-    else:
-        labels = tuple(design.labels())
     return CovarianceEstimate(
         sigma=sigma1 + sigma2,
         sigma_diseased=sigma1,
         sigma_nondiseased=sigma2,
-        labels=labels,
+        labels=stratum_labels(design, strata),
         measure=measure,
         design=design,
         method=method,
@@ -368,15 +357,11 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
         draws[b] = wauc_vector(resampled, design, measure, midrank=midrank).values
     sigma = np.cov(draws, rowvar=False, ddof=1)
     sigma = np.atleast_2d(sigma)
-    if design is None:
-        labels = tuple(f"marker{marker}" for marker, _ in strata)
-    else:
-        labels = tuple(design.labels())
     return CovarianceEstimate(
         sigma=sigma,
         sigma_diseased=None,
         sigma_nondiseased=None,
-        labels=labels,
+        labels=stratum_labels(design, strata),
         measure=measure,
         design=design,
         method="bootstrap",

@@ -118,8 +118,6 @@ def parse_design(text: str) -> StudyDesign:
                 if parts[0] != 2:
                     raise ValueError("longitudinal design compares exactly 2 markers")
                 return StudyDesign.longitudinal(parts[1])
-    except DataFormatError:
-        raise
     except ValueError as exc:
         raise DataFormatError(f"bad design selector {text!r}: {exc}") from exc
     raise DataFormatError(f"unknown design selector {text!r}")

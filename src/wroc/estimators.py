@@ -55,8 +55,9 @@ class EmpiricalSurvival:
 
     def inverse_survival_many(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        for v in np.atleast_1d(u):
-            self._check_u(float(v))
+        bad = ~((u > 0.0) & (u <= 1.0))
+        if bad.any():
+            self._check_u(float(u.flat[np.argmax(bad)]))
         k = np.ceil((1.0 - u) * self.n - _INDEX_GUARD).astype(np.intp)
         k = np.clip(k, 1, self.n)
         return self.sorted_values[k - 1]
@@ -251,6 +252,14 @@ def design_strata(dataset: MarkerDataset, design: StudyDesign | None) -> list[tu
     return design.strata()
 
 
+def stratum_labels(design: StudyDesign | None, strata) -> tuple[str, ...]:
+    """Labels for :func:`design_strata`'s strata: the design's, or
+    ``marker<m>`` per pooled marker without one."""
+    if design is None:
+        return tuple(f"marker{marker}" for marker, _ in strata)
+    return tuple(design.labels())
+
+
 def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
                 measure: WeightMeasure, *, midrank: bool = False) -> WaucVector:
     """wAUC per design stratum (markers pooled for reader designs, the
@@ -258,8 +267,4 @@ def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
     strata = design_strata(dataset, design)
     values = [wauc(dataset, marker, measure, time=time, midrank=midrank)
               for marker, time in strata]
-    if design is None:
-        labels = tuple(f"marker{marker}" for marker, _ in strata)
-    else:
-        labels = tuple(design.labels())
-    return WaucVector(np.asarray(values), labels, measure, design)
+    return WaucVector(np.asarray(values), stratum_labels(design, strata), measure, design)

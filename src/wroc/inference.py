@@ -11,15 +11,16 @@ falls back to equal weights and flags it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from .covariance import CovarianceEstimate, bootstrap_covariance, contrast_covariance, sigma_matrix
+from .covariance import CovarianceEstimate, contrast_covariance, sigma_matrix
 from .dataset import MarkerDataset
 from .designs import ContrastFunction, StudyDesign
-from .errors import SingularCovarianceError
+from .errors import DataFormatError, SingularCovarianceError
 from .estimators import WaucVector, wauc_vector
 from .measures import WeightMeasure
 
@@ -97,8 +98,37 @@ def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightV
     return WeightVector(raw / total, method="optimal", ridge=ridge, raw_sum=total)
 
 
-def _paired_delta(omega: np.ndarray, weights: WeightVector) -> float:
-    omega = np.asarray(omega, dtype=float)
+def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
+                    ridge: float | None = None) -> WeightVector:
+    """Pair weights from a weights spec, the grammar ``--weights`` reads.
+
+    ``spec`` is ``"equal"``, ``"optimal"`` (solved from the difference
+    covariance of ``sigma``, the wAUC covariance matrix), ``"custom:w1,..."``,
+    a sequence of pair weights or a ready ``WeightVector``.
+    """
+    if isinstance(spec, WeightVector):
+        return spec
+    if isinstance(spec, str):
+        if spec == "equal":
+            return equal_weights(design.n_pairs)
+        if spec == "optimal":
+            return optimal_weights(contrast_covariance(sigma, design), ridge=ridge)
+        if spec.startswith("custom:"):
+            try:
+                values = [float(tok) for tok in spec[len("custom:"):].split(",")]
+            except ValueError as exc:
+                raise DataFormatError(f"bad custom weights {spec!r}: {exc}") from exc
+            return custom_weights(values)
+    elif isinstance(spec, (Sequence, np.ndarray)):
+        return custom_weights(spec)
+    raise DataFormatError(
+        f"unknown weights {spec!r}, expected equal, optimal or custom:w1,w2,...")
+
+
+def delta_m(omega, weights: WeightVector) -> float:
+    """Weighted pair-averaged wAUC difference: readers of two modalities, or
+    time points of two markers (``delta_longitudinal``)."""
+    omega = np.asarray(omega.values if isinstance(omega, WaucVector) else omega, dtype=float)
     k = weights.n_pairs
     if omega.size != 2 * k:
         raise ValueError(f"wAUC vector length {omega.size} does not match {k} pairs")
@@ -107,16 +137,7 @@ def _paired_delta(omega: np.ndarray, weights: WeightVector) -> float:
     return float((w @ diffs) / w.sum())
 
 
-def delta_m(omega, weights: WeightVector) -> float:
-    """Weighted reader-averaged difference between two modalities."""
-    values = omega.values if isinstance(omega, WaucVector) else omega
-    return _paired_delta(values, weights)
-
-
-def delta_longitudinal(omega, weights: WeightVector) -> float:
-    """Weighted time-averaged wAUC difference between two markers."""
-    values = omega.values if isinstance(omega, WaucVector) else omega
-    return _paired_delta(values, weights)
+delta_longitudinal = delta_m
 
 
 def delta_h(omega, contrast: ContrastFunction) -> float:
@@ -175,6 +196,13 @@ def variance_delta(cov: CovarianceEstimate | np.ndarray, contrast: ContrastFunct
     part_d = float(grad @ parts[0] @ grad) if parts[0] is not None else None
     part_n = float(grad @ parts[1] @ grad) if parts[1] is not None else None
     return DeltaVariance(total=total, diseased=part_d, nondiseased=part_n)
+
+
+def paired_difference(omega: WaucVector, cov: CovarianceEstimate, design: StudyDesign,
+                      weights: WeightVector) -> tuple[float, DeltaVariance]:
+    """The weighted paired wAUC difference and its delta-method variance."""
+    contrast = pair_contrast(design, weights)
+    return delta_h(omega, contrast), variance_delta(cov, contrast)
 
 
 @dataclass(frozen=True)
@@ -257,28 +285,19 @@ class ComparisonResult:
 def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
                        measure: WeightMeasure, *, weights="equal",
                        alpha: float = 0.05, ridge: float | None = None,
-                       midrank: bool = False, bandwidth_rule="silverman") -> ComparisonResult:
+                       midrank: bool = False,
+                       covariance: CovarianceEstimate | None = None) -> ComparisonResult:
     """Estimate, test and interval for the weighted paired wAUC difference.
 
-    ``weights`` is ``"equal"``, ``"optimal"`` (inverse-covariance weights
-    solved from this dataset's difference covariance) or an explicit
-    sequence of pair weights.
+    ``weights`` takes any spec :func:`resolve_weights` reads.  ``covariance``
+    replaces the analytic ``sigma_matrix`` estimate, for example with a
+    ``bootstrap_covariance`` of the same dataset.
     """
     omega = wauc_vector(dataset, design, measure, midrank=midrank)
-    cov = sigma_matrix(dataset, design, measure, midrank=midrank,
-                       bandwidth_rule=bandwidth_rule)
-    cov_diff = contrast_covariance(cov.sigma, design)
-    if isinstance(weights, WeightVector):
-        weight_vec = weights
-    elif weights == "equal":
-        weight_vec = equal_weights(design.n_pairs)
-    elif weights == "optimal":
-        weight_vec = optimal_weights(cov_diff, ridge=ridge)
-    else:
-        weight_vec = custom_weights(weights)
-    contrast = pair_contrast(design, weight_vec)
-    estimate = delta_h(omega, contrast)
-    var = variance_delta(cov, contrast)
+    cov = covariance if covariance is not None else sigma_matrix(
+        dataset, design, measure, midrank=midrank)
+    weight_vec = resolve_weights(weights, design, cov.sigma, ridge=ridge)
+    estimate, var = paired_difference(omega, cov, design, weight_vec)
     test = z_test(estimate, var.total, alpha=alpha)
     return ComparisonResult(
         estimate=test.estimate,

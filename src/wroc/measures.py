@@ -126,8 +126,6 @@ def parse_measure(text: str) -> WeightMeasure:
                 u_text, m_text = part.split("=")
                 atoms.append((float(u_text), float(m_text)))
             return WeightMeasure.steps(atoms)
-    except DataFormatError:
-        raise
     except (ValueError, IndexError) as exc:
         raise DataFormatError(f"bad measure selector {text!r}: {exc}") from exc
     raise DataFormatError(f"unknown measure selector {text!r}")

@@ -27,17 +27,12 @@ from scipy.integrate import quad
 from scipy.linalg import block_diag
 from scipy.stats import norm
 
-from .covariance import contrast_covariance, sigma_matrix
+from .covariance import sigma_matrix
 from .dataset import MarkerDataset, SubjectRecord
-from .designs import StudyDesign
+from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
-from .estimators import wauc_vector
-from .inference import (
-    equal_weights,
-    optimal_weights,
-    pair_contrast,
-    variance_delta,
-)
+from .estimators import _auc_core, _count_pairs, wauc_vector
+from .inference import paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
 _FAMILIES = ("normal", "lognormal")
@@ -102,6 +97,8 @@ class ScenarioSpec:
             raise ValueError("need at least 2 subjects per group")
         if self.n_reps < 1:
             raise ValueError("need at least one replicate")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.measures:
             raise ValueError("need at least one weight measure")
         for method in self.weight_methods:
@@ -418,13 +415,43 @@ def null_scenario(rho: float = 0.5, n: int = 200, *, n_reps: int = 2000,
     return replace(base, name=f"null_rho{rho:g}_n{n}")
 
 
-_STUDY_BUILDERS = {
-    "table1": table1_scenario,
-    "table2": table2_scenario,
-    "table3": table3_scenario,
-    "table4": table4_scenario,
-    "null": null_scenario,
+# study name -> (scenario function, the optional arguments it takes).  An
+# argument the study takes but is not given falls back to DEFAULT_RHO or to
+# the family default in the function's signature.
+_STUDIES = {
+    "table1": (table1_scenario, ("rho", "family")),
+    "table2": (table2_scenario, ("rho", "family")),
+    "table3": (table3_scenario, ("rho",)),
+    "table4": (table4_scenario, ("family",)),
+    "null": (null_scenario, ("rho",)),
 }
+DEFAULT_RHO = 0.5
+
+
+def study_names() -> tuple[str, ...]:
+    return tuple(_STUDIES)
+
+
+def study_scenario(study: str, n: int, *, rho: float | None = None,
+                   family: str | None = None, n_reps: int = 1000,
+                   seed: int = 20240817) -> ScenarioSpec:
+    """Scenario of a named study with ``n`` subjects per group.
+
+    ``rho`` and ``family`` are None when not given; giving one the study
+    does not take raises ``DataFormatError``.
+    """
+    if study not in _STUDIES:
+        raise DataFormatError(f"unknown study {study!r}")
+    builder, takes = _STUDIES[study]
+    kwargs = {"n": n, "n_reps": n_reps, "seed": seed}
+    for key, value in (("rho", rho), ("family", family)):
+        if value is not None and key not in takes:
+            raise DataFormatError(f"study {study} takes no {key}")
+    if "rho" in takes:
+        kwargs["rho"] = DEFAULT_RHO if rho is None else rho
+    if family is not None:
+        kwargs["family"] = family
+    return builder(**kwargs)
 
 
 # -- study runner --------------------------------------------------------
@@ -502,7 +529,6 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
         try:
             omega = wauc_vector(dataset, design, measure)
             cov = sigma_matrix(dataset, design, measure)
-            cov_diff = contrast_covariance(cov.sigma, design)
         except (WrocError, np.linalg.LinAlgError, ValueError):
             for _ in scenario.weight_methods:
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)
@@ -510,23 +536,34 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
             continue
         for method in scenario.weight_methods:
             try:
-                if method == "equal":
-                    w = equal_weights(design.n_pairs)
-                else:
-                    w = optimal_weights(cov_diff)
-                contrast = pair_contrast(design, w)
-                estimate = float(contrast.value(omega.values))
-                variance = variance_delta(cov, contrast).total
-                out[idx] = (estimate, variance, float(w.fell_back), 0.0)
+                w = resolve_weights(method, design, cov.sigma)
+                estimate, variance = paired_difference(omega, cov, design, w)
+                out[idx] = (estimate, variance.total, float(w.fell_back), 0.0)
             except (WrocError, np.linalg.LinAlgError, ValueError):
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)
             idx += 1
     return out
 
 
-def _run_rep_range(scenario: ScenarioSpec, reps: list[int]) -> np.ndarray:
+def _rep_range(one_rep, scenario: ScenarioSpec, reps: list[int]) -> list:
     plan = _build_plan(scenario)
-    return np.stack([_simulate_one_rep(scenario, plan, rep) for rep in reps])
+    return [one_rep(scenario, plan, rep) for rep in reps]
+
+
+def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int) -> list:
+    """``one_rep(scenario, plan, rep)`` for every replicate, in order.
+
+    With ``n_jobs > 1`` contiguous chunks of replicates run in that many
+    worker processes; ``one_rep`` must then be a module-level function.
+    """
+    reps = list(range(scenario.n_reps))
+    if n_jobs <= 1 or scenario.n_reps <= 1:
+        return _rep_range(one_rep, scenario, reps)
+    chunks = [list(chunk) for chunk in np.array_split(reps, min(n_jobs * 4, len(reps)))]
+    chunks = [c for c in chunks if c]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks), chunks)
+        return [item for piece in pieces for item in piece]
 
 
 def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
@@ -536,15 +573,8 @@ def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
     output identical for any worker count.
     """
     started = _time.perf_counter()
-    reps = list(range(scenario.n_reps))
-    if n_jobs > 1 and scenario.n_reps > 1:
-        chunks = [list(chunk) for chunk in np.array_split(reps, min(n_jobs * 4, len(reps)))]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            pieces = list(pool.map(_run_rep_range, [scenario] * len(chunks), chunks))
-        raw = np.concatenate(pieces)
-    else:
-        raw = _run_rep_range(scenario, reps)
+    # looked up at call time, so a replacement on the module is what runs
+    raw = np.stack(_fan_out(_simulate_one_rep, scenario, n_jobs))
 
     crit = float(norm.ppf(1.0 - scenario.alpha / 2.0))
     cells = []
@@ -622,12 +652,6 @@ class SemiparametricAuc:
     separation: bool
 
 
-def _strict_auc(x: np.ndarray, y: np.ndarray) -> float:
-    ys = np.sort(y)
-    wins = np.searchsorted(ys, x, side="left").sum()
-    return float(wins) / (x.size * y.size)
-
-
 def baseline_semiparametric_auc(x_values, y_values, *, max_iter: int = 50,
                                 tol: float = 1e-10) -> SemiparametricAuc:
     """AUC of the fitted logistic score of disease status on the marker.
@@ -643,7 +667,7 @@ def baseline_semiparametric_auc(x_values, y_values, *, max_iter: int = 50,
     values = np.concatenate([x, y])
     labels = np.concatenate([np.ones(x.size), np.zeros(y.size)])
     sd = values.std(ddof=1)
-    forward = _strict_auc(x, y)
+    forward = _count_pairs(x, np.sort(y), midrank=False) / (x.size * y.size)
     if not sd > 0.0:
         return SemiparametricAuc(auc=forward, slope=0.0, converged=False, separation=False)
     v = (values - values.mean()) / sd
@@ -677,8 +701,8 @@ def baseline_semiparametric_auc(x_values, y_values, *, max_iter: int = 50,
     if slope > 0.0:
         return SemiparametricAuc(auc=forward, slope=slope, converged=True, separation=False)
     if slope < 0.0:
-        return SemiparametricAuc(auc=_strict_auc(-x, -y), slope=slope,
-                                 converged=True, separation=False)
+        reverse = _count_pairs(-x, np.sort(-y), midrank=False) / (x.size * y.size)
+        return SemiparametricAuc(auc=reverse, slope=slope, converged=True, separation=False)
     return SemiparametricAuc(auc=forward, slope=0.0, converged=True, separation=False)
 
 
@@ -749,11 +773,11 @@ def _comparison_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     positive = 0
     separated = 0
     for marker in range(1, n_markers + 1):
-        x = dataset.stratum("diseased", marker).values
-        y = dataset.stratum("nondiseased", marker).values
-        empirical = _strict_auc(x, y)
-        parametric, _ = baseline_parametric_auc(x, y)
-        semi = baseline_semiparametric_auc(x, y)
+        x = dataset.stratum("diseased", marker)
+        y = dataset.stratum("nondiseased", marker)
+        empirical = _auc_core(x, y, midrank=False)
+        parametric, _ = baseline_parametric_auc(x.values, y.values)
+        semi = baseline_semiparametric_auc(x.values, y.values)
         est[0, marker - 1] = empirical
         est[1, marker - 1] = parametric
         est[2, marker - 1] = semi.auc
@@ -766,26 +790,13 @@ def _comparison_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     return est, matches, positive, separated
 
 
-def _comparison_rep_range(scenario: ScenarioSpec, reps: list[int]):
-    plan = _build_plan(scenario)
-    return [_comparison_rep(scenario, plan, rep) for rep in reps]
-
-
 def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
                           n_jobs: int = 1) -> MethodComparisonReport:
     """Monte Carlo bias and RMSE of the three per-marker AUC estimators."""
     started = _time.perf_counter()
     if not 1 <= component <= scenario.design.n_markers:
         raise ValueError(f"component {component} outside 1..{scenario.design.n_markers}")
-    reps = list(range(scenario.n_reps))
-    if n_jobs > 1 and scenario.n_reps > 1:
-        chunks = [list(chunk) for chunk in np.array_split(reps, min(n_jobs * 4, len(reps)))]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            pieces = list(pool.map(_comparison_rep_range, [scenario] * len(chunks), chunks))
-        results = [item for piece in pieces for item in piece]
-    else:
-        results = _comparison_rep_range(scenario, reps)
+    results = _fan_out(_comparison_rep, scenario, n_jobs)
 
     estimates = np.stack([r[0] for r in results])      # (reps, 3, markers)
     matches = all(r[1] for r in results)
@@ -834,14 +845,15 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
 def parse_scenario_text(text: str) -> ScenarioSpec:
     """Parse the plain key = value scenario format.
 
-    Required key ``study`` picks a builder (table1..table4, null, custom);
-    the remaining keys override its parameters.  Custom studies spell out
-    the full generative description.
+    ``#`` starts a comment, on its own line or after a value.  Required key
+    ``study`` picks a named study or ``custom``; the remaining keys override
+    its parameters.  Custom studies spell out the full generative
+    description.
     """
     entries: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise DataFormatError(f"expected 'key = value', got {line!r}", line=line_no)
@@ -870,51 +882,24 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
         reps = pop_int("reps", 1000)
         seed = pop_int("seed", 20240817)
         family = entries.pop("family", None)
-        alpha = pop_float("alpha", 0.05)
-        measures = None
-        if "measures" in entries:
-            measures = tuple(parse_measure(tok) for tok in entries.pop("measures").split())
-        weight_methods = None
-        if "weights" in entries:
-            weight_methods = tuple(
-                tok.strip() for tok in entries.pop("weights").split(",") if tok.strip())
+        rho = pop_float("rho")
+        overrides = {"alpha": pop_float("alpha", 0.05)}
+        measures = entries.pop("measures", "").split()
+        if measures:
+            overrides["measures"] = tuple(parse_measure(tok) for tok in measures)
+        weight_methods = entries.pop("weights", "").replace(",", " ").split()
+        if weight_methods:
+            overrides["weight_methods"] = tuple(weight_methods)
 
-        if study in ("table1", "table3", "null"):
-            rho = pop_float("rho", 0.5)
-            if m_val is None:
-                raise DataFormatError(f"study {study} needs n (or m/j)")
-            if study == "table1":
-                spec = table1_scenario(rho, m_val, family or "normal",
-                                       n_reps=reps, seed=seed)
-            elif study == "table3":
-                spec = table3_scenario(rho, m_val, n_reps=reps, seed=seed)
-            else:
-                spec = null_scenario(rho, m_val, n_reps=reps, seed=seed)
-        elif study == "table2":
-            rho = pop_float("rho", 0.5)
-            if m_val is None:
-                raise DataFormatError("study table2 needs n (or m/j)")
-            spec = table2_scenario(rho, m_val, family or "lognormal",
-                                   n_reps=reps, seed=seed)
-        elif study == "table4":
-            if m_val is None:
-                raise DataFormatError("study table4 needs n (or m/j)")
-            spec = table4_scenario(m_val, family or "lognormal", n_reps=reps, seed=seed)
-        elif study == "custom":
-            from .designs import parse_design
-
-            design = parse_design(entries.pop("design"))
-            mu_d = tuple(float(v) for v in entries.pop("mu_diseased").split(","))
-            mu_n = tuple(float(v) for v in entries.pop("mu_nondiseased").split(","))
-            variances = tuple(float(v) for v in entries.pop("variances").split(","))
-            rho = pop_float("rho", 0.0)
+        if study == "custom":
+            rho = 0.0 if rho is None else rho
             spec = ScenarioSpec(
                 name=entries.pop("name", "custom"),
                 family=family or "normal",
-                design=design,
-                mu_diseased=mu_d,
-                mu_nondiseased=mu_n,
-                variances=variances,
+                design=parse_design(entries.pop("design")),
+                mu_diseased=tuple(float(v) for v in entries.pop("mu_diseased").split(",")),
+                mu_nondiseased=tuple(float(v) for v in entries.pop("mu_nondiseased").split(",")),
+                variances=tuple(float(v) for v in entries.pop("variances").split(",")),
                 rho_diseased=pop_float("rho_diseased", rho),
                 rho_nondiseased=pop_float("rho_nondiseased", rho),
                 cluster_sizes_diseased=_parse_int_pair(
@@ -925,31 +910,22 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
                 n_nondiseased=j_val if j_val is not None else 50,
                 n_reps=reps,
                 seed=seed,
-                measures=measures or (WeightMeasure.full_auc(),),
-                weight_methods=weight_methods or ("equal",),
-                alpha=alpha if alpha is not None else 0.05,
+                measures=(WeightMeasure.full_auc(),),
+                weight_methods=("equal",),
                 correlation_scope=entries.pop("correlation_scope", "all"),
             )
-            measures = None
-            weight_methods = None
-        else:
+        elif study not in _STUDIES:
             raise DataFormatError(f"unknown study {study!r}")
-    except DataFormatError:
-        raise
+        elif m_val is None:
+            raise DataFormatError(f"study {study} needs n (or m/j)")
+        else:
+            spec = study_scenario(study, m_val, rho=rho, family=family,
+                                  n_reps=reps, seed=seed)
+            if j_val is not None:
+                overrides["n_nondiseased"] = j_val
+        spec = replace(spec, **overrides)
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"bad scenario file: {exc}") from exc
-
-    overrides = {}
-    if measures:
-        overrides["measures"] = measures
-    if weight_methods:
-        overrides["weight_methods"] = weight_methods
-    if alpha is not None:
-        overrides["alpha"] = alpha
-    if j_val is not None and j_val != spec.n_nondiseased and study != "custom":
-        overrides["n_nondiseased"] = j_val
-    if overrides:
-        spec = replace(spec, **overrides)
     if entries:
         raise DataFormatError(f"unknown scenario keys: {', '.join(sorted(entries))}")
     return spec
@@ -958,7 +934,3 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
 def parse_scenario_file(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario_text(handle.read())
-
-
-def study_names() -> tuple[str, ...]:
-    return tuple(_STUDY_BUILDERS)

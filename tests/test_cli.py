@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wroc.cli import main
+from wroc.cli import build_parser, main
 from wroc.dataset import dataset_to_csv_text, read_dataset_csv
 from wroc.designs import StudyDesign
 from wroc.estimators import empirical_roc, wauc
@@ -208,6 +210,25 @@ def test_simulate_stdout_and_scenario_file(tmp_path, capsys):
     assert report["results"]["cells"][0]["truth"] == 0.0
 
 
+def test_simulate_rejects_arguments_the_study_does_not_take(capsys):
+    assert main(["simulate", "table3", "--family", "lognormal", "--n", "10", "--reps", "2"]) == 2
+    assert "takes no family" in capsys.readouterr().err
+    assert main(["simulate", "table4", "--rho", "0.3", "--n", "10", "--reps", "2"]) == 2
+    assert "takes no rho" in capsys.readouterr().err
+
+
+def test_simulate_config_echoes_only_given_arguments(capsys):
+    code, report = run_json(capsys, ["simulate", "table4", "--n", "10", "--reps", "2"])
+    assert code == 0
+    assert "rho" not in report["config"]
+    assert "family" not in report["config"]
+    assert report["results"]["scenario"]["family"] == "lognormal"
+    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
+    assert code == 0
+    assert "rho" not in report["config"]
+    assert report["results"]["scenario"]["rho_diseased"] == 0.5
+
+
 def test_simulate_method_comparison_branch(tmp_path):
     base = tmp_path / "methods"
     code = main(["simulate", "table2", "--rho", "0.5", "--n", "12",
@@ -253,6 +274,19 @@ def test_roc_stdout_and_bad_grid(tmp_path, capsys, rng):
 
     code = main(["roc", "--input", str(path), "--grid", "0"])
     assert code == 2
+
+
+# -- README ------------------------------------------------------------
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme[readme.index("## Command line"):].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("wroc ")]
+    assert len(lines) == 5
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 # -- round trip through the CLI boundary ---------------------------------

@@ -58,6 +58,15 @@ def test_inverse_survival_rejects_zero():
         EmpiricalSurvival([1.0, 2.0]).inverse_survival(0.0)
 
 
+def test_inverse_survival_many_names_first_bad_rate():
+    surv = EmpiricalSurvival([10.0, 20.0, 30.0, 40.0])
+    np.testing.assert_array_equal(surv.inverse_survival_many([0.25, 1.0]), [30.0, 10.0])
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\], got 1\.5$"):
+        surv.inverse_survival_many([0.25, 0.5, 1.5, 0.7, 0.0])
+    with pytest.raises(ValueError, match=r"got nan$"):
+        surv.inverse_survival_many(np.array([[0.5, np.nan]]))
+
+
 def test_sensitivity_at_fpr():
     ds = singles_dataset([10.0, 20.0], list(range(1, 11)))
     # u0=0.2 -> threshold is the 8th smallest non-diseased value (8)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wroc.covariance import contrast_covariance, sigma_matrix
+from wroc.covariance import bootstrap_covariance, contrast_covariance, sigma_matrix
 from wroc.designs import ContrastFunction, StudyDesign
-from wroc.errors import SingularCovarianceError
+from wroc.errors import DataFormatError, SingularCovarianceError
 from wroc.estimators import wauc_vector
 from wroc.inference import (
     ComparisonResult,
@@ -19,6 +19,7 @@ from wroc.inference import (
     equal_weights,
     optimal_weights,
     pair_contrast,
+    resolve_weights,
     variance_delta,
     z_test,
 )
@@ -200,3 +201,41 @@ def test_compare_modalities_optimal_and_custom(rng):
     np.testing.assert_allclose(cus.weights.weights, [0.7, 0.3])
     # optimal weighting never increases the estimated variance
     assert opt.variance <= compare_modalities(ds, design, FULL).variance + 1e-15
+
+
+def test_resolve_weights_grammar():
+    design = StudyDesign.readers(3)
+    sigma = np.diag([1.0, 2.0, 4.0, 1.0, 2.0, 4.0])
+    assert resolve_weights("equal", design, sigma).method == "equal"
+    opt = resolve_weights("optimal", design, sigma, ridge=0.0)
+    np.testing.assert_array_equal(
+        opt.weights, optimal_weights(contrast_covariance(sigma, design), ridge=0.0).weights)
+    np.testing.assert_allclose(resolve_weights("custom:1,1,2", design, sigma).weights,
+                               [0.25, 0.25, 0.5])
+    np.testing.assert_allclose(resolve_weights(np.array([1.0, 3.0, 4.0]), design, sigma).weights,
+                               [0.125, 0.375, 0.5])
+    ready = equal_weights(3)
+    assert resolve_weights(ready, design, sigma) is ready
+    for bad in ("inverse", "custom:1,x,2", None, 0.5):
+        with pytest.raises(DataFormatError):
+            resolve_weights(bad, design, sigma)
+
+
+def test_compare_modalities_takes_a_covariance(rng):
+    design = StudyDesign.readers(2)
+    ds = paired_dataset([rng.normal(1.2, 1, 30) for _ in range(4)],
+                        [rng.normal(0, 1, 30) for _ in range(4)])
+    boot = bootstrap_covariance(ds, design, FULL, 100, 3)
+    res = compare_modalities(ds, design, FULL, weights="optimal", covariance=boot)
+    assert res.covariance is boot
+    assert res.variance_diseased is None
+    want = optimal_weights(contrast_covariance(boot.sigma, design))
+    np.testing.assert_array_equal(res.weights.weights, want.weights)
+    contrast = pair_contrast(design, want)
+    assert res.variance == variance_delta(boot, contrast).total
+    with pytest.raises(DataFormatError, match="unknown weights"):
+        compare_modalities(ds, design, FULL, weights="inverse")
+
+
+def test_delta_longitudinal_is_delta_m():
+    assert delta_longitudinal is delta_m

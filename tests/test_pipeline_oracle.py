@@ -1,0 +1,148 @@
+"""The shared compare pipeline against the compositions it replaced.
+
+``cli compare`` and the Monte Carlo replicate each used to assemble the
+weighted paired difference from the primitives themselves.  Those
+compositions are kept here, as they were, and the library pipeline must
+reproduce them bit for bit.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from wroc.cli import main
+from wroc.covariance import bootstrap_covariance, contrast_covariance, sigma_matrix
+from wroc.dataset import dataset_to_csv_text, read_dataset_csv
+from wroc.designs import parse_design
+from wroc.errors import WrocError
+from wroc.estimators import wauc_vector
+from wroc.inference import (
+    custom_weights,
+    delta_h,
+    equal_weights,
+    optimal_weights,
+    pair_contrast,
+    variance_delta,
+    z_test,
+)
+from wroc.measures import parse_measure
+from wroc.simulation import (
+    _build_plan,
+    _simulate_one_rep,
+    generate_dataset,
+    replicate_rng,
+    table3_scenario,
+    table4_scenario,
+)
+
+DESIGN = "longitudinal:3"
+MEASURE = "pauc:0,0.6"
+
+
+def old_cli_compare_results(dataset, weights_spec, bootstrap, seed):
+    """``results`` of ``wroc compare`` as the CLI composed them itself."""
+    design = parse_design(DESIGN)
+    measure = parse_measure(MEASURE)
+    omega = wauc_vector(dataset, design, measure)
+    if bootstrap:
+        cov = bootstrap_covariance(dataset, design, measure, bootstrap, seed)
+    else:
+        cov = sigma_matrix(dataset, design, measure)
+    cov_diff = contrast_covariance(cov.sigma, design)
+    if weights_spec == "equal":
+        weights = equal_weights(design.n_pairs)
+    elif weights_spec == "optimal":
+        weights = optimal_weights(cov_diff, ridge=None)
+    else:
+        weights = custom_weights([float(tok) for tok in weights_spec[len("custom:"):].split(",")])
+    contrast = pair_contrast(design, weights)
+    estimate = delta_h(omega, contrast)
+    var = variance_delta(cov, contrast)
+    test = z_test(estimate, var.total, alpha=0.05)
+    return {
+        "measure": measure.selector(),
+        "labels": list(omega.labels),
+        "wauc": [float(v) for v in omega.values],
+        "delta": test.estimate,
+        "variance": test.variance,
+        "variance_diseased": var.diseased,
+        "variance_nondiseased": var.nondiseased,
+        "se": float(np.sqrt(test.variance)),
+        "z": test.z,
+        "p_value": test.p_value,
+        "ci_lower": test.ci_lower,
+        "ci_upper": test.ci_upper,
+        "alpha": test.alpha,
+        "weights": [float(w) for w in weights.weights],
+        "weight_method": weights.method,
+        "weights_fell_back": weights.fell_back,
+        "covariance_method": cov.method,
+        "psd_repaired": cov.repaired,
+    }
+
+
+def old_simulate_one_rep(scenario, plan, rep):
+    """The Monte Carlo replicate as it composed the primitives itself."""
+    n_cells = len(scenario.measures) * len(scenario.weight_methods)
+    out = np.full((n_cells, 4), np.nan)
+    dataset = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
+    design = scenario.design
+    idx = 0
+    for measure in scenario.measures:
+        try:
+            omega = wauc_vector(dataset, design, measure)
+            cov = sigma_matrix(dataset, design, measure)
+            cov_diff = contrast_covariance(cov.sigma, design)
+        except (WrocError, np.linalg.LinAlgError, ValueError):
+            for _ in scenario.weight_methods:
+                out[idx] = (np.nan, np.nan, 0.0, 1.0)
+                idx += 1
+            continue
+        for method in scenario.weight_methods:
+            try:
+                w = equal_weights(design.n_pairs) if method == "equal" else optimal_weights(cov_diff)
+                contrast = pair_contrast(design, w)
+                estimate = float(contrast.value(omega.values))
+                variance = variance_delta(cov, contrast).total
+                out[idx] = (estimate, variance, float(w.fell_back), 0.0)
+            except (WrocError, np.linalg.LinAlgError, ValueError):
+                out[idx] = (np.nan, np.nan, 0.0, 1.0)
+            idx += 1
+    return out
+
+
+@pytest.fixture(scope="module")
+def clustered_csv(tmp_path_factory):
+    """table4-shaped data: three visits, 2-5 replicates per cell."""
+    scenario = table4_scenario(30, "normal")
+    dataset = generate_dataset(scenario, replicate_rng(7, 0))
+    path = tmp_path_factory.mktemp("pipeline") / "clustered.csv"
+    path.write_text(dataset_to_csv_text(dataset), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("bootstrap", [0, 200])
+@pytest.mark.parametrize("weights", ["equal", "optimal", "custom:1,2,3"])
+def test_cli_compare_equals_old_composition(clustered_csv, capsys, weights, bootstrap):
+    argv = ["compare", "--input", str(clustered_csv), "--design", DESIGN,
+            "--measure", MEASURE, "--weights", weights, "--seed", "11"]
+    if bootstrap:
+        argv += ["--bootstrap", str(bootstrap)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)["results"]
+    with open(clustered_csv, encoding="utf-8") as handle:
+        dataset = read_dataset_csv(handle)
+    want = json.loads(json.dumps(old_cli_compare_results(dataset, weights, bootstrap, 11)))
+    assert got == want
+
+
+@pytest.mark.parametrize("scenario", [table3_scenario(0.5, 50),
+                                      table4_scenario(50, "normal")],
+                         ids=["table3", "table4"])
+def test_simulate_one_rep_equals_old_composition(scenario):
+    plan = _build_plan(scenario)
+    for rep in range(20):
+        got = _simulate_one_rep(scenario, plan, rep)
+        assert got.tobytes() == old_simulate_one_rep(scenario, plan, rep).tobytes(), rep
+

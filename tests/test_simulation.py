@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wroc.simulation import (
     run_study,
     sample_mvn,
     study_names,
+    study_scenario,
     table1_scenario,
     table2_scenario,
     table3_scenario,
@@ -165,10 +167,28 @@ def test_scenario_validation():
         replace(table1_scenario(0.5, 50), correlation_scope="blocks")
     with pytest.raises(ValueError):
         replace(table4_scenario(50), correlation_scope="modality")
+    for alpha in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError, match="alpha"):
+            replace(table1_scenario(0.5, 50), alpha=alpha)
 
 
 def test_study_names():
     assert set(study_names()) == {"table1", "table2", "table3", "table4", "null"}
+
+
+def test_study_scenario_defaults_and_rejections():
+    assert study_scenario("table1", 20) == table1_scenario(0.5, 20, "normal")
+    assert study_scenario("table2", 20, rho=0.2) == table2_scenario(0.2, 20, "lognormal")
+    assert study_scenario("table3", 20, n_reps=7, seed=3) == table3_scenario(
+        0.5, 20, n_reps=7, seed=3)
+    assert study_scenario("table4", 20, family="normal") == table4_scenario(20, "normal")
+    assert study_scenario("null", 20) == null_scenario(0.5, 20, n_reps=1000)
+    with pytest.raises(DataFormatError, match="takes no family"):
+        study_scenario("table3", 20, family="lognormal")
+    with pytest.raises(DataFormatError, match="takes no rho"):
+        study_scenario("table4", 20, rho=0.5)
+    with pytest.raises(DataFormatError, match="unknown study"):
+        study_scenario("table9", 20)
 
 
 # -- dataset generation ---------------------------------------------------
@@ -428,6 +448,33 @@ def test_parse_errors():
         parse_scenario_text("study = table1\nn = 50\nbogus = 1\n")
     with pytest.raises(DataFormatError):
         parse_scenario_text("study = custom\nn = 20\n")        # incomplete custom
+    with pytest.raises(DataFormatError, match="unknown weight method 'bogus'"):
+        parse_scenario_text("study = table1\nn = 50\nweights = bogus\n")
+    with pytest.raises(DataFormatError, match="alpha"):
+        parse_scenario_text("study = table1\nn = 50\nalpha = 2\n")
+    with pytest.raises(DataFormatError, match="takes no family"):
+        parse_scenario_text("study = table3\nn = 50\nfamily = lognormal\n")
+    with pytest.raises(DataFormatError, match="takes no rho"):
+        parse_scenario_text("study = table4\nn = 50\nrho = 0.5\n")
+
+
+def test_parse_inline_comments_and_weight_separators():
+    for weights in ("equal optimal", "equal,optimal", "equal, optimal"):
+        sc = parse_scenario_text(f"study = table1  # the null study\nn = 20   # each group\n"
+                                 f"weights = {weights}  # both\n")
+        assert sc.n_diseased == 20
+        assert sc.weight_methods == ("equal", "optimal")
+
+
+def test_readme_scenario_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Scenario files"):]
+    block = section.split("```")[1]
+    sc = parse_scenario_text(block)
+    assert sc.name == "table3_rho0.5_n50"
+    assert (sc.n_diseased, sc.n_reps, sc.seed) == (50, 1000, 20240817)
+    assert [m.selector() for m in sc.measures] == ["auc", "pauc:0,0.6"]
+    assert sc.weight_methods == ("equal", "optimal")
 
 
 def test_replicate_rng_streams_differ():
