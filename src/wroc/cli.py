@@ -39,10 +39,10 @@ from .inference import compare_modalities
 from .measures import parse_measure
 from .simulation import (
     DEFAULT_RHO,
-    parse_scenario_file,
+    read_scenario_file,
     run_method_comparison,
-    run_study,
     study_names,
+    study_runner,
     study_scenario,
 )
 
@@ -184,20 +184,33 @@ def _cmd_compare(args) -> int:
 # -- simulate ------------------------------------------------------------
 
 
+# --n, --reps and --seed of a named study when not given
+_SIMULATE_DEFAULTS = {"n": 50, "reps": 1000, "seed": 20240817}
+
+
 def _cmd_simulate(args) -> int:
     if args.scenario:
-        scenario = parse_scenario_file(args.scenario)
+        given = [f"--{key}" for key in ("rho", "family", "n", "reps", "seed")
+                 if getattr(args, key) is not None]
+        if given:
+            raise DataFormatError(f"--scenario takes no {', '.join(given)}; "
+                                  "set them in the scenario file")
+        study, scenario = read_scenario_file(args.scenario)
     elif args.study:
-        scenario = study_scenario(args.study, args.n, rho=args.rho, family=args.family,
+        for key, default in _SIMULATE_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
+        study = args.study
+        scenario = study_scenario(study, args.n, rho=args.rho, family=args.family,
                                   n_reps=args.reps, seed=args.seed)
     else:
         raise DataFormatError("simulate needs a study name or --scenario FILE")
     threads = args.threads if args.threads else _default_threads()
-    if scenario.name.startswith("table2"):
-        result = run_method_comparison(scenario, component=args.component,
-                                       n_jobs=threads)
+    runner = study_runner(study)
+    if runner is run_method_comparison:
+        result = runner(scenario, component=args.component, n_jobs=threads)
     else:
-        result = run_study(scenario, n_jobs=threads)
+        result = runner(scenario, n_jobs=threads)
     rows = [cell.to_dict() for cell in result.cells]
     report = _report_header("simulate", args, None)
     report["seed"] = scenario.seed
@@ -283,16 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.add_argument("study", nargs="?", choices=study_names(),
                        help="named study; omit when using --scenario")
-    p_sim.add_argument("--scenario", help="key = value scenario file")
+    p_sim.add_argument("--scenario",
+                       help="key = value scenario file; excludes --rho, --family, "
+                            "--n, --reps and --seed")
     p_sim.add_argument("--rho", type=float,
                        help=f"within-subject correlation (default {DEFAULT_RHO:g}) "
                             "for studies that take it")
-    p_sim.add_argument("--n", type=int, default=50,
-                       help="subjects per group")
+    p_sim.add_argument("--n", type=int,
+                       help=f"subjects per group (default {_SIMULATE_DEFAULTS['n']})")
     p_sim.add_argument("--family", choices=("normal", "lognormal"),
                        help="marker distribution for studies that take it")
-    p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=20240817)
+    p_sim.add_argument("--reps", type=int,
+                       help=f"replicates (default {_SIMULATE_DEFAULTS['reps']})")
+    p_sim.add_argument("--seed", type=int,
+                       help=f"master seed (default {_SIMULATE_DEFAULTS['seed']})")
     p_sim.add_argument("--component", type=int, default=1,
                        help="headline marker for method comparisons")
     p_sim.add_argument("--threads", type=int, default=0,

@@ -6,6 +6,11 @@ in ``1..n_times``, one or more replicate measurements.  Replicates from the
 same subject are the cluster structure that the covariance estimators must
 respect; subjects are assumed independent.
 
+Each group is stored as columns (:class:`GroupColumns`): one row per
+measurement, in canonical order (subject, marker, time, replicate).
+:class:`SubjectRecord` is only the edge type: the constructor accepts
+records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
+
 Datasets are immutable once built.  All pooled views (per marker, per
 marker-time) are precomputed at construction so reads can be shared across
 workers without locking.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import DataFormatError
 
 CSV_HEADER = ["subject_id", "status", "marker", "time", "replicate", "value"]
 _STATUS_TOKENS = {"D": "diseased", "ND": "nondiseased"}
+_GROUPS = ("diseased", "nondiseased")
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,76 @@ class SubjectRecord:
 
     def n_values(self, marker: int, time: int) -> int:
         return len(self.cells.get((marker, time), ()))
+
+
+@dataclass(frozen=True, eq=False)
+class GroupColumns:
+    """One group's measurements, one row each, in canonical order
+    (subject, marker, time, replicate).
+
+    ``subject`` is the 0-based row of ``subject_ids``; a subject may own no
+    rows.  Marker and time indices are kept as given, in range or not.
+    """
+
+    subject_ids: np.ndarray
+    subject: np.ndarray
+    marker: np.ndarray
+    time: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "GroupColumns":
+        """Columns of :class:`SubjectRecord` objects or ``(id, cells)``
+        tuples; replicates keep their order within a cell."""
+        ids: list[str] = []
+        keys: list[tuple[int, int, int]] = []   # (subject, marker, time) per row
+        values: list[float] = []
+        for idx, rec in enumerate(records):
+            rec = rec if isinstance(rec, SubjectRecord) else SubjectRecord(*rec)
+            ids.append(rec.subject_id)
+            for (marker, time), cell in rec.cells.items():
+                keys.extend([(idx, marker, time)] * len(cell))
+                values.extend(cell)
+        subject, marker, time = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        # lexsort is stable, so replicates keep their order within a cell
+        order = np.lexsort((time, marker, subject))
+        return cls(np.asarray(ids, dtype=str), subject[order], marker[order], time[order],
+                   np.asarray(values, dtype=float)[order])
+
+    @property
+    def n_subjects(self) -> int:
+        return int(self.subject_ids.size)
+
+    def cell_starts(self) -> np.ndarray:
+        """First row of every (subject, marker, time) cell."""
+        change = ((self.subject[1:] != self.subject[:-1])
+                  | (self.marker[1:] != self.marker[:-1])
+                  | (self.time[1:] != self.time[:-1]))
+        return np.flatnonzero(np.concatenate(([self.subject.size > 0], change)))
+
+    def gather(self, idx) -> "GroupColumns":
+        """Columns of the subjects at positions ``idx``, repeats allowed."""
+        idx = np.asarray(idx)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)
+        sizes = np.bincount(self.subject, minlength=self.n_subjects)
+        first = np.cumsum(sizes) - sizes
+        lengths = sizes[idx]
+        offsets = np.cumsum(lengths) - lengths
+        rows = np.repeat(first[idx] - offsets, lengths) + np.arange(int(lengths.sum()))
+        return GroupColumns(self.subject_ids[idx], np.repeat(np.arange(idx.size), lengths),
+                            self.marker[rows], self.time[rows], self.value[rows])
+
+    def records(self) -> tuple[SubjectRecord, ...]:
+        cells: list[dict] = [{} for _ in range(self.n_subjects)]
+        for subject, marker, time, value in zip(self.subject.tolist(), self.marker.tolist(),
+                                                self.time.tolist(), self.value.tolist()):
+            cells[subject].setdefault((marker, time), []).append(value)
+        return tuple(SubjectRecord(sid, c) for sid, c in zip(self.subject_ids.tolist(), cells))
+
+    def equals(self, other: "GroupColumns") -> bool:
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("subject_ids", "subject", "marker", "time", "value"))
 
 
 @dataclass(frozen=True)
@@ -98,17 +175,19 @@ class Stratum:
 
 
 class MarkerDataset:
-    """Immutable container for a two-group clustered marker study."""
+    """Immutable container for a two-group clustered marker study.
+
+    Each group is given as :class:`GroupColumns` or as an iterable of
+    :class:`SubjectRecord` objects or ``(id, cells)`` tuples.
+    """
 
     def __init__(self, diseased, nondiseased, n_markers: int, n_times: int = 1):
         if n_markers < 1 or n_times < 1:
             raise ValueError("n_markers and n_times must be at least 1")
-        self.diseased: tuple[SubjectRecord, ...] = tuple(
-            rec if isinstance(rec, SubjectRecord) else SubjectRecord(*rec) for rec in diseased
-        )
-        self.nondiseased: tuple[SubjectRecord, ...] = tuple(
-            rec if isinstance(rec, SubjectRecord) else SubjectRecord(*rec) for rec in nondiseased
-        )
+        self._columns: dict[str, GroupColumns] = {
+            group: cols if isinstance(cols, GroupColumns) else GroupColumns.from_records(cols)
+            for group, cols in zip(_GROUPS, (diseased, nondiseased))
+        }
         self.n_markers = int(n_markers)
         self.n_times = int(n_times)
         self._strata: dict[tuple[str, int, int | None], Stratum] = {}
@@ -117,41 +196,53 @@ class MarkerDataset:
     # -- construction helpers -------------------------------------------
 
     def _build_strata(self) -> None:
-        for group_name, records in (("diseased", self.diseased), ("nondiseased", self.nondiseased)):
-            n_subj = len(records)
+        n_times = self.n_times
+        for group, cols in self._columns.items():
+            # one stable sort on (marker, time) keeps subject-then-replicate
+            # order within a stratum and makes each marker's rows time-major
+            inside = ((cols.marker >= 1) & (cols.marker <= self.n_markers)
+                      & (cols.time >= 1) & (cols.time <= n_times))
+            key = ((cols.marker - 1) * n_times + cols.time - 1)[inside]
+            order = np.argsort(key, kind="stable")
+            values = cols.value[inside][order]
+            subjects = cols.subject[inside][order]
+            bounds = np.searchsorted(key[order], np.arange(self.n_markers * n_times + 1))
+            n_subj = cols.n_subjects
             for marker in range(1, self.n_markers + 1):
-                per_time: list[tuple[np.ndarray, np.ndarray]] = []
-                for time in range(1, self.n_times + 1):
-                    vals: list[float] = []
-                    subj: list[int] = []
-                    for idx, rec in enumerate(records):
-                        cell = rec.cells.get((marker, time), ())
-                        vals.extend(cell)
-                        subj.extend([idx] * len(cell))
-                    v = np.asarray(vals, dtype=float)
-                    s = np.asarray(subj, dtype=np.intp)
-                    per_time.append((v, s))
-                    self._strata[(group_name, marker, time)] = _make_stratum(v, s, n_subj)
-                if self.n_times == 1:
-                    pooled = self._strata[(group_name, marker, 1)]
+                base = (marker - 1) * n_times
+                for time in range(1, n_times + 1):
+                    lo, hi = bounds[base + time - 1], bounds[base + time]
+                    self._strata[(group, marker, time)] = _make_stratum(
+                        values[lo:hi], subjects[lo:hi], n_subj)
+                if n_times == 1:
+                    pooled = self._strata[(group, marker, 1)]
                 else:
-                    v = np.concatenate([v for v, _ in per_time]) if per_time else np.empty(0)
-                    s = np.concatenate([s for _, s in per_time]) if per_time else np.empty(0, np.intp)
-                    pooled = _make_stratum(v, s, n_subj)
-                self._strata[(group_name, marker, None)] = pooled
+                    lo, hi = bounds[base], bounds[base + n_times]
+                    pooled = _make_stratum(values[lo:hi], subjects[lo:hi], n_subj)
+                self._strata[(group, marker, None)] = pooled
 
     # -- accessors -------------------------------------------------------
 
     @property
+    def diseased(self) -> tuple[SubjectRecord, ...]:
+        """Diseased subjects as records, derived from the columns."""
+        return self._columns["diseased"].records()
+
+    @property
+    def nondiseased(self) -> tuple[SubjectRecord, ...]:
+        """Non-diseased subjects as records, derived from the columns."""
+        return self._columns["nondiseased"].records()
+
+    @property
     def n_diseased(self) -> int:
-        return len(self.diseased)
+        return self._columns["diseased"].n_subjects
 
     @property
     def n_nondiseased(self) -> int:
-        return len(self.nondiseased)
+        return self._columns["nondiseased"].n_subjects
 
     def stratum(self, group: str, marker: int, time: int | None = None) -> Stratum:
-        if group not in ("diseased", "nondiseased"):
+        if group not in _GROUPS:
             raise ValueError(f"group must be 'diseased' or 'nondiseased', got {group!r}")
         if not 1 <= marker <= self.n_markers:
             raise ValueError(f"marker {marker} outside 1..{self.n_markers}")
@@ -162,8 +253,8 @@ class MarkerDataset:
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
         """New dataset from positional subject draws (used by the bootstrap)."""
         return MarkerDataset(
-            [self.diseased[i] for i in diseased_idx],
-            [self.nondiseased[j] for j in nondiseased_idx],
+            self._columns["diseased"].gather(diseased_idx),
+            self._columns["nondiseased"].gather(nondiseased_idx),
             self.n_markers,
             self.n_times,
         )
@@ -174,8 +265,7 @@ class MarkerDataset:
         return (
             self.n_markers == other.n_markers
             and self.n_times == other.n_times
-            and self.diseased == other.diseased
-            and self.nondiseased == other.nondiseased
+            and all(self._columns[g].equals(other._columns[g]) for g in _GROUPS)
         )
 
 
@@ -194,36 +284,42 @@ def validate(dataset: MarkerDataset) -> ValidationReport:
 
     Estimators assume a dataset that validates cleanly: each group non-empty
     and every (marker, time) cell of every subject holding at least one
-    finite value with in-range indices.
+    finite value with in-range indices.  Issues come per group and subject:
+    first each present cell's index and value problems, in (marker, time)
+    order, then the subject's empty cells.
     """
     issues: list[ValidationIssue] = []
     if dataset.n_diseased == 0:
         issues.append(ValidationIssue("no diseased subjects"))
     if dataset.n_nondiseased == 0:
         issues.append(ValidationIssue("no non-diseased subjects"))
-    for group_name, records in (("diseased", dataset.diseased), ("nondiseased", dataset.nondiseased)):
-        for rec in records:
-            for (marker, time), values in rec.cells.items():
-                if not 1 <= marker <= dataset.n_markers:
-                    issues.append(ValidationIssue(
-                        f"marker index {marker} outside 1..{dataset.n_markers}",
-                        group_name, rec.subject_id))
-                if not 1 <= time <= dataset.n_times:
-                    issues.append(ValidationIssue(
-                        f"time index {time} outside 1..{dataset.n_times}",
-                        group_name, rec.subject_id))
-                for v in values:
-                    if not np.isfinite(v):
-                        issues.append(ValidationIssue(
-                            f"non-finite value in cell (marker {marker}, time {time})",
-                            group_name, rec.subject_id))
-                        break
-            for marker in range(1, dataset.n_markers + 1):
-                for time in range(1, dataset.n_times + 1):
-                    if rec.n_values(marker, time) == 0:
-                        issues.append(ValidationIssue(
-                            f"empty cell (marker {marker}, time {time})",
-                            group_name, rec.subject_id))
+    n_markers, n_times = dataset.n_markers, dataset.n_times
+    n_cells = n_markers * n_times
+    for group, cols in dataset._columns.items():
+        ids = cols.subject_ids.tolist()
+        found = []   # ((subject, 0 cell problem | 1 empty cell, position, kind), message)
+        starts = cols.cell_starts()
+        subj, marker, time = cols.subject[starts], cols.marker[starts], cols.time[starts]
+        bad_marker = (marker < 1) | (marker > n_markers)
+        bad_time = (time < 1) | (time > n_times)
+        nonfinite = (np.logical_or.reduceat(~np.isfinite(cols.value), starts)
+                     if starts.size else np.zeros(0, bool))
+        for c in np.flatnonzero(bad_marker):
+            found.append(((subj[c], 0, c, 0), f"marker index {marker[c]} outside 1..{n_markers}"))
+        for c in np.flatnonzero(bad_time):
+            found.append(((subj[c], 0, c, 1), f"time index {time[c]} outside 1..{n_times}"))
+        for c in np.flatnonzero(nonfinite):
+            found.append(((subj[c], 0, c, 2),
+                          f"non-finite value in cell (marker {marker[c]}, time {time[c]})"))
+        inside = ~(bad_marker | bad_time)
+        filled = np.bincount(subj[inside] * n_cells + (marker[inside] - 1) * n_times
+                             + time[inside] - 1, minlength=cols.n_subjects * n_cells)
+        for e in np.flatnonzero(filled == 0):
+            s, c = divmod(int(e), n_cells)
+            found.append(((s, 1, c, 0),
+                          f"empty cell (marker {c // n_times + 1}, time {c % n_times + 1})"))
+        found.sort(key=lambda item: item[0])
+        issues.extend(ValidationIssue(message, group, ids[key[0]]) for key, message in found)
     return ValidationReport(tuple(issues))
 
 
@@ -265,18 +361,17 @@ def read_dataset_csv(source) -> MarkerDataset:
             raise DataFormatError(
                 f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
 
-        # (group, subject_id) -> (marker, time) -> {replicate: value}
-        cells: dict[tuple[str, str], dict[tuple[int, int], dict[int, float]]] = {}
-        order: dict[str, list[str]] = {"diseased": [], "nondiseased": []}
-        max_marker = 0
-        max_time = 0
+        # per group: subject_id -> subject row, in order of first appearance
+        positions: dict[str, dict[str, int]] = {group: {} for group in _GROUPS}
+        # (diseased, subject, marker, time, replicate) -> value, in file order
+        cells: dict[tuple[bool, int, int, int, int], float] = {}
         for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != len(CSV_HEADER):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise DataFormatError(
                     f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line_no)
-            subject_id, status, marker_s, time_s, rep_s, value_s = (f.strip() for f in row)
+            subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
             if status not in _STATUS_TOKENS:
                 raise DataFormatError(
                     f"status must be 'D' or 'ND', got {status!r}", line=line_no)
@@ -296,35 +391,28 @@ def read_dataset_csv(source) -> MarkerDataset:
                 value = float(value_s)
             except ValueError:
                 raise DataFormatError(f"bad value {value_s!r}", line=line_no) from None
-            key = (group, subject_id)
-            if key not in cells:
-                cells[key] = {}
-                order[group].append(subject_id)
-            reps = cells[key].setdefault((marker, time), {})
-            if replicate in reps:
+            subjects = positions[group]
+            key = (status == "D", subjects.setdefault(subject_id, len(subjects)),
+                   marker, time, replicate)
+            if key in cells:
                 raise DataFormatError(
                     f"duplicate replicate {replicate} for subject {subject_id!r} "
                     f"(marker {marker}, time {time})", line=line_no)
-            reps[replicate] = value
-            max_marker = max(max_marker, marker)
-            max_time = max(max_time, time)
+            cells[key] = value
 
         if not cells:
             raise DataFormatError("no data rows", line=2)
 
-        groups: dict[str, list[SubjectRecord]] = {}
-        for group in ("diseased", "nondiseased"):
-            records = []
-            for subject_id in order[group]:
-                raw = cells[(group, subject_id)]
-                rec_cells = {
-                    cell: tuple(v for _, v in sorted(reps.items()))
-                    for cell, reps in raw.items()
-                }
-                records.append(SubjectRecord(subject_id, rec_cells))
-            groups[group] = records
-        return MarkerDataset(groups["diseased"], groups["nondiseased"],
-                             n_markers=max_marker, n_times=max_time)
+        is_diseased, subject, marker, time, replicate = np.array(list(cells), dtype=np.intp).T
+        value = np.fromiter(cells.values(), dtype=float, count=len(cells))
+        columns = []
+        for group, flag in zip(_GROUPS, (1, 0)):
+            mine = np.flatnonzero(is_diseased == flag)
+            order = mine[np.lexsort((replicate[mine], time[mine], marker[mine], subject[mine]))]
+            columns.append(GroupColumns(np.asarray(list(positions[group]), dtype=str),
+                                        subject[order], marker[order], time[order],
+                                        value[order]))
+        return MarkerDataset(*columns, n_markers=int(marker.max()), n_times=int(time.max()))
     finally:
         if close_after:
             handle.close()
@@ -341,12 +429,14 @@ def write_dataset_csv(dataset: MarkerDataset, target) -> None:
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for status, records in (("D", dataset.diseased), ("ND", dataset.nondiseased)):
-            for rec in records:
-                for (marker, time) in sorted(rec.cells):
-                    for replicate, value in enumerate(rec.cells[(marker, time)], start=1):
-                        writer.writerow(
-                            [rec.subject_id, status, marker, time, replicate, repr(value)])
+        for status, group in (("D", "diseased"), ("ND", "nondiseased")):
+            cols = dataset._columns[group]
+            starts = cols.cell_starts()
+            lengths = np.diff(np.append(starts, cols.subject.size))
+            replicate = np.arange(cols.subject.size) - np.repeat(starts, lengths) + 1
+            writer.writerows(zip(cols.subject_ids[cols.subject].tolist(), repeat(status),
+                                 cols.marker.tolist(), cols.time.tolist(),
+                                 replicate.tolist(), map(repr, cols.value.tolist())))
     finally:
         if close_after:
             handle.close()

@@ -28,7 +28,7 @@ from scipy.linalg import block_diag
 from scipy.stats import norm
 
 from .covariance import sigma_matrix
-from .dataset import MarkerDataset, SubjectRecord
+from .dataset import GroupColumns, MarkerDataset
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
 from .estimators import _auc_core, _count_pairs, wauc_vector
@@ -220,10 +220,19 @@ class _HalfPlan:
 
 
 @dataclass
+class _GroupPlan:
+    halves: tuple[_HalfPlan, _HalfPlan]
+    # subject_ids, subject, marker and time columns of every draw: a row of
+    # the Cholesky draw is one subject's cells, marker-major, then time,
+    # then replicate, which is the dataset's canonical row order
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass
 class _GeneratorPlan:
     scenario: ScenarioSpec
-    diseased: tuple[_HalfPlan, _HalfPlan]
-    nondiseased: tuple[_HalfPlan, _HalfPlan]
+    diseased: _GroupPlan
+    nondiseased: _GroupPlan
 
 
 def _half_plan(scenario: ScenarioSpec, n_subjects: int, cluster_size: int,
@@ -244,48 +253,49 @@ def _half_plan(scenario: ScenarioSpec, n_subjects: int, cluster_size: int,
                      mu_row=mu_row, chol=np.linalg.cholesky(cov))
 
 
-def _build_plan(scenario: ScenarioSpec) -> _GeneratorPlan:
-    def halves(total, sizes, mu, rho):
-        n_first = (total + 1) // 2
-        return (
-            _half_plan(scenario, n_first, sizes[0], mu, rho),
-            _half_plan(scenario, total - n_first, sizes[1], mu, rho),
-        )
+def _group_plan(scenario: ScenarioSpec, total: int, sizes, mu, rho: float,
+                id_prefix: str) -> _GroupPlan:
+    n_first = (total + 1) // 2
+    halves = (_half_plan(scenario, n_first, sizes[0], mu, rho),
+              _half_plan(scenario, total - n_first, sizes[1], mu, rho))
+    n_markers, n_times = scenario.design.n_markers, scenario.design.n_times
+    counts = [half.n_subjects for half in halves]
+    subject = np.repeat(np.arange(total), np.repeat([h.mu_row.size for h in halves], counts))
+    marker = np.concatenate([
+        np.tile(np.repeat(np.arange(1, n_markers + 1), n_times * h.cluster_size), h.n_subjects)
+        for h in halves])
+    time = np.concatenate([
+        np.tile(np.repeat(np.arange(1, n_times + 1), h.cluster_size), n_markers * h.n_subjects)
+        for h in halves])
+    ids = np.char.add(id_prefix, np.arange(1, total + 1).astype(str))
+    layout = (ids, subject, marker, time)
+    for column in layout:
+        column.setflags(write=False)
+    return _GroupPlan(halves=halves, layout=layout)
 
+
+def _build_plan(scenario: ScenarioSpec) -> _GeneratorPlan:
     return _GeneratorPlan(
         scenario=scenario,
-        diseased=halves(scenario.n_diseased, scenario.cluster_sizes_diseased,
-                        scenario.mu_diseased, scenario.rho_diseased),
-        nondiseased=halves(scenario.n_nondiseased, scenario.cluster_sizes_nondiseased,
-                           scenario.mu_nondiseased, scenario.rho_nondiseased),
+        diseased=_group_plan(scenario, scenario.n_diseased, scenario.cluster_sizes_diseased,
+                             scenario.mu_diseased, scenario.rho_diseased, "d"),
+        nondiseased=_group_plan(scenario, scenario.n_nondiseased,
+                                scenario.cluster_sizes_nondiseased,
+                                scenario.mu_nondiseased, scenario.rho_nondiseased, "n"),
     )
 
 
-def _draw_group(plan_halves, scenario: ScenarioSpec, rng: np.random.Generator,
-                id_prefix: str) -> list[SubjectRecord]:
-    design = scenario.design
-    n_markers = design.n_markers
-    n_times = design.n_times
-    records: list[SubjectRecord] = []
-    subject_no = 0
-    for half in plan_halves:
+def _draw_group(plan: _GroupPlan, family: str, rng: np.random.Generator) -> GroupColumns:
+    draws = []
+    for half in plan.halves:
         if half.n_subjects == 0:
             continue
         z = rng.standard_normal((half.n_subjects, half.mu_row.size))
         rows = half.mu_row + z @ half.chol.T
-        if scenario.family == "lognormal":
+        if family == "lognormal":
             rows = np.exp(rows)
-        c = half.cluster_size
-        for row in rows:
-            subject_no += 1
-            cells = {}
-            col = 0
-            for marker in range(1, n_markers + 1):
-                for t in range(1, n_times + 1):
-                    cells[(marker, t)] = tuple(row[col:col + c])
-                    col += c
-            records.append(SubjectRecord(f"{id_prefix}{subject_no}", cells))
-    return records
+        draws.append(rows.ravel())
+    return GroupColumns(*plan.layout, np.concatenate(draws))
 
 
 def generate_dataset(scenario: ScenarioSpec, rng: np.random.Generator,
@@ -294,10 +304,9 @@ def generate_dataset(scenario: ScenarioSpec, rng: np.random.Generator,
     non-diseased, so streams are reproducible."""
     if plan is None:
         plan = _build_plan(scenario)
-    diseased = _draw_group(plan.diseased, scenario, rng, "d")
-    nondiseased = _draw_group(plan.nondiseased, scenario, rng, "n")
-    return MarkerDataset(diseased, nondiseased, scenario.design.n_markers,
-                         scenario.design.n_times)
+    return MarkerDataset(_draw_group(plan.diseased, scenario.family, rng),
+                         _draw_group(plan.nondiseased, scenario.family, rng),
+                         scenario.design.n_markers, scenario.design.n_times)
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -413,45 +422,6 @@ def null_scenario(rho: float = 0.5, n: int = 200, *, n_reps: int = 2000,
                            measures=(WeightMeasure.full_auc(),),
                            weight_methods=("equal", "optimal"))
     return replace(base, name=f"null_rho{rho:g}_n{n}")
-
-
-# study name -> (scenario function, the optional arguments it takes).  An
-# argument the study takes but is not given falls back to DEFAULT_RHO or to
-# the family default in the function's signature.
-_STUDIES = {
-    "table1": (table1_scenario, ("rho", "family")),
-    "table2": (table2_scenario, ("rho", "family")),
-    "table3": (table3_scenario, ("rho",)),
-    "table4": (table4_scenario, ("family",)),
-    "null": (null_scenario, ("rho",)),
-}
-DEFAULT_RHO = 0.5
-
-
-def study_names() -> tuple[str, ...]:
-    return tuple(_STUDIES)
-
-
-def study_scenario(study: str, n: int, *, rho: float | None = None,
-                   family: str | None = None, n_reps: int = 1000,
-                   seed: int = 20240817) -> ScenarioSpec:
-    """Scenario of a named study with ``n`` subjects per group.
-
-    ``rho`` and ``family`` are None when not given; giving one the study
-    does not take raises ``DataFormatError``.
-    """
-    if study not in _STUDIES:
-        raise DataFormatError(f"unknown study {study!r}")
-    builder, takes = _STUDIES[study]
-    kwargs = {"n": n, "n_reps": n_reps, "seed": seed}
-    for key, value in (("rho", rho), ("family", family)):
-        if value is not None and key not in takes:
-            raise DataFormatError(f"study {study} takes no {key}")
-    if "rho" in takes:
-        kwargs["rho"] = DEFAULT_RHO if rho is None else rho
-    if family is not None:
-        kwargs["family"] = family
-    return builder(**kwargs)
 
 
 # -- study runner --------------------------------------------------------
@@ -830,6 +800,58 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
     )
 
 
+# -- study registry ------------------------------------------------------
+
+# study name -> (scenario function, the optional arguments it takes, the
+# runner its scenarios go to).  An argument the study takes but is not given
+# falls back to DEFAULT_RHO or to the family default in the function's
+# signature.
+_STUDIES = {
+    "table1": (table1_scenario, ("rho", "family"), run_study),
+    "table2": (table2_scenario, ("rho", "family"), run_method_comparison),
+    "table3": (table3_scenario, ("rho",), run_study),
+    "table4": (table4_scenario, ("family",), run_study),
+    "null": (null_scenario, ("rho",), run_study),
+}
+DEFAULT_RHO = 0.5
+
+
+def study_names() -> tuple[str, ...]:
+    return tuple(_STUDIES)
+
+
+def study_runner(study: str):
+    """The runner for scenarios of ``study``; ``custom`` goes to
+    :func:`run_study`."""
+    if study == "custom":
+        return run_study
+    if study not in _STUDIES:
+        raise DataFormatError(f"unknown study {study!r}")
+    return _STUDIES[study][2]
+
+
+def study_scenario(study: str, n: int, *, rho: float | None = None,
+                   family: str | None = None, n_reps: int = 1000,
+                   seed: int = 20240817) -> ScenarioSpec:
+    """Scenario of a named study with ``n`` subjects per group.
+
+    ``rho`` and ``family`` are None when not given; giving one the study
+    does not take raises ``DataFormatError``.
+    """
+    if study not in _STUDIES:
+        raise DataFormatError(f"unknown study {study!r}")
+    builder, takes, _ = _STUDIES[study]
+    kwargs = {"n": n, "n_reps": n_reps, "seed": seed}
+    for key, value in (("rho", rho), ("family", family)):
+        if value is not None and key not in takes:
+            raise DataFormatError(f"study {study} takes no {key}")
+    if "rho" in takes:
+        kwargs["rho"] = DEFAULT_RHO if rho is None else rho
+    if family is not None:
+        kwargs["family"] = family
+    return builder(**kwargs)
+
+
 # -- scenario files ------------------------------------------------------
 
 
@@ -850,6 +872,11 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
     its parameters.  Custom studies spell out the full generative
     description.
     """
+    return _parse_scenario(text)[1]
+
+
+def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
+    """(the ``study`` key, the scenario) of a scenario text."""
     entries: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -864,6 +891,9 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
     if study is None:
         raise DataFormatError("scenario file needs a 'study' key")
     study = study.lower()
+    for key in ("measures", "weights"):
+        if key in entries and not entries[key].replace(",", " ").split():
+            raise DataFormatError(f"scenario key {key!r} has no value")
 
     def pop_float(key, default=None):
         if key in entries:
@@ -928,9 +958,15 @@ def parse_scenario_text(text: str) -> ScenarioSpec:
         raise DataFormatError(f"bad scenario file: {exc}") from exc
     if entries:
         raise DataFormatError(f"unknown scenario keys: {', '.join(sorted(entries))}")
-    return spec
+    return study, spec
+
+
+def read_scenario_file(path) -> tuple[str, ScenarioSpec]:
+    """The ``study`` key of a scenario file, which picks the runner
+    (:func:`study_runner`), and the scenario."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _parse_scenario(handle.read())
 
 
 def parse_scenario_file(path) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario_text(handle.read())
+    return read_scenario_file(path)[1]

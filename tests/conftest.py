@@ -26,14 +26,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def singles_dataset(x_values, y_values):
+def singles_records(x_values, y_values):
     """One marker, one time, every measurement its own subject."""
     diseased = [(f"d{i}", {(1, 1): (float(v),)}) for i, v in enumerate(x_values, 1)]
     nondiseased = [(f"h{j}", {(1, 1): (float(v),)}) for j, v in enumerate(y_values, 1)]
-    return MarkerDataset(diseased, nondiseased, n_markers=1, n_times=1)
+    return diseased, nondiseased
 
 
-def paired_dataset(diseased_columns, nondiseased_columns, n_times=1):
+def singles_dataset(x_values, y_values):
+    return MarkerDataset(*singles_records(x_values, y_values), n_markers=1, n_times=1)
+
+
+def paired_records(diseased_columns, nondiseased_columns, n_times=1):
     """L markers measured on every subject.
 
     ``diseased_columns[l]`` is the vector of subject values for marker l+1;
@@ -53,16 +57,36 @@ def paired_dataset(diseased_columns, nondiseased_columns, n_times=1):
             records.append((f"{prefix}{i + 1}", cells))
         return records
 
-    n_markers = len(diseased_columns)
-    return MarkerDataset(build(diseased_columns, "d"), build(nondiseased_columns, "h"),
-                         n_markers=n_markers, n_times=n_times)
+    return build(diseased_columns, "d"), build(nondiseased_columns, "h")
 
 
-def clustered_dataset(diseased_cells, nondiseased_cells, n_markers=1, n_times=1):
+def paired_dataset(diseased_columns, nondiseased_columns, n_times=1):
+    return MarkerDataset(*paired_records(diseased_columns, nondiseased_columns, n_times),
+                         n_markers=len(diseased_columns), n_times=n_times)
+
+
+def clustered_records(diseased_cells, nondiseased_cells):
     """Explicit per-subject cell dicts for replicate-structure tests."""
     diseased = [(f"d{i}", cells) for i, cells in enumerate(diseased_cells, 1)]
     nondiseased = [(f"h{j}", cells) for j, cells in enumerate(nondiseased_cells, 1)]
-    return MarkerDataset(diseased, nondiseased, n_markers=n_markers, n_times=n_times)
+    return diseased, nondiseased
+
+
+def clustered_dataset(diseased_cells, nondiseased_cells, n_markers=1, n_times=1):
+    return MarkerDataset(*clustered_records(diseased_cells, nondiseased_cells),
+                         n_markers=n_markers, n_times=n_times)
+
+
+def assert_strata_equal(dataset, want):
+    """Every stratum of ``dataset`` equals ``want[key]``, a (values,
+    subjects, counts, sorted_values) tuple, NaN matching NaN."""
+    assert set(dataset._strata) == set(want)
+    for key, (values, subjects, counts, sorted_values) in want.items():
+        got = dataset._strata[key]
+        assert np.array_equal(got.values, values, equal_nan=True), key
+        assert np.array_equal(got.subjects, subjects), key
+        assert np.array_equal(got.counts, counts), key
+        assert np.array_equal(got.sorted_values, sorted_values, equal_nan=True), key
 
 
 @pytest.fixture

@@ -6,7 +6,13 @@ shared helpers, no numpy vectorization tricks, no sorting shortcuts beyond
 what the definition itself states.
 """
 
+import csv
+import io
 import math
+
+import numpy as np
+
+from wroc.dataset import SubjectRecord
 
 # same boundary guard the estimators use: (1-u)*n can land a float epsilon
 # above an exact integer, which would push ceil one step too far
@@ -249,3 +255,113 @@ def integral_covariance_oracle(dataset, strata, nodes, weights):
                 sigma[a][b] = total / (len(pooled[group][a]) * len(pooled[group][b]))
         out[group] = sigma
     return out["diseased"], out["nondiseased"]
+
+
+# -- the record-based dataset path ----------------------------------------
+#
+# ``MarkerDataset`` used to keep one ``SubjectRecord`` per subject and build
+# its strata, resample, validate and write CSV from the records.  That path
+# is kept here, as it was, as the reference for the column-based dataset.
+
+
+def record_strata(diseased, nondiseased, n_markers, n_times):
+    """{(group, marker, time or None): (values, subjects, counts, sorted)}
+    built subject by subject from the records' cells."""
+    out = {}
+    for group, records in (("diseased", diseased), ("nondiseased", nondiseased)):
+        n_subj = len(records)
+        for marker in range(1, n_markers + 1):
+            pooled_vals = []
+            pooled_subj = []
+            for time in range(1, n_times + 1):
+                vals = []
+                subj = []
+                for idx, rec in enumerate(records):
+                    cell = rec.cells.get((marker, time), ())
+                    vals.extend(cell)
+                    subj.extend([idx] * len(cell))
+                pooled_vals.extend(vals)
+                pooled_subj.extend(subj)
+                out[(group, marker, time)] = _record_stratum(vals, subj, n_subj)
+            out[(group, marker, None)] = _record_stratum(pooled_vals, pooled_subj, n_subj)
+    return out
+
+
+def _record_stratum(vals, subj, n_subj):
+    subjects = np.asarray(subj, dtype=np.intp)
+    counts = (np.bincount(subjects, minlength=n_subj).astype(np.intp) if n_subj
+              else np.zeros(0, np.intp))
+    values = np.asarray(vals, dtype=float)
+    return values, subjects, counts, np.sort(values)
+
+
+def record_resample(records, idx):
+    return [records[i] for i in idx]
+
+
+def record_validate(diseased, nondiseased, n_markers, n_times):
+    """(message, group, subject_id) of every issue, in the records' order."""
+    issues = []
+    if not diseased:
+        issues.append(("no diseased subjects", None, None))
+    if not nondiseased:
+        issues.append(("no non-diseased subjects", None, None))
+    for group, records in (("diseased", diseased), ("nondiseased", nondiseased)):
+        for rec in records:
+            for (marker, time), values in rec.cells.items():
+                if not 1 <= marker <= n_markers:
+                    issues.append((f"marker index {marker} outside 1..{n_markers}",
+                                   group, rec.subject_id))
+                if not 1 <= time <= n_times:
+                    issues.append((f"time index {time} outside 1..{n_times}",
+                                   group, rec.subject_id))
+                for v in values:
+                    if not math.isfinite(v):
+                        issues.append((f"non-finite value in cell (marker {marker}, time {time})",
+                                       group, rec.subject_id))
+                        break
+            for marker in range(1, n_markers + 1):
+                for time in range(1, n_times + 1):
+                    if not rec.cells.get((marker, time), ()):
+                        issues.append((f"empty cell (marker {marker}, time {time})",
+                                       group, rec.subject_id))
+    return issues
+
+
+def record_csv_text(diseased, nondiseased):
+    """The canonical CSV, one subject's sorted cells after another."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["subject_id", "status", "marker", "time", "replicate", "value"])
+    for status, records in (("D", diseased), ("ND", nondiseased)):
+        for rec in records:
+            for marker, time in sorted(rec.cells):
+                for replicate, value in enumerate(rec.cells[(marker, time)], start=1):
+                    writer.writerow([rec.subject_id, status, marker, time, replicate,
+                                     repr(value)])
+    return buffer.getvalue()
+
+
+def record_draw_group(halves, family, rng, id_prefix, n_markers, n_times):
+    """A simulated group as records: each Cholesky row split into cells,
+    marker-major, then time, then replicate."""
+    records = []
+    subject_no = 0
+    for half in halves:
+        if half.n_subjects == 0:
+            continue
+        z = rng.standard_normal((half.n_subjects, half.mu_row.size))
+        rows = half.mu_row + z @ half.chol.T
+        if family == "lognormal":
+            rows = np.exp(rows)
+        for row in rows:
+            subject_no += 1
+            cells = {}
+            col = 0
+            for marker in range(1, n_markers + 1):
+                for t in range(1, n_times + 1):
+                    cells[(marker, t)] = tuple(float(v) for v in row[col:col + half.cluster_size])
+                    col += half.cluster_size
+            records.append(SubjectRecord(f"{id_prefix}{subject_no}", cells))
+    return records
+

@@ -241,6 +241,63 @@ def test_simulate_method_comparison_branch(tmp_path):
     assert methods == {"empirical", "parametric", "semiparametric"}
 
 
+@pytest.mark.parametrize("flags", [["--rho", "0.9"], ["--family", "normal"], ["--n", "99"],
+                                   ["--reps", "3"], ["--seed", "1"],
+                                   ["--rho", "0.9", "--n", "99"]])
+def test_simulate_scenario_rejects_study_flags(tmp_path, capsys, flags):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("study = table1\nrho = 0.2\nn = 10\nreps = 2\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), *flags]) == 2
+    err = capsys.readouterr().err
+    for flag in flags[::2]:
+        assert flag in err
+
+
+def test_simulate_config_echoes_effective_defaults(tmp_path, capsys):
+    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
+    assert code == 0
+    assert (report["config"]["n"], report["config"]["reps"]) == (10, 2)
+    assert report["config"]["seed"] == 20240817
+    code, report = run_json(capsys, ["simulate", "table3", "--reps", "1"])
+    assert code == 0
+    assert report["config"]["n"] == 50
+    assert report["results"]["scenario"]["n_diseased"] == 50
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("study = null\nn = 10\nreps = 2\nseed = 5\n", encoding="utf-8")
+    code, report = run_json(capsys, ["simulate", "--scenario", str(scenario)])
+    assert code == 0
+    assert not {"n", "reps", "seed", "rho", "family"} & set(report["config"])
+    assert report["seed"] == 5
+
+
+CUSTOM_SCENARIO = """study = custom
+name = table2_mine
+design = readers:2
+mu_diseased = 1,1,1,1
+mu_nondiseased = 0,0,0,0
+variances = 1,1,1,1
+n = 10
+reps = 2
+"""
+
+
+def test_simulate_runner_follows_the_study_not_the_name(tmp_path, capsys):
+    scenario = tmp_path / "custom.txt"
+    scenario.write_text(CUSTOM_SCENARIO, encoding="utf-8")
+    code, report = run_json(capsys, ["simulate", "--scenario", str(scenario)])
+    assert code == 0
+    assert report["results"]["scenario"]["name"] == "table2_mine"
+    assert "parametric_offset" not in report["results"]
+    assert "coverage" in report["results"]["cells"][0]
+
+    scenario.write_text("study = table2\nn = 10\nreps = 3\n", encoding="utf-8")
+    code, report = run_json(capsys, ["simulate", "--scenario", str(scenario)])
+    assert code == 0
+    assert "parametric_offset" in report["results"]
+    assert {cell["method"] for cell in report["results"]["cells"]} == {
+        "empirical", "parametric", "semiparametric"}
+
+
 # -- roc -----------------------------------------------------------------
 
 

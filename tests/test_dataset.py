@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wroc.dataset import (
     MarkerDataset,
+    SubjectRecord,
     dataset_to_csv_text,
     pooled_counts,
     read_dataset_csv,
@@ -16,7 +18,21 @@ from wroc.dataset import (
 )
 from wroc.errors import DataFormatError
 
-from conftest import clustered_dataset, paired_dataset, singles_dataset
+from conftest import (
+    assert_strata_equal,
+    clustered_dataset,
+    clustered_records,
+    paired_dataset,
+    paired_records,
+    singles_dataset,
+    singles_records,
+)
+from oracles import (
+    record_csv_text,
+    record_resample,
+    record_strata,
+    record_validate,
+)
 
 CSV_OK = """subject_id,status,marker,time,replicate,value
 d1,D,1,1,1,2.5
@@ -146,3 +162,166 @@ def test_resample_positional():
     assert boot.diseased[0] == boot.diseased[1]
     assert boot.diseased[2].cells[(1, 1)] == (3.0,)
     assert boot.nondiseased[0].cells[(1, 1)] == (0.5,)
+
+
+def test_resample_repeated_draws_clustered_longitudinal():
+    # unequal clusters, one empty cell, subjects drawn twice and out of order
+    ds = clustered_dataset(
+        [{(1, 1): (1.0, 2.0), (1, 2): (3.0,)},
+         {(1, 1): (4.0,), (1, 2): (5.0, 6.0, 7.0)},
+         {(1, 1): (8.0,), (1, 2): ()}],
+        [{(1, 1): (0.5,), (1, 2): (0.25, 0.75)},
+         {(1, 1): (-1.0, -2.0, -3.0), (1, 2): (9.0,)}],
+        n_markers=1, n_times=2,
+    )
+    boot = ds.resample([2, 0, 0, 1], [1, 1])
+    assert [rec.subject_id for rec in boot.diseased] == ["d3", "d1", "d1", "d2"]
+    first = boot.stratum("diseased", 1, 1)
+    np.testing.assert_array_equal(first.values, [8.0, 1.0, 2.0, 1.0, 2.0, 4.0])
+    np.testing.assert_array_equal(first.subjects, [0, 1, 1, 2, 2, 3])
+    np.testing.assert_array_equal(first.counts, [1, 2, 2, 1])
+    pooled = boot.stratum("diseased", 1)     # time-major
+    np.testing.assert_array_equal(pooled.values,
+                                  [8.0, 1.0, 2.0, 1.0, 2.0, 4.0, 3.0, 3.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(pooled.subjects, [0, 1, 1, 2, 2, 3, 1, 2, 3, 3, 3])
+    np.testing.assert_array_equal(pooled.counts, [1, 3, 3, 4])
+    np.testing.assert_array_equal(boot.stratum("nondiseased", 1).values,
+                                  [-1.0, -2.0, -3.0, -1.0, -2.0, -3.0, 9.0, 9.0])
+    np.testing.assert_array_equal(boot.stratum("nondiseased", 1, 2).counts, [1, 1])
+    assert boot.diseased[0].n_values(1, 2) == 0
+    assert [str(i) for i in validate(boot).issues] == [
+        "diseased subject d3: empty cell (marker 1, time 2)"]
+
+
+def test_validate_reports_out_of_range_indices():
+    ds = clustered_dataset(
+        [{(0, 1): (5.0,), (1, 1): (1.0,), (1, 2): (math.nan,), (3, 1): (2.0, 4.0)}],
+        [{(1, 1): (0.0,)}],
+        n_markers=1, n_times=1,
+    )
+    assert [str(issue) for issue in validate(ds).issues] == [
+        "diseased subject d1: marker index 0 outside 1..1",
+        "diseased subject d1: time index 2 outside 1..1",
+        "diseased subject d1: non-finite value in cell (marker 1, time 2)",
+        "diseased subject d1: marker index 3 outside 1..1",
+    ]
+    # strata hold only in-range cells; the CSV keeps every cell
+    np.testing.assert_array_equal(ds.stratum("diseased", 1).values, [1.0])
+    assert dataset_to_csv_text(ds).splitlines()[1:5] == [
+        "d1,D,0,1,1,5.0", "d1,D,1,1,1,1.0", "d1,D,1,2,1,nan", "d1,D,3,1,1,2.0"]
+
+
+# -- the column-based dataset against the record-based path ---------------
+
+
+def _records(group):
+    return [rec if isinstance(rec, SubjectRecord) else SubjectRecord(*rec) for rec in group]
+
+
+def assert_matches_record_path(diseased, nondiseased, n_markers, n_times):
+    """Strata, CSV text and validation of the dataset built from records
+    equal those the record-based path gives."""
+    diseased, nondiseased = _records(diseased), _records(nondiseased)
+    ds = MarkerDataset(diseased, nondiseased, n_markers, n_times)
+    assert_strata_equal(ds, record_strata(diseased, nondiseased, n_markers, n_times))
+    text = record_csv_text(diseased, nondiseased)
+    assert dataset_to_csv_text(ds) == text
+    assert [(i.message, i.group, i.subject_id) for i in validate(ds).issues] == \
+        record_validate(diseased, nondiseased, n_markers, n_times)
+    return ds, text
+
+
+_rng = np.random.default_rng(11)
+RECORD_FIXTURES = {
+    "singles": (*singles_records([1.0, 2.0, 3.0], [0.0, 0.5]), 1, 1),
+    "singles_ties": (*singles_records([1.0, 1.0, 0.5, 2.0], [1.0, 0.5, 0.5]), 1, 1),
+    "paired": (*paired_records([_rng.normal(size=7), _rng.normal(size=7)],
+                               [_rng.normal(size=9), _rng.normal(size=9)]), 2, 1),
+    "longitudinal": (*paired_records([np.arange(15.0).reshape(5, 3), np.ones((5, 3))],
+                                     [np.zeros((4, 3)), -np.arange(12.0).reshape(4, 3)],
+                                     n_times=3), 2, 3),
+    "clustered": (*clustered_records([{(1, 1): (0.1, 0.2), (2, 1): (0.3,)}],
+                                     [{(1, 1): (-1.0,), (2, 1): (0.0, 1.0 / 3.0)}]), 2, 1),
+    "empty_cells": (*clustered_records([{(1, 1): (1.0,)}, {(2, 1): (), (1, 1): (2.0, 3.0)}],
+                                       [{(1, 1): (0.5,), (2, 1): (0.25,)}]), 2, 1),
+    "csv_ok": ([("d1", {(1, 1): (2.5, 2.75)}), ("d2", {(1, 1): (3.0,)})],
+               [("h1", {(1, 1): (1.0,)}), ("h2", {(1, 1): (1.5,)})], 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIXTURES))
+def test_fixture_datasets_match_record_path(name):
+    diseased, nondiseased, n_markers, n_times = RECORD_FIXTURES[name]
+    _, text = assert_matches_record_path(diseased, nondiseased, n_markers, n_times)
+    back = read_dataset_csv(io.StringIO(text))
+    assert_strata_equal(back, record_strata(_records(diseased), _records(nondiseased),
+                                             back.n_markers, back.n_times))
+    assert dataset_to_csv_text(back) == text
+    # rows of each subject in reverse order read back to the same dataset
+    header, *rows = text.splitlines()
+    by_subject: dict[tuple[str, str], list[str]] = {}
+    for row in rows:
+        by_subject.setdefault(tuple(row.split(",")[:2]), []).append(row)
+    shuffled = [header] + [row for block in by_subject.values() for row in reversed(block)]
+    assert read_dataset_csv(io.StringIO("\n".join(shuffled) + "\n")) == back
+
+
+def test_csv_fixture_matches_record_path():
+    diseased, nondiseased, n_markers, n_times = RECORD_FIXTURES["csv_ok"]
+    ds = read_dataset_csv(io.StringIO(CSV_OK))
+    assert_strata_equal(ds, record_strata(_records(diseased), _records(nondiseased),
+                                           n_markers, n_times))
+    assert dataset_to_csv_text(ds) == CSV_OK
+
+
+_values = st.one_of(st.floats(min_value=-10, max_value=10, allow_nan=False),
+                    st.integers(min_value=-3, max_value=3).map(lambda k: k / 2.0),
+                    st.just(math.nan))
+
+
+@st.composite
+def record_sets(draw):
+    """Two groups of records with unequal clusters, missing and empty cells,
+    NaN values and the odd out-of-range cell; cells in (marker, time) order."""
+    n_markers = draw(st.integers(min_value=1, max_value=3))
+    n_times = draw(st.integers(min_value=1, max_value=3))
+
+    def group(prefix):
+        records = []
+        for i in range(draw(st.integers(min_value=0, max_value=5))):
+            cells = {}
+            for marker in range(1, n_markers + 2):
+                for time in range(1, n_times + 2):
+                    inside = marker <= n_markers and time <= n_times
+                    size = draw(st.integers(min_value=0 if inside else -4, max_value=3))
+                    if size > 0 or (inside and size == 0 and draw(st.booleans())):
+                        cells[(marker, time)] = tuple(draw(_values) for _ in range(size))
+            records.append(SubjectRecord(f"{prefix}{i}", cells))
+        return records
+
+    return group("d"), group("h"), n_markers, n_times
+
+
+def _view(records):
+    return [(rec.subject_id, [(key, [repr(v) for v in values])
+                              for key, values in sorted(rec.cells.items()) if values])
+            for rec in records]
+
+
+@given(record_sets(), st.data())
+@settings(deadline=None, max_examples=150)
+def test_random_record_sets_match_record_path(records, data):
+    diseased, nondiseased, n_markers, n_times = records
+    ds, _ = assert_matches_record_path(diseased, nondiseased, n_markers, n_times)
+    assert _view(ds.diseased) == _view(diseased)
+    assert _view(ds.nondiseased) == _view(nondiseased)
+    draws = [data.draw(st.lists(st.integers(min_value=0, max_value=len(group) - 1),
+                                max_size=7) if group else st.just([]))
+             for group in (diseased, nondiseased)]
+    boot = ds.resample(*draws)
+    want_d = record_resample(diseased, draws[0])
+    want_n = record_resample(nondiseased, draws[1])
+    assert_strata_equal(boot, record_strata(want_d, want_n, n_markers, n_times))
+    assert dataset_to_csv_text(boot) == record_csv_text(want_d, want_n)
+    assert [(i.message, i.group, i.subject_id) for i in validate(boot).issues] == \
+        record_validate(want_d, want_n, n_markers, n_times)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from wroc.dataset import dataset_to_csv_text
 from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError
 from wroc.estimators import auc
 from wroc.measures import WeightMeasure
 from wroc.simulation import (
     ScenarioSpec,
+    _build_plan,
     baseline_parametric_auc,
     baseline_semiparametric_auc,
     binormal_roc,
@@ -26,6 +28,7 @@ from wroc.simulation import (
     run_study,
     sample_mvn,
     study_names,
+    study_runner,
     study_scenario,
     table1_scenario,
     table2_scenario,
@@ -34,6 +37,9 @@ from wroc.simulation import (
     true_paired_delta,
     true_wauc,
 )
+
+from conftest import assert_strata_equal
+from oracles import record_csv_text, record_draw_group, record_strata
 
 FULL = WeightMeasure.full_auc()
 PAUC = WeightMeasure.partial_auc(0.0, 0.6)
@@ -210,6 +216,25 @@ def test_generate_dataset_cluster_layout():
         want = 5 if j < first_half else 3
         assert all(len(rec.cells[(mk, t)]) == want
                    for mk in (1, 2) for t in (1, 2, 3))
+
+
+@pytest.mark.parametrize("scenario", [table3_scenario(0.5, 50), table4_scenario(50, "normal"),
+                                      table4_scenario(9)],
+                         ids=["table3", "table4", "table4_lognormal"])
+def test_generated_dataset_matches_record_path(scenario):
+    """Columns written straight from the Cholesky draws give the strata and
+    CSV that records split from the same draws give."""
+    plan = _build_plan(scenario)
+    n_markers, n_times = scenario.design.n_markers, scenario.design.n_times
+    for rep in range(20):
+        ds = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
+        rng = replicate_rng(scenario.seed, rep)
+        diseased = record_draw_group(plan.diseased.halves, scenario.family, rng, "d",
+                                     n_markers, n_times)
+        nondiseased = record_draw_group(plan.nondiseased.halves, scenario.family, rng, "n",
+                                        n_markers, n_times)
+        assert_strata_equal(ds, record_strata(diseased, nondiseased, n_markers, n_times))
+        assert dataset_to_csv_text(ds) == record_csv_text(diseased, nondiseased)
 
 
 def test_generate_dataset_reproducible():
@@ -456,6 +481,10 @@ def test_parse_errors():
         parse_scenario_text("study = table3\nn = 50\nfamily = lognormal\n")
     with pytest.raises(DataFormatError, match="takes no rho"):
         parse_scenario_text("study = table4\nn = 50\nrho = 0.5\n")
+    for key in ("weights", "measures"):
+        for empty in ("", " ,", "  # nothing"):
+            with pytest.raises(DataFormatError, match=f"'{key}' has no value"):
+                parse_scenario_text(f"study = table3\nn = 20\n{key} ={empty}\n")
 
 
 def test_parse_inline_comments_and_weight_separators():
@@ -483,3 +512,11 @@ def test_replicate_rng_streams_differ():
     c = replicate_rng(5, 0).standard_normal(4)
     assert not np.array_equal(a, b)
     np.testing.assert_array_equal(a, c)
+
+
+def test_study_runner_from_registry():
+    assert study_runner("table2") is run_method_comparison
+    for study in ("table1", "table3", "table4", "null", "custom"):
+        assert study_runner(study) is run_study
+    with pytest.raises(DataFormatError, match="unknown study"):
+        study_runner("table9")
