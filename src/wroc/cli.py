@@ -192,6 +192,8 @@ def _cmd_simulate(args) -> int:
     if args.scenario:
         given = [f"--{key}" for key in ("rho", "family", "n", "reps", "seed")
                  if getattr(args, key) is not None]
+        if args.study:
+            given.insert(0, f"study {args.study}")
         if given:
             raise DataFormatError(f"--scenario takes no {', '.join(given)}; "
                                   "set them in the scenario file")
@@ -263,29 +265,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wroc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_design=True):
+    def add_common(p, design_required):
         p.add_argument("--input", required=True, help="long-format CSV file")
-        if with_design:
-            p.add_argument("--design", help="readers:R or longitudinal:K")
+        p.add_argument("--design", required=design_required,
+                       help="readers:R or longitudinal:K")
         p.add_argument("--measure", default="auc",
                        help="auc | pauc:<u1>,<u2>[:normalized] | sens:<u0> | "
                             "steps:<u1>=<m1>,...")
         p.add_argument("--midrank", action="store_true",
-                       help="use midrank ties handling")
+                       help="score ties 1/2 (auc and pauc measures only)")
         p.add_argument("--bootstrap", type=int, default=0, metavar="B",
                        help="bootstrap covariance with B replicates instead "
                             "of the analytic estimator")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_analyze = sub.add_parser("analyze", help="per-stratum wAUC estimates")
-    add_common(p_analyze)
+    add_common(p_analyze, design_required=False)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_compare = sub.add_parser("compare", help="weighted paired difference test")
-    add_common(p_compare)
+    add_common(p_compare, design_required=True)
+    p_compare.add_argument("--alpha", type=float, default=0.05)
     p_compare.add_argument("--weights", default="equal",
                            help="equal | optimal | custom:w1,w2,...")
     p_compare.add_argument("--ridge", type=float, default=None,

@@ -41,19 +41,20 @@ import numpy as np
 
 from .dataset import MarkerDataset, Stratum
 from .designs import StudyDesign
-from .errors import DegenerateDensityError
+from .errors import DegenerateDensityError, WrocError
 from .estimators import (
-    EmpiricalSurvival,
-    WaucVector,
-    _auc_core,
+    _check_midrank,
     _placements,
-    design_strata,
-    stratum_labels,
-    wauc_vector,
+    _roc,
+    _stratum_pair,
+    _stratum_pairs,
+    _stratum_wauc,
 )
 from .measures import WeightMeasure
 
 DEFAULT_NODES = 64
+# draws per bootstrap replicate before giving up on a non-empty stratum set
+_MAX_DRAWS = 1001
 PSD_EIGENVALUE_TOLERANCE = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -129,14 +130,10 @@ def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
     This is the slope ratio of the two survival curves that scales the
     non-diseased contribution to the wAUC covariance.
     """
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    y_surv = EmpiricalSurvival(y.sorted_values, presorted=True)
-    scalar = np.isscalar(u)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    thresholds = y_surv.inverse_survival_many(u_arr)
+    x, y = _stratum_pair(dataset, marker, time)
+    thresholds, _ = _roc(x, y, np.atleast_1d(np.asarray(u, dtype=float)))
     out = _density_ratio_at(x, y, thresholds)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.isscalar(u) else out
 
 
 # -- within-subject joint exceedance ------------------------------------
@@ -171,19 +168,17 @@ def _check_group_sizes(dataset: MarkerDataset) -> None:
         raise ValueError("analytic covariance needs at least 2 subjects per group")
 
 
-def _placement_parts(dataset: MarkerDataset, strata, midrank: bool):
-    n_dis = dataset.n_diseased
-    n_non = dataset.n_nondiseased
-    n_s = len(strata)
+def _placement_parts(pairs, measure: WeightMeasure, midrank: bool):
+    n_dis = pairs[0][0].n_subjects
+    n_non = pairs[0][1].n_subjects
+    n_s = len(pairs)
     dev_x = np.zeros((n_s, n_dis))
     dev_y = np.zeros((n_s, n_non))
     m_tot = np.zeros(n_s)
     n_tot = np.zeros(n_s)
-    for s, (marker, time) in enumerate(strata):
-        x = dataset.stratum("diseased", marker, time)
-        y = dataset.stratum("nondiseased", marker, time)
+    for s, (x, y) in enumerate(pairs):
         vx, vy = _placements(x, y, midrank)
-        omega = _auc_core(x, y, midrank)
+        omega = _stratum_wauc(x, y, measure, midrank)
         sum_x = np.bincount(x.subjects, weights=vx, minlength=n_dis)
         sum_y = np.bincount(y.subjects, weights=vy, minlength=n_non)
         dev_x[s] = sum_x - omega * x.counts
@@ -226,22 +221,19 @@ def _gram_part(strata, thresholds, weights, means, n_subjects: int) -> np.ndarra
     return (scores.T @ scores - centre) / np.outer(sizes, sizes)
 
 
-def _integral_parts(dataset: MarkerDataset, strata, u_nodes: np.ndarray,
-                    u_weights: np.ndarray):
-    xs = [dataset.stratum("diseased", marker, time) for marker, time in strata]
-    ys = [dataset.stratum("nondiseased", marker, time) for marker, time in strata]
+def _integral_parts(pairs, u_nodes: np.ndarray, u_weights: np.ndarray):
+    xs, ys = zip(*pairs)
     thresholds = []
-    rocs = []
+    mean_dis = np.empty(len(pairs))
     ratio_weights = []
-    for x, y in zip(xs, ys):
-        t = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival_many(u_nodes)
+    for s, (x, y) in enumerate(pairs):
+        t, roc = _roc(x, y, u_nodes)
         thresholds.append(t)
-        rocs.append(EmpiricalSurvival(x.sorted_values, presorted=True).survival(t))
+        mean_dis[s] = u_weights @ roc
         ratio_weights.append(u_weights * _density_ratio_at(x, y, t))
-    mean_dis = np.array([u_weights @ roc for roc in rocs])
     mean_non = np.array([w @ u_nodes for w in ratio_weights])
-    sigma1 = _gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, dataset.n_diseased)
-    sigma2 = _gram_part(ys, thresholds, ratio_weights, mean_non, dataset.n_nondiseased)
+    sigma1 = _gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, xs[0].n_subjects)
+    sigma2 = _gram_part(ys, thresholds, ratio_weights, mean_non, ys[0].n_subjects)
     return sigma1, sigma2
 
 
@@ -273,12 +265,15 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
 
     Returned on the finite-sample scale: the diagonal estimates the variance
     of each wAUC entry as computed, with cluster sizes and group sizes
-    already folded in.
+    already folded in.  ``midrank`` reaches only the placement path: the
+    quadrature path stays tie-free (a value scores no threshold it ties)
+    with or without it, and atomic measures reject it.
     """
     _check_group_sizes(dataset)
-    strata = design_strata(dataset, design)
+    _check_midrank(measure, midrank)
+    pairs, labels = _stratum_pairs(dataset, design)
     if measure.kind == "full":
-        sigma1, sigma2 = _placement_parts(dataset, strata, midrank)
+        sigma1, sigma2 = _placement_parts(pairs, measure, midrank)
         method = "placement"
     elif measure.kind == "pauc":
         glx, glw = _gauss_legendre(n_nodes)
@@ -286,12 +281,12 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         mid = 0.5 * (measure.upper + measure.lower)
         u_nodes = mid + half * glx
         u_weights = half * glw
-        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights)
+        sigma1, sigma2 = _integral_parts(pairs, u_nodes, u_weights)
         method = "quadrature"
     else:
         u_nodes = np.asarray([u for u, _ in measure.atoms])
         u_weights = np.asarray([m for _, m in measure.atoms])
-        sigma1, sigma2 = _integral_parts(dataset, strata, u_nodes, u_weights)
+        sigma1, sigma2 = _integral_parts(pairs, u_nodes, u_weights)
         method = "atoms"
     if measure.normalized:
         scale = measure.total_mass ** 2
@@ -303,7 +298,7 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         sigma=sigma1 + sigma2,
         sigma_diseased=sigma1,
         sigma_nondiseased=sigma2,
-        labels=stratum_labels(design, strata),
+        labels=labels,
         measure=measure,
         design=design,
         method=method,
@@ -334,45 +329,37 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     """
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
-    strata = design_strata(dataset, design)
+    pairs, labels = _stratum_pairs(dataset, design)
     n_dis = dataset.n_diseased
     n_non = dataset.n_nondiseased
-    if n_dis == 0 or n_non == 0:
-        raise ValueError("bootstrap needs non-empty groups")
-    draws = np.empty((n_boot, len(strata)))
+    # per-subject value counts by stratum; times a draw's per-subject
+    # multiplicities they give the resampled strata's sizes
+    counts_d = np.array([x.counts for x, _ in pairs])
+    counts_n = np.array([y.counts for _, y in pairs])
+    draws = np.empty((n_boot, len(pairs)))
     n_redrawn = 0
     for b in range(n_boot):
-        attempt = 0
-        while True:
+        for attempt in range(_MAX_DRAWS):
             rng = np.random.default_rng((seed, b, attempt))
             idx_d = rng.integers(0, n_dis, n_dis)
             idx_n = rng.integers(0, n_non, n_non)
-            resampled = dataset.resample(idx_d, idx_n)
-            if _all_strata_nonempty(resampled, strata):
+            if ((counts_d @ np.bincount(idx_d, minlength=n_dis)).all()
+                    and (counts_n @ np.bincount(idx_n, minlength=n_non)).all()):
                 break
             n_redrawn += 1
-            attempt += 1
-            if attempt > 1000:
-                raise RuntimeError("bootstrap could not draw a usable replicate")
-        draws[b] = wauc_vector(resampled, design, measure, midrank=midrank).values
+        else:
+            raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
+        resampled, _ = _stratum_pairs(dataset.resample(idx_d, idx_n), design)
+        draws[b] = [_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
     sigma = np.cov(draws, rowvar=False, ddof=1)
     sigma = np.atleast_2d(sigma)
     return CovarianceEstimate(
         sigma=sigma,
         sigma_diseased=None,
         sigma_nondiseased=None,
-        labels=stratum_labels(design, strata),
+        labels=labels,
         measure=measure,
         design=design,
         method="bootstrap",
         n_redrawn=n_redrawn,
     )
-
-
-def _all_strata_nonempty(dataset: MarkerDataset, strata) -> bool:
-    for marker, time in strata:
-        if dataset.stratum("diseased", marker, time).n == 0:
-            return False
-        if dataset.stratum("nondiseased", marker, time).n == 0:
-            return False
-    return True

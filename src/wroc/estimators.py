@@ -6,11 +6,28 @@ inverse survival function follows the order-statistic convention: the
 threshold at false-positive rate ``u`` over ``n`` pooled non-diseased values
 is the ``ceil((1 - u) * n)``-th smallest value, with the index clamped into
 ``[1, n]``.
+
+Every estimate comes from one core of four pieces:
+
+* :func:`_stratum_pairs` turns a dataset and a design into the checked
+  (diseased, non-diseased) :class:`Stratum` pairs and their labels; it and
+  its one-stratum form :func:`_stratum_pair` are the only place the two
+  groups' strata are paired.
+* :func:`_rank` is the one rank rule, ``ceil((1 - u) * n)`` per rate.
+* :func:`_roc` is the one ROC evaluator: the non-diseased thresholds at a
+  set of rates and the diseased survival at those thresholds.
+* :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
+  partial AUCs count diseased wins over the non-diseased values whose rank
+  lies in the measure's window, over all pairs (so ``pauc(0, 1)`` is the
+  AUC); ``midrank`` scores ties 1/2 in that count.  Atomic measures sum
+  ``mass * ROC(u)`` over their atoms and take no ``midrank``.
+
+The public estimators, the covariance paths, the bootstrap and the
+simulators call these pieces.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +38,16 @@ from .measures import WeightMeasure
 
 # Guards exact-integer boundaries of (1 - u) * n against float drift; the
 # product can land a few ulp above an integer and ceil would then skip an
-# order statistic.  Safe for n well below 1e6.
+# order statistic.  The rank equals the exact rational ceil((1 - u) * n)
+# for n <= 1e7 with rates given to at most 6 decimals or as k / n (tested);
+# above that the drift can pass the guard (sampled from about n = 1.8e7).
 _INDEX_GUARD = 1e-9
 
 
-def _ceil_index(t: float) -> int:
-    return int(math.ceil(t - _INDEX_GUARD))
+def _rank(u, n: int) -> np.ndarray:
+    """``ceil((1 - u) * n)`` per rate: the number of the ``n`` sorted values
+    at or below the threshold for rate ``u``, in ``[0, n]`` for u in [0, 1]."""
+    return np.ceil((1.0 - np.asarray(u, dtype=float)) * n - _INDEX_GUARD).astype(np.intp)
 
 
 class EmpiricalSurvival:
@@ -49,23 +70,15 @@ class EmpiricalSurvival:
 
     def inverse_survival(self, u: float) -> float:
         """Threshold whose empirical false-positive rate is u."""
-        self._check_u(u)
-        k = min(max(_ceil_index((1.0 - u) * self.n), 1), self.n)
-        return float(self.sorted_values[k - 1])
+        return float(self.inverse_survival_many(u))
 
-    def inverse_survival_many(self, u: np.ndarray) -> np.ndarray:
+    def inverse_survival_many(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         bad = ~((u > 0.0) & (u <= 1.0))
         if bad.any():
-            self._check_u(float(u.flat[np.argmax(bad)]))
-        k = np.ceil((1.0 - u) * self.n - _INDEX_GUARD).astype(np.intp)
-        k = np.clip(k, 1, self.n)
-        return self.sorted_values[k - 1]
-
-    @staticmethod
-    def _check_u(u: float) -> None:
-        if not 0.0 < u <= 1.0:
-            raise ValueError(f"false-positive rate must be in (0, 1], got {u}")
+            raise ValueError("false-positive rate must be in (0, 1], "
+                             f"got {float(u.flat[np.argmax(bad)])}")
+        return self.sorted_values[np.maximum(_rank(u, self.n), 1) - 1]
 
 
 def survival_curve(dataset: MarkerDataset, marker: int, *, group: str = "nondiseased",
@@ -86,12 +99,48 @@ def inverse_survival(dataset: MarkerDataset, marker: int, u: float, *,
     return survival_curve(dataset, marker, group=group, time=time).inverse_survival(u)
 
 
-# -- array-level cores ---------------------------------------------------
+# -- the core --------------------------------------------------------------
 
 
-def _require_nonempty(x: Stratum, y: Stratum, marker: int) -> None:
+def _stratum_pair(dataset: MarkerDataset, marker: int,
+                  time: int | None) -> tuple[Stratum, Stratum]:
+    """The (diseased, non-diseased) strata of one (marker, time), both non-empty."""
+    x = dataset.stratum("diseased", marker, time)
+    y = dataset.stratum("nondiseased", marker, time)
     if x.n == 0 or y.n == 0:
         raise ValueError(f"marker {marker} has an empty group in the requested stratum")
+    return x, y
+
+
+def _stratum_pairs(dataset: MarkerDataset, design: StudyDesign | None):
+    """Checked stratum pairs over a design's strata, in design order, and
+    their labels; without a design, one pooled stratum per marker labelled
+    ``marker<m>``."""
+    if design is None:
+        strata = [(marker, None) for marker in range(1, dataset.n_markers + 1)]
+        labels = tuple(f"marker{marker}" for marker, _ in strata)
+    else:
+        if design.n_markers != dataset.n_markers:
+            raise ValueError(
+                f"design expects {design.n_markers} markers, dataset has {dataset.n_markers}")
+        if design.kind == "longitudinal" and design.n_times != dataset.n_times:
+            raise ValueError(
+                f"design expects {design.n_times} times, dataset has {dataset.n_times}")
+        strata = design.strata()
+        labels = tuple(design.labels())
+    return [_stratum_pair(dataset, marker, time) for marker, time in strata], labels
+
+
+def _roc(x: Stratum, y: Stratum, u):
+    """Non-diseased thresholds at rates ``u`` and the empirical ROC there
+    (the diseased survival at each threshold)."""
+    thresholds = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival_many(u)
+    return thresholds, EmpiricalSurvival(x.sorted_values, presorted=True).survival(thresholds)
+
+
+def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:
+    if midrank and measure.is_atomic:
+        raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
 
 
 def _count_pairs(x_values: np.ndarray, y_sorted: np.ndarray, midrank: bool) -> float:
@@ -104,27 +153,23 @@ def _count_pairs(x_values: np.ndarray, y_sorted: np.ndarray, midrank: bool) -> f
     return total
 
 
-def _auc_core(x: Stratum, y: Stratum, midrank: bool) -> float:
-    return _count_pairs(x.values, y.sorted_values, midrank) / (x.n * y.n)
-
-
-def _pauc_window(y_sorted: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Non-diseased values retained for the partial-AUC numerator.
-
-    Rank-based: values with sort rank in ``(ceil((1-upper)n), ceil((1-lower)n)]``
-    (1-based), i.e. strictly above the upper-rate order statistic and at or
-    below the lower-rate one.  Rank selection keeps duplicated values
-    deterministic.
-    """
-    n = y_sorted.size
-    hi_idx = min(max(_ceil_index((1.0 - upper) * n), 0), n)
-    lo_idx = min(max(_ceil_index((1.0 - lower) * n), 0), n)
-    return y_sorted[hi_idx:lo_idx]
-
-
-def _pauc_core(x: Stratum, y: Stratum, lower: float, upper: float) -> float:
-    window = _pauc_window(y.sorted_values, lower, upper)
-    return _count_pairs(x.values, window, midrank=False) / (x.n * y.n)
+def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool) -> float:
+    """Integral of the empirical ROC curve of one stratum pair against the
+    weight measure."""
+    _check_midrank(measure, midrank)
+    if measure.is_atomic:
+        _, roc = _roc(x, y, [u for u, _ in measure.atoms])
+        value = sum(mass * r for (_, mass), r in zip(measure.atoms, roc))
+    else:
+        window = y.sorted_values
+        if measure.kind == "pauc":
+            # the values with rank in (rank(upper), rank(lower)]
+            hi, lo = _rank((measure.upper, measure.lower), y.n)
+            window = window[hi:lo]
+        value = _count_pairs(x.values, window, midrank) / (x.n * y.n)
+    if measure.normalized:
+        value /= measure.total_mass
+    return float(value)
 
 
 def _placements(x: Stratum, y: Stratum, midrank: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -156,10 +201,7 @@ def auc(dataset: MarkerDataset, marker: int, *, time: int | None = None,
     With times pooled this sums indicators over every cross-time pair, which
     is the longitudinal pooled form.
     """
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    _require_nonempty(x, y, marker)
-    return _auc_core(x, y, midrank)
+    return wauc(dataset, marker, WeightMeasure.full_auc(), time=time, midrank=midrank)
 
 
 def pauc(dataset: MarkerDataset, marker: int, lower: float, upper: float, *,
@@ -169,52 +211,26 @@ def pauc(dataset: MarkerDataset, marker: int, lower: float, upper: float, *,
     The denominator keeps all pairs, so the estimand has mass
     ``upper - lower`` and ``pauc(0, 1)`` equals ``auc`` exactly.
     """
-    if not 0.0 <= lower < upper <= 1.0:
-        raise ValueError(f"need 0 <= lower < upper <= 1, got ({lower}, {upper})")
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    _require_nonempty(x, y, marker)
-    return _pauc_core(x, y, lower, upper)
+    return wauc(dataset, marker, WeightMeasure.partial_auc(lower, upper), time=time)
 
 
 def sensitivity_at_fpr(dataset: MarkerDataset, marker: int, at: float, *,
                        time: int | None = None) -> float:
     """Fraction of diseased measurements above the non-diseased threshold at
     false-positive rate ``at``."""
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    _require_nonempty(x, y, marker)
-    threshold = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival(at)
-    above = x.n - np.searchsorted(x.sorted_values, threshold, side="right")
-    return float(above) / x.n
+    return empirical_roc(dataset, marker, float(at), time=time)
 
 
 def empirical_roc(dataset: MarkerDataset, marker: int, u, *, time: int | None = None):
     """Empirical ROC value(s): diseased survival at the non-diseased threshold."""
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    _require_nonempty(x, y, marker)
-    y_surv = EmpiricalSurvival(y.sorted_values, presorted=True)
-    x_surv = EmpiricalSurvival(x.sorted_values, presorted=True)
-    if np.isscalar(u):
-        return x_surv.survival(y_surv.inverse_survival(float(u)))
-    return x_surv.survival(y_surv.inverse_survival_many(np.asarray(u, dtype=float)))
+    _, roc = _roc(*_stratum_pair(dataset, marker, time), u)
+    return float(roc) if np.isscalar(u) else roc
 
 
 def wauc(dataset: MarkerDataset, marker: int, measure: WeightMeasure, *,
          time: int | None = None, midrank: bool = False) -> float:
     """Integral of the empirical ROC curve against the weight measure."""
-    if measure.kind == "full":
-        value = auc(dataset, marker, time=time, midrank=midrank)
-    elif measure.kind == "pauc":
-        value = pauc(dataset, marker, measure.lower, measure.upper, time=time)
-    else:
-        value = 0.0
-        for u, mass in measure.atoms:
-            value += mass * sensitivity_at_fpr(dataset, marker, u, time=time)
-    if measure.normalized:
-        value /= measure.total_mass
-    return float(value)
+    return _stratum_wauc(*_stratum_pair(dataset, marker, time), measure, midrank)
 
 
 def per_time_wauc(dataset: MarkerDataset, marker: int, time: int,
@@ -239,32 +255,10 @@ class WaucVector:
         return {label: float(v) for label, v in zip(self.labels, self.values)}
 
 
-def design_strata(dataset: MarkerDataset, design: StudyDesign | None) -> list[tuple[int, int | None]]:
-    """Stratum list for a design, or one pooled stratum per marker without one."""
-    if design is None:
-        return [(marker, None) for marker in range(1, dataset.n_markers + 1)]
-    if design.n_markers != dataset.n_markers:
-        raise ValueError(
-            f"design expects {design.n_markers} markers, dataset has {dataset.n_markers}")
-    if design.kind == "longitudinal" and design.n_times != dataset.n_times:
-        raise ValueError(
-            f"design expects {design.n_times} times, dataset has {dataset.n_times}")
-    return design.strata()
-
-
-def stratum_labels(design: StudyDesign | None, strata) -> tuple[str, ...]:
-    """Labels for :func:`design_strata`'s strata: the design's, or
-    ``marker<m>`` per pooled marker without one."""
-    if design is None:
-        return tuple(f"marker{marker}" for marker, _ in strata)
-    return tuple(design.labels())
-
-
 def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
                 measure: WeightMeasure, *, midrank: bool = False) -> WaucVector:
     """wAUC per design stratum (markers pooled for reader designs, the
     marker-by-time grid for longitudinal ones)."""
-    strata = design_strata(dataset, design)
-    values = [wauc(dataset, marker, measure, time=time, midrank=midrank)
-              for marker, time in strata]
-    return WaucVector(np.asarray(values), stratum_labels(design, strata), measure, design)
+    pairs, labels = _stratum_pairs(dataset, design)
+    values = [_stratum_wauc(x, y, measure, midrank) for x, y in pairs]
+    return WaucVector(np.asarray(values), labels, measure, design)

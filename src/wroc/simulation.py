@@ -31,7 +31,7 @@ from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
-from .estimators import _auc_core, _count_pairs, wauc_vector
+from .estimators import _count_pairs, _stratum_pairs, _stratum_wauc, wauc_vector
 from .inference import paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
@@ -732,25 +732,22 @@ class MethodComparisonReport:
 
 
 _COMPARISON_METHODS = ("empirical", "parametric", "semiparametric")
+_FULL_AUC = WeightMeasure.full_auc()
 
 
 def _comparison_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     rng = replicate_rng(scenario.seed, rep)
     dataset = generate_dataset(scenario, rng, plan)
-    n_markers = scenario.design.n_markers
-    est = np.zeros((3, n_markers))
+    pairs, _ = _stratum_pairs(dataset, None)
+    est = np.zeros((3, len(pairs)))
     matches = True
     positive = 0
     separated = 0
-    for marker in range(1, n_markers + 1):
-        x = dataset.stratum("diseased", marker)
-        y = dataset.stratum("nondiseased", marker)
-        empirical = _auc_core(x, y, midrank=False)
+    for idx, (x, y) in enumerate(pairs):
+        empirical = _stratum_wauc(x, y, _FULL_AUC, midrank=False)
         parametric, _ = baseline_parametric_auc(x.values, y.values)
         semi = baseline_semiparametric_auc(x.values, y.values)
-        est[0, marker - 1] = empirical
-        est[1, marker - 1] = parametric
-        est[2, marker - 1] = semi.auc
+        est[:, idx] = empirical, parametric, semi.auc
         if semi.slope > 0.0 and not semi.separation:
             positive += 1
             if semi.auc != empirical:
@@ -772,11 +769,10 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
     matches = all(r[1] for r in results)
     positive = sum(r[2] for r in results)
     separated = sum(r[3] for r in results)
-    full = WeightMeasure.full_auc()
     cells = []
     for m_idx, method in enumerate(_COMPARISON_METHODS):
         for marker in range(1, scenario.design.n_markers + 1):
-            truth = true_wauc(full, scenario.mu_diseased[marker - 1],
+            truth = true_wauc(_FULL_AUC, scenario.mu_diseased[marker - 1],
                               math.sqrt(scenario.variances[marker - 1]),
                               scenario.mu_nondiseased[marker - 1],
                               math.sqrt(scenario.variances[marker - 1]))

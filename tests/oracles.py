@@ -365,3 +365,122 @@ def record_draw_group(halves, family, rng, id_prefix, n_markers, n_times):
             records.append(SubjectRecord(f"{id_prefix}{subject_no}", cells))
     return records
 
+
+
+# -- the per-kind estimator path ------------------------------------------
+#
+# ``auc``, ``pauc``, ``sensitivity_at_fpr`` and ``wauc`` used to fetch and
+# check their own strata, each with its own body, and the inverse survival
+# had a scalar and a vector index rule.  That path is kept here, as it was,
+# as the reference for the estimator core.
+
+OLD_INDEX_GUARD = 1e-9
+
+
+def _old_ceil_index(t):
+    return int(math.ceil(t - OLD_INDEX_GUARD))
+
+
+def _old_check_u(u):
+    if not 0.0 < u <= 1.0:
+        raise ValueError(f"false-positive rate must be in (0, 1], got {u}")
+
+
+def old_inverse_survival(sorted_values, u):
+    """The scalar index rule."""
+    _old_check_u(u)
+    n = sorted_values.size
+    k = min(max(_old_ceil_index((1.0 - u) * n), 1), n)
+    return float(sorted_values[k - 1])
+
+
+def old_inverse_survival_many(sorted_values, u):
+    """The vector index rule."""
+    u = np.asarray(u, dtype=float)
+    bad = ~((u > 0.0) & (u <= 1.0))
+    if bad.any():
+        _old_check_u(float(u.flat[np.argmax(bad)]))
+    n = sorted_values.size
+    k = np.ceil((1.0 - u) * n - OLD_INDEX_GUARD).astype(np.intp)
+    k = np.clip(k, 1, n)
+    return sorted_values[k - 1]
+
+
+def _old_survival(sorted_values, x):
+    n = sorted_values.size
+    out = (n - np.searchsorted(sorted_values, x, side="right")) / n
+    return float(out) if np.isscalar(x) else out
+
+
+def _old_strata(dataset, marker, time):
+    x = dataset.stratum("diseased", marker, time)
+    y = dataset.stratum("nondiseased", marker, time)
+    if x.n == 0 or y.n == 0:
+        raise ValueError(f"marker {marker} has an empty group in the requested stratum")
+    return x, y
+
+
+def _old_count_pairs(x_values, y_sorted, midrank):
+    below = np.searchsorted(y_sorted, x_values, side="left")
+    total = float(below.sum())
+    if midrank:
+        ties = np.searchsorted(y_sorted, x_values, side="right") - below
+        total += 0.5 * float(ties.sum())
+    return total
+
+
+def old_auc(dataset, marker, time=None, midrank=False):
+    x, y = _old_strata(dataset, marker, time)
+    return _old_count_pairs(x.values, y.sorted_values, midrank) / (x.n * y.n)
+
+
+def old_pauc(dataset, marker, lower, upper, time=None):
+    if not 0.0 <= lower < upper <= 1.0:
+        raise ValueError(f"need 0 <= lower < upper <= 1, got ({lower}, {upper})")
+    x, y = _old_strata(dataset, marker, time)
+    n = y.sorted_values.size
+    hi_idx = min(max(_old_ceil_index((1.0 - upper) * n), 0), n)
+    lo_idx = min(max(_old_ceil_index((1.0 - lower) * n), 0), n)
+    window = y.sorted_values[hi_idx:lo_idx]
+    return _old_count_pairs(x.values, window, midrank=False) / (x.n * y.n)
+
+
+def old_sensitivity_at_fpr(dataset, marker, at, time=None):
+    x, y = _old_strata(dataset, marker, time)
+    threshold = old_inverse_survival(y.sorted_values, at)
+    above = x.n - np.searchsorted(x.sorted_values, threshold, side="right")
+    return float(above) / x.n
+
+
+def old_empirical_roc(dataset, marker, u, time=None):
+    x, y = _old_strata(dataset, marker, time)
+    if np.isscalar(u):
+        return _old_survival(x.sorted_values, old_inverse_survival(y.sorted_values, float(u)))
+    return _old_survival(x.sorted_values,
+                         old_inverse_survival_many(y.sorted_values, np.asarray(u, dtype=float)))
+
+
+def old_wauc(dataset, marker, measure, time=None, midrank=False):
+    if measure.kind == "full":
+        value = old_auc(dataset, marker, time, midrank)
+    elif measure.kind == "pauc":
+        value = old_pauc(dataset, marker, measure.lower, measure.upper, time)
+    else:
+        value = 0.0
+        for u, mass in measure.atoms:
+            value += mass * old_sensitivity_at_fpr(dataset, marker, u, time)
+    if measure.normalized:
+        value /= measure.total_mass
+    return float(value)
+
+
+def old_wauc_vector(dataset, design, measure, midrank=False):
+    """(values, labels) over the design's strata, or pooled markers."""
+    if design is None:
+        strata = [(marker, None) for marker in range(1, dataset.n_markers + 1)]
+        labels = tuple(f"marker{marker}" for marker, _ in strata)
+    else:
+        strata = design.strata()
+        labels = tuple(design.labels())
+    values = [old_wauc(dataset, marker, measure, time, midrank) for marker, time in strata]
+    return values, labels

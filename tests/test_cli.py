@@ -180,6 +180,32 @@ def test_simulate_without_study_exit_2(capsys):
     assert "study name" in capsys.readouterr().err
 
 
+def test_compare_without_design_exit_2(tmp_path, capsys, rng):
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "--design" in capsys.readouterr().err
+
+
+def test_analyze_takes_no_alpha_exit_2(tmp_path, capsys, rng):
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(path), "--alpha", "7"])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--measure", "sens:0.2"],
+                                  ["compare", "--design", "readers:2",
+                                   "--measure", "steps:0.1=1,0.4=2"]])
+def test_midrank_with_atomic_measure_exit_2(tmp_path, capsys, rng, argv):
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    code = main([*argv, "--input", str(path), "--midrank"])
+    assert code == 2
+    assert "midrank applies to auc and pauc measures" in capsys.readouterr().err
+
+
 # -- simulate ------------------------------------------------------------
 
 
@@ -243,7 +269,7 @@ def test_simulate_method_comparison_branch(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--rho", "0.9"], ["--family", "normal"], ["--n", "99"],
                                    ["--reps", "3"], ["--seed", "1"],
-                                   ["--rho", "0.9", "--n", "99"]])
+                                   ["--rho", "0.9", "--n", "99"], ["table3"]])
 def test_simulate_scenario_rejects_study_flags(tmp_path, capsys, flags):
     scenario = tmp_path / "scen.txt"
     scenario.write_text("study = table1\nrho = 0.2\nn = 10\nreps = 2\n", encoding="utf-8")

@@ -16,7 +16,8 @@ from wroc.covariance import (
     silverman_bandwidth,
 )
 from wroc.designs import StudyDesign
-from wroc.errors import DegenerateDensityError
+from wroc.errors import DegenerateDensityError, WrocError
+from wroc.estimators import wauc_vector
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
@@ -298,3 +299,47 @@ def test_bootstrap_needs_hundred_replicates():
     ds = singles_dataset([1.0, 2.0], [0.0, 0.5])
     with pytest.raises(ValueError):
         bootstrap_covariance(ds, None, FULL, 99, seed=1)
+
+
+def _marker2_missing_in_nondiseased(n_with_marker2=0):
+    """Two markers; only the first ``n_with_marker2`` non-diseased subjects
+    carry marker 2."""
+    rng = np.random.default_rng(21)
+    diseased = [{(1, 1): (float(rng.normal(1)),), (2, 1): (float(rng.normal(1)),)}
+                for _ in range(6)]
+    nondiseased = [{(1, 1): (float(rng.normal()),),
+                    **({(2, 1): (float(rng.normal()),)} if j < n_with_marker2 else {})}
+                   for j in range(6)]
+    return clustered_dataset(diseased, nondiseased, n_markers=2, n_times=1)
+
+
+def test_empty_stratum_fails_alike_in_estimates_covariance_and_bootstrap():
+    ds = _marker2_missing_in_nondiseased()
+    with pytest.raises(ValueError) as expected:
+        wauc_vector(ds, None, FULL)
+    # the bootstrap rejects the input before drawing any replicate
+    calls = [lambda: bootstrap_covariance(ds, None, FULL, 100, seed=1),
+             lambda: sigma_matrix(ds, None, FULL),
+             lambda: sigma_matrix(ds, None, PAUC),
+             lambda: density_ratio(ds, 2, 0.3)]
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(expected.value)
+
+
+def test_bootstrap_redraw_exhaustion_is_a_wroc_error(monkeypatch):
+    ds = _marker2_missing_in_nondiseased(n_with_marker2=1)
+
+    class LastSubjectOnly:
+        """Draws every subject at the last position, which lacks marker 2."""
+
+        def __init__(self, seed):
+            pass
+
+        def integers(self, low, high, size):
+            return np.full(size, high - 1)
+
+    monkeypatch.setattr(np.random, "default_rng", LastSubjectOnly)
+    with pytest.raises(WrocError, match="could not draw a usable replicate"):
+        bootstrap_covariance(ds, None, FULL, 100, seed=1)

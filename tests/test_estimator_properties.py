@@ -40,6 +40,8 @@ def test_pauc_matches_oracle_and_nests(xs, ys, a, b):
     ds = singles_dataset(xs, ys)
     part = pauc(ds, 1, lower, upper)
     assert part == pauc_oracle(xs, ys, lower, upper)
+    window = WeightMeasure.partial_auc(lower, upper)
+    assert wauc(ds, 1, window, midrank=True) == pauc_oracle(xs, ys, lower, upper, midrank=True)
     assert 0.0 <= part <= auc(ds, 1) + 1e-15
     # full window degenerates to the AUC bitwise
     assert pauc(ds, 1, 0.0, 1.0) == auc(ds, 1)
