@@ -51,12 +51,23 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("WROC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+def _threads(flag: int) -> int:
+    """Worker processes: ``--threads`` when positive, else ``WROC_THREADS``
+    when set, else 1."""
+    if flag < 0:
+        raise DataFormatError(f"--threads must be >= 0, got {flag}")
+    if flag:
+        return flag
+    raw = os.environ.get("WROC_THREADS")
+    if raw is None:
         return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DataFormatError(f"WROC_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
 
 
 def _load_dataset(path: str) -> tuple[MarkerDataset, str]:
@@ -189,6 +200,7 @@ _SIMULATE_DEFAULTS = {"n": 50, "reps": 1000, "seed": 20240817}
 
 
 def _cmd_simulate(args) -> int:
+    threads = _threads(args.threads)
     if args.scenario:
         given = [f"--{key}" for key in ("rho", "family", "n", "reps", "seed")
                  if getattr(args, key) is not None]
@@ -207,7 +219,6 @@ def _cmd_simulate(args) -> int:
                                   n_reps=args.reps, seed=args.seed)
     else:
         raise DataFormatError("simulate needs a study name or --scenario FILE")
-    threads = args.threads if args.threads else _default_threads()
     runner = study_runner(study)
     if runner is run_method_comparison:
         result = runner(scenario, component=args.component, n_jobs=threads)

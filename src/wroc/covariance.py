@@ -49,6 +49,7 @@ from .estimators import (
     _stratum_pair,
     _stratum_pairs,
     _stratum_wauc,
+    _stratum_wauc_draws,
 )
 from .measures import WeightMeasure
 
@@ -325,7 +326,9 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     Subjects are resampled with replacement within each group; replicate b
     draws its RNG stream from (seed, b) so results do not depend on
     scheduling.  A replicate leaving any stratum empty is redrawn and
-    counted in ``n_redrawn``.
+    counted in ``n_redrawn``.  A replicate is kept as the per-subject
+    multiplicities of its draw, and all replicates of a stratum pair are
+    scored from them at once; no resampled dataset is built.
     """
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
@@ -336,21 +339,22 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     # multiplicities they give the resampled strata's sizes
     counts_d = np.array([x.counts for x, _ in pairs])
     counts_n = np.array([y.counts for _, y in pairs])
-    draws = np.empty((n_boot, len(pairs)))
+    mult_d = np.empty((n_boot, n_dis), dtype=np.intp)
+    mult_n = np.empty((n_boot, n_non), dtype=np.intp)
     n_redrawn = 0
     for b in range(n_boot):
         for attempt in range(_MAX_DRAWS):
             rng = np.random.default_rng((seed, b, attempt))
-            idx_d = rng.integers(0, n_dis, n_dis)
-            idx_n = rng.integers(0, n_non, n_non)
-            if ((counts_d @ np.bincount(idx_d, minlength=n_dis)).all()
-                    and (counts_n @ np.bincount(idx_n, minlength=n_non)).all()):
+            mult_d[b] = np.bincount(rng.integers(0, n_dis, n_dis), minlength=n_dis)
+            mult_n[b] = np.bincount(rng.integers(0, n_non, n_non), minlength=n_non)
+            if (counts_d @ mult_d[b]).all() and (counts_n @ mult_n[b]).all():
                 break
             n_redrawn += 1
         else:
             raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
-        resampled, _ = _stratum_pairs(dataset.resample(idx_d, idx_n), design)
-        draws[b] = [_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
+    draws = np.empty((n_boot, len(pairs)))
+    for s, (x, y) in enumerate(pairs):
+        draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n)
     sigma = np.cov(draws, rowvar=False, ddof=1)
     sigma = np.atleast_2d(sigma)
     return CovarianceEstimate(

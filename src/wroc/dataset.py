@@ -251,7 +251,7 @@ class MarkerDataset:
         return self._strata[(group, marker, time)]
 
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
-        """New dataset from positional subject draws (used by the bootstrap)."""
+        """New dataset from positional subject draws, repeats allowed."""
         return MarkerDataset(
             self._columns["diseased"].gather(diseased_idx),
             self._columns["nondiseased"].gather(nondiseased_idx),

@@ -21,6 +21,8 @@ Every estimate comes from one core of four pieces:
   lies in the measure's window, over all pairs (so ``pauc(0, 1)`` is the
   AUC); ``midrank`` scores ties 1/2 in that count.  Atomic measures sum
   ``mass * ROC(u)`` over their atoms and take no ``midrank``.
+  :func:`_stratum_wauc_draws` gives the same values for many bootstrap
+  draws at once, from per-subject multiplicities, with the same rank rule.
 
 The public estimators, the covariance paths, the bootstrap and the
 simulators call these pieces.
@@ -40,13 +42,25 @@ from .measures import WeightMeasure
 # product can land a few ulp above an integer and ceil would then skip an
 # order statistic.  The rank equals the exact rational ceil((1 - u) * n)
 # for n <= 1e7 with rates given to at most 6 decimals or as k / n (tested);
-# above that the drift can pass the guard (sampled from about n = 1.8e7).
+# above that the drift can pass the guard (sampled from about n = 1.8e7),
+# so larger n are rejected.
 _INDEX_GUARD = 1e-9
+_MAX_RANK_N = 10_000_000
+# work-array entries per block of bootstrap draws scored at once
+_DRAW_BLOCK_ENTRIES = 1 << 16
 
 
-def _rank(u, n: int) -> np.ndarray:
+def _rank(u, n) -> np.ndarray:
     """``ceil((1 - u) * n)`` per rate: the number of the ``n`` sorted values
-    at or below the threshold for rate ``u``, in ``[0, n]`` for u in [0, 1]."""
+    at or below the threshold for rate ``u``, in ``[0, n]`` for u in [0, 1].
+
+    ``n`` is an int or an integer array broadcast against ``u``; any ``n``
+    above 10,000,000 raises ``ValueError``.
+    """
+    largest = n.max(initial=0) if isinstance(n, np.ndarray) else n
+    if largest > _MAX_RANK_N:
+        raise ValueError(f"the rank rule is exact for at most {_MAX_RANK_N:,} values "
+                         f"a stratum, got {int(largest):,}")
     return np.ceil((1.0 - np.asarray(u, dtype=float)) * n - _INDEX_GUARD).astype(np.intp)
 
 
@@ -170,6 +184,67 @@ def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool)
     if measure.normalized:
         value /= measure.total_mass
     return float(value)
+
+
+def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool,
+                        mult_x: np.ndarray, mult_y: np.ndarray) -> np.ndarray:
+    """:func:`_stratum_wauc` of every resampled copy of one stratum pair.
+
+    Row b of ``mult_x`` (``mult_y``) holds each diseased (non-diseased)
+    subject's multiplicity in draw b: the resampled stratum holds subject
+    s's values ``mult_x[b, s]`` times.  No resampled stratum is built or
+    sorted.  Cumulative multiplicities over the input's sorted non-diseased
+    values count a draw's values below any input position; they give the
+    window ranks (by :func:`_rank`), the win counts and each atom's order
+    statistic.  Counts are exact integers, and the divisions and atom sums
+    run in :func:`_stratum_wauc`'s order, so each value equals it bit for
+    bit.  Draws are scored in blocks of about ``_DRAW_BLOCK_ENTRIES`` work
+    array entries.
+    """
+    _check_midrank(measure, midrank)
+    y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
+    if measure.is_atomic:
+        x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
+    else:
+        sides = ("left", "right") if midrank else ("left",)
+        positions = [np.searchsorted(y.sorted_values, x.values, side=side) for side in sides]
+    step = max(1, _DRAW_BLOCK_ENTRIES // (x.n + y.n + 1))
+    out = np.empty(len(mult_x))
+    for start in range(0, len(mult_x), step):
+        block_x, block_y = mult_x[start:start + step], mult_y[start:start + step]
+        # below[b, q]: values of draw b's stratum at sorted input positions < q
+        below = np.zeros((len(block_y), y.n + 1), dtype=np.intp)
+        np.cumsum(block_y[:, y_subjects], axis=1, out=below[:, 1:])
+        n_y = below[:, -1]
+        n_x = block_x @ x.counts
+        if measure.is_atomic:
+            # above[b, j]: values of draw b's stratum at sorted input positions >= j
+            above = np.zeros((len(n_x), x.n + 1), dtype=np.intp)
+            above[:, :-1] = np.cumsum(block_x[:, x_subjects[::-1]], axis=1)[:, ::-1]
+            rows = np.arange(len(n_x))
+            value = 0.0
+            for u, mass in measure.atoms:
+                rank = np.maximum(_rank(u, n_y), 1)
+                # the rank-th smallest drawn value sits at the last input
+                # position with fewer than rank drawn values below it
+                threshold = y.sorted_values[(below < rank[:, None]).sum(axis=1) - 1]
+                exceed = above[rows, np.searchsorted(x.sorted_values, threshold, side="right")]
+                value = value + mass * (exceed / n_x)
+        else:
+            weights = block_x[:, x.subjects]
+            counts = [below[:, p] for p in positions]
+            if measure.kind == "pauc":
+                hi = _rank(measure.upper, n_y)[:, None]
+                lo = _rank(measure.lower, n_y)[:, None]
+                counts = [np.clip(c, hi, lo) - hi for c in counts]
+            total = (weights * counts[0]).sum(axis=1).astype(float)
+            if midrank:
+                total += 0.5 * (weights * (counts[1] - counts[0])).sum(axis=1).astype(float)
+            value = total / (n_x * n_y)
+        if measure.normalized:
+            value = value / measure.total_mass
+        out[start:start + step] = value
+    return out
 
 
 def _placements(x: Stratum, y: Stratum, midrank: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 
+from wroc.covariance import _MAX_DRAWS, CovarianceEstimate
 from wroc.dataset import SubjectRecord
+from wroc.errors import WrocError
+from wroc.estimators import _stratum_pairs, _stratum_wauc
 
 # same boundary guard the estimators use: (1-u)*n can land a float epsilon
 # above an exact integer, which would push ceil one step too far
@@ -484,3 +487,38 @@ def old_wauc_vector(dataset, design, measure, midrank=False):
         labels = tuple(design.labels())
     values = [old_wauc(dataset, marker, measure, time, midrank) for marker, time in strata]
     return values, labels
+
+
+# -- the per-draw bootstrap -------------------------------------------------
+#
+# ``bootstrap_covariance`` used to rebuild a resampled dataset for every
+# draw and score it with the estimator core.  That loop is kept here, as it
+# was, as the reference for the bootstrap scored from multiplicities.
+
+def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
+    if n_boot < 100:
+        raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
+    pairs, labels = _stratum_pairs(dataset, design)
+    n_dis = dataset.n_diseased
+    n_non = dataset.n_nondiseased
+    counts_d = np.array([x.counts for x, _ in pairs])
+    counts_n = np.array([y.counts for _, y in pairs])
+    draws = np.empty((n_boot, len(pairs)))
+    n_redrawn = 0
+    for b in range(n_boot):
+        for attempt in range(_MAX_DRAWS):
+            rng = np.random.default_rng((seed, b, attempt))
+            idx_d = rng.integers(0, n_dis, n_dis)
+            idx_n = rng.integers(0, n_non, n_non)
+            if ((counts_d @ np.bincount(idx_d, minlength=n_dis)).all()
+                    and (counts_n @ np.bincount(idx_n, minlength=n_non)).all()):
+                break
+            n_redrawn += 1
+        else:
+            raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
+        resampled, _ = _stratum_pairs(dataset.resample(idx_d, idx_n), design)
+        draws[b] = [_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
+    sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
+    return CovarianceEstimate(sigma=sigma, sigma_diseased=None, sigma_nondiseased=None,
+                              labels=labels, measure=measure, design=design,
+                              method="bootstrap", n_redrawn=n_redrawn)

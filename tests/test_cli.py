@@ -296,6 +296,30 @@ def test_simulate_config_echoes_effective_defaults(tmp_path, capsys):
     assert report["seed"] == 5
 
 
+@pytest.mark.parametrize("threads", ["-3", "-1"])
+def test_simulate_rejects_negative_threads(capsys, threads):
+    assert main(["simulate", "null", "--n", "10", "--reps", "2", "--threads", threads]) == 2
+    assert f"--threads must be >= 0, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+def test_simulate_rejects_invalid_wroc_threads(monkeypatch, capsys, raw):
+    monkeypatch.setenv("WROC_THREADS", raw)
+    assert main(["simulate", "null", "--n", "10", "--reps", "2"]) == 2
+    assert f"WROC_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
+
+
+def test_simulate_threads_flag_overrides_wroc_threads(monkeypatch, capsys):
+    monkeypatch.setenv("WROC_THREADS", "abc")
+    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2",
+                                     "--threads", "1"])
+    assert code == 0
+    assert report["config"]["threads"] == 1
+    monkeypatch.setenv("WROC_THREADS", "1")
+    code, _ = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
+    assert code == 0
+
+
 CUSTOM_SCENARIO = """study = custom
 name = table2_mine
 design = readers:2
