@@ -74,7 +74,7 @@ def _load_dataset(path: str) -> tuple[MarkerDataset, str]:
     with open(path, "rb") as handle:
         payload = handle.read()
     digest = hashlib.sha256(payload).hexdigest()
-    dataset = read_dataset_csv(io.StringIO(payload.decode("utf-8")))
+    dataset = read_dataset_csv(io.BytesIO(payload))
     report = validate(dataset)
     if not report.ok:
         first = report.issues[0]
@@ -88,6 +88,12 @@ def _covariance(args, dataset, design, measure):
         return bootstrap_covariance(dataset, design, measure, args.bootstrap, args.seed,
                                     midrank=args.midrank)
     return sigma_matrix(dataset, design, measure, midrank=args.midrank)
+
+
+def _se_ignores_midrank(args, cov) -> bool:
+    """True when the estimates score ties 1/2 but their standard errors come
+    from the quadrature covariance, which stays tie-free."""
+    return bool(args.midrank) and cov.method == "quadrature"
 
 
 def _emit(report: dict, args) -> None:
@@ -151,6 +157,7 @@ def _cmd_analyze(args) -> int:
         "covariance_method": cov.method,
         "covariance": [[float(v) for v in row] for row in cov.sigma],
         "psd_repaired": cov.repaired,
+        "se_ignores_midrank": _se_ignores_midrank(args, cov),
     }
     _emit(report, args)
     return EXIT_OK
@@ -187,6 +194,7 @@ def _cmd_compare(args) -> int:
         "weights_fell_back": result.weights.fell_back,
         "covariance_method": result.covariance.method,
         "psd_repaired": result.covariance.repaired,
+        "se_ignores_midrank": _se_ignores_midrank(args, result.covariance),
     }
     _emit(report, args)
     return EXIT_OK

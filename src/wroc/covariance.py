@@ -94,18 +94,42 @@ def silverman_bandwidth(values) -> float:
     product underflows to zero.
     """
     v = np.asarray(values, dtype=float)
-    if v.size < 2:
+    return _bandwidth(v, np.sort(v, axis=None))
+
+
+def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
+    """:func:`silverman_bandwidth` of ``values``, given them in ascending
+    order as ``ordered`` (a stratum's ``sorted_values``)."""
+    if values.size < 2:
         raise DegenerateDensityError("need at least 2 values for a density estimate")
-    sd = float(v.std(ddof=1))
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    sd = float(values.std(ddof=1))
+    iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
     if not candidates:
         raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
-    h = 0.9 * min(candidates) * v.size ** (-0.2)
+    h = 0.9 * min(candidates) * values.size ** (-0.2)
     if not h > 0.0:
         raise DegenerateDensityError(f"non-positive bandwidth {h}")
     return h
+
+
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` for an ascending array, read off by index.
+
+    The arithmetic is numpy's default ("linear") method step for step, its
+    ``_lerp`` included, so the result is bit-identical up to the sign of a
+    zero (numpy's partition may place -0.0 and 0.0 otherwise than a sort); a
+    NaN sorts last and makes every quantile NaN, as in numpy.
+    """
+    last = ordered.size - 1
+    if math.isnan(ordered[last]):
+        return math.nan
+    pos = last * q
+    lo = min(math.floor(pos), last)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, last)])
+    t = pos - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -114,8 +138,8 @@ def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndar
 
 
 def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray) -> np.ndarray:
-    hx = silverman_bandwidth(x.values)
-    hy = silverman_bandwidth(y.values)
+    hx = _bandwidth(x.values, x.sorted_values)
+    hy = _bandwidth(y.values, y.sorted_values)
     f_dis = _kde_at(x.values, thresholds, hx)
     f_non = _kde_at(y.values, thresholds, hy)
     if np.any(f_non <= 0.0):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataFormatError
 
 CSV_HEADER = ["subject_id", "status", "marker", "time", "replicate", "value"]
-_STATUS_TOKENS = {"D": "diseased", "ND": "nondiseased"}
+_STATUSES = frozenset({"D", "ND"})
 _GROUPS = ("diseased", "nondiseased")
 
 
@@ -335,87 +335,206 @@ def pooled_counts(dataset: MarkerDataset, marker: int) -> tuple[int, int]:
 # -- CSV serialization ---------------------------------------------------
 
 
+# the body is converted a block at a time, to bound the field strings held
+# at once: lines up to about this many characters in a plain text, else rows
+_BLOCK_CHARS = 1 << 17
+_BLOCK_ROWS = 4096
+_N_FIELDS = len(CSV_HEADER)
+# the quote and the ASCII whitespace that str.strip removes, newline aside: an
+# ASCII text with none of them splits into csv.reader's records and stripped
+# fields on "\n" and "," alone
+_NOT_PLAIN = ('"',) + tuple(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+
+
+class _Malformed(Exception):
+    """A block failed a check; the row scan names the line."""
+
+
 def read_dataset_csv(source) -> MarkerDataset:
-    """Read the canonical long-format CSV.
+    """Read the canonical long-format CSV from a path or an open handle.
 
     Columns: ``subject_id,status,marker,time,replicate,value`` with status
-    ``D`` or ``ND`` and 1-based integer indices.  Marker and time counts are
-    inferred from the maxima present.  Structural problems raise
-    :class:`DataFormatError` carrying the offending line number; cell-level
-    completeness is checked separately by :func:`validate`.
+    ``D`` or ``ND`` and 1-based integer indices; fields are stripped, blank
+    lines skipped, RFC 4180 quoting and CRLF line ends read as
+    :mod:`csv` reads them, and a leading byte-order mark is dropped.  Bytes
+    (a path, or a handle opened in binary mode) must be UTF-8.  Marker and
+    time counts are inferred from the maxima present.  Structural problems,
+    undecodable bytes included, raise :class:`DataFormatError` carrying the
+    offending line number; cell-level completeness is checked separately by
+    :func:`validate`.
+
+    The body is converted and checked a block of rows at a time, column by
+    column; only when a check fails are the rows scanned one by one, to
+    name the first bad line.
     """
-    close_after = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        close_after = True
+    text = _read_text(source)
+    if text.isascii() and not any(c in text for c in _NOT_PLAIN):
+        end = _line_end(text, 0)
+        header = text[:end].split(",") if text else None
+        blocks = _plain_blocks(text, end + 1)
     else:
-        handle = source
+        records = _records(text)
+        header = next(records, None)
+        blocks = _quoted_blocks(records)
+    if header is None:
+        raise DataFormatError("empty file, expected header " + ",".join(CSV_HEADER), line=1)
+    if [h.strip() for h in header] != CSV_HEADER:
+        raise DataFormatError(
+            f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
     try:
-        reader = csv.reader(handle)
+        return _build(blocks)
+    except (_Malformed, csv.Error, OverflowError):
+        error = _first_row_error(text)
+        if error is None:
+            raise
+        raise error from None
+
+
+def _read_text(source) -> str:
+    """The whole text of a path or a handle, without a leading byte-order
+    mark; bytes are decoded as UTF-8."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as handle:
+            data = handle.read()
+    else:
+        data = source.read()
+    if isinstance(data, bytes):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file, expected header "
-                                  + ",".join(CSV_HEADER), line=1) from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise DataFormatError(
-                f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                                  line=data.count(b"\n", 0, exc.start) + 1) from None
+    return data.removeprefix("\ufeff")
 
-        # per group: subject_id -> subject row, in order of first appearance
-        positions: dict[str, dict[str, int]] = {group: {} for group in _GROUPS}
-        # (diseased, subject, marker, time, replicate) -> value, in file order
-        cells: dict[tuple[bool, int, int, int, int], float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise DataFormatError(
-                    f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line_no)
-            subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
-            if status not in _STATUS_TOKENS:
-                raise DataFormatError(
-                    f"status must be 'D' or 'ND', got {status!r}", line=line_no)
-            group = _STATUS_TOKENS[status]
-            try:
-                marker = int(marker_s)
-                time = int(time_s)
-                replicate = int(rep_s)
-            except ValueError:
-                raise DataFormatError(
-                    f"marker/time/replicate must be integers, got "
-                    f"({marker_s!r}, {time_s!r}, {rep_s!r})", line=line_no) from None
-            if marker < 1 or time < 1 or replicate < 1:
-                raise DataFormatError(
-                    "marker, time and replicate are 1-based and must be >= 1", line=line_no)
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise DataFormatError(f"bad value {value_s!r}", line=line_no) from None
-            subjects = positions[group]
-            key = (status == "D", subjects.setdefault(subject_id, len(subjects)),
-                   marker, time, replicate)
-            if key in cells:
-                raise DataFormatError(
-                    f"duplicate replicate {replicate} for subject {subject_id!r} "
-                    f"(marker {marker}, time {time})", line=line_no)
-            cells[key] = value
 
-        if not cells:
-            raise DataFormatError("no data rows", line=2)
+def _records(text: str):
+    """csv.reader over the text, header first; lines end at \\r, \\n or \\r\\n."""
+    return csv.reader(io.StringIO(text, newline=""))
 
-        is_diseased, subject, marker, time, replicate = np.array(list(cells), dtype=np.intp).T
-        value = np.fromiter(cells.values(), dtype=float, count=len(cells))
-        columns = []
-        for group, flag in zip(_GROUPS, (1, 0)):
-            mine = np.flatnonzero(is_diseased == flag)
-            order = mine[np.lexsort((replicate[mine], time[mine], marker[mine], subject[mine]))]
-            columns.append(GroupColumns(np.asarray(list(positions[group]), dtype=str),
-                                        subject[order], marker[order], time[order],
-                                        value[order]))
-        return MarkerDataset(*columns, n_markers=int(marker.max()), n_times=int(time.max()))
-    finally:
-        if close_after:
-            handle.close()
+
+def _line_end(text: str, start: int) -> int:
+    """Index of the first newline from ``start`` on, else the text's length."""
+    end = text.find("\n", start)
+    return len(text) if end < 0 else end
+
+
+def _plain_blocks(text: str, start: int):
+    """Flat fields of a plain text's body from ``start``, a block of lines at
+    a time; blank lines are skipped and every other line must hold six
+    fields."""
+    while start < len(text):
+        stop = _line_end(text, start + _BLOCK_CHARS)
+        lines = text[start:stop].split("\n")
+        start = stop + 1
+        if "" in lines:
+            lines = list(filter(None, lines))
+        if set(map(str.count, lines, repeat(","))) - {_N_FIELDS - 1}:
+            raise _Malformed
+        if lines:
+            yield ",".join(lines).split(",")
+
+
+def _blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _quoted_blocks(records):
+    """Flat stripped fields of the csv records after the header, a block of
+    rows at a time; blank records are skipped and every other record must
+    hold six fields."""
+    fields: list[str] = []
+    for row in records:
+        if len(row) == _N_FIELDS:
+            fields.extend(map(str.strip, row))
+            if len(fields) == _BLOCK_ROWS * _N_FIELDS:
+                yield fields
+                fields = []
+        elif not _blank(row):
+            raise _Malformed
+    if fields:
+        yield fields
+
+
+def _convert(fields: list[str], subjects: dict[tuple[str, str], int]):
+    """(subject code, marker, time, replicate, value) columns of one block of
+    flat fields; ``subjects`` codes each (status, subject_id) in order of
+    first appearance over all blocks."""
+    status = fields[1::_N_FIELDS]
+    if not _STATUSES.issuperset(status):
+        raise _Malformed
+    keys = list(zip(status, fields[0::_N_FIELDS]))
+    for key in dict.fromkeys(keys):
+        subjects.setdefault(key, len(subjects))
+    code = np.fromiter(map(subjects.__getitem__, keys), np.intp, len(keys))
+    indices = [fields[k::_N_FIELDS] for k in (2, 3, 4)]
+    try:
+        # int() and float() themselves, so the spellings accepted stay theirs
+        table = {s: int(s) for s in set().union(*indices)}
+        value = np.fromiter(map(float, fields[5::_N_FIELDS]), float, len(keys))
+    except ValueError:
+        raise _Malformed from None
+    if min(table.values()) < 1:
+        raise _Malformed
+    return (code, *(np.fromiter(map(table.__getitem__, col), np.intp, len(keys))
+                    for col in indices), value)
+
+
+def _build(blocks) -> MarkerDataset:
+    subjects: dict[tuple[str, str], int] = {}
+    parts = [_convert(fields, subjects) for fields in blocks]
+    if not parts:
+        raise DataFormatError("no data rows", line=2)
+    code, marker, time, replicate, value = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((replicate, time, marker, code))
+    keys = np.stack((code, marker, time, replicate))[:, order]
+    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+        raise _Malformed   # a duplicate replicate
+    diseased = np.fromiter((status == "D" for status, _ in subjects), bool, len(subjects))
+    # a subject's row within its group, in order of first appearance
+    row = np.where(diseased, np.cumsum(diseased), np.cumsum(~diseased)) - 1
+    columns = []
+    for token, flag in (("D", True), ("ND", False)):
+        mine = order[diseased[code[order]] == flag]
+        ids = [sid for status, sid in subjects if status == token]
+        columns.append(GroupColumns(np.asarray(ids, dtype=str), row[code[mine]],
+                                    marker[mine], time[mine], value[mine]))
+    return MarkerDataset(*columns, n_markers=int(marker.max()), n_times=int(time.max()))
+
+
+def _first_row_error(text: str) -> DataFormatError | None:
+    """The error of the first bad data row in file order, found by checking
+    the rows one by one; ``None`` when every row passes."""
+    records = _records(text)
+    next(records)
+    seen: set[tuple[str, str, int, int, int]] = set()
+    for line_no, row in enumerate(records, start=2):
+        if len(row) != _N_FIELDS:
+            if _blank(row):
+                continue
+            return DataFormatError(f"expected {_N_FIELDS} fields, got {len(row)}", line=line_no)
+        subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
+        if status not in _STATUSES:
+            return DataFormatError(f"status must be 'D' or 'ND', got {status!r}", line=line_no)
+        try:
+            marker, time, replicate = int(marker_s), int(time_s), int(rep_s)
+        except ValueError:
+            return DataFormatError(
+                f"marker/time/replicate must be integers, got "
+                f"({marker_s!r}, {time_s!r}, {rep_s!r})", line=line_no)
+        if marker < 1 or time < 1 or replicate < 1:
+            return DataFormatError(
+                "marker, time and replicate are 1-based and must be >= 1", line=line_no)
+        try:
+            float(value_s)
+        except ValueError:
+            return DataFormatError(f"bad value {value_s!r}", line=line_no)
+        key = (status, subject_id, marker, time, replicate)
+        if key in seen:
+            return DataFormatError(
+                f"duplicate replicate {replicate} for subject {subject_id!r} "
+                f"(marker {marker}, time {time})", line=line_no)
+        seen.add(key)
+    return None
 
 
 def write_dataset_csv(dataset: MarkerDataset, target) -> None:

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from wroc.covariance import _MAX_DRAWS, CovarianceEstimate
-from wroc.dataset import SubjectRecord
-from wroc.errors import WrocError
+from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
+from wroc.errors import DataFormatError, WrocError
 from wroc.estimators import _stratum_pairs, _stratum_wauc
 
 # same boundary guard the estimators use: (1-u)*n can land a float epsilon
@@ -343,6 +343,88 @@ def record_csv_text(diseased, nondiseased):
                     writer.writerow([rec.subject_id, status, marker, time, replicate,
                                      repr(value)])
     return buffer.getvalue()
+
+
+# ``read_dataset_csv`` used to check and convert the CSV one row at a time.
+# That reader is kept here, as it was, as the reference for the bulk reader.
+
+
+def old_read_dataset_csv(source):
+    """The canonical long-format CSV, read and checked row by row."""
+    status_tokens = {"D": "diseased", "ND": "nondiseased"}
+    groups = ("diseased", "nondiseased")
+    close_after = False
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        handle = open(source, "r", encoding="utf-8", newline="")
+        close_after = True
+    else:
+        handle = source
+    try:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError("empty file, expected header "
+                                  + ",".join(CSV_HEADER), line=1) from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataFormatError(
+                f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
+
+        # per group: subject_id -> subject row, in order of first appearance
+        positions: dict[str, dict[str, int]] = {group: {} for group in groups}
+        # (diseased, subject, marker, time, replicate) -> value, in file order
+        cells: dict[tuple[bool, int, int, int, int], float] = {}
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(CSV_HEADER):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise DataFormatError(
+                    f"expected {len(CSV_HEADER)} fields, got {len(row)}", line=line_no)
+            subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
+            if status not in status_tokens:
+                raise DataFormatError(
+                    f"status must be 'D' or 'ND', got {status!r}", line=line_no)
+            group = status_tokens[status]
+            try:
+                marker = int(marker_s)
+                time = int(time_s)
+                replicate = int(rep_s)
+            except ValueError:
+                raise DataFormatError(
+                    f"marker/time/replicate must be integers, got "
+                    f"({marker_s!r}, {time_s!r}, {rep_s!r})", line=line_no) from None
+            if marker < 1 or time < 1 or replicate < 1:
+                raise DataFormatError(
+                    "marker, time and replicate are 1-based and must be >= 1", line=line_no)
+            try:
+                value = float(value_s)
+            except ValueError:
+                raise DataFormatError(f"bad value {value_s!r}", line=line_no) from None
+            subjects = positions[group]
+            key = (status == "D", subjects.setdefault(subject_id, len(subjects)),
+                   marker, time, replicate)
+            if key in cells:
+                raise DataFormatError(
+                    f"duplicate replicate {replicate} for subject {subject_id!r} "
+                    f"(marker {marker}, time {time})", line=line_no)
+            cells[key] = value
+
+        if not cells:
+            raise DataFormatError("no data rows", line=2)
+
+        is_diseased, subject, marker, time, replicate = np.array(list(cells), dtype=np.intp).T
+        value = np.fromiter(cells.values(), dtype=float, count=len(cells))
+        columns = []
+        for group, flag in zip(groups, (1, 0)):
+            mine = np.flatnonzero(is_diseased == flag)
+            order = mine[np.lexsort((replicate[mine], time[mine], marker[mine], subject[mine]))]
+            columns.append(GroupColumns(np.asarray(list(positions[group]), dtype=str),
+                                        subject[order], marker[order], time[order],
+                                        value[order]))
+        return MarkerDataset(*columns, n_markers=int(marker.max()), n_times=int(time.max()))
+    finally:
+        if close_after:
+            handle.close()
 
 
 def record_draw_group(halves, family, rng, id_prefix, n_markers, n_times):

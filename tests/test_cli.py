@@ -67,6 +67,27 @@ def test_analyze_pauc_quadrature(tmp_path, capsys, rng):
     assert report["results"]["covariance_method"] == "quadrature"
 
 
+@pytest.mark.parametrize("argv,ignored", [
+    (["analyze", "--measure", "pauc:0,0.6"], True),
+    (["compare", "--design", "readers:2", "--measure", "pauc:0,0.6"], True),
+    (["analyze", "--measure", "pauc:0,0.6", "--bootstrap", "100"], False),
+    (["analyze", "--measure", "auc"], False),
+])
+def test_midrank_pauc_reports_tie_free_standard_errors(tmp_path, capsys, argv, ignored):
+    rng = np.random.default_rng(4)
+    cols_d = [rng.integers(0, 5, 40).astype(float) for _ in range(4)]
+    cols_nd = [rng.integers(-1, 4, 40).astype(float) for _ in range(4)]
+    path = write_dataset(tmp_path, paired_dataset(cols_d, cols_nd))
+    _, plain = run_json(capsys, [*argv, "--input", str(path)])
+    _, tied = run_json(capsys, [*argv, "--input", str(path), "--midrank"])
+    assert plain["results"]["se_ignores_midrank"] is False
+    assert tied["results"]["se_ignores_midrank"] is ignored
+    assert tied["results"]["wauc"] != plain["results"]["wauc"]
+    assert (tied["results"]["se"] == plain["results"]["se"]) is ignored
+    main([*argv, "--input", str(path), "--midrank", "--format", "text"])
+    assert f"results.se_ignores_midrank = {ignored}" in capsys.readouterr().out.splitlines()
+
+
 def test_analyze_output_file_and_text_format(tmp_path, capsys, rng):
     ds = singles_dataset(rng.normal(1.0, 1.0, 20), rng.normal(0.0, 1.0, 20))
     path = write_dataset(tmp_path, ds)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from wroc import covariance
@@ -165,6 +167,43 @@ def test_silverman_bandwidth_basics():
         silverman_bandwidth([5.0])
     with pytest.raises(DegenerateDensityError):
         silverman_bandwidth([3.0, 3.0, 3.0])
+
+
+def _percentile_bandwidth(values):
+    """The bandwidth as it was computed with ``np.percentile``, or the
+    error it raised."""
+    v = np.asarray(values, dtype=float)
+    sd = float(v.std(ddof=1))
+    q75, q25 = np.percentile(v, [75.0, 25.0])
+    candidates = [c for c in (sd, float(q75 - q25) / 1.34) if c > 0.0]
+    h = 0.9 * min(candidates) * v.size ** (-0.2) if candidates else 0.0
+    return h if h > 0.0 else DegenerateDensityError
+
+
+_samples = hnp.arrays(
+    float, st.integers(min_value=2, max_value=40),
+    elements=st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                       st.sampled_from([0.0, -0.0, 1.0, 1.5, math.inf, -math.inf, math.nan]),
+                       st.floats(width=64)))
+
+
+@given(_samples)
+@settings(deadline=None, max_examples=400)
+def test_quartiles_by_index_are_numpys_percentile(values):
+    ordered = np.sort(values)
+    got = np.array([covariance._quantile(ordered, q) for q in (0.75, 0.25, 0.0, 0.5, 1.0)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.percentile(values, [75.0, 25.0, 0.0, 50.0, 100.0])
+        try:
+            h = silverman_bandwidth(values)
+        except DegenerateDensityError:
+            h = DegenerateDensityError
+        assert h == _percentile_bandwidth(values)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # bit for bit, but + 0.0: numpy's partition may put a -0.0 where the sort
+    # puts a 0.0, which only flips the sign of a zero quartile
+    assert (got[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()
 
 
 # -- quadrature path -----------------------------------------------------

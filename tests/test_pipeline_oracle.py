@@ -79,6 +79,7 @@ def old_cli_compare_results(dataset, weights_spec, bootstrap, seed):
         "weights_fell_back": weights.fell_back,
         "covariance_method": cov.method,
         "psd_repaired": cov.repaired,
+        "se_ignores_midrank": False,   # no --midrank here
     }
 
 
