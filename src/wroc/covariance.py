@@ -58,6 +58,9 @@ DEFAULT_NODES = 64
 _MAX_DRAWS = 1001
 PSD_EIGENVALUE_TOLERANCE = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# entries of one _kde_at buffer: the 64 quadrature points of a stratum of up
+# to 256 values, the Monte Carlo sizes among them, make a single block
+_KDE_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,28 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
 
 
 def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndarray:
-    z = (points[:, None] - values[None, :]) / bandwidth
-    return np.exp(-0.5 * z * z).sum(axis=1) / (values.size * bandwidth * _SQRT_2PI)
+    """Gaussian kernel density estimate of ``values`` at ``points``.
+
+    Works in place on two buffers of at most ``_KDE_BLOCK_ENTRIES`` entries,
+    a block of points at a time.  Each point still sums its whole row, so
+    the bits equal those of ``np.exp(-0.5 * z * z).sum(axis=1)`` with
+    ``z = (points[:, None] - values) / bandwidth``.
+    """
+    rows = max(1, min(points.size, _KDE_BLOCK_ENTRIES // values.size))
+    z = np.empty((rows, values.size))
+    work = np.empty_like(z)
+    sums = np.empty(points.size)
+    for start in range(0, points.size, rows):
+        block = points[start:start + rows]
+        z_b, work_b = z[:block.size], work[:block.size]
+        np.subtract(block[:, None], values, z_b)
+        z_b /= bandwidth
+        np.multiply(z_b, -0.5, work_b)
+        work_b *= z_b
+        np.exp(work_b, work_b)
+        work_b.sum(axis=1, out=sums[start:start + rows])
+    sums /= values.size * bandwidth * _SQRT_2PI
+    return sums
 
 
 def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray) -> np.ndarray:

@@ -340,6 +340,8 @@ def pooled_counts(dataset: MarkerDataset, marker: int) -> tuple[int, int]:
 _BLOCK_CHARS = 1 << 17
 _BLOCK_ROWS = 4096
 _N_FIELDS = len(CSV_HEADER)
+# the largest index the intp columns hold; a larger one overflows in _convert
+_MAX_INDEX = int(np.iinfo(np.intp).max)
 # the quote and the ASCII whitespace that str.strip removes, newline aside: an
 # ASCII text with none of them splits into csv.reader's records and stripped
 # fields on "\n" and "," alone
@@ -524,6 +526,9 @@ def _first_row_error(text: str) -> DataFormatError | None:
         if marker < 1 or time < 1 or replicate < 1:
             return DataFormatError(
                 "marker, time and replicate are 1-based and must be >= 1", line=line_no)
+        if max(marker, time, replicate) > _MAX_INDEX:
+            return DataFormatError(
+                f"marker, time and replicate must be at most {_MAX_INDEX}", line=line_no)
         try:
             float(value_s)
         except ValueError:

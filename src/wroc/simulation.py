@@ -13,6 +13,11 @@ Three runners:
 * :func:`run_method_comparison` benchmarks the empirical AUC against a
   binormal moment plug-in and a logistic-score AUC, per marker.
 * scenario text files (``key = value`` lines) drive both from the CLI.
+
+scipy enters through ``scipy.special`` alone at import: the normal CDF and
+quantile are its ``ndtr`` and ``ndtri``, the ufuncs behind
+``scipy.stats.norm``'s ``cdf`` and ``ppf``.  ``scipy.integrate.quad`` is
+imported only when :func:`true_wauc` integrates a pAUC truth.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import block_diag
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset
@@ -157,7 +160,7 @@ def sample_mvn(mu, cov, size: int, rng: np.random.Generator,
 
 def binormal_roc(u, mu_x: float, sd_x: float, mu_y: float, sd_y: float):
     """ROC of two Gaussian marker distributions at false-positive rate u."""
-    return norm.cdf((mu_x - mu_y + sd_y * norm.ppf(u)) / sd_x)
+    return ndtr((mu_x - mu_y + sd_y * ndtri(u)) / sd_x)
 
 
 def true_wauc(measure: WeightMeasure, mu_x: float, sd_x: float,
@@ -171,8 +174,10 @@ def true_wauc(measure: WeightMeasure, mu_x: float, sd_x: float,
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     if measure.kind == "full":
-        value = float(norm.cdf((mu_x - mu_y) / math.hypot(sd_x, sd_y)))
+        value = float(ndtr((mu_x - mu_y) / math.hypot(sd_x, sd_y)))
     elif measure.kind == "pauc":
+        # scipy.integrate costs about 0.2 s to import; only a pAUC truth needs it
+        from scipy.integrate import quad
         value, _ = quad(binormal_roc, measure.lower, measure.upper,
                         args=(mu_x, sd_x, mu_y, sd_y), epsabs=1e-10, limit=200)
     else:
@@ -245,8 +250,9 @@ def _half_plan(scenario: ScenarioSpec, n_subjects: int, cluster_size: int,
         # independent per-modality blocks; marker-major layout puts the
         # first modality's readers in the leading half of the row
         split = design.n_pairs * cells_per_marker
-        cov = block_diag(compound_symmetry(var_row[:split], rho),
-                         compound_symmetry(var_row[split:], rho))
+        cov = np.zeros((var_row.size, var_row.size))
+        cov[:split, :split] = compound_symmetry(var_row[:split], rho)
+        cov[split:, split:] = compound_symmetry(var_row[split:], rho)
     else:
         cov = compound_symmetry(var_row, rho)
     return _HalfPlan(n_subjects=n_subjects, cluster_size=cluster_size,
@@ -546,7 +552,7 @@ def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
     # looked up at call time, so a replacement on the module is what runs
     raw = np.stack(_fan_out(_simulate_one_rep, scenario, n_jobs))
 
-    crit = float(norm.ppf(1.0 - scenario.alpha / 2.0))
+    crit = float(ndtri(1.0 - scenario.alpha / 2.0))
     cells = []
     idx = 0
     for measure in scenario.measures:
@@ -610,8 +616,11 @@ def baseline_parametric_auc(x_values, y_values) -> tuple[float, float]:
     var_delta_hat = (d_mu ** 2 * (sx2 / x.size + sy2 / y.size)
                      + d_var ** 2 * (2.0 * sx2 ** 2 / (x.size - 1)
                                      + 2.0 * sy2 ** 2 / (y.size - 1)))
-    dens = float(norm.pdf(delta))
-    return float(norm.cdf(delta)), dens * dens * var_delta_hat
+    # scipy.stats.norm.pdf's own formula, np.exp(-x**2 / 2.0) / sqrt(2 pi), as
+    # it runs on arrays: there ``**2`` squares, where a scalar's ``**`` calls
+    # pow, which can differ in the last bit
+    dens = float(np.exp(-np.square(delta) / 2.0) / np.sqrt(2 * np.pi))
+    return float(ndtr(delta)), dens * dens * var_delta_hat
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import io
 import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.stats import norm
 
 from wroc.covariance import _MAX_DRAWS, CovarianceEstimate
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
@@ -604,3 +606,60 @@ def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
     return CovarianceEstimate(sigma=sigma, sigma_diseased=None, sigma_nondiseased=None,
                               labels=labels, measure=measure, design=design,
                               method="bootstrap", n_redrawn=n_redrawn)
+
+
+# -- the scipy.stats normal formulas -------------------------------------
+#
+# The normal CDF, tail, quantile and density used to come from
+# ``scipy.stats.norm``; the package now calls ``scipy.special`` directly.
+# These are the functions as they were, the reference for bit equality, and
+# the kernel density as one expression, the reference for its blocked form.
+
+def old_kde_at(values, points, bandwidth):
+    z = (points[:, None] - values[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (values.size * bandwidth
+                                                * math.sqrt(2.0 * math.pi))
+
+
+def old_z_test(estimate, variance, alpha):
+    """(z, p value, ci lower, ci upper) of the two-sided normal test."""
+    se = float(np.sqrt(variance))
+    z = (float(estimate) - 0.0) / se
+    p = 2.0 * float(norm.sf(abs(z)))
+    crit = float(norm.ppf(1.0 - alpha / 2.0))
+    return z, p, float(estimate) - crit * se, float(estimate) + crit * se
+
+
+def old_binormal_roc(u, mu_x, sd_x, mu_y, sd_y):
+    return norm.cdf((mu_x - mu_y + sd_y * norm.ppf(u)) / sd_x)
+
+
+def old_true_wauc(measure, mu_x, sd_x, mu_y, sd_y):
+    if measure.kind == "full":
+        value = float(norm.cdf((mu_x - mu_y) / math.hypot(sd_x, sd_y)))
+    elif measure.kind == "pauc":
+        value, _ = quad(old_binormal_roc, measure.lower, measure.upper,
+                        args=(mu_x, sd_x, mu_y, sd_y), epsabs=1e-10, limit=200)
+    else:
+        value = sum(mass * float(old_binormal_roc(u, mu_x, sd_x, mu_y, sd_y))
+                    for u, mass in measure.atoms)
+    if measure.normalized:
+        value /= measure.total_mass
+    return float(value)
+
+
+def old_baseline_parametric_auc(x_values, y_values):
+    x = np.asarray(x_values, dtype=float)
+    y = np.asarray(y_values, dtype=float)
+    sx2 = float(x.var(ddof=1))
+    sy2 = float(y.var(ddof=1))
+    spread = sx2 + sy2
+    diff = float(x.mean() - y.mean())
+    delta = diff / math.sqrt(spread)
+    d_mu = 1.0 / math.sqrt(spread)
+    d_var = -delta / (2.0 * spread)
+    var_delta_hat = (d_mu ** 2 * (sx2 / x.size + sy2 / y.size)
+                     + d_var ** 2 * (2.0 * sx2 ** 2 / (x.size - 1)
+                                     + 2.0 * sy2 ** 2 / (y.size - 1)))
+    dens = float(norm.pdf(delta))
+    return float(norm.cdf(delta)), dens * dens * var_delta_hat

@@ -1,0 +1,123 @@
+"""Importing wroc loads no scipy.stats, scipy.integrate or scipy.linalg.
+
+The normal CDF, tail and quantile come from ``scipy.special`` and the
+density from ``scipy.stats.norm.pdf``'s own formula, so each function that
+used ``scipy.stats.norm`` must give the same bits as the old formulas kept
+in ``oracles``.
+"""
+
+import itertools
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag
+
+from wroc.inference import z_test
+from wroc.measures import parse_measure
+from wroc.simulation import (
+    _build_plan,
+    baseline_parametric_auc,
+    binormal_roc,
+    compound_symmetry,
+    table1_scenario,
+    true_wauc,
+)
+
+from oracles import (
+    old_baseline_parametric_auc,
+    old_binormal_roc,
+    old_true_wauc,
+    old_z_test,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_COLD_IMPORT = """
+import json, sys
+import wroc, wroc.cli
+heavy = sorted(m for m in ("scipy.stats", "scipy.integrate", "scipy.linalg")
+               if m in sys.modules)
+from wroc.measures import parse_measure
+from wroc.simulation import true_wauc
+value = true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
+print(json.dumps({"heavy": heavy, "pauc": value.hex(),
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_import_loads_no_heavy_scipy_module():
+    out = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True,
+                         text=True, check=True, cwd=SRC, timeout=120)
+    report = json.loads(out.stdout)
+    assert report["heavy"] == []
+    # the pAUC truth imports its quadrature on demand, and still works
+    assert report["integrate"]
+    want = old_true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
+    assert float.fromhex(report["pauc"]) == want
+
+
+_ESTIMATES = [0.0, -0.0, 1e-300, 3e-4, -0.0123, 0.08, -0.5, 1.7, 6.0, -41.0, 1e6]
+_VARIANCES = [1e-12, 2.5e-5, 1e-3, 0.04, 1.0, 7.3]
+_ALPHAS = [1e-9, 0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999]
+
+
+def test_z_test_matches_scipy_stats_bitwise():
+    for estimate, variance, alpha in itertools.product(_ESTIMATES, _VARIANCES, _ALPHAS):
+        got = z_test(estimate, variance, alpha=alpha)
+        want = old_z_test(estimate, variance, alpha)
+        assert _bits([got.z, got.p_value, got.ci_lower, got.ci_upper]) == _bits(want), \
+            (estimate, variance, alpha)
+
+
+def test_binormal_roc_matches_scipy_stats_bitwise():
+    rng = np.random.default_rng(11)
+    rates = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0],
+                            rng.uniform(size=2000), np.linspace(0.0, 1.0, 257)])
+    for params in [(1.0, 1.0, 0.0, 1.0), (0.3, 2.0, -0.4, 0.5), (-1.0, 0.7, 2.0, 3.0)]:
+        got = binormal_roc(rates, *params)
+        assert isinstance(got, np.ndarray) and got.shape == rates.shape
+        assert _bits(got) == _bits(old_binormal_roc(rates, *params))
+        assert _bits(binormal_roc(0.37, *params)) == _bits(old_binormal_roc(0.37, *params))
+
+
+@pytest.mark.parametrize("selector", ["auc", "pauc:0,0.6", "pauc:0.1,0.3",
+                                      "pauc:0,0.6:normalized", "sens:0.2",
+                                      "steps:0.1=0.5,0.4=0.25,0.8=0.25"])
+def test_true_wauc_matches_scipy_stats_bitwise(selector):
+    measure = parse_measure(selector)
+    for params in [(1.0, 1.0, 0.0, 1.0), (0.5, math.sqrt(2.0), 0.0, 1.0),
+                   (2.0, 0.6, 1.5, 1.3), (0.0, 1.0, 0.0, 1.0)]:
+        assert _bits(true_wauc(measure, *params)) == _bits(old_true_wauc(measure, *params)), \
+            params
+
+
+def test_baseline_parametric_auc_matches_scipy_stats_bitwise():
+    rng = np.random.default_rng(3)
+    for shift in np.linspace(-12.0, 12.0, 4001):
+        x = rng.normal(shift, rng.uniform(0.2, 3.0), rng.integers(2, 40))
+        y = rng.normal(0.0, rng.uniform(0.2, 3.0), rng.integers(2, 40))
+        assert _bits(baseline_parametric_auc(x, y)) == \
+            _bits(old_baseline_parametric_auc(x, y)), shift
+
+
+def test_modality_blocks_match_block_diag():
+    scenario = table1_scenario(0.5, 20)
+    assert scenario.correlation_scope == "modality"
+    plan = _build_plan(scenario)
+    rho = scenario.rho_diseased
+    for half in plan.diseased.halves:
+        cells = scenario.design.n_times * half.cluster_size
+        var_row = np.repeat(np.asarray(scenario.variances, dtype=float), cells)
+        split = scenario.design.n_pairs * cells
+        cov = block_diag(compound_symmetry(var_row[:split], rho),
+                         compound_symmetry(var_row[split:], rho))
+        assert _bits(half.chol) == _bits(np.linalg.cholesky(cov))

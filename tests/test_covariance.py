@@ -27,6 +27,7 @@ from oracles import (
     delong_variance_oracle,
     integral_covariance_oracle,
     joint_survival_oracle,
+    old_kde_at,
 )
 
 FULL = WeightMeasure.full_auc()
@@ -159,6 +160,20 @@ def test_density_ratio_degenerate():
     ds = singles_dataset([2.0] * 10, list(range(10)))
     with pytest.raises(DegenerateDensityError):
         density_ratio(ds, 1, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 7, 200, 256, 257, 1000, 4000])
+def test_blocked_kde_is_the_one_expression_bitwise(n):
+    """One block up to 256 values at 64 points, several above; every row
+    still sums whole, so the bits match the single expression."""
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n)
+    tied = np.round(values * 2.0) / 2.0
+    points = np.concatenate([rng.normal(size=63), values[:1]])
+    for vals in (values, tied):
+        for pts in (points, points[:5], points[:1]):
+            got = covariance._kde_at(vals, pts, 0.31)
+            assert got.tobytes() == old_kde_at(vals, pts, 0.31).tobytes()
 
 
 def test_silverman_bandwidth_basics():

@@ -172,7 +172,7 @@ def test_large_texts_span_blocks_and_read_as_oracle():
     assert_reads_as_oracle("\n".join([header] + rows + rows[4:5]) + "\n")
 
 
-# -- decoding: the two named departures from the old reader -----------------
+# -- the three named departures from the old reader --------------------------
 
 CSV_OK = HEADER + "\nd1,D,1,1,1,2.5\nd2,D,1,1,1,3.0\nh1,ND,1,1,1,1.0\nh2,ND,1,1,1,1.5\n"
 
@@ -199,3 +199,23 @@ def test_non_utf8_input_names_its_line(tmp_path, capsys):
         read_dataset_csv(path)
     assert main(["analyze", "--input", str(path)]) == 2
     assert "input error: line 4: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", [2, 3, 4])
+def test_index_beyond_intp_names_its_line(tmp_path, capsys, column):
+    big = str(np.iinfo(np.intp).max + 1)
+    fields = "d1,D,1,1,1,2.5".split(",")
+    fields[column] = big
+    text = CSV_OK.replace("d1,D,1,1,1,2.5", ",".join(fields))
+    with pytest.raises(DataFormatError) as err:
+        read_dataset_csv(io.StringIO(text))
+    assert err.value.line == 2
+    assert "at most" in str(err.value)
+    # the old reader let the conversion's OverflowError escape
+    with pytest.raises(OverflowError):
+        old_read_dataset_csv(io.StringIO(text))
+    path = tmp_path / "big.csv"
+    path.write_text(text.replace(big, "99999999999999999999"))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "input error: line 2: marker, time and replicate must be at most" \
+        in capsys.readouterr().err
