@@ -38,7 +38,10 @@ from .estimators import empirical_roc, wauc_vector
 from .inference import compare_modalities
 from .measures import parse_measure
 from .simulation import (
+    DEFAULT_N,
+    DEFAULT_REPS,
     DEFAULT_RHO,
+    DEFAULT_SEED,
     read_scenario_file,
     run_method_comparison,
     study_names,
@@ -204,7 +207,7 @@ def _cmd_compare(args) -> int:
 
 
 # --n, --reps and --seed of a named study when not given
-_SIMULATE_DEFAULTS = {"n": 50, "reps": 1000, "seed": 20240817}
+_SIMULATE_DEFAULTS = {"n": DEFAULT_N, "reps": DEFAULT_REPS, "seed": DEFAULT_SEED}
 
 
 def _cmd_simulate(args) -> int:

@@ -11,9 +11,9 @@ measurement, in canonical order (subject, marker, time, replicate).
 :class:`SubjectRecord` is only the edge type: the constructor accepts
 records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
 
-Datasets are immutable once built.  All pooled views (per marker, per
-marker-time) are precomputed at construction so reads can be shared across
-workers without locking.
+Datasets are logically immutable.  Construction sorts each group's rows
+once by (marker, time); a stratum is cut from that sort and cached when first
+read, so two threads can at worst build one twice, and workers get copies.
 """
 
 from __future__ import annotations
@@ -175,10 +175,11 @@ class Stratum:
 
 
 class MarkerDataset:
-    """Immutable container for a two-group clustered marker study.
+    """Logically immutable container for a two-group clustered marker study.
 
     Each group is given as :class:`GroupColumns` or as an iterable of
-    :class:`SubjectRecord` objects or ``(id, cells)`` tuples.
+    :class:`SubjectRecord` objects or ``(id, cells)`` tuples.  Strata are
+    cut and cached on first read by :meth:`stratum`.
     """
 
     def __init__(self, diseased, nondiseased, n_markers: int, n_times: int = 1):
@@ -190,36 +191,20 @@ class MarkerDataset:
         }
         self.n_markers = int(n_markers)
         self.n_times = int(n_times)
-        self._strata: dict[tuple[str, int, int | None], Stratum] = {}
-        self._build_strata()
-
-    # -- construction helpers -------------------------------------------
-
-    def _build_strata(self) -> None:
-        n_times = self.n_times
+        if self.n_markers * self.n_times > _MAX_INDEX:
+            raise ValueError(f"{n_markers} markers x {n_times} times overflow the stratum key")
+        # per group, the in-range rows in one stable sort on the (marker, time)
+        # key: subject-then-replicate order within a stratum, each marker's
+        # rows time-major
+        self._sorted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for group, cols in self._columns.items():
-            # one stable sort on (marker, time) keeps subject-then-replicate
-            # order within a stratum and makes each marker's rows time-major
             inside = ((cols.marker >= 1) & (cols.marker <= self.n_markers)
-                      & (cols.time >= 1) & (cols.time <= n_times))
-            key = ((cols.marker - 1) * n_times + cols.time - 1)[inside]
+                      & (cols.time >= 1) & (cols.time <= self.n_times))
+            key = ((cols.marker - 1) * self.n_times + cols.time - 1)[inside]
             order = np.argsort(key, kind="stable")
-            values = cols.value[inside][order]
-            subjects = cols.subject[inside][order]
-            bounds = np.searchsorted(key[order], np.arange(self.n_markers * n_times + 1))
-            n_subj = cols.n_subjects
-            for marker in range(1, self.n_markers + 1):
-                base = (marker - 1) * n_times
-                for time in range(1, n_times + 1):
-                    lo, hi = bounds[base + time - 1], bounds[base + time]
-                    self._strata[(group, marker, time)] = _make_stratum(
-                        values[lo:hi], subjects[lo:hi], n_subj)
-                if n_times == 1:
-                    pooled = self._strata[(group, marker, 1)]
-                else:
-                    lo, hi = bounds[base], bounds[base + n_times]
-                    pooled = _make_stratum(values[lo:hi], subjects[lo:hi], n_subj)
-                self._strata[(group, marker, None)] = pooled
+            self._sorted[group] = (key[order], cols.value[inside][order],
+                                   cols.subject[inside][order])
+        self._strata: dict[tuple[str, int, int | None], Stratum] = {}
 
     # -- accessors -------------------------------------------------------
 
@@ -248,7 +233,15 @@ class MarkerDataset:
             raise ValueError(f"marker {marker} outside 1..{self.n_markers}")
         if time is not None and not 1 <= time <= self.n_times:
             raise ValueError(f"time {time} outside 1..{self.n_times}")
-        return self._strata[(group, marker, time)]
+        slot = (group, marker, time)
+        if slot not in self._strata:
+            key, values, subjects = self._sorted[group]
+            first, last = (1, self.n_times) if time is None else (time, time)
+            base = (marker - 1) * self.n_times
+            lo, hi = np.searchsorted(key, (base + first - 1, base + last))
+            self._strata[slot] = _make_stratum(values[lo:hi], subjects[lo:hi],
+                                               self._columns[group].n_subjects)
+        return self._strata[slot]
 
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
         """New dataset from positional subject draws, repeats allowed."""
@@ -270,13 +263,8 @@ class MarkerDataset:
 
 
 def _make_stratum(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> Stratum:
-    counts = np.bincount(subjects, minlength=n_subjects).astype(np.intp) if n_subjects else np.zeros(0, np.intp)
-    return Stratum(
-        values=values,
-        subjects=subjects,
-        counts=counts,
-        sorted_values=np.sort(values),
-    )
+    counts = np.bincount(subjects, minlength=n_subjects)
+    return Stratum(values, subjects, counts, np.sort(values))
 
 
 def validate(dataset: MarkerDataset) -> ValidationReport:

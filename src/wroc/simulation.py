@@ -321,12 +321,17 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 # -- scenario builders ---------------------------------------------------
 
+# a study's defaults when not given; DEFAULT_N serves the CLI and custom scenarios
+DEFAULT_SEED = 20240817
+DEFAULT_REPS = 1000
+DEFAULT_N = 50
+DEFAULT_RHO = 0.5
 _TABLE1_VARIANCES = (1.0, 1.5, 2.0, 1.0, 1.5, 2.0)
 DEFAULT_MEASURES = (WeightMeasure.full_auc(), WeightMeasure.partial_auc(0.0, 0.6))
 
 
 def table1_scenario(rho: float, n: int, family: str = "normal", *,
-                    n_reps: int = 1000, seed: int = 20240817,
+                    n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
                     measures=DEFAULT_MEASURES,
                     weight_methods=("equal",)) -> ScenarioSpec:
     """Three readers, two identical modalities: a null difference whose
@@ -359,7 +364,7 @@ def table1_scenario(rho: float, n: int, family: str = "normal", *,
 
 
 def table2_scenario(rho: float, n: int, family: str = "lognormal", *,
-                    n_reps: int = 1000, seed: int = 20240817) -> ScenarioSpec:
+                    n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """Method-comparison scenario: modality 2 separates better than
     modality 1, heavier means on the second half."""
     base = table1_scenario(rho, n, family, n_reps=n_reps, seed=seed,
@@ -369,8 +374,8 @@ def table2_scenario(rho: float, n: int, family: str = "lognormal", *,
                    mu_diseased=(1.0, 1.0, 1.0, 1.5, 2.0, 2.5))
 
 
-def table3_scenario(rho: float, n: int, *, n_reps: int = 1000,
-                    seed: int = 20240817,
+def table3_scenario(rho: float, n: int, *, n_reps: int = DEFAULT_REPS,
+                    seed: int = DEFAULT_SEED,
                     measures=DEFAULT_MEASURES,
                     weight_methods=("equal", "optimal")) -> ScenarioSpec:
     """Power scenario: reader 1 modality 1 separates strongly, so optimal
@@ -396,8 +401,8 @@ def table3_scenario(rho: float, n: int, *, n_reps: int = 1000,
     )
 
 
-def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = 1000,
-                    seed: int = 20240817,
+def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = DEFAULT_REPS,
+                    seed: int = DEFAULT_SEED,
                     measures=DEFAULT_MEASURES) -> ScenarioSpec:
     """Longitudinal two-marker scenario with three times and unbalanced
     cluster sizes (diseased 2 then 4 replicates, non-diseased 5 then 3)."""
@@ -421,8 +426,8 @@ def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = 1000,
     )
 
 
-def null_scenario(rho: float = 0.5, n: int = 200, *, n_reps: int = 2000,
-                  seed: int = 20240817) -> ScenarioSpec:
+def null_scenario(rho: float = DEFAULT_RHO, n: int = 200, *, n_reps: int = 2000,
+                  seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """Identical modalities, used to check test size under both weightings."""
     base = table1_scenario(rho, n, "normal", n_reps=n_reps, seed=seed,
                            measures=(WeightMeasure.full_auc(),),
@@ -505,7 +510,7 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
         try:
             omega = wauc_vector(dataset, design, measure)
             cov = sigma_matrix(dataset, design, measure)
-        except (WrocError, np.linalg.LinAlgError, ValueError):
+        except (WrocError, np.linalg.LinAlgError):
             for _ in scenario.weight_methods:
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)
                 idx += 1
@@ -515,7 +520,7 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
                 w = resolve_weights(method, design, cov.sigma)
                 estimate, variance = paired_difference(omega, cov, design, w)
                 out[idx] = (estimate, variance.total, float(w.fell_back), 0.0)
-            except (WrocError, np.linalg.LinAlgError, ValueError):
+            except (WrocError, np.linalg.LinAlgError):
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)
             idx += 1
     return out
@@ -818,7 +823,6 @@ _STUDIES = {
     "table4": (table4_scenario, ("family",), run_study),
     "null": (null_scenario, ("rho",), run_study),
 }
-DEFAULT_RHO = 0.5
 
 
 def study_names() -> tuple[str, ...]:
@@ -836,8 +840,8 @@ def study_runner(study: str):
 
 
 def study_scenario(study: str, n: int, *, rho: float | None = None,
-                   family: str | None = None, n_reps: int = 1000,
-                   seed: int = 20240817) -> ScenarioSpec:
+                   family: str | None = None, n_reps: int = DEFAULT_REPS,
+                   seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """Scenario of a named study with ``n`` subjects per group.
 
     ``rho`` and ``family`` are None when not given; giving one the study
@@ -914,8 +918,8 @@ def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
         n_val = pop_int("n")
         m_val = pop_int("m", n_val)
         j_val = pop_int("j", n_val)
-        reps = pop_int("reps", 1000)
-        seed = pop_int("seed", 20240817)
+        reps = pop_int("reps", DEFAULT_REPS)
+        seed = pop_int("seed", DEFAULT_SEED)
         family = entries.pop("family", None)
         rho = pop_float("rho")
         overrides = {"alpha": pop_float("alpha", 0.05)}
@@ -941,8 +945,8 @@ def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
                     entries.pop("cluster_sizes_diseased", "1")),
                 cluster_sizes_nondiseased=_parse_int_pair(
                     entries.pop("cluster_sizes_nondiseased", "1")),
-                n_diseased=m_val if m_val is not None else 50,
-                n_nondiseased=j_val if j_val is not None else 50,
+                n_diseased=m_val if m_val is not None else DEFAULT_N,
+                n_nondiseased=j_val if j_val is not None else DEFAULT_N,
                 n_reps=reps,
                 seed=seed,
                 measures=(WeightMeasure.full_auc(),),

@@ -78,11 +78,10 @@ def clustered_dataset(diseased_cells, nondiseased_cells, n_markers=1, n_times=1)
 
 
 def assert_strata_equal(dataset, want):
-    """Every stratum of ``dataset`` equals ``want[key]``, a (values,
-    subjects, counts, sorted_values) tuple, NaN matching NaN."""
-    assert set(dataset._strata) == set(want)
+    """``dataset.stratum(*key)`` equals ``want[key]``, a (values, subjects,
+    counts, sorted_values) tuple, for every key, NaN matching NaN."""
     for key, (values, subjects, counts, sorted_values) in want.items():
-        got = dataset._strata[key]
+        got = dataset.stratum(*key)
         assert np.array_equal(got.values, values, equal_nan=True), key
         assert np.array_equal(got.subjects, subjects), key
         assert np.array_equal(got.counts, counts), key

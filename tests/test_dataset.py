@@ -2,11 +2,13 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wroc.cli import main
 from wroc.dataset import (
     MarkerDataset,
     SubjectRecord,
@@ -153,6 +155,38 @@ def test_stratum_views():
         ds.stratum("sick", 1)
     with pytest.raises(ValueError):
         ds.stratum("diseased", 5)
+
+
+def test_large_index_builds_no_strata_up_to_it():
+    # strata are cut when first read, so a marker index of 200000 costs
+    # nothing until a stratum is asked for
+    text = ("subject_id,status,marker,time,replicate,value\n"
+            "d1,D,200000,1,1,2.5\nh1,ND,1,1,1,0.5\n")
+    tracemalloc.start()
+    try:
+        ds = read_dataset_csv(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert ds.n_markers == 200000
+    healthy = ds.stratum("nondiseased", 1)
+    np.testing.assert_array_equal(healthy.values, [0.5])
+    np.testing.assert_array_equal(healthy.counts, [1])
+    np.testing.assert_array_equal(ds.stratum("diseased", 200000, 1).values, [2.5])
+    assert ds.stratum("diseased", 1).n == 0
+
+
+def test_marker_time_grid_beyond_intp_is_rejected(tmp_path, capsys):
+    big = 1 << 32
+    text = (f"subject_id,status,marker,time,replicate,value\n"
+            f"d1,D,{big},{big},1,2.5\nh1,ND,1,1,1,0.5\n")
+    with pytest.raises(ValueError, match="overflow"):
+        read_dataset_csv(io.StringIO(text))
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_resample_positional():

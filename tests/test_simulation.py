@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from wroc.dataset import dataset_to_csv_text
 from wroc.designs import StudyDesign
-from wroc.errors import DataFormatError
+from wroc.errors import DataFormatError, DegenerateDensityError
 from wroc.estimators import auc
 from wroc.measures import WeightMeasure
 from wroc.simulation import (
@@ -295,6 +295,25 @@ def test_run_study_smoke_and_determinism():
     assert d["scenario"]["correlation_scope"] == "modality"
     assert len(d["cells"]) == 2
     assert "bias_pct" in d["cells"][0]
+
+
+def test_run_study_counts_package_errors_and_raises_others(monkeypatch):
+    sc = replace(table1_scenario(0.5, 8), n_reps=3, measures=(FULL,),
+                 weight_methods=("equal", "optimal"))
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateDensityError("no density")
+
+    monkeypatch.setattr("wroc.simulation.sigma_matrix", degenerate)
+    assert [cell.n_failures for cell in run_study(sc).cells] == [3, 3]
+
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    # a plain ValueError is no replicate failure: it reaches the caller
+    monkeypatch.setattr("wroc.simulation.sigma_matrix", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        run_study(sc)
 
 
 def test_run_study_null_truth_zero():
