@@ -35,13 +35,14 @@ from .errors import (
     WrocError,
 )
 from .estimators import empirical_roc, wauc_vector
-from .inference import compare_modalities
+from .inference import DEFAULT_ALPHA, compare_modalities
 from .measures import parse_measure
 from .simulation import (
     DEFAULT_N,
     DEFAULT_REPS,
     DEFAULT_RHO,
     DEFAULT_SEED,
+    FAMILIES,
     read_scenario_file,
     run_method_comparison,
     study_names,
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compare = sub.add_parser("compare", help="weighted paired difference test")
     add_common(p_compare, design_required=True)
-    p_compare.add_argument("--alpha", type=float, default=0.05)
+    p_compare.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p_compare.add_argument("--weights", default="equal",
                            help="equal | optimal | custom:w1,w2,...")
     p_compare.add_argument("--ridge", type=float, default=None,
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "for studies that take it")
     p_sim.add_argument("--n", type=int,
                        help=f"subjects per group (default {_SIMULATE_DEFAULTS['n']})")
-    p_sim.add_argument("--family", choices=("normal", "lognormal"),
+    p_sim.add_argument("--family", choices=FAMILIES,
                        help="marker distribution for studies that take it")
     p_sim.add_argument("--reps", type=int,
                        help=f"replicates (default {_SIMULATE_DEFAULTS['reps']})")

@@ -1,19 +1,22 @@
 """Study designs and contrast functions over the wAUC vector.
 
-A design declares how the markers stored in a dataset are organized and which
-entries of the wAUC vector are paired for comparison:
+A design is ``(kind, n_pairs)``: ``n_pairs`` strata of one arm are compared
+with ``n_pairs`` strata of the other, and everything else about the layout
+derives from those two values.
 
-* ``readers``: a multi-reader, two-modality study.  The dataset holds
-  ``2 * n_readers`` markers; marker ``r`` is reader ``r`` under modality 1 and
-  marker ``n_readers + r`` is the same reader under modality 2.  Times are
+* ``readers``: a multi-reader, two-modality study.  The arms are the two
+  modalities, and a pair is one reader under both.  The dataset holds
+  ``2 * n_pairs`` markers; marker ``r`` is reader ``r`` under modality 1 and
+  marker ``n_pairs + r`` is the same reader under modality 2.  Times are
   pooled (usually a single time).
-* ``longitudinal``: two markers measured at ``n_times`` time points.  The
-  wAUC vector runs over the (marker, time) grid, marker-major, and entry
-  ``(1, k)`` is paired with ``(2, k)``.
+* ``longitudinal``: the arms are two markers, and a pair is one of the
+  ``n_pairs`` time points.  The wAUC vector runs over the (marker, time)
+  grid, marker-major, and entry ``(1, k)`` is paired with ``(2, k)``.
 
 Both kinds therefore expose a vector of ``2 * n_pairs`` strata whose first
 half is compared against the second half, which is what the signed contrast
-matrix encodes.
+matrix encodes.  :meth:`StudyDesign.selector` writes the text form that
+:func:`parse_design` reads.
 """
 
 from __future__ import annotations
@@ -30,36 +33,44 @@ GRADIENT_STEP = 1e-6
 
 @dataclass(frozen=True)
 class StudyDesign:
-    kind: str                # "readers" | "longitudinal"
-    n_readers: int = 0
-    n_markers: int = 2
-    n_times: int = 1
+    """``n_pairs`` strata of one arm paired with ``n_pairs`` of the other;
+    ``kind`` ("readers" or "longitudinal") says what the arms are."""
+
+    kind: str
+    n_pairs: int
 
     def __post_init__(self):
-        if self.kind == "readers":
-            if self.n_readers < 1:
-                raise ValueError("readers design needs n_readers >= 1")
-        elif self.kind == "longitudinal":
-            if self.n_markers != 2:
-                raise ValueError("longitudinal design compares exactly 2 markers")
-            if self.n_times < 1:
-                raise ValueError("longitudinal design needs n_times >= 1")
-        else:
+        if self.kind not in ("readers", "longitudinal"):
             raise ValueError(f"unknown design kind: {self.kind!r}")
+        if self.n_pairs < 1:
+            count = "n_readers" if self.kind == "readers" else "n_times"
+            raise ValueError(f"{self.kind} design needs {count} >= 1")
 
     @classmethod
     def readers(cls, n_readers: int) -> "StudyDesign":
-        return cls(kind="readers", n_readers=n_readers, n_markers=2 * n_readers, n_times=1)
+        return cls("readers", n_readers)
 
     @classmethod
     def longitudinal(cls, n_times: int) -> "StudyDesign":
-        return cls(kind="longitudinal", n_markers=2, n_times=n_times)
+        return cls("longitudinal", n_times)
+
+    def selector(self) -> str:
+        """The text form :func:`parse_design` reads back to this design."""
+        return f"{self.kind}:{self.n_pairs}"
 
     # -- stratum layout --------------------------------------------------
 
     @property
-    def n_pairs(self) -> int:
-        return self.n_readers if self.kind == "readers" else self.n_times
+    def n_readers(self) -> int:
+        return self.n_pairs if self.kind == "readers" else 0
+
+    @property
+    def n_markers(self) -> int:
+        return 2 * self.n_pairs if self.kind == "readers" else 2
+
+    @property
+    def n_times(self) -> int:
+        return 1 if self.kind == "readers" else self.n_pairs
 
     @property
     def n_strata(self) -> int:
@@ -68,24 +79,24 @@ class StudyDesign:
     def strata(self) -> list[tuple[int, int | None]]:
         """(marker, time) per stratum; time None means pooled over times."""
         if self.kind == "readers":
-            return [(marker, None) for marker in range(1, 2 * self.n_readers + 1)]
+            return [(marker, None) for marker in range(1, 2 * self.n_pairs + 1)]
         return [
             (marker, time)
             for marker in (1, 2)
-            for time in range(1, self.n_times + 1)
+            for time in range(1, self.n_pairs + 1)
         ]
 
     def labels(self) -> list[str]:
         if self.kind == "readers":
-            out = []
-            for modality in (1, 2):
-                for reader in range(1, self.n_readers + 1):
-                    out.append(f"reader{reader}_modality{modality}")
-            return out
+            return [
+                f"reader{reader}_modality{modality}"
+                for modality in (1, 2)
+                for reader in range(1, self.n_pairs + 1)
+            ]
         return [
             f"marker{marker}_time{time}"
             for marker in (1, 2)
-            for time in range(1, self.n_times + 1)
+            for time in range(1, self.n_pairs + 1)
         ]
 
     def contrast_matrix(self) -> np.ndarray:

@@ -16,6 +16,7 @@ no ``scipy.stats``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .estimators import WaucVector, wauc_vector
 from .measures import WeightMeasure
 
 DEFAULT_RIDGE_FACTOR = 1e-8
+DEFAULT_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightV
 
     Solves ``(cov_diff + ridge I) w = 1``.  When ``ridge`` is None a default
     of ``1e-8 * trace / n_pairs`` keeps near-singular systems solvable; an
-    explicit ridge of 0 lets singularity surface as an error.  Any
+    explicit ridge must be finite and non-negative, and one of 0 lets
+    singularity surface as an error.  Any
     non-positive solved weight triggers the equal-weight fallback, flagged on
     the result.
     """
@@ -83,6 +86,8 @@ def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightV
     n_pairs = mat.shape[0]
     if ridge is None:
         ridge = DEFAULT_RIDGE_FACTOR * float(np.trace(mat)) / n_pairs
+    elif not math.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
     if ridge < 0.0:
         raise ValueError("ridge must be non-negative")
     system = mat + ridge * np.eye(n_pairs)
@@ -221,7 +226,7 @@ class TestResult:
     alpha: float
 
 
-def z_test(estimate: float, variance: float, *, alpha: float = 0.05,
+def z_test(estimate: float, variance: float, *, alpha: float = DEFAULT_ALPHA,
            null: float = 0.0) -> TestResult:
     """Two-sided normal test of ``estimate`` against ``null`` with the given
     variance; also returns the matching confidence interval."""
@@ -289,7 +294,7 @@ class ComparisonResult:
 
 def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
                        measure: WeightMeasure, *, weights="equal",
-                       alpha: float = 0.05, ridge: float | None = None,
+                       alpha: float = DEFAULT_ALPHA, ridge: float | None = None,
                        midrank: bool = False,
                        covariance: CovarianceEstimate | None = None) -> ComparisonResult:
     """Estimate, test and interval for the weighted paired wAUC difference.

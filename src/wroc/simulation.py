@@ -35,10 +35,10 @@ from .dataset import GroupColumns, MarkerDataset
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
 from .estimators import _count_pairs, _stratum_pairs, _stratum_wauc, wauc_vector
-from .inference import paired_difference, resolve_weights
+from .inference import DEFAULT_ALPHA, paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
-_FAMILIES = ("normal", "lognormal")
+FAMILIES = ("normal", "lognormal")
 
 
 # -- scenario description ------------------------------------------------
@@ -75,12 +75,12 @@ class ScenarioSpec:
     seed: int
     measures: tuple[WeightMeasure, ...]
     weight_methods: tuple[str, ...]
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     correlation_scope: str = "all"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.correlation_scope not in ("all", "modality"):
             raise ValueError(
                 f"correlation_scope must be 'all' or 'modality', got {self.correlation_scope!r}")
@@ -112,8 +112,7 @@ class ScenarioSpec:
         return {
             "name": self.name,
             "family": self.family,
-            "design": (f"readers:{self.design.n_readers}" if self.design.kind == "readers"
-                       else f"longitudinal:{self.design.n_times}"),
+            "design": self.design.selector(),
             "mu_diseased": list(self.mu_diseased),
             "mu_nondiseased": list(self.mu_nondiseased),
             "variances": list(self.variances),
@@ -142,17 +141,22 @@ def compound_symmetry(variances, rho: float) -> np.ndarray:
     return corr * np.outer(sd, sd)
 
 
+def _draw(mu: np.ndarray, chol: np.ndarray, size: int, rng: np.random.Generator,
+          family: str) -> np.ndarray:
+    """``size`` rows ``mu + z @ chol.T`` with ``z`` iid standard normal,
+    exponentiated for the lognormal family."""
+    rows = mu + rng.standard_normal((size, chol.shape[0])) @ chol.T
+    return np.exp(rows) if family == "lognormal" else rows
+
+
 def sample_mvn(mu, cov, size: int, rng: np.random.Generator,
                family: str = "normal") -> np.ndarray:
     """Draw ``size`` correlated vectors via the lower Cholesky factor applied
     to iid standard normals; lognormal draws exponentiate the result."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    draws = np.asarray(mu, dtype=float) + rng.standard_normal((size, chol.shape[0])) @ chol.T
-    if family == "lognormal":
-        draws = np.exp(draws)
-    elif family != "normal":
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    return draws
+    return _draw(np.asarray(mu, dtype=float), chol, size, rng, family)
 
 
 # -- closed-form truth ---------------------------------------------------
@@ -164,15 +168,12 @@ def binormal_roc(u, mu_x: float, sd_x: float, mu_y: float, sd_y: float):
 
 
 def true_wauc(measure: WeightMeasure, mu_x: float, sd_x: float,
-              mu_y: float, sd_y: float, family: str = "normal") -> float:
+              mu_y: float, sd_y: float) -> float:
     """Population wAUC of a binormal pair.
 
     Exponentiating both groups preserves ranks, so the lognormal family has
-    the same wAUC as its latent Gaussian parameters; ``family`` is accepted
-    for symmetry and validated only.
+    the same wAUC as its latent Gaussian parameters.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     if measure.kind == "full":
         value = float(ndtr((mu_x - mu_y) / math.hypot(sd_x, sd_y)))
     elif measure.kind == "pauc":
@@ -188,28 +189,23 @@ def true_wauc(measure: WeightMeasure, mu_x: float, sd_x: float,
     return float(value)
 
 
+def _marker_wauc(scenario: ScenarioSpec, measure: WeightMeasure, marker: int) -> float:
+    """Population wAUC of a scenario's marker (1-based)."""
+    sd = math.sqrt(scenario.variances[marker - 1])
+    return true_wauc(measure, scenario.mu_diseased[marker - 1], sd,
+                     scenario.mu_nondiseased[marker - 1], sd)
+
+
 def true_paired_delta(scenario: ScenarioSpec, measure: WeightMeasure) -> float:
     """Equal-weight population value of the paired wAUC difference.
 
     Every scenario here has time-invariant marginals, so per-time and pooled
     wAUCs share the same population value and equal weights lose nothing.
     """
-    design = scenario.design
-    pairs = design.n_pairs
-    if design.kind == "readers":
-        first = range(0, pairs)
-        second = range(pairs, 2 * pairs)
-    else:
-        # both markers repeat over times; marker indices 0 and 1
-        first = [0] * pairs
-        second = [1] * pairs
-    diffs = []
-    for a, b in zip(first, second):
-        omega_a = true_wauc(measure, scenario.mu_diseased[a], math.sqrt(scenario.variances[a]),
-                            scenario.mu_nondiseased[a], math.sqrt(scenario.variances[a]))
-        omega_b = true_wauc(measure, scenario.mu_diseased[b], math.sqrt(scenario.variances[b]),
-                            scenario.mu_nondiseased[b], math.sqrt(scenario.variances[b]))
-        diffs.append(omega_a - omega_b)
+    strata = scenario.design.strata()
+    pairs = scenario.design.n_pairs
+    diffs = [_marker_wauc(scenario, measure, a) - _marker_wauc(scenario, measure, b)
+             for (a, _), (b, _) in zip(strata[:pairs], strata[pairs:])]
     return float(np.mean(diffs))
 
 
@@ -235,7 +231,6 @@ class _GroupPlan:
 
 @dataclass
 class _GeneratorPlan:
-    scenario: ScenarioSpec
     diseased: _GroupPlan
     nondiseased: _GroupPlan
 
@@ -282,7 +277,6 @@ def _group_plan(scenario: ScenarioSpec, total: int, sizes, mu, rho: float,
 
 def _build_plan(scenario: ScenarioSpec) -> _GeneratorPlan:
     return _GeneratorPlan(
-        scenario=scenario,
         diseased=_group_plan(scenario, scenario.n_diseased, scenario.cluster_sizes_diseased,
                              scenario.mu_diseased, scenario.rho_diseased, "d"),
         nondiseased=_group_plan(scenario, scenario.n_nondiseased,
@@ -292,15 +286,8 @@ def _build_plan(scenario: ScenarioSpec) -> _GeneratorPlan:
 
 
 def _draw_group(plan: _GroupPlan, family: str, rng: np.random.Generator) -> GroupColumns:
-    draws = []
-    for half in plan.halves:
-        if half.n_subjects == 0:
-            continue
-        z = rng.standard_normal((half.n_subjects, half.mu_row.size))
-        rows = half.mu_row + z @ half.chol.T
-        if family == "lognormal":
-            rows = np.exp(rows)
-        draws.append(rows.ravel())
+    draws = [_draw(half.mu_row, half.chol, half.n_subjects, rng, family).ravel()
+             for half in plan.halves]
     return GroupColumns(*plan.layout, np.concatenate(draws))
 
 
@@ -380,25 +367,12 @@ def table3_scenario(rho: float, n: int, *, n_reps: int = DEFAULT_REPS,
                     weight_methods=("equal", "optimal")) -> ScenarioSpec:
     """Power scenario: reader 1 modality 1 separates strongly, so optimal
     weights concentrate there."""
-    return ScenarioSpec(
-        name=f"table3_rho{rho:g}_n{n}",
-        family="normal",
-        design=StudyDesign.readers(3),
-        mu_diseased=(2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-        mu_nondiseased=(0.0,) * 6,
-        variances=(1.0, 1.5, 2.0, 2.0, 3.0, 2.0),
-        rho_diseased=rho,
-        rho_nondiseased=rho,
-        cluster_sizes_diseased=(1, 1),
-        cluster_sizes_nondiseased=(1, 1),
-        n_diseased=n,
-        n_nondiseased=n,
-        n_reps=n_reps,
-        seed=seed,
-        measures=tuple(measures),
-        weight_methods=tuple(weight_methods),
-        correlation_scope="modality",
-    )
+    base = table1_scenario(rho, n, "normal", n_reps=n_reps, seed=seed,
+                           measures=measures, weight_methods=weight_methods)
+    return replace(base,
+                   name=f"table3_rho{rho:g}_n{n}",
+                   mu_diseased=(2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+                   variances=(1.0, 1.5, 2.0, 2.0, 3.0, 2.0))
 
 
 def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = DEFAULT_REPS,
@@ -786,10 +760,7 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
     cells = []
     for m_idx, method in enumerate(_COMPARISON_METHODS):
         for marker in range(1, scenario.design.n_markers + 1):
-            truth = true_wauc(_FULL_AUC, scenario.mu_diseased[marker - 1],
-                              math.sqrt(scenario.variances[marker - 1]),
-                              scenario.mu_nondiseased[marker - 1],
-                              math.sqrt(scenario.variances[marker - 1]))
+            truth = _marker_wauc(scenario, _FULL_AUC, marker)
             vals = estimates[:, m_idx, marker - 1]
             cells.append(MethodCell(
                 method=method,
@@ -922,7 +893,7 @@ def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
         seed = pop_int("seed", DEFAULT_SEED)
         family = entries.pop("family", None)
         rho = pop_float("rho")
-        overrides = {"alpha": pop_float("alpha", 0.05)}
+        overrides = {"alpha": pop_float("alpha", DEFAULT_ALPHA)}
         measures = entries.pop("measures", "").split()
         if measures:
             overrides["measures"] = tuple(parse_measure(tok) for tok in measures)

@@ -16,8 +16,12 @@ from scipy.stats import norm
 
 from wroc.covariance import _MAX_DRAWS, CovarianceEstimate
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
+from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError, WrocError
 from wroc.estimators import _stratum_pairs, _stratum_wauc
+from wroc.measures import WeightMeasure
+from wroc.simulation import DEFAULT_MEASURES, DEFAULT_REPS, DEFAULT_SEED, ScenarioSpec, true_wauc
+from wroc.simulation import FAMILIES as _FAMILIES
 
 # same boundary guard the estimators use: (1-u)*n can land a float epsilon
 # above an exact integer, which would push ceil one step too far
@@ -663,3 +667,77 @@ def old_baseline_parametric_auc(x_values, y_values):
                                      + 2.0 * sy2 ** 2 / (y.size - 1)))
     dens = float(norm.pdf(delta))
     return float(norm.cdf(delta)), dens * dens * var_delta_hat
+
+
+# -- the scenario layer as it restated the study layout --------------------
+#
+# ``table3_scenario`` spelled out the reader-study skeleton that
+# ``table1_scenario`` builds, ``true_paired_delta`` paired markers by
+# branching on the design's kind, and ``sample_mvn`` wrote out the Cholesky
+# draw that the generator also wrote.  These are the functions as they were,
+# the reference for equality with the versions that read the layout from
+# the design.
+
+def old_table3_scenario(rho: float, n: int, *, n_reps: int = DEFAULT_REPS,
+                        seed: int = DEFAULT_SEED,
+                        measures=DEFAULT_MEASURES,
+                        weight_methods=("equal", "optimal")) -> ScenarioSpec:
+    """Power scenario: reader 1 modality 1 separates strongly, so optimal
+    weights concentrate there."""
+    return ScenarioSpec(
+        name=f"table3_rho{rho:g}_n{n}",
+        family="normal",
+        design=StudyDesign.readers(3),
+        mu_diseased=(2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        mu_nondiseased=(0.0,) * 6,
+        variances=(1.0, 1.5, 2.0, 2.0, 3.0, 2.0),
+        rho_diseased=rho,
+        rho_nondiseased=rho,
+        cluster_sizes_diseased=(1, 1),
+        cluster_sizes_nondiseased=(1, 1),
+        n_diseased=n,
+        n_nondiseased=n,
+        n_reps=n_reps,
+        seed=seed,
+        measures=tuple(measures),
+        weight_methods=tuple(weight_methods),
+        correlation_scope="modality",
+    )
+
+
+def old_true_paired_delta(scenario: ScenarioSpec, measure: WeightMeasure) -> float:
+    """Equal-weight population value of the paired wAUC difference.
+
+    Every scenario here has time-invariant marginals, so per-time and pooled
+    wAUCs share the same population value and equal weights lose nothing.
+    """
+    design = scenario.design
+    pairs = design.n_pairs
+    if design.kind == "readers":
+        first = range(0, pairs)
+        second = range(pairs, 2 * pairs)
+    else:
+        # both markers repeat over times; marker indices 0 and 1
+        first = [0] * pairs
+        second = [1] * pairs
+    diffs = []
+    for a, b in zip(first, second):
+        omega_a = true_wauc(measure, scenario.mu_diseased[a], math.sqrt(scenario.variances[a]),
+                            scenario.mu_nondiseased[a], math.sqrt(scenario.variances[a]))
+        omega_b = true_wauc(measure, scenario.mu_diseased[b], math.sqrt(scenario.variances[b]),
+                            scenario.mu_nondiseased[b], math.sqrt(scenario.variances[b]))
+        diffs.append(omega_a - omega_b)
+    return float(np.mean(diffs))
+
+
+def old_sample_mvn(mu, cov, size: int, rng: np.random.Generator,
+                   family: str = "normal") -> np.ndarray:
+    """Draw ``size`` correlated vectors via the lower Cholesky factor applied
+    to iid standard normals; lognormal draws exponentiate the result."""
+    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    draws = np.asarray(mu, dtype=float) + rng.standard_normal((size, chol.shape[0])) @ chol.T
+    if family == "lognormal":
+        draws = np.exp(draws)
+    elif family != "normal":
+        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
+    return draws

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wroc import __version__
 from wroc.cli import build_parser, main
 from wroc.dataset import dataset_to_csv_text, read_dataset_csv
 from wroc.designs import StudyDesign
@@ -184,6 +186,18 @@ def test_unknown_weights_exit_2(tmp_path, capsys, rng):
                  "--weights", "inverse"])
     assert code == 2
     assert "unknown weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ridge", ["nan", "inf"])
+def test_non_finite_ridge_exit_2(tmp_path, capsys, rng, ridge):
+    ds = reader_dataset(rng, n=10)
+    path = write_dataset(tmp_path, ds)
+    code = main(["compare", "--input", str(path), "--design", "readers:2",
+                 "--weights", "optimal", "--ridge", ridge])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err and "ridge must be finite" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_degenerate_density_exit_3(tmp_path, capsys, rng):
@@ -405,6 +419,14 @@ def test_roc_stdout_and_bad_grid(tmp_path, capsys, rng):
 
 
 # -- README ------------------------------------------------------------
+
+
+def test_pyproject_version_matches_package():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == __version__
 
 
 def test_readme_command_lines_parse():

@@ -62,6 +62,12 @@ def test_optimal_weights_fallback_on_negative_solution():
     assert w.method == "optimal"
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1e-3])
+def test_optimal_weights_reject_a_bad_ridge(ridge):
+    with pytest.raises(ValueError, match="ridge"):
+        optimal_weights(np.array([[2.0, 1.0], [1.0, 2.0]]), ridge=ridge)
+
+
 def test_optimal_weights_singular_matrix():
     with pytest.raises(SingularCovarianceError):
         optimal_weights(np.zeros((2, 2)), ridge=0.0)

@@ -96,9 +96,23 @@ def test_parse_design():
 
 def test_design_validation():
     with pytest.raises(ValueError):
-        StudyDesign(kind="mixed")
+        StudyDesign("mixed", 2)
     with pytest.raises(ValueError):
-        StudyDesign(kind="longitudinal", n_markers=3)
+        StudyDesign("longitudinal", 0)
+
+
+def test_design_is_kind_and_pair_count():
+    d = StudyDesign("readers", 3)
+    assert d.n_markers == 6
+    assert d.n_readers == 3
+    assert d.n_times == 1
+    assert d == StudyDesign.readers(3)
+    assert StudyDesign("longitudinal", 4) == StudyDesign.longitudinal(4)
+    for n in range(1, 5):
+        for d in (StudyDesign.readers(n), StudyDesign.longitudinal(n)):
+            assert parse_design(d.selector()) == d
+    assert StudyDesign.readers(2).selector() == "readers:2"
+    assert StudyDesign.longitudinal(3).selector() == "longitudinal:3"
 
 
 # -- contrast functions --------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from scipy.stats import norm
 
 from wroc.dataset import dataset_to_csv_text
-from wroc.designs import StudyDesign
+from wroc.designs import StudyDesign, parse_design
 from wroc.errors import DataFormatError, DegenerateDensityError
-from wroc.estimators import auc
-from wroc.measures import WeightMeasure
+from wroc.estimators import auc, wauc_vector
+from wroc.measures import WeightMeasure, parse_measure
 from wroc.simulation import (
     ScenarioSpec,
     _build_plan,
@@ -39,7 +39,14 @@ from wroc.simulation import (
 )
 
 from conftest import assert_strata_equal
-from oracles import record_csv_text, record_draw_group, record_strata
+from oracles import (
+    old_sample_mvn,
+    old_table3_scenario,
+    old_true_paired_delta,
+    record_csv_text,
+    record_draw_group,
+    record_strata,
+)
 
 FULL = WeightMeasure.full_auc()
 PAUC = WeightMeasure.partial_auc(0.0, 0.6)
@@ -68,8 +75,20 @@ def test_sample_mvn_lognormal_is_exp_of_normal():
     normal = sample_mvn([0.5, 0.5], cov, 50, np.random.default_rng(7), "normal")
     logn = sample_mvn([0.5, 0.5], cov, 50, np.random.default_rng(7), "lognormal")
     np.testing.assert_array_equal(logn, np.exp(normal))
-    with pytest.raises(ValueError):
-        sample_mvn([0.0], [[1.0]], 5, np.random.default_rng(0), "gamma")
+    # a bad family is rejected before anything is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="family"):
+        sample_mvn([0.0], [[1.0]], 5, rng, "gamma")
+    assert rng.bit_generator.state == state
+
+
+def test_sample_mvn_matches_old_form_bitwise():
+    cov = compound_symmetry((1.0, 1.5, 2.0), 0.3)
+    for family in ("normal", "lognormal"):
+        got = sample_mvn([0.5, 0.0, -0.5], cov, 40, np.random.default_rng(19), family)
+        want = old_sample_mvn([0.5, 0.0, -0.5], cov, 40, np.random.default_rng(19), family)
+        assert got.tobytes() == want.tobytes(), family
 
 
 # -- closed-form truths ---------------------------------------------------
@@ -100,9 +119,17 @@ def test_true_atom_measures():
 
 
 def test_true_wauc_family_rank_invariance():
-    # exponentiation preserves ranks, so the lognormal truth is unchanged
-    assert true_wauc(FULL, 1.0, 1.0, 0.0, 1.0, "lognormal") == \
-        true_wauc(FULL, 1.0, 1.0, 0.0, 1.0, "normal")
+    # exponentiation preserves ranks, so one truth serves both families: a
+    # lognormal draw has the empirical wAUCs of its latent normal draw
+    normal = table1_scenario(0.5, 20, "normal")
+    lognormal = table1_scenario(0.5, 20, "lognormal")
+    for rep in range(3):
+        a = generate_dataset(normal, replicate_rng(normal.seed, rep))
+        b = generate_dataset(lognormal, replicate_rng(lognormal.seed, rep))
+        for measure in (FULL, PAUC):
+            np.testing.assert_array_equal(wauc_vector(a, normal.design, measure).values,
+                                          wauc_vector(b, lognormal.design, measure).values)
+    assert true_paired_delta(lognormal, PAUC) == true_paired_delta(normal, PAUC)
 
 
 def test_true_paired_deltas_per_table():
@@ -120,6 +147,36 @@ def test_true_paired_deltas_per_table():
 
 
 # -- scenario builders keep their published constants ---------------------
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("n", [5, 50])
+def test_table3_scenario_matches_old_form(rho, n):
+    assert table3_scenario(rho, n) == old_table3_scenario(rho, n)
+    custom = {"n_reps": 7, "seed": 11, "measures": [FULL, WeightMeasure.point_mass(0.3)],
+              "weight_methods": ["optimal"]}
+    assert table3_scenario(rho, n, **custom) == old_table3_scenario(rho, n, **custom)
+
+
+def test_truths_match_old_form_bitwise():
+    measures = [parse_measure(text) for text in
+                ("auc", "pauc:0,0.6", "sens:0.3", "steps:0.2=0.25,0.6=0.5")]
+    scenarios = [table1_scenario(0.5, 20, "lognormal"), table2_scenario(0.5, 20),
+                 table3_scenario(0.5, 50), table4_scenario(50, "normal"), null_scenario()]
+    for scenario in scenarios:
+        for measure in measures:
+            got = true_paired_delta(scenario, measure)
+            want = old_true_paired_delta(scenario, measure)
+            assert got.hex() == want.hex(), (scenario.name, measure.selector())
+
+
+def test_config_design_is_the_design_selector():
+    for study in study_names():
+        scenario = study_scenario(study, 10)
+        selector = scenario.config_dict()["design"]
+        assert parse_design(selector) == scenario.design
+    assert table4_scenario(10).config_dict()["design"] == "longitudinal:3"
+    assert table1_scenario(0.5, 10).config_dict()["design"] == "readers:3"
 
 
 def test_table1_constants():
