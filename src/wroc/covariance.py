@@ -29,6 +29,14 @@ within-subject pairs are enumerated.
   ``sum_pq w_p w_q (S(t_p, t_q) - S(t_p) S(t_q))`` weighted by the share of
   within-subject pairs, and it is kept so rather than aligned with the
   placement path.
+
+  The thresholds ``t_p`` are order statistics of the non-diseased stratum.
+  Which ones (the rank plan: each node's row, the distinct rows and the map
+  back) depends only on the measure, the number of nodes and the stratum
+  size, so it is computed once per measure and size and cached.  Several
+  nodes often share a row (64 nodes on ``pauc:0,0.6`` over 50 values hit 30
+  order statistics), and the kernel sums are taken once per distinct order
+  statistic.  Each part is built in one pass over the stratum pairs.
 """
 
 from __future__ import annotations
@@ -46,10 +54,12 @@ from .estimators import (
     _check_midrank,
     _placements,
     _roc,
+    _roc_at,
     _stratum_pair,
     _stratum_pairs,
     _stratum_wauc,
     _stratum_wauc_draws,
+    _threshold_rows,
 )
 from .measures import WeightMeasure
 
@@ -102,15 +112,23 @@ def silverman_bandwidth(values) -> float:
 
 def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
     """:func:`silverman_bandwidth` of ``values``, given them in ascending
-    order as ``ordered`` (a stratum's ``sorted_values``)."""
-    if values.size < 2:
+    order as ``ordered`` (a stratum's ``sorted_values``).
+
+    The standard deviation is numpy's ``std(ddof=1)`` step for step (the
+    sum, the mean, the squared deviations and their sum), so its bits are
+    the same without the wrapper's cost.
+    """
+    n = values.size
+    if n < 2:
         raise DegenerateDensityError("need at least 2 values for a density estimate")
-    sd = float(values.std(ddof=1))
+    dev = values - np.add.reduce(values, axis=None) / n
+    np.square(dev, out=dev)
+    sd = math.sqrt(np.add.reduce(dev, axis=None) / (n - 1))
     iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
     candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
     if not candidates:
         raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
-    h = 0.9 * min(candidates) * values.size ** (-0.2)
+    h = 0.9 * min(candidates) * n ** (-0.2)
     if not h > 0.0:
         raise DegenerateDensityError(f"non-positive bandwidth {h}")
     return h
@@ -238,60 +256,97 @@ def _placement_parts(pairs, measure: WeightMeasure, midrank: bool):
     return sigma1, sigma2
 
 
-def _score_sums(stratum: Stratum, thresholds: np.ndarray, weights: np.ndarray,
-                n_subjects: int) -> np.ndarray:
-    """Per-subject sums of ``g(v) = sum_p weights[p] * 1[v > thresholds[p]]``.
-
-    One sort of the thresholds and a cumulative weight sum give ``g`` for
-    every value at once; ``side="left"`` counts only thresholds strictly
-    below ``v``, so ties between a value and a threshold score nothing.
-    """
-    order = np.argsort(thresholds, kind="stable")
-    cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
-    below = np.searchsorted(thresholds[order], stratum.values, side="left")
-    return np.bincount(stratum.subjects, weights=cumulative[below], minlength=n_subjects)
-
-
-def _gram_part(strata, thresholds, weights, means, n_subjects: int) -> np.ndarray:
+def _gram_part(scores: np.ndarray, counts: np.ndarray, means: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
     """``(G'G - (C'C) o (m m')) / (n n')`` for one group.
 
-    ``G`` holds per-subject score sums and ``C`` per-subject value counts,
-    one column per stratum; ``m`` is each stratum's weighted mean score and
-    ``n`` its number of values.  ``G'G`` is the weighted joint exceedance
-    summed over every within-subject cross pair of values, and ``C'C``
-    counts those pairs.
+    ``G`` (``scores``) holds per-subject score sums and ``C`` (``counts``)
+    per-subject value counts, one column per stratum; ``m`` is each
+    stratum's weighted mean score and ``n`` its number of values.  ``G'G``
+    is the weighted joint exceedance summed over every within-subject cross
+    pair of values, and ``C'C`` counts those pairs.
     """
-    scores = np.column_stack([_score_sums(st, t, w, n_subjects)
-                              for st, t, w in zip(strata, thresholds, weights)])
-    counts = np.column_stack([st.counts for st in strata])
-    sizes = np.array([st.n for st in strata], dtype=float)
     centre = (counts.T @ counts) * np.outer(means, means)
     return (scores.T @ scores - centre) / np.outer(sizes, sizes)
 
 
-def _integral_parts(pairs, u_nodes: np.ndarray, u_weights: np.ndarray):
-    xs, ys = zip(*pairs)
-    thresholds = []
-    mean_dis = np.empty(len(pairs))
-    ratio_weights = []
-    for s, (x, y) in enumerate(pairs):
-        t, roc = _roc(x, y, u_nodes)
-        thresholds.append(t)
-        mean_dis[s] = u_weights @ roc
-        ratio_weights.append(u_weights * _density_ratio_at(x, y, t))
-    mean_non = np.array([w @ u_nodes for w in ratio_weights])
-    sigma1 = _gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, xs[0].n_subjects)
-    sigma2 = _gram_part(ys, thresholds, ratio_weights, mean_non, ys[0].n_subjects)
-    return sigma1, sigma2
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+@functools.lru_cache(maxsize=32)
+def _grid(measure: WeightMeasure, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates and weights of a pauc or atomic measure's integration grid,
+    shared read-only: ``n_nodes`` Gauss-Legendre nodes on the window, or
+    the atoms (which ignore ``n_nodes``).  The rates ascend."""
+    if measure.kind == "pauc":
+        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        half = 0.5 * (measure.upper - measure.lower)
+        mid = 0.5 * (measure.upper + measure.lower)
+        nodes, weights = mid + half * glx, half * glw
+    else:
+        nodes = np.asarray([u for u, _ in measure.atoms])
+        weights = np.asarray([m for _, m in measure.atoms])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=256)
+def _rank_plan(measure: WeightMeasure, n_nodes: int,
+               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The threshold rows of a grid in ``n`` sorted values, shared read-only.
+
+    Returns ``(rows, distinct, inverse)``: each node's row (by
+    :func:`_threshold_rows`), the rows without repeats in node order, and
+    each node's position in ``distinct``, so ``distinct[inverse] == rows``.
+    Ranks never rise along the ascending rates, so a repeat always sits
+    next to its first occurrence.
+    """
+    rows = _threshold_rows(_grid(measure, n_nodes)[0], n)
+    first = np.empty(rows.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    inverse = np.cumsum(first) - 1
+    distinct = rows[first]
+    for arr in (rows, distinct, inverse):
+        arr.flags.writeable = False
+    return rows, distinct, inverse
+
+
+def _integral_parts(pairs, measure: WeightMeasure, n_nodes: int):
+    """The diseased and non-diseased parts on a pauc or atomic measure's
+    grid, in one pass over the stratum pairs.
+
+    Per stratum: the thresholds come from the cached rank plan, the two
+    kernel density estimates run at the distinct thresholds only, one sort
+    of the thresholds serves both groups' cumulative weights, and each
+    group's per-subject score sums and counts fill one column of ``G`` and
+    ``C``.  ``g(v)`` counts only thresholds strictly below ``v``, so ties
+    between a value and a threshold score nothing.
+    """
+    u_nodes, u_weights = _grid(measure, n_nodes)
+    n_s = len(pairs)
+    groups = []
+    for st in pairs[0]:
+        groups.append((np.empty((st.n_subjects, n_s)),
+                       np.empty((st.n_subjects, n_s), dtype=st.counts.dtype),
+                       np.empty(n_s), np.empty(n_s)))
+    cumulative = np.zeros(u_nodes.size + 1)
+    for s, (x, y) in enumerate(pairs):
+        rows, distinct, inverse = _rank_plan(measure, n_nodes, y.n)
+        thresholds, roc = _roc_at(x, y, rows)
+        ratio = _density_ratio_at(x, y, y.sorted_values[distinct])
+        ratio_weights = u_weights * ratio[inverse]
+        order = np.argsort(thresholds, kind="stable")
+        ordered = thresholds[order]
+        for st, weights, mean, (scores, counts, means, sizes) in (
+                (x, u_weights, u_weights @ roc, groups[0]),
+                (y, ratio_weights, ratio_weights @ u_nodes, groups[1])):
+            np.cumsum(weights[order], out=cumulative[1:])
+            below = np.searchsorted(ordered, st.values, side="left")
+            scores[:, s] = np.bincount(st.subjects, weights=cumulative[below],
+                                       minlength=st.n_subjects)
+            counts[:, s] = st.counts
+            means[s] = mean
+            sizes[s] = st.n
+    return tuple(_gram_part(*group) for group in groups)
 
 
 def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -323,19 +378,9 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     if measure.kind == "full":
         sigma1, sigma2 = _placement_parts(pairs, measure, midrank)
         method = "placement"
-    elif measure.kind == "pauc":
-        glx, glw = _gauss_legendre(n_nodes)
-        half = 0.5 * (measure.upper - measure.lower)
-        mid = 0.5 * (measure.upper + measure.lower)
-        u_nodes = mid + half * glx
-        u_weights = half * glw
-        sigma1, sigma2 = _integral_parts(pairs, u_nodes, u_weights)
-        method = "quadrature"
     else:
-        u_nodes = np.asarray([u for u, _ in measure.atoms])
-        u_weights = np.asarray([m for _, m in measure.atoms])
-        sigma1, sigma2 = _integral_parts(pairs, u_nodes, u_weights)
-        method = "atoms"
+        sigma1, sigma2 = _integral_parts(pairs, measure, n_nodes)
+        method = "quadrature" if measure.kind == "pauc" else "atoms"
     if measure.normalized:
         scale = measure.total_mass ** 2
         sigma1 = sigma1 / scale

@@ -21,6 +21,7 @@ matrix encodes.  :meth:`StudyDesign.selector` writes the text form that
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,8 +43,14 @@ class StudyDesign:
     def __post_init__(self):
         if self.kind not in ("readers", "longitudinal"):
             raise ValueError(f"unknown design kind: {self.kind!r}")
+        count = "n_readers" if self.kind == "readers" else "n_times"
+        # numpy integers count too, and are stored as int; bools and floats
+        # (even whole ones) do not
+        if isinstance(self.n_pairs, bool) or not isinstance(self.n_pairs, numbers.Integral):
+            raise ValueError(f"{self.kind} design needs an integer {count}, "
+                             f"got {self.n_pairs!r}")
+        object.__setattr__(self, "n_pairs", int(self.n_pairs))
         if self.n_pairs < 1:
-            count = "n_readers" if self.kind == "readers" else "n_times"
             raise ValueError(f"{self.kind} design needs {count} >= 1")
 
     @classmethod

@@ -16,6 +16,8 @@ Every estimate comes from one core of four pieces:
 * :func:`_rank` is the one rank rule, ``ceil((1 - u) * n)`` per rate.
 * :func:`_roc` is the one ROC evaluator: the non-diseased thresholds at a
   set of rates and the diseased survival at those thresholds.
+  :func:`_roc_at` takes the rates as the rows of the sorted non-diseased
+  values that :func:`_threshold_rows` gives, for callers that reuse them.
 * :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
   partial AUCs count diseased wins over the non-diseased values whose rank
   lies in the measure's window, over all pairs (so ``pauc(0, 1)`` is the
@@ -87,12 +89,19 @@ class EmpiricalSurvival:
         return float(self.inverse_survival_many(u))
 
     def inverse_survival_many(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        bad = ~((u > 0.0) & (u <= 1.0))
-        if bad.any():
-            raise ValueError("false-positive rate must be in (0, 1], "
-                             f"got {float(u.flat[np.argmax(bad)])}")
-        return self.sorted_values[np.maximum(_rank(u, self.n), 1) - 1]
+        return self.sorted_values[_threshold_rows(u, self.n)]
+
+
+def _threshold_rows(u, n: int) -> np.ndarray:
+    """0-based rows of ``n`` ascending values that hold the thresholds at
+    false-positive rates ``u``: :func:`_rank` clamped to at least 1, minus 1.
+    Rates outside (0, 1] raise ``ValueError``."""
+    u = np.asarray(u, dtype=float)
+    bad = ~((u > 0.0) & (u <= 1.0))
+    if bad.any():
+        raise ValueError("false-positive rate must be in (0, 1], "
+                         f"got {float(u.flat[np.argmax(bad)])}")
+    return np.maximum(_rank(u, n), 1) - 1
 
 
 def survival_curve(dataset: MarkerDataset, marker: int, *, group: str = "nondiseased",
@@ -148,8 +157,14 @@ def _stratum_pairs(dataset: MarkerDataset, design: StudyDesign | None):
 def _roc(x: Stratum, y: Stratum, u):
     """Non-diseased thresholds at rates ``u`` and the empirical ROC there
     (the diseased survival at each threshold)."""
-    thresholds = EmpiricalSurvival(y.sorted_values, presorted=True).inverse_survival_many(u)
-    return thresholds, EmpiricalSurvival(x.sorted_values, presorted=True).survival(thresholds)
+    return _roc_at(x, y, _threshold_rows(u, y.n))
+
+
+def _roc_at(x: Stratum, y: Stratum, rows: np.ndarray):
+    """:func:`_roc` with the rates given as their :func:`_threshold_rows`."""
+    thresholds = y.sorted_values[rows]
+    above = x.n - np.searchsorted(x.sorted_values, thresholds, side="right")
+    return thresholds, above / x.n
 
 
 def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:

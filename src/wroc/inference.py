@@ -114,8 +114,11 @@ def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
 
     ``spec`` is ``"equal"``, ``"optimal"`` (solved from the difference
     covariance of ``sigma``, the wAUC covariance matrix), ``"custom:w1,..."``,
-    a sequence of pair weights or a ready ``WeightVector``.
+    a sequence of pair weights or a ready ``WeightVector``.  A ``ridge``
+    that is given must be finite, whatever the spec.
     """
+    if ridge is not None and not math.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
     if isinstance(spec, WeightVector):
         return spec
     if isinstance(spec, str):

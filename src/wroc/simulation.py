@@ -325,9 +325,9 @@ def table1_scenario(rho: float, n: int, family: str = "normal", *,
     coverage calibrates the variance estimator.
 
     Reader scenarios correlate measurements within each modality only;
-    the two modality blocks are independent.  That is the only structure
-    under which the equal-weight difference variance grows as rho falls,
-    the behaviour the power study is built around.
+    the two modality blocks are independent.  The equal-weight difference
+    variance then grows as rho rises: correlated readers share more of
+    their error, so averaging them cancels less of it.
     """
     return ScenarioSpec(
         name=f"table1_rho{rho:g}_n{n}_{family}",

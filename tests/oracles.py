@@ -14,10 +14,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from wroc.covariance import _MAX_DRAWS, CovarianceEstimate
+from wroc.covariance import _MAX_DRAWS, CovarianceEstimate, _repair_part
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
 from wroc.designs import StudyDesign
-from wroc.errors import DataFormatError, WrocError
+from wroc.errors import DataFormatError, DegenerateDensityError, WrocError
 from wroc.estimators import _stratum_pairs, _stratum_wauc
 from wroc.measures import WeightMeasure
 from wroc.simulation import DEFAULT_MEASURES, DEFAULT_REPS, DEFAULT_SEED, ScenarioSpec, true_wauc
@@ -741,3 +741,100 @@ def old_sample_mvn(mu, cov, size: int, rng: np.random.Generator,
     elif family != "normal":
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
     return draws
+
+
+# -- the pAUC and atoms covariance as a composition of helpers --------------
+#
+# The quadrature and atoms paths of ``sigma_matrix`` used to build each
+# stratum's thresholds through the survival-curve objects, estimate both
+# densities at every grid node (repeated thresholds included), sort the
+# thresholds once per group side and stack the score columns per group.
+# That composition is kept here, as it was, as the reference for bit equality
+# of the one-pass form.
+
+def _old_bandwidth(values):
+    if values.size < 2:
+        raise DegenerateDensityError("need at least 2 values for a density estimate")
+    sd = float(values.std(ddof=1))
+    q75, q25 = np.percentile(values, [75.0, 25.0])
+    candidates = [c for c in (sd, float(q75 - q25) / 1.34) if c > 0.0]
+    if not candidates:
+        raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
+    h = 0.9 * min(candidates) * values.size ** (-0.2)
+    if not h > 0.0:
+        raise DegenerateDensityError(f"non-positive bandwidth {h}")
+    return h
+
+
+def _old_density_ratio_at(x, y, thresholds):
+    hx = _old_bandwidth(x.values)
+    hy = _old_bandwidth(y.values)
+    f_dis = old_kde_at(x.values, thresholds, hx)
+    f_non = old_kde_at(y.values, thresholds, hy)
+    if np.any(f_non <= 0.0):
+        bad = thresholds[np.argmax(f_non <= 0.0)]
+        raise DegenerateDensityError(
+            f"non-diseased density vanished at threshold {bad!r}")
+    return f_dis / f_non
+
+
+def _old_roc(x, y, u):
+    thresholds = old_inverse_survival_many(y.sorted_values, u)
+    return thresholds, _old_survival(x.sorted_values, thresholds)
+
+
+def _old_score_sums(stratum, thresholds, weights, n_subjects):
+    order = np.argsort(thresholds, kind="stable")
+    cumulative = np.concatenate(([0.0], np.cumsum(weights[order])))
+    below = np.searchsorted(thresholds[order], stratum.values, side="left")
+    return np.bincount(stratum.subjects, weights=cumulative[below], minlength=n_subjects)
+
+
+def _old_gram_part(strata, thresholds, weights, means, n_subjects):
+    scores = np.column_stack([_old_score_sums(st, t, w, n_subjects)
+                              for st, t, w in zip(strata, thresholds, weights)])
+    counts = np.column_stack([st.counts for st in strata])
+    sizes = np.array([st.n for st in strata], dtype=float)
+    centre = (counts.T @ counts) * np.outer(means, means)
+    return (scores.T @ scores - centre) / np.outer(sizes, sizes)
+
+
+def old_integral_parts(pairs, u_nodes, u_weights):
+    """The (diseased, non-diseased) parts on the grid ``(u_nodes, u_weights)``."""
+    xs, ys = zip(*pairs)
+    thresholds = []
+    mean_dis = np.empty(len(pairs))
+    ratio_weights = []
+    for s, (x, y) in enumerate(pairs):
+        t, roc = _old_roc(x, y, u_nodes)
+        thresholds.append(t)
+        mean_dis[s] = u_weights @ roc
+        ratio_weights.append(u_weights * _old_density_ratio_at(x, y, t))
+    mean_non = np.array([w @ u_nodes for w in ratio_weights])
+    sigma1 = _old_gram_part(xs, thresholds, [u_weights] * len(xs), mean_dis, xs[0].n_subjects)
+    sigma2 = _old_gram_part(ys, thresholds, ratio_weights, mean_non, ys[0].n_subjects)
+    return sigma1, sigma2
+
+
+def old_integral_grid(measure, n_nodes=64):
+    """``(u_nodes, u_weights)`` of a pauc or atomic measure."""
+    if measure.kind == "pauc":
+        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        half = 0.5 * (measure.upper - measure.lower)
+        mid = 0.5 * (measure.upper + measure.lower)
+        return mid + half * glx, half * glw
+    return (np.asarray([u for u, _ in measure.atoms]),
+            np.asarray([m for _, m in measure.atoms]))
+
+
+def old_integral_sigma(dataset, design, measure, n_nodes=64):
+    """``(sigma_diseased, sigma_nondiseased, repaired)`` of ``sigma_matrix``
+    on a pauc or atomic measure, through :func:`old_integral_parts`."""
+    pairs, _ = _stratum_pairs(dataset, design)
+    sigma1, sigma2 = old_integral_parts(pairs, *old_integral_grid(measure, n_nodes))
+    if measure.normalized:
+        sigma1 = sigma1 / measure.total_mass ** 2
+        sigma2 = sigma2 / measure.total_mass ** 2
+    sigma1, repaired1 = _repair_part(sigma1)
+    sigma2, repaired2 = _repair_part(sigma2)
+    return sigma1, sigma2, repaired1 or repaired2

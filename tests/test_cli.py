@@ -200,6 +200,24 @@ def test_non_finite_ridge_exit_2(tmp_path, capsys, rng, ridge):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("weights", ["equal", "custom:1,3"])
+@pytest.mark.parametrize("ridge", ["nan", "inf", "-inf"])
+def test_non_finite_ridge_exit_2_whatever_the_weights(tmp_path, capsys, rng, weights, ridge):
+    """Weights that never read the ridge still refuse a non-finite one,
+    rather than echo it into the report."""
+    ds = reader_dataset(rng, n=10)
+    path = write_dataset(tmp_path, ds)
+    out = tmp_path / "report.json"
+    code = main(["compare", "--input", str(path), "--design", "readers:2",
+                 "--weights", weights, f"--ridge={ridge}", "--output", str(out)])
+    assert code == 2
+    assert "input error: ridge must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    # a finite ridge is still accepted and ignored by these weights
+    assert main(["compare", "--input", str(path), "--design", "readers:2",
+                 "--weights", weights, "--ridge", "0.5", "--output", str(out)]) == 0
+
+
 def test_degenerate_density_exit_3(tmp_path, capsys, rng):
     # constant diseased marker defeats the bandwidth rule for the pauc weights
     ds = singles_dataset(np.full(12, 3.0), rng.normal(0.0, 1.0, 12))

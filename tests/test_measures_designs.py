@@ -101,6 +101,24 @@ def test_design_validation():
         StudyDesign("longitudinal", 0)
 
 
+@pytest.mark.parametrize("n_pairs", [2.5, 2.0, True, np.float64(3.0), "2", None])
+def test_design_needs_an_integer_pair_count(n_pairs):
+    for build in (StudyDesign.readers, StudyDesign.longitudinal):
+        with pytest.raises(ValueError, match="integer") as info:
+            build(n_pairs)
+        assert repr(n_pairs) in str(info.value)
+
+
+def test_design_stores_numpy_integers_as_int():
+    for n_pairs in (np.int64(3), np.int32(3), np.uint8(3), 3):
+        design = StudyDesign.readers(n_pairs)
+        assert type(design.n_pairs) is int
+        assert design == StudyDesign.readers(3)
+        assert design.n_markers == 6 and design.strata() == StudyDesign.readers(3).strata()
+    with pytest.raises(ValueError, match=">= 1"):
+        StudyDesign.longitudinal(np.int64(0))
+
+
 def test_design_is_kind_and_pair_count():
     d = StudyDesign("readers", 3)
     assert d.n_markers == 6
