@@ -202,30 +202,6 @@ def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
     return float(out[0]) if np.isscalar(u) else out
 
 
-# -- within-subject joint exceedance ------------------------------------
-
-
-def joint_survival(dataset: MarkerDataset, group: str, marker1: int, marker2: int,
-                   x1: float, x2: float, *, time1: int | None = None,
-                   time2: int | None = None) -> float:
-    """Fraction of within-subject cross pairs jointly above (x1, x2).
-
-    Computed as ``sum_i a_i * b_i / sum_i c1_i * c2_i``, where ``a_i`` and
-    ``b_i`` count subject i's values above x1 and x2 and the denominator
-    counts every available pair, with per-subject counts pooled over the
-    requested times.
-    """
-    s1 = dataset.stratum(group, marker1, time1)
-    s2 = dataset.stratum(group, marker2, time2)
-    pairs = int(s1.counts @ s2.counts)
-    if pairs == 0:
-        raise ValueError("no subject contributes pairs to the joint survival")
-    n_subjects = s1.n_subjects
-    above1 = np.bincount(s1.subjects[s1.values > x1], minlength=n_subjects)
-    above2 = np.bincount(s2.subjects[s2.values > x2], minlength=n_subjects)
-    return float(above1 @ above2) / pairs
-
-
 # -- covariance paths ----------------------------------------------------
 
 

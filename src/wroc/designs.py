@@ -1,4 +1,4 @@
-"""Study designs and contrast functions over the wAUC vector.
+"""Study designs and the linear pair contrast over the wAUC vector.
 
 A design is ``(kind, n_pairs)``: ``n_pairs`` strata of one arm are compared
 with ``n_pairs`` strata of the other, and everything else about the layout
@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
-
-GRADIENT_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,80 +141,24 @@ def parse_design(text: str) -> StudyDesign:
 
 @dataclass(frozen=True)
 class ContrastFunction:
-    """A scalar summary h of the wAUC vector, with its gradient.
+    """A linear summary ``c' omega`` of the wAUC vector."""
 
-    Linear contrasts carry explicit coefficients.  Smooth contrasts carry a
-    callable and optionally an analytic gradient; when the gradient is
-    missing it is approximated by central differences with step 1e-6.
-    """
-
-    kind: str                                   # "linear" | "smooth"
-    coefficients: tuple[float, ...] | None = None
-    func: Callable[[np.ndarray], float] | None = None
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
+    coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if not self.coefficients:
-                raise ValueError("linear contrast needs coefficients")
-            object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        elif self.kind == "smooth":
-            if self.func is None:
-                raise ValueError("smooth contrast needs a callable")
-        else:
-            raise ValueError(f"unknown contrast kind: {self.kind!r}")
+        if not self.coefficients:
+            raise ValueError("linear contrast needs coefficients")
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
     @classmethod
     def linear(cls, coefficients: Sequence[float]) -> "ContrastFunction":
-        return cls(kind="linear", coefficients=tuple(coefficients))
-
-    @classmethod
-    def smooth(cls, func, grad=None) -> "ContrastFunction":
-        return cls(kind="smooth", func=func, grad=grad)
+        return cls(tuple(coefficients))
 
     def value(self, omega: np.ndarray) -> float:
         omega = np.asarray(omega, dtype=float)
-        if self.kind == "linear":
-            coef = np.asarray(self.coefficients)
-            if coef.shape != omega.shape:
-                raise ValueError(
-                    f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
-                )
-            return float(coef @ omega)
-        return float(self.func(omega))
-
-    def gradient(self, omega: np.ndarray) -> np.ndarray:
-        omega = np.asarray(omega, dtype=float)
-        if self.kind == "linear":
-            coef = np.asarray(self.coefficients)
-            if coef.shape != omega.shape:
-                raise ValueError(
-                    f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
-                )
-            return coef.copy()
-        if self.grad is not None:
-            out = np.asarray(self.grad(omega), dtype=float)
-            if out.shape != omega.shape:
-                raise ValueError("user gradient has wrong shape")
-            return out
-        return self._numeric_gradient(omega)
-
-    def _numeric_gradient(self, omega: np.ndarray) -> np.ndarray:
-        out = np.empty_like(omega)
-        for i in range(omega.size):
-            hi = omega.copy()
-            lo = omega.copy()
-            hi[i] += GRADIENT_STEP
-            lo[i] -= GRADIENT_STEP
-            out[i] = (self.func(hi) - self.func(lo)) / (2.0 * GRADIENT_STEP)
-        return out
-
-    def check_gradient(self, omega: np.ndarray, tol: float = 1e-4) -> bool:
-        """Compare the declared gradient against central differences."""
-        if self.kind == "linear" or self.grad is None:
-            return True
-        omega = np.asarray(omega, dtype=float)
-        declared = self.gradient(omega)
-        numeric = self._numeric_gradient(omega)
-        scale = max(1.0, float(np.max(np.abs(declared))))
-        return bool(np.max(np.abs(declared - numeric)) <= tol * scale)
+        coef = np.asarray(self.coefficients)
+        if coef.shape != omega.shape:
+            raise ValueError(
+                f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
+            )
+        return float(coef @ omega)

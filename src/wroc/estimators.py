@@ -341,9 +341,6 @@ class WaucVector:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    def as_dict(self) -> dict[str, float]:
-        return {label: float(v) for label, v in zip(self.labels, self.values)}
-
 
 def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
                 measure: WeightMeasure, *, midrank: bool = False) -> WaucVector:

@@ -115,10 +115,13 @@ def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
     ``spec`` is ``"equal"``, ``"optimal"`` (solved from the difference
     covariance of ``sigma``, the wAUC covariance matrix), ``"custom:w1,..."``,
     a sequence of pair weights or a ready ``WeightVector``.  A ``ridge``
-    that is given must be finite, whatever the spec.
+    that is given must be finite and non-negative, whatever the spec.
     """
-    if ridge is not None and not math.isfinite(ridge):
-        raise ValueError(f"ridge must be finite, got {ridge}")
+    if ridge is not None:
+        if not math.isfinite(ridge):
+            raise ValueError(f"ridge must be finite, got {ridge}")
+        if ridge < 0.0:
+            raise ValueError("ridge must be non-negative")
     if isinstance(spec, WeightVector):
         return spec
     if isinstance(spec, str):
@@ -138,23 +141,8 @@ def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
         f"unknown weights {spec!r}, expected equal, optimal or custom:w1,w2,...")
 
 
-def delta_m(omega, weights: WeightVector) -> float:
-    """Weighted pair-averaged wAUC difference: readers of two modalities, or
-    time points of two markers (``delta_longitudinal``)."""
-    omega = np.asarray(omega.values if isinstance(omega, WaucVector) else omega, dtype=float)
-    k = weights.n_pairs
-    if omega.size != 2 * k:
-        raise ValueError(f"wAUC vector length {omega.size} does not match {k} pairs")
-    diffs = omega[:k] - omega[k:]
-    w = weights.weights
-    return float((w @ diffs) / w.sum())
-
-
-delta_longitudinal = delta_m
-
-
 def delta_h(omega, contrast: ContrastFunction) -> float:
-    """General smooth summary of the wAUC vector."""
+    """Linear summary of the wAUC vector."""
     values = omega.values if isinstance(omega, WaucVector) else np.asarray(omega, float)
     return contrast.value(values)
 
@@ -175,19 +163,14 @@ class DeltaVariance:
     diseased: float | None = None
     nondiseased: float | None = None
 
-    def __float__(self) -> float:
-        return self.total
 
+def variance_delta(cov: CovarianceEstimate | np.ndarray,
+                   contrast: ContrastFunction) -> DeltaVariance:
+    """Delta-method variance ``c' Sigma c`` of a linear contrast of the wAUC
+    vector.
 
-def variance_delta(cov: CovarianceEstimate | np.ndarray, contrast: ContrastFunction,
-                   omega=None) -> DeltaVariance:
-    """Delta-method variance of a contrast of the wAUC vector.
-
-    For linear contrasts the gradient is the coefficient vector; smooth
-    contrasts are differentiated at ``omega`` (analytically when a gradient
-    was declared, by central differences otherwise).  The diseased and
-    non-diseased contributions are reported separately when the covariance
-    estimate decomposes.
+    The diseased and non-diseased contributions are reported separately
+    when the covariance estimate decomposes.
     """
     if isinstance(cov, CovarianceEstimate):
         sigma = cov.sigma
@@ -195,19 +178,13 @@ def variance_delta(cov: CovarianceEstimate | np.ndarray, contrast: ContrastFunct
     else:
         sigma = np.asarray(cov, dtype=float)
         parts = (None, None)
-    if contrast.kind == "linear":
-        grad = np.asarray(contrast.coefficients, dtype=float)
-    else:
-        if omega is None:
-            raise ValueError("smooth contrasts need the wAUC vector to differentiate at")
-        values = omega.values if isinstance(omega, WaucVector) else np.asarray(omega, float)
-        grad = contrast.gradient(values)
-    if grad.size != sigma.shape[0]:
+    coef = np.asarray(contrast.coefficients, dtype=float)
+    if coef.size != sigma.shape[0]:
         raise ValueError(
-            f"gradient length {grad.size} does not match covariance dimension {sigma.shape[0]}")
-    total = float(grad @ sigma @ grad)
-    part_d = float(grad @ parts[0] @ grad) if parts[0] is not None else None
-    part_n = float(grad @ parts[1] @ grad) if parts[1] is not None else None
+            f"contrast length {coef.size} does not match covariance dimension {sigma.shape[0]}")
+    total = float(coef @ sigma @ coef)
+    part_d = float(coef @ parts[0] @ coef) if parts[0] is not None else None
+    part_n = float(coef @ parts[1] @ coef) if parts[1] is not None else None
     return DeltaVariance(total=total, diseased=part_d, nondiseased=part_n)
 
 

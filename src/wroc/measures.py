@@ -17,6 +17,7 @@ by its square) for callers who want the probability-measure convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
@@ -47,8 +48,8 @@ class WeightMeasure:
             for u, mass in self.atoms:
                 if not 0.0 < u < 1.0:
                     raise ValueError(f"atom location {u} outside (0, 1)")
-                if mass <= 0.0:
-                    raise ValueError(f"atom mass {mass} must be positive")
+                if not (math.isfinite(mass) and mass > 0.0):
+                    raise ValueError(f"atom mass {mass} must be positive and finite")
             # canonical order makes reports and covariance grids deterministic
             object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
 
@@ -93,11 +94,18 @@ class WeightMeasure:
         if self.kind == "full":
             return "auc"
         if self.kind == "pauc":
-            text = f"pauc:{self.lower:g},{self.upper:g}"
+            text = f"pauc:{_number(self.lower)},{_number(self.upper)}"
             return text + ":normalized" if self.normalized else text
         if self.kind == "point":
-            return f"sens:{self.atoms[0][0]:g}"
-        return "steps:" + ",".join(f"{u:g}={m:g}" for u, m in self.atoms)
+            return f"sens:{_number(self.atoms[0][0])}"
+        return "steps:" + ",".join(f"{_number(u)}={_number(m)}" for u, m in self.atoms)
+
+
+def _number(x: float) -> str:
+    """``x`` in ``:g`` form when that reads back to the same float, else in
+    full (``repr``) precision."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def parse_measure(text: str) -> WeightMeasure:

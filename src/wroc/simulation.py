@@ -946,7 +946,3 @@ def read_scenario_file(path) -> tuple[str, ScenarioSpec]:
     (:func:`study_runner`), and the scenario."""
     with open(path, "r", encoding="utf-8") as handle:
         return _parse_scenario(handle.read())
-
-
-def parse_scenario_file(path) -> ScenarioSpec:
-    return read_scenario_file(path)[1]

@@ -9,6 +9,8 @@ what the definition itself states.
 import csv
 import io
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,7 +20,7 @@ from wroc.covariance import _MAX_DRAWS, CovarianceEstimate, _repair_part
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
 from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError, DegenerateDensityError, WrocError
-from wroc.estimators import _stratum_pairs, _stratum_wauc
+from wroc.estimators import WaucVector, _stratum_pairs, _stratum_wauc
 from wroc.measures import WeightMeasure
 from wroc.simulation import DEFAULT_MEASURES, DEFAULT_REPS, DEFAULT_SEED, ScenarioSpec, true_wauc
 from wroc.simulation import FAMILIES as _FAMILIES
@@ -159,28 +161,6 @@ def delong_covariance_oracle(x_columns, y_columns):
                       for j in range(n)) / (n - 1)
             cov[k][l] = s10 / m + s01 / n
     return cov
-
-
-def joint_survival_oracle(dataset, group, marker1, marker2, s, t):
-    """Pair-weighted joint exceedance over same-subject cross pairs.
-
-    Counts all (replicate of marker1) x (replicate of marker2) pairs within
-    each subject, pooled over times; denominator is the total pair count.
-    """
-    records = dataset.diseased if group == "diseased" else dataset.nondiseased
-    hits = 0
-    pairs = 0
-    for rec in records:
-        vals1 = [v for (mk, _), cell in rec.cells.items() if mk == marker1
-                 for v in cell]
-        vals2 = [v for (mk, _), cell in rec.cells.items() if mk == marker2
-                 for v in cell]
-        for a in vals1:
-            for b in vals2:
-                pairs += 1
-                if a > s and b > t:
-                    hits += 1
-    return hits / pairs if pairs else 0.0
 
 
 def _stratum_values(record, marker, time):
@@ -838,3 +818,111 @@ def old_integral_sigma(dataset, design, measure, n_nodes=64):
     sigma1, repaired1 = _repair_part(sigma1)
     sigma2, repaired2 = _repair_part(sigma2)
     return sigma1, sigma2, repaired1 or repaired2
+
+
+# -- the contrast layer before it was cut to the linear pair contrast -----
+
+OLD_GRADIENT_STEP = 1e-6
+
+
+@dataclass(frozen=True)
+class OldContrastFunction:
+    """A scalar summary h of the wAUC vector, with its gradient: linear
+    (explicit coefficients) or smooth (a callable, gradient optional and
+    otherwise taken by central differences)."""
+
+    kind: str                                   # "linear" | "smooth"
+    coefficients: tuple[float, ...] | None = None
+    func: Callable[[np.ndarray], float] | None = None
+    grad: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.kind == "linear":
+            if not self.coefficients:
+                raise ValueError("linear contrast needs coefficients")
+            object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        elif self.kind == "smooth":
+            if self.func is None:
+                raise ValueError("smooth contrast needs a callable")
+        else:
+            raise ValueError(f"unknown contrast kind: {self.kind!r}")
+
+    @classmethod
+    def linear(cls, coefficients: Sequence[float]) -> "OldContrastFunction":
+        return cls(kind="linear", coefficients=tuple(coefficients))
+
+    def value(self, omega: np.ndarray) -> float:
+        omega = np.asarray(omega, dtype=float)
+        if self.kind == "linear":
+            coef = np.asarray(self.coefficients)
+            if coef.shape != omega.shape:
+                raise ValueError(
+                    f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
+                )
+            return float(coef @ omega)
+        return float(self.func(omega))
+
+    def gradient(self, omega: np.ndarray) -> np.ndarray:
+        omega = np.asarray(omega, dtype=float)
+        if self.kind == "linear":
+            coef = np.asarray(self.coefficients)
+            if coef.shape != omega.shape:
+                raise ValueError(
+                    f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
+                )
+            return coef.copy()
+        if self.grad is not None:
+            out = np.asarray(self.grad(omega), dtype=float)
+            if out.shape != omega.shape:
+                raise ValueError("user gradient has wrong shape")
+            return out
+        out = np.empty_like(omega)
+        for i in range(omega.size):
+            hi = omega.copy()
+            lo = omega.copy()
+            hi[i] += OLD_GRADIENT_STEP
+            lo[i] -= OLD_GRADIENT_STEP
+            out[i] = (self.func(hi) - self.func(lo)) / (2.0 * OLD_GRADIENT_STEP)
+        return out
+
+
+def old_pair_contrast(weights):
+    """The pair contrast of a ``WeightVector`` as an :class:`OldContrastFunction`."""
+    w = weights.weights / weights.weights.sum()
+    return OldContrastFunction.linear(np.concatenate([w, -w]))
+
+
+def old_variance_delta(cov, contrast, omega=None):
+    """``(total, diseased, nondiseased)`` delta-method variance of an
+    :class:`OldContrastFunction`."""
+    if isinstance(cov, CovarianceEstimate):
+        sigma = cov.sigma
+        parts = (cov.sigma_diseased, cov.sigma_nondiseased)
+    else:
+        sigma = np.asarray(cov, dtype=float)
+        parts = (None, None)
+    if contrast.kind == "linear":
+        grad = np.asarray(contrast.coefficients, dtype=float)
+    else:
+        if omega is None:
+            raise ValueError("smooth contrasts need the wAUC vector to differentiate at")
+        values = omega.values if isinstance(omega, WaucVector) else np.asarray(omega, float)
+        grad = contrast.gradient(values)
+    if grad.size != sigma.shape[0]:
+        raise ValueError(
+            f"gradient length {grad.size} does not match covariance dimension {sigma.shape[0]}")
+    total = float(grad @ sigma @ grad)
+    part_d = float(grad @ parts[0] @ grad) if parts[0] is not None else None
+    part_n = float(grad @ parts[1] @ grad) if parts[1] is not None else None
+    return total, part_d, part_n
+
+
+def old_delta_m(omega, weights):
+    """Weighted pair-averaged wAUC difference over a ``WeightVector``."""
+    omega = np.asarray(omega.values if isinstance(omega, WaucVector) else omega, dtype=float)
+    k = weights.n_pairs
+    if omega.size != 2 * k:
+        raise ValueError(f"wAUC vector length {omega.size} does not match {k} pairs")
+    diffs = omega[:k] - omega[k:]
+    w = weights.weights
+    return float((w @ diffs) / w.sum())

@@ -218,6 +218,27 @@ def test_non_finite_ridge_exit_2_whatever_the_weights(tmp_path, capsys, rng, wei
                  "--weights", weights, "--ridge", "0.5", "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("weights", ["equal", "custom:1,3"])
+def test_negative_ridge_exit_2_whatever_the_weights(tmp_path, capsys, rng, weights):
+    ds = reader_dataset(rng, n=10)
+    path = write_dataset(tmp_path, ds)
+    out = tmp_path / "report.json"
+    code = main(["compare", "--input", str(path), "--design", "readers:2",
+                 "--weights", weights, "--ridge=-1", "--output", str(out)])
+    assert code == 2
+    assert "input error: ridge must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["compare", "--design", "readers:2"]])
+@pytest.mark.parametrize("measure", ["steps:0.1=nan", "steps:0.1=inf,0.3=1"])
+def test_non_finite_atom_mass_exit_2(tmp_path, capsys, rng, command, measure):
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    code = main(command + ["--input", str(path), "--measure", measure])
+    assert code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_degenerate_density_exit_3(tmp_path, capsys, rng):
     # constant diseased marker defeats the bandwidth rule for the pauc weights
     ds = singles_dataset(np.full(12, 3.0), rng.normal(0.0, 1.0, 12))

@@ -13,7 +13,6 @@ from wroc.covariance import (
     bootstrap_covariance,
     contrast_covariance,
     density_ratio,
-    joint_survival,
     sigma_matrix,
     silverman_bandwidth,
 )
@@ -26,7 +25,6 @@ from conftest import clustered_dataset, paired_dataset, singles_dataset
 from oracles import (
     delong_variance_oracle,
     integral_covariance_oracle,
-    joint_survival_oracle,
     old_kde_at,
 )
 
@@ -105,32 +103,6 @@ def test_normalized_measure_scales_covariance():
     norm_est = sigma_matrix(ds, None,
                             WeightMeasure.partial_auc(0.0, 0.6, normalized=True))
     np.testing.assert_allclose(norm_est.sigma, raw.sigma / 0.6 ** 2, rtol=1e-12)
-
-
-# -- joint survival ------------------------------------------------------
-
-
-def test_joint_survival_matches_oracle():
-    ds = clustered_dataset(
-        [{(1, 1): (1.0, 3.0), (2, 1): (2.0,)},
-         {(1, 1): (0.5,), (2, 1): (4.0, 1.5)}],
-        [{(1, 1): (0.0,), (2, 1): (0.25,)}],
-        n_markers=2,
-    )
-    for s, t in [(0.4, 1.9), (-1.0, -1.0), (3.5, 0.1), (5.0, 5.0)]:
-        got = joint_survival(ds, "diseased", 1, 2, s, t)
-        want = joint_survival_oracle(ds, "diseased", 1, 2, s, t)
-        assert got == want
-
-
-def test_joint_survival_same_marker_diagonal():
-    rng = np.random.default_rng(17)
-    ds = singles_dataset(rng.normal(size=30), rng.normal(size=30))
-    # same marker twice: S(s, t) = survival at max(s, t)
-    for s, t in [(-0.5, 0.2), (0.7, -1.0)]:
-        got = joint_survival(ds, "diseased", 1, 1, s, t)
-        want = joint_survival_oracle(ds, "diseased", 1, 1, s, t)
-        assert got == want
 
 
 # -- density ratio -------------------------------------------------------

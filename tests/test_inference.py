@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wroc.covariance import bootstrap_covariance, contrast_covariance, sigma_matrix
-from wroc.designs import ContrastFunction, StudyDesign
+from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError, SingularCovarianceError
 from wroc.estimators import wauc_vector
 from wroc.inference import (
@@ -14,8 +14,6 @@ from wroc.inference import (
     compare_modalities,
     custom_weights,
     delta_h,
-    delta_longitudinal,
-    delta_m,
     equal_weights,
     optimal_weights,
     pair_contrast,
@@ -93,12 +91,14 @@ def test_weight_scale_invariance_exact():
 # -- deltas and contrasts ------------------------------------------------
 
 
-def test_delta_m_weighted_difference():
+def test_pair_contrast_weighted_difference():
     omega = np.array([0.9, 0.7, 0.6, 0.5])
-    assert delta_m(omega, equal_weights(2)) == pytest.approx(0.25)
+    design = StudyDesign.readers(2)
+    assert delta_h(omega, pair_contrast(design, equal_weights(2))) == pytest.approx(0.25)
     w = custom_weights([3.0, 1.0])
-    assert delta_m(omega, w) == pytest.approx(0.75 * 0.3 + 0.25 * 0.2)
-    assert delta_longitudinal(omega, equal_weights(2)) == pytest.approx(0.25)
+    assert delta_h(omega, pair_contrast(design, w)) == pytest.approx(0.75 * 0.3 + 0.25 * 0.2)
+    longitudinal = StudyDesign.longitudinal(2)
+    assert delta_h(omega, pair_contrast(longitudinal, equal_weights(2))) == pytest.approx(0.25)
 
 
 def test_pair_contrast_matches_manual():
@@ -108,7 +108,7 @@ def test_pair_contrast_matches_manual():
     np.testing.assert_allclose(contrast.coefficients,
                                [0.75, 0.25, -0.75, -0.25])
     omega = np.array([0.9, 0.7, 0.6, 0.5])
-    assert delta_h(omega, contrast) == pytest.approx(delta_m(omega, w))
+    assert delta_h(omega, contrast) == pytest.approx(0.75 * 0.3 + 0.25 * 0.2)
 
 
 def test_variance_delta_identity_covariance():
@@ -117,17 +117,8 @@ def test_variance_delta_identity_covariance():
     var = variance_delta(np.eye(2), contrast)
     assert var.total == pytest.approx(2.0)
     assert var.diseased is None   # plain matrix has no decomposition
-
-
-def test_variance_delta_smooth_contrast():
-    contrast = ContrastFunction.smooth(lambda w: float(w[0] / w[1]))
-    omega = np.array([0.5, 0.6])
-    sigma = np.diag([0.01, 0.02])
-    # gradient (1/w1, -w0/w1^2) = (1.6667, -1.3889)
-    grad = np.array([1.0 / 0.6, -0.5 / 0.36])
-    want = float(grad @ sigma @ grad)
-    got = variance_delta(sigma, contrast, omega=omega)
-    assert got.total == pytest.approx(want, rel=1e-6)
+    with pytest.raises(ValueError, match="contrast length 2 does not match covariance dimension 3"):
+        variance_delta(np.eye(3), contrast)
 
 
 # -- z test and published arithmetic -------------------------------------
@@ -157,10 +148,12 @@ def test_reader_study_pipeline_arithmetic():
     # four readers, two modalities, rounded AUCs as the wAUC vector:
     # equal-weight difference is exactly -0.1125
     omega = np.array([0.71, 0.75, 0.63, 0.76, 0.83, 0.85, 0.75, 0.87])
-    assert delta_m(omega, equal_weights(4)) == pytest.approx(-0.1125, abs=1e-15)
+    design = StudyDesign.readers(4)
+    assert delta_h(omega, pair_contrast(design, equal_weights(4))) == pytest.approx(
+        -0.1125, abs=1e-15)
     # weights solved in the published analysis, renormalized
     w = custom_weights([298.08, 401.16, 176.88, 560.48])
-    assert delta_m(omega, w) == pytest.approx(-0.1105, abs=5e-3)
+    assert delta_h(omega, pair_contrast(design, w)) == pytest.approx(-0.1105, abs=5e-3)
 
 
 # -- end-to-end comparison -----------------------------------------------
@@ -225,6 +218,9 @@ def test_resolve_weights_grammar():
     for bad in ("inverse", "custom:1,x,2", None, 0.5):
         with pytest.raises(DataFormatError):
             resolve_weights(bad, design, sigma)
+    for spec in ("equal", "custom:1,1,2", "optimal"):
+        with pytest.raises(ValueError, match="ridge must be non-negative"):
+            resolve_weights(spec, design, sigma, ridge=-1.0)
 
 
 def test_compare_modalities_takes_a_covariance(rng):
@@ -241,7 +237,3 @@ def test_compare_modalities_takes_a_covariance(rng):
     assert res.variance == variance_delta(boot, contrast).total
     with pytest.raises(DataFormatError, match="unknown weights"):
         compare_modalities(ds, design, FULL, weights="inverse")
-
-
-def test_delta_longitudinal_is_delta_m():
-    assert delta_longitudinal is delta_m

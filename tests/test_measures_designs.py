@@ -1,7 +1,10 @@
-"""Weight-measure grammar, design layout and contrast functions."""
+"""Weight-measure grammar, design layout and the linear pair contrast."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wroc.designs import ContrastFunction, StudyDesign, parse_design
 from wroc.errors import DataFormatError
@@ -31,6 +34,20 @@ def test_measure_validation():
         WeightMeasure.steps(())
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+def test_atom_mass_must_be_finite(mass):
+    with pytest.raises(ValueError, match=f"atom mass {mass} must be positive and finite"):
+        WeightMeasure.steps(((0.1, mass),))
+    with pytest.raises(ValueError, match=f"atom mass {mass}"):
+        WeightMeasure.steps(((0.1, 1.0), (0.3, mass)))
+
+
+@pytest.mark.parametrize("text", ["steps:0.1=nan", "steps:0.1=inf,0.3=1"])
+def test_parse_measure_rejects_non_finite_mass(text):
+    with pytest.raises(DataFormatError, match="atom mass (nan|inf) must be positive and finite"):
+        parse_measure(text)
+
+
 def test_atoms_sorted_canonically():
     m = WeightMeasure.steps(((0.8, 0.1), (0.2, 0.3)))
     assert m.atoms == ((0.2, 0.3), (0.8, 0.1))
@@ -46,6 +63,37 @@ def test_selector_round_trip():
     ]
     for measure in cases:
         assert parse_measure(measure.selector()) == measure
+
+
+def test_selector_keeps_short_numbers_and_full_precision():
+    assert WeightMeasure.full_auc().selector() == "auc"
+    assert WeightMeasure.partial_auc(0.0, 0.6).selector() == "pauc:0,0.6"
+    assert WeightMeasure.point_mass(0.2).selector() == "sens:0.2"
+    assert parse_measure("pauc:0.1234567,0.6").selector() == "pauc:0.1234567,0.6"
+    assert parse_measure("steps:0.1234567=1.0000001").selector() == "steps:0.1234567=1.0000001"
+
+
+_RATE = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_MASS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _measures(draw):
+    kind = draw(st.sampled_from(["full", "pauc", "point", "steps"]))
+    if kind == "full":
+        return WeightMeasure.full_auc()
+    if kind == "pauc":
+        lower = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+        upper = draw(st.floats(min_value=lower, max_value=1.0, exclude_min=True))
+        return WeightMeasure.partial_auc(lower, upper, normalized=draw(st.booleans()))
+    if kind == "point":
+        return WeightMeasure.point_mass(draw(_RATE))
+    return WeightMeasure.steps(draw(st.lists(st.tuples(_RATE, _MASS), min_size=1, max_size=4)))
+
+
+@given(_measures())
+def test_selector_round_trips_any_measure(measure):
+    assert parse_measure(measure.selector()) == measure
 
 
 def test_parse_measure_errors():
@@ -133,41 +181,18 @@ def test_design_is_kind_and_pair_count():
     assert StudyDesign.longitudinal(3).selector() == "longitudinal:3"
 
 
-# -- contrast functions --------------------------------------------------
+# -- linear contrast -----------------------------------------------------
 
 
 def test_linear_contrast():
     c = ContrastFunction.linear([1.0, -1.0])
     omega = np.array([0.9, 0.6])
     assert c.value(omega) == pytest.approx(0.3)
-    np.testing.assert_allclose(c.gradient(omega), [1.0, -1.0])
+    assert c.coefficients == (1.0, -1.0)
     with pytest.raises(ValueError):
         c.value(np.array([0.5, 0.5, 0.5]))
-
-
-def test_smooth_contrast_numeric_gradient():
-    c = ContrastFunction.smooth(lambda w: float(w[0] / w[1]))
-    omega = np.array([0.5, 0.6])
-    # d/dw0 = 1/w1, d/dw1 = -w0/w1^2
-    np.testing.assert_allclose(c.gradient(omega), [1 / 0.6, -0.5 / 0.36],
-                               rtol=1e-6)
-
-
-def test_smooth_contrast_declared_gradient_checked():
-    good = ContrastFunction.smooth(
-        lambda w: float(w[0] ** 2 + w[1]),
-        grad=lambda w: np.array([2 * w[0], 1.0]),
-    )
-    assert good.check_gradient(np.array([0.3, 0.4]))
-    bad = ContrastFunction.smooth(
-        lambda w: float(w[0] ** 2 + w[1]),
-        grad=lambda w: np.array([3 * w[0], 1.0]),
-    )
-    assert not bad.check_gradient(np.array([0.3, 0.4]))
 
 
 def test_contrast_validation():
     with pytest.raises(ValueError):
         ContrastFunction.linear([])
-    with pytest.raises(ValueError):
-        ContrastFunction(kind="smooth")

@@ -3,18 +3,21 @@
 ``cli compare`` and the Monte Carlo replicate each used to assemble the
 weighted paired difference from the primitives themselves.  Those
 compositions are kept here, as they were, and the library pipeline must
-reproduce them bit for bit.
+reproduce them bit for bit.  So must the linear pair contrast against the
+general contrast layer it replaced (``tests/oracles.py``).
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wroc.cli import main
 from wroc.covariance import bootstrap_covariance, contrast_covariance, sigma_matrix
 from wroc.dataset import dataset_to_csv_text, read_dataset_csv
-from wroc.designs import parse_design
+from wroc.designs import StudyDesign, parse_design
 from wroc.errors import WrocError
 from wroc.estimators import wauc_vector
 from wroc.inference import (
@@ -35,6 +38,8 @@ from wroc.simulation import (
     table3_scenario,
     table4_scenario,
 )
+
+from oracles import OldContrastFunction, old_delta_m, old_pair_contrast, old_variance_delta
 
 DESIGN = "longitudinal:3"
 MEASURE = "pauc:0,0.6"
@@ -147,3 +152,44 @@ def test_simulate_one_rep_equals_old_composition(scenario):
         got = _simulate_one_rep(scenario, plan, rep)
         assert got.tobytes() == old_simulate_one_rep(scenario, plan, rep).tobytes(), rep
 
+
+
+@pytest.mark.parametrize("scenario", [table3_scenario(0.5, 50),
+                                      table4_scenario(50, "normal")],
+                         ids=["table3", "table4"])
+def test_pair_contrast_equals_old_contrast_layer(scenario):
+    plan = _build_plan(scenario)
+    design = scenario.design
+    got, want = [], []
+    for rep in range(20):
+        dataset = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
+        for measure in scenario.measures:
+            omega = wauc_vector(dataset, design, measure)
+            cov = sigma_matrix(dataset, design, measure)
+            for weights in (equal_weights(design.n_pairs),
+                            optimal_weights(contrast_covariance(cov.sigma, design))):
+                contrast = pair_contrast(design, weights)
+                var = variance_delta(cov, contrast)
+                got.append([delta_h(omega, contrast), var.total, var.diseased, var.nondiseased])
+                old = old_pair_contrast(weights)
+                assert isinstance(old, OldContrastFunction)
+                want.append([old.value(omega.values), *old_variance_delta(cov, old)])
+    np.testing.assert_array_equal(np.array(got), np.array(want))
+
+
+@st.composite
+def _pairs_and_weights(draw):
+    n_pairs = draw(st.integers(1, 6))
+    omega = draw(hnp.arrays(float, 2 * n_pairs, elements=st.floats(0.0, 1.0)))
+    raw = draw(st.lists(st.floats(1e-3, 1e3), min_size=n_pairs, max_size=n_pairs))
+    return omega, custom_weights(raw)
+
+
+@given(_pairs_and_weights())
+def test_delta_h_of_pair_contrast_equals_old_delta_m(case):
+    """``delta_m`` was the same weighted difference summed in another
+    order, so the two agree to rounding, not bit for bit."""
+    omega, weights = case
+    contrast = pair_contrast(StudyDesign.readers(weights.n_pairs), weights)
+    assert delta_h(omega, contrast) == pytest.approx(old_delta_m(omega, weights),
+                                                     rel=1e-12, abs=1e-15)

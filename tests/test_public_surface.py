@@ -1,0 +1,44 @@
+"""The public surface: what ``wroc`` exports, and what the benchmark's
+tracer wraps from outside."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import wroc
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(wroc.__all__)) == len(wroc.__all__)
+    for name in wroc.__all__:
+        assert getattr(wroc, name, None) is not None, name
+
+
+def test_removed_names_are_not_exported():
+    for name in REMOVED:
+        assert name not in wroc.__all__
+        assert not hasattr(wroc, name), name
+    assert not hasattr(importlib.import_module("wroc.inference"), "delta_m")
+    assert not hasattr(importlib.import_module("wroc.covariance"), "joint_survival")
+    assert not hasattr(importlib.import_module("wroc.simulation"), "parse_scenario_file")
+    assert not hasattr(importlib.import_module("wroc.designs"), "GRADIENT_STEP")
+    for cls, attrs in ((wroc.ContrastFunction, ("smooth", "gradient", "check_gradient")),
+                       (wroc.DeltaVariance, ("__float__",)),
+                       (wroc.WaucVector, ("as_dict",))):
+        for attr in attrs:
+            assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+
+
+def test_benchmark_tracer_finds_every_target():
+    """A traced benchmark run exits on a missing wrap target; the same
+    lookup, run here without switching the wrappers on."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {name: importlib.import_module(name) for name in spans.LAYER_MODULES}
+    _, missing = spans.install(spans.Tracer(), modules)
+    assert missing == []
