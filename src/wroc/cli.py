@@ -19,7 +19,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -56,22 +55,10 @@ EXIT_NUMERIC = 3
 
 
 def _threads(flag: int) -> int:
-    """Worker processes: ``--threads`` when positive, else ``WROC_THREADS``
-    when set, else 1."""
+    """Worker processes: ``--threads`` when positive, else 1."""
     if flag < 0:
         raise DataFormatError(f"--threads must be >= 0, got {flag}")
-    if flag:
-        return flag
-    raw = os.environ.get("WROC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise DataFormatError(f"WROC_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
+    return flag or 1
 
 
 def _load_dataset(path: str) -> tuple[MarkerDataset, str]:
@@ -338,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--component", type=int, default=1,
                        help="headline marker for method comparisons")
     p_sim.add_argument("--threads", type=int, default=0,
-                       help="worker processes; 0 means WROC_THREADS or 1")
+                       help="worker processes; 0 means 1")
     p_sim.add_argument("--output", metavar="BASE",
                        help="write BASE.json and BASE.csv")
     p_sim.set_defaults(func=_cmd_simulate)

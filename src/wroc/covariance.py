@@ -17,8 +17,8 @@ within-subject pairs are enumerated.
   ``n / (n - 1)`` factor, which reduces exactly to the classic
   structural-component AUC covariance when every subject contributes one
   measurement.  No density estimation is involved.
-* Interval measures integrate on a Gauss-Legendre grid (64 nodes); atomic
-  measures use their atoms as the grid.  A value's score is
+* Interval measures integrate on a fixed 64-node Gauss-Legendre grid;
+  atomic measures use their atoms as the grid.  A value's score is
   ``g(v) = sum_p w_p * 1[v > t_p]`` over the grid thresholds ``t_p``, where
   on the non-diseased side ``w_p`` carries the density ratio of the two
   groups at ``t_p``, estimated by Gaussian kernels with a Silverman-type
@@ -32,8 +32,8 @@ within-subject pairs are enumerated.
 
   The thresholds ``t_p`` are order statistics of the non-diseased stratum.
   Which ones (the rank plan: each node's row, the distinct rows and the map
-  back) depends only on the measure, the number of nodes and the stratum
-  size, so it is computed once per measure and size and cached.  Several
+  back) depends only on the measure and the stratum size, so it is computed
+  once per measure and size and cached.  Several
   nodes often share a row (64 nodes on ``pauc:0,0.6`` over 50 values hit 30
   order statistics), and the kernel sums are taken once per distinct order
   statistic.  Each part is built in one pass over the stratum pairs.
@@ -63,7 +63,8 @@ from .estimators import (
 )
 from .measures import WeightMeasure
 
-DEFAULT_NODES = 64
+# Gauss-Legendre nodes of an interval measure's quadrature grid
+_NODES = 64
 # draws per bootstrap replicate before giving up on a non-empty stratum set
 _MAX_DRAWS = 1001
 PSD_EIGENVALUE_TOLERANCE = 1e-8
@@ -91,10 +92,6 @@ class CovarianceEstimate:
     method: str
     repaired: bool = False
     n_redrawn: int = 0
-
-    @property
-    def n_strata(self) -> int:
-        return self.sigma.shape[0]
 
 
 # -- kernel density machinery -------------------------------------------
@@ -247,12 +244,12 @@ def _gram_part(scores: np.ndarray, counts: np.ndarray, means: np.ndarray,
 
 
 @functools.lru_cache(maxsize=32)
-def _grid(measure: WeightMeasure, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid(measure: WeightMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Rates and weights of a pauc or atomic measure's integration grid,
-    shared read-only: ``n_nodes`` Gauss-Legendre nodes on the window, or
-    the atoms (which ignore ``n_nodes``).  The rates ascend."""
+    shared read-only: the 64 Gauss-Legendre nodes on the window, or the
+    atoms.  The rates ascend."""
     if measure.kind == "pauc":
-        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        glx, glw = np.polynomial.legendre.leggauss(_NODES)
         half = 0.5 * (measure.upper - measure.lower)
         mid = 0.5 * (measure.upper + measure.lower)
         nodes, weights = mid + half * glx, half * glw
@@ -265,8 +262,7 @@ def _grid(measure: WeightMeasure, n_nodes: int) -> tuple[np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=256)
-def _rank_plan(measure: WeightMeasure, n_nodes: int,
-               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rank_plan(measure: WeightMeasure, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The threshold rows of a grid in ``n`` sorted values, shared read-only.
 
     Returns ``(rows, distinct, inverse)``: each node's row (by
@@ -275,7 +271,7 @@ def _rank_plan(measure: WeightMeasure, n_nodes: int,
     Ranks never rise along the ascending rates, so a repeat always sits
     next to its first occurrence.
     """
-    rows = _threshold_rows(_grid(measure, n_nodes)[0], n)
+    rows = _threshold_rows(_grid(measure)[0], n)
     first = np.empty(rows.size, dtype=bool)
     first[:1] = True
     np.not_equal(rows[1:], rows[:-1], out=first[1:])
@@ -286,7 +282,7 @@ def _rank_plan(measure: WeightMeasure, n_nodes: int,
     return rows, distinct, inverse
 
 
-def _integral_parts(pairs, measure: WeightMeasure, n_nodes: int):
+def _integral_parts(pairs, measure: WeightMeasure):
     """The diseased and non-diseased parts on a pauc or atomic measure's
     grid, in one pass over the stratum pairs.
 
@@ -297,7 +293,7 @@ def _integral_parts(pairs, measure: WeightMeasure, n_nodes: int):
     ``C``.  ``g(v)`` counts only thresholds strictly below ``v``, so ties
     between a value and a threshold score nothing.
     """
-    u_nodes, u_weights = _grid(measure, n_nodes)
+    u_nodes, u_weights = _grid(measure)
     n_s = len(pairs)
     groups = []
     for st in pairs[0]:
@@ -306,7 +302,7 @@ def _integral_parts(pairs, measure: WeightMeasure, n_nodes: int):
                        np.empty(n_s), np.empty(n_s)))
     cumulative = np.zeros(u_nodes.size + 1)
     for s, (x, y) in enumerate(pairs):
-        rows, distinct, inverse = _rank_plan(measure, n_nodes, y.n)
+        rows, distinct, inverse = _rank_plan(measure, y.n)
         thresholds, roc = _roc_at(x, y, rows)
         ratio = _density_ratio_at(x, y, y.sorted_values[distinct])
         ratio_weights = u_weights * ratio[inverse]
@@ -338,8 +334,7 @@ def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
-                 measure: WeightMeasure, *, midrank: bool = False,
-                 n_nodes: int = DEFAULT_NODES) -> CovarianceEstimate:
+                 measure: WeightMeasure, *, midrank: bool = False) -> CovarianceEstimate:
     """Analytic covariance of the wAUC vector over the design's strata.
 
     Returned on the finite-sample scale: the diagonal estimates the variance
@@ -355,7 +350,7 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         sigma1, sigma2 = _placement_parts(pairs, measure, midrank)
         method = "placement"
     else:
-        sigma1, sigma2 = _integral_parts(pairs, measure, n_nodes)
+        sigma1, sigma2 = _integral_parts(pairs, measure)
         method = "quadrature" if measure.kind == "pauc" else "atoms"
     if measure.normalized:
         scale = measure.total_mass ** 2

@@ -1,4 +1,4 @@
-"""Study designs and the linear pair contrast over the wAUC vector.
+"""Study designs: which strata of the wAUC vector are paired.
 
 A design is ``(kind, n_pairs)``: ``n_pairs`` strata of one arm are compared
 with ``n_pairs`` strata of the other, and everything else about the layout
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -138,27 +137,3 @@ def parse_design(text: str) -> StudyDesign:
         raise DataFormatError(f"bad design selector {text!r}: {exc}") from exc
     raise DataFormatError(f"unknown design selector {text!r}")
 
-
-@dataclass(frozen=True)
-class ContrastFunction:
-    """A linear summary ``c' omega`` of the wAUC vector."""
-
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("linear contrast needs coefficients")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-
-    @classmethod
-    def linear(cls, coefficients: Sequence[float]) -> "ContrastFunction":
-        return cls(tuple(coefficients))
-
-    def value(self, omega: np.ndarray) -> float:
-        omega = np.asarray(omega, dtype=float)
-        coef = np.asarray(self.coefficients)
-        if coef.shape != omega.shape:
-            raise ValueError(
-                f"contrast length {coef.size} does not match wAUC vector length {omega.size}"
-            )
-        return float(coef @ omega)

@@ -2,7 +2,9 @@
 
 The paired summary is ``delta = sum_p w_p (omega_first[p] - omega_second[p])
 / sum_p w_p`` over a design's pairs (readers of two modalities, or time
-points of two markers).  Weights can be equal, user supplied, or optimal:
+points of two markers): the linear contrast ``c' omega`` with the array
+``c = (w, -w) / sum_p w_p`` that :func:`pair_contrast` returns, of
+delta-method variance ``c' Sigma c``.  Weights can be equal, user supplied, or optimal:
 the solution of ``(Sigma_A + ridge I) w = 1`` with ``Sigma_A`` the covariance
 of the paired differences, which minimizes the variance of the weighted
 difference.  If the solved weights are not all positive the comparison
@@ -25,7 +27,7 @@ from scipy.special import ndtr, ndtri
 
 from .covariance import CovarianceEstimate, contrast_covariance, sigma_matrix
 from .dataset import MarkerDataset
-from .designs import ContrastFunction, StudyDesign
+from .designs import StudyDesign
 from .errors import DataFormatError, SingularCovarianceError
 from .estimators import WaucVector, wauc_vector
 from .measures import WeightMeasure
@@ -42,7 +44,6 @@ class WeightVector:
     method: str                      # "equal" | "optimal" | "custom"
     fell_back: bool = False
     ridge: float = 0.0
-    raw_sum: float = float("nan")    # pre-normalization sum of the solved weights
 
     def __post_init__(self):
         arr = np.asarray(self.weights, dtype=float)
@@ -66,7 +67,15 @@ def custom_weights(values) -> WeightVector:
     total = float(arr.sum())
     if not np.all(np.isfinite(arr)) or total <= 0.0:
         raise ValueError("custom weights must be finite with a positive sum")
-    return WeightVector(arr / total, method="custom", raw_sum=total)
+    return WeightVector(arr / total, method="custom")
+
+
+def _check_ridge(ridge: float) -> None:
+    """A ridge that is given must be finite and non-negative."""
+    if not math.isfinite(ridge):
+        raise ValueError(f"ridge must be finite, got {ridge}")
+    if ridge < 0.0:
+        raise ValueError("ridge must be non-negative")
 
 
 def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightVector:
@@ -85,11 +94,12 @@ def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightV
         raise ValueError("cov_diff must be a square matrix")
     n_pairs = mat.shape[0]
     if ridge is None:
+        # a negative trace fails the sign check a given ridge must pass
         ridge = DEFAULT_RIDGE_FACTOR * float(np.trace(mat)) / n_pairs
-    elif not math.isfinite(ridge):
-        raise ValueError(f"ridge must be finite, got {ridge}")
-    if ridge < 0.0:
-        raise ValueError("ridge must be non-negative")
+        if ridge < 0.0:
+            raise ValueError("ridge must be non-negative")
+    else:
+        _check_ridge(ridge)
     system = mat + ridge * np.eye(n_pairs)
     try:
         raw = np.linalg.solve(system, np.ones(n_pairs))
@@ -102,10 +112,9 @@ def optimal_weights(cov_diff: np.ndarray, ridge: float | None = None) -> WeightV
             "difference covariance is numerically singular; pass a larger ridge")
     if np.any(raw <= 0.0):
         fallback = equal_weights(n_pairs)
-        return WeightVector(fallback.weights, method="optimal", fell_back=True,
-                            ridge=ridge, raw_sum=float(raw.sum()))
+        return WeightVector(fallback.weights, method="optimal", fell_back=True, ridge=ridge)
     total = float(raw.sum())
-    return WeightVector(raw / total, method="optimal", ridge=ridge, raw_sum=total)
+    return WeightVector(raw / total, method="optimal", ridge=ridge)
 
 
 def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
@@ -118,10 +127,7 @@ def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
     that is given must be finite and non-negative, whatever the spec.
     """
     if ridge is not None:
-        if not math.isfinite(ridge):
-            raise ValueError(f"ridge must be finite, got {ridge}")
-        if ridge < 0.0:
-            raise ValueError("ridge must be non-negative")
+        _check_ridge(ridge)
     if isinstance(spec, WeightVector):
         return spec
     if isinstance(spec, str):
@@ -141,20 +147,23 @@ def resolve_weights(spec, design: StudyDesign, sigma: np.ndarray, *,
         f"unknown weights {spec!r}, expected equal, optimal or custom:w1,w2,...")
 
 
-def delta_h(omega, contrast: ContrastFunction) -> float:
-    """Linear summary of the wAUC vector."""
+def delta_h(omega, coefficients: np.ndarray) -> float:
+    """The linear summary ``c' omega`` of the wAUC vector."""
     values = omega.values if isinstance(omega, WaucVector) else np.asarray(omega, float)
-    return contrast.value(values)
+    coef = np.asarray(coefficients, dtype=float)
+    if coef.shape != values.shape:
+        raise ValueError(
+            f"contrast length {coef.size} does not match wAUC vector length {values.size}")
+    return float(coef @ values)
 
 
-def pair_contrast(design: StudyDesign, weights: WeightVector) -> ContrastFunction:
-    """Linear contrast over the full wAUC vector equivalent to the weighted
-    paired difference."""
+def pair_contrast(design: StudyDesign, weights: WeightVector) -> np.ndarray:
+    """The coefficients ``c = (w, -w)`` over the full wAUC vector whose
+    linear contrast is the weighted paired difference."""
     if weights.n_pairs != design.n_pairs:
         raise ValueError(f"{weights.n_pairs} weights for a {design.n_pairs}-pair design")
     w = weights.weights / weights.weights.sum()
-    coefficients = np.concatenate([w, -w])
-    return ContrastFunction.linear(coefficients)
+    return np.concatenate([w, -w])
 
 
 @dataclass(frozen=True)
@@ -165,7 +174,7 @@ class DeltaVariance:
 
 
 def variance_delta(cov: CovarianceEstimate | np.ndarray,
-                   contrast: ContrastFunction) -> DeltaVariance:
+                   coefficients: np.ndarray) -> DeltaVariance:
     """Delta-method variance ``c' Sigma c`` of a linear contrast of the wAUC
     vector.
 
@@ -178,7 +187,7 @@ def variance_delta(cov: CovarianceEstimate | np.ndarray,
     else:
         sigma = np.asarray(cov, dtype=float)
         parts = (None, None)
-    coef = np.asarray(contrast.coefficients, dtype=float)
+    coef = np.asarray(coefficients, dtype=float)
     if coef.size != sigma.shape[0]:
         raise ValueError(
             f"contrast length {coef.size} does not match covariance dimension {sigma.shape[0]}")
@@ -191,8 +200,8 @@ def variance_delta(cov: CovarianceEstimate | np.ndarray,
 def paired_difference(omega: WaucVector, cov: CovarianceEstimate, design: StudyDesign,
                       weights: WeightVector) -> tuple[float, DeltaVariance]:
     """The weighted paired wAUC difference and its delta-method variance."""
-    contrast = pair_contrast(design, weights)
-    return delta_h(omega, contrast), variance_delta(cov, contrast)
+    coefficients = pair_contrast(design, weights)
+    return delta_h(omega, coefficients), variance_delta(cov, coefficients)
 
 
 @dataclass(frozen=True)
@@ -230,46 +239,16 @@ def z_test(estimate: float, variance: float, *, alpha: float = DEFAULT_ALPHA,
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
-    """Full output of a paired wAUC comparison."""
+class ComparisonResult(TestResult):
+    """The z test of a paired wAUC comparison, with what it was computed from."""
 
-    estimate: float
-    variance: float
     variance_diseased: float | None
     variance_nondiseased: float | None
-    z: float
-    p_value: float
-    ci_lower: float
-    ci_upper: float
-    alpha: float
     weights: WeightVector
     wauc: WaucVector
     covariance: CovarianceEstimate
     measure: WeightMeasure
     design: StudyDesign
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "variance": self.variance,
-            "variance_decomposition": {
-                "diseased": self.variance_diseased,
-                "nondiseased": self.variance_nondiseased,
-            },
-            "z": self.z,
-            "p_value": self.p_value,
-            "ci": [self.ci_lower, self.ci_upper],
-            "alpha": self.alpha,
-            "weights": {
-                "method": self.weights.method,
-                "values": [float(w) for w in self.weights.weights],
-                "fell_back_to_equal": self.weights.fell_back,
-                "ridge": self.weights.ridge,
-            },
-            "wauc": {label: float(v) for label, v in
-                     zip(self.wauc.labels, self.wauc.values)},
-            "measure": self.measure.selector(),
-        }
 
 
 def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
@@ -290,15 +269,9 @@ def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
     estimate, var = paired_difference(omega, cov, design, weight_vec)
     test = z_test(estimate, var.total, alpha=alpha)
     return ComparisonResult(
-        estimate=test.estimate,
-        variance=test.variance,
+        **vars(test),
         variance_diseased=var.diseased,
         variance_nondiseased=var.nondiseased,
-        z=test.z,
-        p_value=test.p_value,
-        ci_lower=test.ci_lower,
-        ci_upper=test.ci_upper,
-        alpha=test.alpha,
         weights=weight_vec,
         wauc=omega,
         covariance=cov,

@@ -4,15 +4,15 @@ A weighted AUC is the integral of the empirical ROC curve against a finite
 measure W on (0, 1).  Four measure shapes are supported:
 
 * ``full``   Lebesgue measure on (0, 1); the plain AUC.
-* ``pauc``   Lebesgue measure restricted to (lower, upper).  Kept
-             unnormalized by default, so the estimand has mass
-             ``upper - lower``.
-* ``point``  unit point mass at a single false-positive rate; the wAUC is
-             then the sensitivity at that rate.
-* ``steps``  a finite sum of point masses.
+* ``pauc``   Lebesgue measure restricted to (lower, upper), of mass
+             ``upper - lower``; ``normalized`` divides estimates by that
+             mass (and covariances by its square).
+* ``point``  one atom of mass 1; the wAUC is the sensitivity at its rate.
+* ``steps``  a finite sum of atoms; to normalize, divide the masses by their
+             total.
 
-The ``normalized`` flag divides estimates by ``total_mass`` (and covariances
-by its square) for callers who want the probability-measure convention.
+Each kind takes only the fields it uses, and any other field off its
+default raises ``ValueError``, so every measure has one selector.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 from .errors import DataFormatError
 
-_FPR_KINDS = ("full", "pauc", "point", "steps")
+# the fields each kind reads; the others must keep their defaults
+_KIND_FIELDS = {"full": (), "pauc": ("lower", "upper", "normalized"),
+                "point": ("atoms",), "steps": ("atoms",)}
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,15 @@ class WeightMeasure:
     normalized: bool = False
 
     def __post_init__(self):
-        if self.kind not in _FPR_KINDS:
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown weight measure kind: {self.kind!r}")
+        off_default = {"lower": self.lower != 0.0, "upper": self.upper != 1.0,
+                       "atoms": bool(self.atoms), "normalized": bool(self.normalized)}
+        extra = [name for name, off in off_default.items()
+                 if off and name not in _KIND_FIELDS[self.kind]]
+        if extra:
+            raise ValueError(f"{self.kind} measure takes no {', '.join(extra)}")
+        object.__setattr__(self, "normalized", bool(self.normalized))
         if self.kind == "pauc":
             if not (0.0 <= self.lower < self.upper <= 1.0):
                 raise ValueError(
@@ -50,6 +59,8 @@ class WeightMeasure:
                     raise ValueError(f"atom location {u} outside (0, 1)")
                 if not (math.isfinite(mass) and mass > 0.0):
                     raise ValueError(f"atom mass {mass} must be positive and finite")
+            if self.kind == "point" and (len(self.atoms) != 1 or self.atoms[0][1] != 1.0):
+                raise ValueError("point measure is one atom of mass 1")
             # canonical order makes reports and covariance grids deterministic
             object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
 
@@ -68,12 +79,8 @@ class WeightMeasure:
         return cls(kind="point", atoms=((float(at), 1.0),))
 
     @classmethod
-    def steps(cls, atoms, normalized: bool = False) -> "WeightMeasure":
-        return cls(
-            kind="steps",
-            atoms=tuple((float(u), float(m)) for u, m in atoms),
-            normalized=normalized,
-        )
+    def steps(cls, atoms) -> "WeightMeasure":
+        return cls(kind="steps", atoms=tuple((float(u), float(m)) for u, m in atoms))
 
     # -- properties ------------------------------------------------------
 

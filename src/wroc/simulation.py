@@ -602,6 +602,11 @@ def baseline_parametric_auc(x_values, y_values) -> tuple[float, float]:
     return float(ndtr(delta)), dens * dens * var_delta_hat
 
 
+# Newton-Raphson limits of the logistic fit in baseline_semiparametric_auc
+_LOGISTIC_MAX_ITER = 50
+_LOGISTIC_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SemiparametricAuc:
     auc: float
@@ -610,8 +615,7 @@ class SemiparametricAuc:
     separation: bool
 
 
-def baseline_semiparametric_auc(x_values, y_values, *, max_iter: int = 50,
-                                tol: float = 1e-10) -> SemiparametricAuc:
+def baseline_semiparametric_auc(x_values, y_values) -> SemiparametricAuc:
     """AUC of the fitted logistic score of disease status on the marker.
 
     The fitted score is monotone in the marker, so its strict-indicator AUC
@@ -633,11 +637,11 @@ def baseline_semiparametric_auc(x_values, y_values, *, max_iter: int = 50,
     beta = np.zeros(2)
     converged = False
     separation = False
-    for _ in range(max_iter):
+    for _ in range(_LOGISTIC_MAX_ITER):
         eta = design @ beta
         p = 1.0 / (1.0 + np.exp(-eta))
         score = design.T @ (labels - p)
-        if float(np.linalg.norm(score)) < tol:
+        if float(np.linalg.norm(score)) < _LOGISTIC_TOL:
             converged = True
             break
         w = p * (1.0 - p)

@@ -376,22 +376,19 @@ def test_simulate_rejects_negative_threads(capsys, threads):
     assert f"--threads must be >= 0, got {threads}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
-def test_simulate_rejects_invalid_wroc_threads(monkeypatch, capsys, raw):
-    monkeypatch.setenv("WROC_THREADS", raw)
-    assert main(["simulate", "null", "--n", "10", "--reps", "2"]) == 2
-    assert f"WROC_THREADS must be an integer >= 1, got {raw!r}" in capsys.readouterr().err
-
-
-def test_simulate_threads_flag_overrides_wroc_threads(monkeypatch, capsys):
+def test_simulate_threads_zero_means_one_process(monkeypatch, capsys):
+    # only --threads sets the worker count; the environment plays no part
     monkeypatch.setenv("WROC_THREADS", "abc")
-    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2",
-                                     "--threads", "1"])
+    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
     assert code == 0
-    assert report["config"]["threads"] == 1
-    monkeypatch.setenv("WROC_THREADS", "1")
-    code, _ = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
+    assert report["config"]["threads"] == 0
+    code, flagged = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2",
+                                      "--threads", "1"])
     assert code == 0
+    assert flagged["config"]["threads"] == 1
+    for results in (report["results"], flagged["results"]):
+        del results["elapsed_seconds"]
+    assert flagged["results"] == report["results"]
 
 
 CUSTOM_SCENARIO = """study = custom

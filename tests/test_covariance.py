@@ -234,13 +234,12 @@ def test_integral_sigma_matches_pair_oracle(measure, layout, monkeypatch):
     monkeypatch.setattr(covariance, "_repair_part", lambda part: (part, False))
     rng = np.random.default_rng(21)
     if layout == "pooled":
-        # two strata, each marker pooled over two times; default 64-node grid
-        design, n_nodes, n_subjects = None, 64, (4, 4)
+        # two strata, each marker pooled over two times
+        design, n_subjects = None, (4, 4)
         empty, missing = (2, None), {(2, 1), (2, 2)}
     else:
-        # one stratum per marker and time; 12 nodes keep the oracle's
-        # node-pair loop short
-        design, n_nodes, n_subjects = StudyDesign.longitudinal(2), 12, (6, 5)
+        # one stratum per marker and time
+        design, n_subjects = StudyDesign.longitudinal(2), (6, 5)
         empty, missing = (2, 2), {(2, 2)}
     ds = clustered_dataset(_tied_cells(rng, n_subjects[0], 1.0, 2, 2, missing),
                            _tied_cells(rng, n_subjects[1], 0.0, 2, 2, missing),
@@ -248,9 +247,10 @@ def test_integral_sigma_matches_pair_oracle(measure, layout, monkeypatch):
     # subject 1 of each group has no values in stratum ``empty``
     assert ds.stratum("diseased", *empty).counts[0] == 0
     assert ds.stratum("nondiseased", *empty).counts[0] == 0
-    est = sigma_matrix(ds, design, measure, n_nodes=n_nodes)
+    est = sigma_matrix(ds, design, measure)
     if measure.kind == "pauc":
-        glx, glw = np.polynomial.legendre.leggauss(n_nodes)
+        # the 64-node Gauss-Legendre grid on (0, 0.6)
+        glx, glw = np.polynomial.legendre.leggauss(64)
         nodes, weights = 0.3 + 0.3 * glx, 0.3 * glw
     else:
         nodes, weights = [0.2], [1.0]

@@ -80,8 +80,7 @@ def measures(draw):
             WeightMeasure.partial_auc(lower, upper),
             WeightMeasure.partial_auc(lower, upper, normalized=True),
             WeightMeasure.point_mass(atom),
-            WeightMeasure.steps(atoms),
-            WeightMeasure.steps(atoms, normalized=True)]
+            WeightMeasure.steps(atoms)]
 
 
 def outcome(fn, *args, **kwargs):

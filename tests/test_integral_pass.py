@@ -46,9 +46,9 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _assert_matches_oracle(dataset, design, measure, n_nodes=64):
-    want = _outcome(lambda: old_integral_sigma(dataset, design, measure, n_nodes))
-    got = _outcome(lambda: sigma_matrix(dataset, design, measure, n_nodes=n_nodes))
+def _assert_matches_oracle(dataset, design, measure):
+    want = _outcome(lambda: old_integral_sigma(dataset, design, measure))
+    got = _outcome(lambda: sigma_matrix(dataset, design, measure))
     if isinstance(want[0], type):
         assert got == want
         return
@@ -58,8 +58,8 @@ def _assert_matches_oracle(dataset, design, measure, n_nodes=64):
     assert got.repaired == want[2]
     # and the parts before the PSD repair, which would blur a difference
     pairs, _ = _stratum_pairs(dataset, design)
-    raw = covariance._integral_parts(pairs, measure, n_nodes)
-    raw_want = old_integral_parts(pairs, *old_integral_grid(measure, n_nodes))
+    raw = covariance._integral_parts(pairs, measure)
+    raw_want = old_integral_parts(pairs, *old_integral_grid(measure))
     for part, part_want in zip(raw, raw_want):
         assert np.array_equal(part, part_want, equal_nan=True)
 
@@ -69,26 +69,25 @@ def _assert_matches_oracle(dataset, design, measure, n_nodes=64):
 
 def test_rank_plan_for_50_values_and_pauc_0_06_has_30_distinct_rows():
     measure = parse_measure("pauc:0,0.6")
-    rows, distinct, inverse = covariance._rank_plan(measure, 64, 50)
+    rows, distinct, inverse = covariance._rank_plan(measure, 50)
     assert rows.size == 64
     assert distinct.size == 30
     assert np.array_equal(distinct[inverse], rows)
     ordered = np.arange(50.0)
-    nodes, _ = covariance._grid(measure, 64)
+    nodes, _ = covariance._grid(measure)
     assert np.array_equal(ordered[rows], old_inverse_survival_many(ordered, nodes))
-    # computed once per (measure, nodes, size) and shared read-only
-    assert covariance._rank_plan(measure, 64, 50)[0] is rows
+    # computed once per (measure, size) and shared read-only
+    assert covariance._rank_plan(measure, 50)[0] is rows
     assert not (rows.flags.writeable or distinct.flags.writeable or inverse.flags.writeable)
 
 
 @pytest.mark.parametrize("measure", RAGGED_MEASURES, ids=lambda m: m.selector())
-@pytest.mark.parametrize("n_nodes", [64, 12])
-def test_rank_plan_rows_are_each_listed_once(measure, n_nodes):
+def test_rank_plan_rows_are_each_listed_once(measure):
     """Repeats are found by comparing neighbours; that finds them all
     because the ranks never rise along the grid."""
-    nodes, _ = covariance._grid(measure, n_nodes)
+    nodes, _ = covariance._grid(measure)
     for n in range(1, 301):
-        rows, distinct, inverse = covariance._rank_plan(measure, n_nodes, n)
+        rows, distinct, inverse = covariance._rank_plan(measure, n)
         assert np.array_equal(distinct[inverse], rows)
         assert np.unique(distinct).size == distinct.size
         assert np.array_equal(np.arange(n)[rows],
@@ -133,11 +132,11 @@ def _ragged_studies(draw):
     return dataset, design
 
 
-@given(_ragged_studies(), st.sampled_from(RAGGED_MEASURES), st.sampled_from([64, 12, 3]))
+@given(_ragged_studies(), st.sampled_from(RAGGED_MEASURES))
 @settings(deadline=None, max_examples=300)
-def test_ragged_clustered_studies_match_the_helper_composition(study, measure, n_nodes):
+def test_ragged_clustered_studies_match_the_helper_composition(study, measure):
     dataset, design = study
-    _assert_matches_oracle(dataset, design, measure, n_nodes)
+    _assert_matches_oracle(dataset, design, measure)
 
 
 # -- the bandwidth, bit for bit ------------------------------------------

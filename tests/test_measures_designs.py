@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wroc.designs import ContrastFunction, StudyDesign, parse_design
+from wroc.designs import StudyDesign, parse_design
 from wroc.errors import DataFormatError
+from wroc.inference import delta_h
 from wroc.measures import WeightMeasure, parse_measure
 
 
@@ -96,9 +97,57 @@ def test_selector_round_trips_any_measure(measure):
     assert parse_measure(measure.selector()) == measure
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="full", lower=0.2), "full measure takes no lower"),
+    (dict(kind="full", normalized=True), "full measure takes no normalized"),
+    (dict(kind="pauc", upper=0.5, atoms=((0.2, 1.0),)), "pauc measure takes no atoms"),
+    (dict(kind="point", atoms=((0.3, 2.0),)), "point measure is one atom of mass 1"),
+    (dict(kind="point", atoms=((0.3, 1.0), (0.5, 1.0))), "point measure is one atom of mass 1"),
+    (dict(kind="point", atoms=((0.3, 1.0),), upper=0.5), "point measure takes no upper"),
+    (dict(kind="steps", atoms=((0.1, 1.0), (0.3, 3.0)), normalized=True),
+     "steps measure takes no normalized"),
+    (dict(kind="steps", atoms=((0.1, 1.0),), lower=0.05), "steps measure takes no lower"),
+])
+def test_each_kind_takes_only_its_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        WeightMeasure(**fields)
+
+
+# each field over its whole domain, valid or not for the kind it meets;
+# a single unit atom is drawn often enough to make point measures
+_FIELDS = {
+    "lower": st.floats(min_value=0.0, max_value=1.0),
+    "upper": st.floats(min_value=0.0, max_value=1.0),
+    "atoms": st.one_of(st.tuples(st.tuples(_RATE, st.just(1.0))),
+                       st.lists(st.tuples(_RATE, _MASS), min_size=1, max_size=3).map(tuple)),
+    "normalized": st.booleans(),
+}
+
+
+@st.composite
+def _constructor_calls(draw):
+    kind = draw(st.sampled_from(["full", "pauc", "point", "steps"]))
+    names = draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=2, unique=True))
+    return kind, {name: draw(_FIELDS[name]) for name in names}
+
+
+@given(_constructor_calls())
+@settings(max_examples=300)
+def test_every_accepted_measure_round_trips(call):
+    """Whatever fields the constructor is given, a measure it accepts has
+    one selector, and that selector reads back to it."""
+    kind, fields = call
+    try:
+        measure = WeightMeasure(kind, **fields)
+    except ValueError:
+        return
+    assert parse_measure(measure.selector()) == measure
+
+
 def test_parse_measure_errors():
     for bad in ("", "aux", "pauc:0.5", "pauc:a,b", "sens:", "steps:0.5",
-                "pauc:0.6,0.2", "sens:1.5"):
+                "pauc:0.6,0.2", "sens:1.5", "sens:0.3:normalized",
+                "steps:0.1=1,0.3=3:normalized"):
         with pytest.raises(DataFormatError):
             parse_measure(bad)
 
@@ -185,14 +234,13 @@ def test_design_is_kind_and_pair_count():
 
 
 def test_linear_contrast():
-    c = ContrastFunction.linear([1.0, -1.0])
-    omega = np.array([0.9, 0.6])
-    assert c.value(omega) == pytest.approx(0.3)
-    assert c.coefficients == (1.0, -1.0)
-    with pytest.raises(ValueError):
-        c.value(np.array([0.5, 0.5, 0.5]))
+    coefficients = np.array([1.0, -1.0])
+    assert delta_h(np.array([0.9, 0.6]), coefficients) == pytest.approx(0.3)
+    with pytest.raises(ValueError,
+                       match="contrast length 2 does not match wAUC vector length 3"):
+        delta_h(np.array([0.5, 0.5, 0.5]), coefficients)
 
 
 def test_contrast_validation():
-    with pytest.raises(ValueError):
-        ContrastFunction.linear([])
+    with pytest.raises(ValueError, match="contrast length 0"):
+        delta_h(np.array([0.9, 0.6]), np.array([]))

@@ -108,9 +108,8 @@ def old_simulate_one_rep(scenario, plan, rep):
         for method in scenario.weight_methods:
             try:
                 w = equal_weights(design.n_pairs) if method == "equal" else optimal_weights(cov_diff)
-                contrast = pair_contrast(design, w)
-                estimate = float(contrast.value(omega.values))
-                variance = variance_delta(cov, contrast).total
+                estimate = float(old_pair_contrast(w).value(omega.values))
+                variance = variance_delta(cov, pair_contrast(design, w)).total
                 out[idx] = (estimate, variance, float(w.fell_back), 0.0)
             except (WrocError, np.linalg.LinAlgError, ValueError):
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)

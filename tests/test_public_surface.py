@@ -1,15 +1,18 @@
 """The public surface: what ``wroc`` exports, and what the benchmark's
 tracer wraps from outside."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import wroc
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file")
+REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file",
+           "ContrastFunction")
 
 
 def test_every_exported_name_resolves():
@@ -26,11 +29,22 @@ def test_removed_names_are_not_exported():
     assert not hasattr(importlib.import_module("wroc.covariance"), "joint_survival")
     assert not hasattr(importlib.import_module("wroc.simulation"), "parse_scenario_file")
     assert not hasattr(importlib.import_module("wroc.designs"), "GRADIENT_STEP")
-    for cls, attrs in ((wroc.ContrastFunction, ("smooth", "gradient", "check_gradient")),
-                       (wroc.DeltaVariance, ("__float__",)),
-                       (wroc.WaucVector, ("as_dict",))):
+    assert not hasattr(importlib.import_module("wroc.designs"), "ContrastFunction")
+    assert not hasattr(importlib.import_module("wroc.covariance"), "DEFAULT_NODES")
+    for cls, attrs in ((wroc.DeltaVariance, ("__float__",)),
+                       (wroc.WaucVector, ("as_dict",)),
+                       (wroc.ComparisonResult, ("to_dict",)),
+                       (wroc.CovarianceEstimate, ("n_strata",))):
         for attr in attrs:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+    assert "raw_sum" not in {f.name for f in dataclasses.fields(wroc.WeightVector)}
+
+
+def test_options_with_one_value_in_use_are_constants():
+    for func, params in ((wroc.sigma_matrix, ("n_nodes",)),
+                         (wroc.baseline_semiparametric_auc, ("max_iter", "tol")),
+                         (wroc.WeightMeasure.steps, ("normalized",))):
+        assert not set(params) & set(inspect.signature(func).parameters), func.__name__
 
 
 def test_benchmark_tracer_finds_every_target():
