@@ -10,10 +10,10 @@ of the paired differences, which minimizes the variance of the weighted
 difference.  If the solved weights are not all positive the comparison
 falls back to equal weights and flags it.
 
-scipy enters only through ``scipy.special``: the z test's normal tail and
-quantile are its ``ndtr`` and ``ndtri``, the ufuncs behind
+The z test's normal tail and quantile are ``ndtr`` and ``ndtri`` from
+:mod:`wroc._normal`, a bit-exact port of the Cephes routines behind
 ``scipy.stats.norm``'s ``sf`` and ``ppf``, so importing this module loads
-no ``scipy.stats``.
+no scipy.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .covariance import CovarianceEstimate, contrast_covariance, sigma_matrix
 from .dataset import MarkerDataset
 from .designs import StudyDesign
@@ -215,18 +215,32 @@ class TestResult:
     alpha: float
 
 
+def critical_value(alpha: float) -> float:
+    """The two-sided normal critical value ``Φ⁻¹(1 - alpha / 2)``.
+
+    Raises ValueError unless ``alpha`` is in (0, 1) and the value is finite:
+    below about 1.1e-16, ``1 - alpha / 2`` rounds to 1 and the quantile is
+    infinite.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    crit = float(ndtri(1.0 - alpha / 2.0))
+    if not math.isfinite(crit):
+        raise ValueError(f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1, "
+                         f"so the critical value is infinite")
+    return crit
+
+
 def z_test(estimate: float, variance: float, *, alpha: float = DEFAULT_ALPHA,
            null: float = 0.0) -> TestResult:
     """Two-sided normal test of ``estimate`` against ``null`` with the given
     variance; also returns the matching confidence interval."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    crit = critical_value(alpha)
     if not variance > 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
     se = float(np.sqrt(variance))
     z = (float(estimate) - null) / se
     p = 2.0 * float(ndtr(-abs(z)))
-    crit = float(ndtri(1.0 - alpha / 2.0))
     return TestResult(
         estimate=float(estimate),
         variance=float(variance),

@@ -14,10 +14,11 @@ Three runners:
   binormal moment plug-in and a logistic-score AUC, per marker.
 * scenario text files (``key = value`` lines) drive both from the CLI.
 
-scipy enters through ``scipy.special`` alone at import: the normal CDF and
-quantile are its ``ndtr`` and ``ndtri``, the ufuncs behind
-``scipy.stats.norm``'s ``cdf`` and ``ppf``.  ``scipy.integrate.quad`` is
-imported only when :func:`true_wauc` integrates a pAUC truth.
+No scipy module loads at import: the normal CDF and quantile are ``ndtr``
+and ``ndtri`` from :mod:`wroc._normal`, a bit-exact port of the Cephes
+routines behind ``scipy.stats.norm``'s ``cdf`` and ``ppf``.
+``scipy.integrate.quad`` is imported only when :func:`true_wauc` integrates
+a pAUC truth.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
 from .estimators import _count_pairs, _stratum_pairs, _stratum_wauc, wauc_vector
-from .inference import DEFAULT_ALPHA, paired_difference, resolve_weights
+from .inference import DEFAULT_ALPHA, critical_value, paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
 FAMILIES = ("normal", "lognormal")
@@ -100,8 +101,7 @@ class ScenarioSpec:
             raise ValueError("need at least 2 subjects per group")
         if self.n_reps < 1:
             raise ValueError("need at least one replicate")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        critical_value(self.alpha)
         if not self.measures:
             raise ValueError("need at least one weight measure")
         for method in self.weight_methods:
@@ -531,7 +531,7 @@ def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
     # looked up at call time, so a replacement on the module is what runs
     raw = np.stack(_fan_out(_simulate_one_rep, scenario, n_jobs))
 
-    crit = float(ndtri(1.0 - scenario.alpha / 2.0))
+    crit = critical_value(scenario.alpha)
     cells = []
     idx = 0
     for measure in scenario.measures:

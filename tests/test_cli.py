@@ -218,6 +218,35 @@ def test_non_finite_ridge_exit_2_whatever_the_weights(tmp_path, capsys, rng, wei
                  "--weights", weights, "--ridge", "0.5", "--output", str(out)]) == 0
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("alpha", ["1e-17", "1e-16", "5e-324", "0", "nan"])
+def test_alpha_without_finite_critical_value_exit_2(tmp_path, capsys, rng, alpha):
+    """Below about 1.1e-16, 1 - alpha/2 rounds to 1: the critical value and
+    the interval would be infinite, and the report not strict JSON."""
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    out = tmp_path / "report.json"
+    code = main(["compare", "--input", str(path), "--design", "readers:2",
+                 f"--alpha={alpha}", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error: alpha" in err
+    assert not out.exists()
+
+
+def test_smallest_alpha_with_finite_critical_value(tmp_path, capsys, rng):
+    path = write_dataset(tmp_path, reader_dataset(rng, n=10))
+    out = tmp_path / "report.json"
+    assert main(["compare", "--input", str(path), "--design", "readers:2",
+                 "--alpha", "2.3e-16", "--output", str(out)]) == 0
+    results = _strict_json(out.read_text(encoding="utf-8"))["results"]
+    assert results["ci_lower"] < results["delta"] < results["ci_upper"]
+
+
 @pytest.mark.parametrize("weights", ["equal", "custom:1,3"])
 def test_negative_ridge_exit_2_whatever_the_weights(tmp_path, capsys, rng, weights):
     ds = reader_dataset(rng, n=10)
@@ -339,6 +368,15 @@ def test_simulate_method_comparison_branch(tmp_path):
     assert "parametric_offset" in res
     methods = {cell["method"] for cell in res["cells"]}
     assert methods == {"empirical", "parametric", "semiparametric"}
+
+
+def test_simulate_scenario_alpha_without_finite_critical_value_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("study = null\nn = 10\nreps = 2\nalpha = 1e-17\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "critical value is infinite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [["--rho", "0.9"], ["--family", "normal"], ["--n", "99"],

@@ -1,9 +1,10 @@
-"""Importing wroc loads no scipy.stats, scipy.integrate or scipy.linalg.
+"""Importing wroc, and running a comparison, loads no scipy module.
 
-The normal CDF, tail and quantile come from ``scipy.special`` and the
+The normal CDF, tail and quantile come from ``wroc._normal`` (a bit-exact
+port of scipy.special's Cephes code, see ``test_normal.py``) and the
 density from ``scipy.stats.norm.pdf``'s own formula, so each function that
 used ``scipy.stats.norm`` must give the same bits as the old formulas kept
-in ``oracles``.
+in ``oracles``.  Only a pAUC truth imports ``scipy.integrate``, on demand.
 """
 
 import itertools
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from wroc.dataset import dataset_to_csv_text
 from wroc.inference import z_test
 from wroc.measures import parse_measure
 from wroc.simulation import (
@@ -28,6 +30,7 @@ from wroc.simulation import (
     true_wauc,
 )
 
+from conftest import paired_dataset
 from oracles import (
     old_baseline_parametric_auc,
     old_binormal_roc,
@@ -37,16 +40,26 @@ from oracles import (
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-_COLD_IMPORT = """
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+_COLD_IMPORT = f"""
 import json, sys
 import wroc, wroc.cli
-heavy = sorted(m for m in ("scipy.stats", "scipy.integrate", "scipy.linalg")
-               if m in sys.modules)
+loaded = {_SCIPY_MODULES}
 from wroc.measures import parse_measure
 from wroc.simulation import true_wauc
 value = true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
-print(json.dumps({"heavy": heavy, "pauc": value.hex(),
-                  "integrate": "scipy.integrate" in sys.modules}))
+print(json.dumps({{"scipy": loaded, "pauc": value.hex(),
+                  "integrate": "scipy.integrate" in sys.modules}}))
+"""
+
+_COMPARE_RUN = f"""
+import json, sys
+from wroc.cli import main
+codes = [main(["compare", "--input", sys.argv[1], "--design", "readers:2",
+               "--measure", measure, "--output", sys.argv[2]])
+         for measure in ("auc", "pauc:0,0.6", "sens:0.3")]
+print(json.dumps({{"codes": codes, "scipy": {_SCIPY_MODULES}}}))
 """
 
 
@@ -58,11 +71,23 @@ def test_import_loads_no_heavy_scipy_module():
     out = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True,
                          text=True, check=True, cwd=SRC, timeout=120)
     report = json.loads(out.stdout)
-    assert report["heavy"] == []
+    assert report["scipy"] == []
     # the pAUC truth imports its quadrature on demand, and still works
     assert report["integrate"]
     want = old_true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
     assert float.fromhex(report["pauc"]) == want
+
+
+def test_compare_run_loads_no_scipy_module(tmp_path):
+    rng = np.random.default_rng(8)
+    dataset = paired_dataset([rng.normal(1.0, 1.0, 30) for _ in range(4)],
+                             [rng.normal(0.0, 1.0, 30) for _ in range(4)])
+    path = tmp_path / "data.csv"
+    path.write_text(dataset_to_csv_text(dataset), encoding="utf-8")
+    out = subprocess.run([sys.executable, "-c", _COMPARE_RUN, str(path), str(tmp_path / "r.json")],
+                         capture_output=True, text=True, check=True, cwd=SRC, timeout=120)
+    report = json.loads(out.stdout)
+    assert report == {"codes": [0, 0, 0], "scipy": []}
 
 
 _ESTIMATES = [0.0, -0.0, 1e-300, 3e-4, -0.0123, 0.08, -0.5, 1.7, 6.0, -41.0, 1e6]

@@ -134,10 +134,11 @@ def test_density_ratio_degenerate():
         density_ratio(ds, 1, 0.5)
 
 
-@pytest.mark.parametrize("n", [1, 7, 200, 256, 257, 1000, 4000])
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 200, 256, 257, 1000, 4000, 4097])
 def test_blocked_kde_is_the_one_expression_bitwise(n):
-    """One block up to 256 values at 64 points, several above; every row
-    still sums whole, so the bits match the single expression."""
+    """One block up to 64 values at 64 points, several above, one row a
+    block above 4096 values; every row still sums whole, so the bits match
+    the single expression."""
     rng = np.random.default_rng(n)
     values = rng.normal(size=n)
     tied = np.round(values * 2.0) / 2.0

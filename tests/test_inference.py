@@ -141,6 +141,10 @@ def test_z_test_interval_and_null():
         z_test(0.1, 0.0)
     with pytest.raises(ValueError):
         z_test(0.1, 0.01, alpha=1.5)
+    for alpha in (1e-17, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="critical value is infinite"):
+            z_test(0.1, 0.01, alpha=alpha)
+    assert math.isfinite(z_test(0.1, 0.01, alpha=2.3e-16).ci_upper)
 
 
 def test_reader_study_pipeline_arithmetic():

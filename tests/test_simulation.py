@@ -230,9 +230,11 @@ def test_scenario_validation():
         replace(table1_scenario(0.5, 50), correlation_scope="blocks")
     with pytest.raises(ValueError):
         replace(table4_scenario(50), correlation_scope="modality")
-    for alpha in (0.0, 1.0, 2.0):
+    for alpha in (0.0, 1.0, 2.0, math.nan, 1e-17, 1e-300):
         with pytest.raises(ValueError, match="alpha"):
             replace(table1_scenario(0.5, 50), alpha=alpha)
+    # the smallest alphas whose critical value is finite still build
+    assert replace(table1_scenario(0.5, 50), alpha=2.3e-16).alpha == 2.3e-16
 
 
 def test_study_names():
@@ -553,6 +555,8 @@ def test_parse_errors():
         parse_scenario_text("study = table1\nn = 50\nweights = bogus\n")
     with pytest.raises(DataFormatError, match="alpha"):
         parse_scenario_text("study = table1\nn = 50\nalpha = 2\n")
+    with pytest.raises(DataFormatError, match="critical value is infinite"):
+        parse_scenario_text("study = table1\nn = 50\nalpha = 1e-17\n")
     with pytest.raises(DataFormatError, match="takes no family"):
         parse_scenario_text("study = table3\nn = 50\nfamily = lognormal\n")
     with pytest.raises(DataFormatError, match="takes no rho"):
