@@ -10,7 +10,7 @@ integral with different weight measures.
 
 import numpy as np
 
-from wroc.dataset import MarkerDataset, SubjectRecord, pooled_counts
+from wroc.dataset import MarkerDataset, SubjectRecord
 from wroc.estimators import auc, empirical_roc, pauc, sensitivity_at_fpr, wauc
 from wroc.measures import WeightMeasure
 
@@ -28,7 +28,7 @@ nondiseased = [
 ]
 data = MarkerDataset(diseased=tuple(diseased), nondiseased=tuple(nondiseased),
                      n_markers=1, n_times=1)
-m, n = pooled_counts(data, 1)
+m, n = data.stratum("diseased", 1).n, data.stratum("nondiseased", 1).n
 print(f"dataset: {data.n_diseased} diseased / {data.n_nondiseased} nondiseased "
       f"subjects, {m} / {n} pooled replicates")
 

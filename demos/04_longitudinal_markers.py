@@ -8,7 +8,7 @@ per visit and the marker contrast averages the per-visit differences.
 """
 
 from wroc.designs import StudyDesign
-from wroc.estimators import per_time_wauc, wauc_vector
+from wroc.estimators import wauc, wauc_vector
 from wroc.inference import compare_modalities
 from wroc.measures import WeightMeasure
 from wroc.simulation import generate_dataset, replicate_rng, table4_scenario
@@ -27,7 +27,7 @@ for label, value in zip(vec.labels, vec.values):
     print(f"  {label:16s} {value:.4f}")
 
 # The same numbers one at a time.
-check = per_time_wauc(data, 1, 2, measure)
+check = wauc(data, 1, measure, time=2)
 print(f"\nmarker 1 at visit 2 recomputed directly: {check:.4f}")
 
 # Marker 1 vs marker 2, averaging visit differences equally, then with

@@ -89,9 +89,6 @@ class CovarianceEstimate:
     sigma: np.ndarray
     sigma_diseased: np.ndarray | None
     sigma_nondiseased: np.ndarray | None
-    labels: tuple[str, ...]
-    measure: WeightMeasure
-    design: StudyDesign | None
     method: str
     repaired: bool = False
     n_redrawn: int = 0
@@ -348,7 +345,7 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     """
     _check_group_sizes(dataset)
     _check_midrank(measure, midrank)
-    pairs, labels = _stratum_pairs(dataset, design)
+    pairs, _ = _stratum_pairs(dataset, design)
     if measure.kind == "full":
         sigma1, sigma2 = _placement_parts(pairs, measure, midrank)
         method = "placement"
@@ -365,9 +362,6 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         sigma=sigma1 + sigma2,
         sigma_diseased=sigma1,
         sigma_nondiseased=sigma2,
-        labels=labels,
-        measure=measure,
-        design=design,
         method=method,
         repaired=repaired1 or repaired2,
     )
@@ -398,7 +392,9 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     """
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
-    pairs, labels = _stratum_pairs(dataset, design)
+    if seed < 0:
+        raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
+    pairs, _ = _stratum_pairs(dataset, design)
     n_dis = dataset.n_diseased
     n_non = dataset.n_nondiseased
     # per-subject value counts by stratum; times a draw's per-subject
@@ -427,9 +423,6 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
         sigma=sigma,
         sigma_diseased=None,
         sigma_nondiseased=None,
-        labels=labels,
-        measure=measure,
-        design=design,
         method="bootstrap",
         n_redrawn=n_redrawn,
     )

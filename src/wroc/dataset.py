@@ -274,7 +274,10 @@ def validate(dataset: MarkerDataset) -> ValidationReport:
     and every (marker, time) cell of every subject holding at least one
     finite value with in-range indices.  Issues come per group and subject:
     first each present cell's index and value problems, in (marker, time)
-    order, then the subject's empty cells.
+    order, then the subject's empty cells, one issue per run of consecutive
+    empty cells in (marker, time) order.  The runs are the gaps between a
+    subject's present cells, so the work grows with the rows, not with
+    subjects times cells.
     """
     issues: list[ValidationIssue] = []
     if dataset.n_diseased == 0:
@@ -282,10 +285,9 @@ def validate(dataset: MarkerDataset) -> ValidationReport:
     if dataset.n_nondiseased == 0:
         issues.append(ValidationIssue("no non-diseased subjects"))
     n_markers, n_times = dataset.n_markers, dataset.n_times
-    n_cells = n_markers * n_times
     for group, cols in dataset._columns.items():
         ids = cols.subject_ids.tolist()
-        found = []   # ((subject, 0 cell problem | 1 empty cell, position, kind), message)
+        found = []   # ((subject, 0 cell problem | 1 empty cells, position, kind), message)
         starts = cols.cell_starts()
         subj, marker, time = cols.subject[starts], cols.marker[starts], cols.time[starts]
         bad_marker = (marker < 1) | (marker > n_markers)
@@ -300,24 +302,39 @@ def validate(dataset: MarkerDataset) -> ValidationReport:
             found.append(((subj[c], 0, c, 2),
                           f"non-finite value in cell (marker {marker[c]}, time {time[c]})"))
         inside = ~(bad_marker | bad_time)
-        filled = np.bincount(subj[inside] * n_cells + (marker[inside] - 1) * n_times
-                             + time[inside] - 1, minlength=cols.n_subjects * n_cells)
-        for e in np.flatnonzero(filled == 0):
-            s, c = divmod(int(e), n_cells)
-            found.append(((s, 1, c, 0),
-                          f"empty cell (marker {c // n_times + 1}, time {c % n_times + 1})"))
+        cell = (marker[inside] - 1) * n_times + time[inside] - 1
+        for s, first, last in _empty_runs(cols.n_subjects, n_markers * n_times,
+                                          subj[inside], cell):
+            where = [f"(marker {c // n_times + 1}, time {c % n_times + 1})"
+                     for c in (first, last)]
+            message = (f"empty cell {where[0]}" if first == last
+                       else f"empty cells {where[0]} to {where[1]}")
+            found.append(((s, 1, first, 0), message))
         found.sort(key=lambda item: item[0])
         issues.extend(ValidationIssue(message, group, ids[key[0]]) for key, message in found)
     return ValidationReport(tuple(issues))
 
 
-def pooled_counts(dataset: MarkerDataset, marker: int) -> tuple[int, int]:
-    """Total measurement counts (diseased, non-diseased) for one marker,
-    pooled over subjects, replicates and times."""
-    return (
-        dataset.stratum("diseased", marker).n,
-        dataset.stratum("nondiseased", marker).n,
-    )
+def _empty_runs(n_subjects: int, n_cells: int, subject: np.ndarray, cell: np.ndarray):
+    """(subject, first cell, last cell) of every run of a subject's cells in
+    ``0..n_cells-1`` that holds no row.
+
+    ``subject`` and ``cell`` are the present cells in canonical order, so
+    they ascend by (subject, cell) without repeats.  The runs are the gaps
+    before a subject's first present cell, after each present cell, and the
+    whole range of a subject with none.
+    """
+    if subject.size == n_subjects * n_cells:
+        return iter(())   # the pairs are distinct, so every cell is present
+    first = np.ones(subject.size, bool)
+    first[1:] = subject[1:] != subject[:-1]
+    following = np.where(np.append(first[1:], True), n_cells, np.roll(cell, -1))
+    absent = np.flatnonzero(np.bincount(subject, minlength=n_subjects) == 0)
+    owner = np.concatenate((subject[first], subject, absent))
+    lo = np.concatenate((np.zeros(first.sum(), np.intp), cell + 1, np.zeros(absent.size, np.intp)))
+    hi = np.concatenate((cell[first] - 1, following - 1, np.full(absent.size, n_cells - 1)))
+    keep = lo <= hi
+    return zip(owner[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())
 
 
 # -- CSV serialization ---------------------------------------------------

@@ -119,21 +119,12 @@ class StudyDesign:
 
 
 def parse_design(text: str) -> StudyDesign:
-    """Parse ``readers:<R>`` or ``longitudinal:<K>`` (also ``longitudinal:2,<K>``)."""
+    """Parse ``readers:<R>`` or ``longitudinal:<K>``."""
     token = text.strip()
     try:
-        if token.startswith("readers:"):
-            return StudyDesign.readers(int(token[len("readers:"):]))
-        if token.startswith("longitudinal:"):
-            rest = token[len("longitudinal:"):]
-            parts = [int(p) for p in rest.split(",")]
-            if len(parts) == 1:
-                return StudyDesign.longitudinal(parts[0])
-            if len(parts) == 2:
-                if parts[0] != 2:
-                    raise ValueError("longitudinal design compares exactly 2 markers")
-                return StudyDesign.longitudinal(parts[1])
+        for kind in ("readers", "longitudinal"):
+            if token.startswith(kind + ":"):
+                return StudyDesign(kind, int(token[len(kind) + 1:]))
     except ValueError as exc:
         raise DataFormatError(f"bad design selector {text!r}: {exc}") from exc
     raise DataFormatError(f"unknown design selector {text!r}")
-

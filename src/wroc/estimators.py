@@ -84,12 +84,10 @@ class EmpiricalSurvival:
         out = above / self.n
         return float(out) if np.isscalar(x) else out
 
-    def inverse_survival(self, u: float) -> float:
-        """Threshold whose empirical false-positive rate is u."""
-        return float(self.inverse_survival_many(u))
-
-    def inverse_survival_many(self, u) -> np.ndarray:
-        return self.sorted_values[_threshold_rows(u, self.n)]
+    def inverse_survival(self, u):
+        """Threshold whose empirical false-positive rate is u (scalar or array)."""
+        out = self.sorted_values[_threshold_rows(u, self.n)]
+        return float(out) if np.isscalar(u) else out
 
 
 def _threshold_rows(u, n: int) -> np.ndarray:
@@ -117,8 +115,8 @@ def survival(dataset: MarkerDataset, marker: int, x, *, group: str = "diseased",
     return survival_curve(dataset, marker, group=group, time=time).survival(x)
 
 
-def inverse_survival(dataset: MarkerDataset, marker: int, u: float, *,
-                     group: str = "nondiseased", time: int | None = None) -> float:
+def inverse_survival(dataset: MarkerDataset, marker: int, u, *,
+                     group: str = "nondiseased", time: int | None = None):
     return survival_curve(dataset, marker, group=group, time=time).inverse_survival(u)
 
 
@@ -323,20 +321,12 @@ def wauc(dataset: MarkerDataset, marker: int, measure: WeightMeasure, *,
     return _stratum_wauc(*_stratum_pair(dataset, marker, time), measure, midrank)
 
 
-def per_time_wauc(dataset: MarkerDataset, marker: int, time: int,
-                  measure: WeightMeasure, *, midrank: bool = False) -> float:
-    """wAUC restricted to a single time point; equals ``wauc`` when K = 1."""
-    return wauc(dataset, marker, measure, time=time, midrank=midrank)
-
-
 @dataclass(frozen=True)
 class WaucVector:
     """wAUC estimates over a design's strata, in design order."""
 
     values: np.ndarray
     labels: tuple[str, ...]
-    measure: WeightMeasure
-    design: StudyDesign | None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -348,4 +338,4 @@ def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
     marker-by-time grid for longitudinal ones)."""
     pairs, labels = _stratum_pairs(dataset, design)
     values = [_stratum_wauc(x, y, measure, midrank) for x, y in pairs]
-    return WaucVector(np.asarray(values), labels, measure, design)
+    return WaucVector(np.asarray(values), labels)

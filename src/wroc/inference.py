@@ -231,15 +231,14 @@ def critical_value(alpha: float) -> float:
     return crit
 
 
-def z_test(estimate: float, variance: float, *, alpha: float = DEFAULT_ALPHA,
-           null: float = 0.0) -> TestResult:
-    """Two-sided normal test of ``estimate`` against ``null`` with the given
+def z_test(estimate: float, variance: float, *, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    """Two-sided normal test of ``estimate`` against zero with the given
     variance; also returns the matching confidence interval."""
     crit = critical_value(alpha)
     if not variance > 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
     se = float(np.sqrt(variance))
-    z = (float(estimate) - null) / se
+    z = float(estimate) / se
     p = 2.0 * float(ndtr(-abs(z)))
     return TestResult(
         estimate=float(estimate),

@@ -1,15 +1,15 @@
 """Weight measures on the false-positive-rate axis.
 
 A weighted AUC is the integral of the empirical ROC curve against a finite
-measure W on (0, 1).  Four measure shapes are supported:
+measure W on (0, 1).  Three measure shapes are supported:
 
 * ``full``   Lebesgue measure on (0, 1); the plain AUC.
 * ``pauc``   Lebesgue measure restricted to (lower, upper), of mass
              ``upper - lower``; ``normalized`` divides estimates by that
              mass (and covariances by its square).
-* ``point``  one atom of mass 1; the wAUC is the sensitivity at its rate.
 * ``steps``  a finite sum of atoms; to normalize, divide the masses by their
-             total.
+             total.  One atom of mass 1 (``point_mass``, selector
+             ``sens:u``) makes the wAUC the sensitivity at its rate.
 
 Each kind takes only the fields it uses, and any other field off its
 default raises ``ValueError``, so every measure has one selector.
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from .errors import DataFormatError
 
 # the fields each kind reads; the others must keep their defaults
-_KIND_FIELDS = {"full": (), "pauc": ("lower", "upper", "normalized"),
-                "point": ("atoms",), "steps": ("atoms",)}
+_KIND_FIELDS = {"full": (), "pauc": ("lower", "upper", "normalized"), "steps": ("atoms",)}
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class WeightMeasure:
                     f"partial-AUC window must satisfy 0 <= lower < upper <= 1, "
                     f"got ({self.lower}, {self.upper})"
                 )
-        if self.kind in ("point", "steps"):
+        if self.kind == "steps":
             if not self.atoms:
                 raise ValueError("atomic measure needs at least one atom")
             for u, mass in self.atoms:
@@ -59,8 +58,6 @@ class WeightMeasure:
                     raise ValueError(f"atom location {u} outside (0, 1)")
                 if not (math.isfinite(mass) and mass > 0.0):
                     raise ValueError(f"atom mass {mass} must be positive and finite")
-            if self.kind == "point" and (len(self.atoms) != 1 or self.atoms[0][1] != 1.0):
-                raise ValueError("point measure is one atom of mass 1")
             # canonical order makes reports and covariance grids deterministic
             object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
 
@@ -76,7 +73,8 @@ class WeightMeasure:
 
     @classmethod
     def point_mass(cls, at: float) -> "WeightMeasure":
-        return cls(kind="point", atoms=((float(at), 1.0),))
+        """One atom of mass 1 at rate ``at``: the sensitivity there."""
+        return cls(kind="steps", atoms=((float(at), 1.0),))
 
     @classmethod
     def steps(cls, atoms) -> "WeightMeasure":
@@ -94,7 +92,7 @@ class WeightMeasure:
 
     @property
     def is_atomic(self) -> bool:
-        return self.kind in ("point", "steps")
+        return self.kind == "steps"
 
     def selector(self) -> str:
         """Round-trippable text form, the same grammar ``parse_measure`` reads."""
@@ -103,7 +101,7 @@ class WeightMeasure:
         if self.kind == "pauc":
             text = f"pauc:{_number(self.lower)},{_number(self.upper)}"
             return text + ":normalized" if self.normalized else text
-        if self.kind == "point":
+        if len(self.atoms) == 1 and self.atoms[0][1] == 1.0:
             return f"sens:{_number(self.atoms[0][0])}"
         return "steps:" + ",".join(f"{_number(u)}={_number(m)}" for u, m in self.atoms)
 

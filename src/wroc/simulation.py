@@ -32,7 +32,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .covariance import sigma_matrix
-from .dataset import GroupColumns, MarkerDataset
+from .dataset import GroupColumns, MarkerDataset, _read_text
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
 from .estimators import _count_pairs, _stratum_pairs, _stratum_wauc, wauc_vector
@@ -101,6 +101,8 @@ class ScenarioSpec:
             raise ValueError("need at least 2 subjects per group")
         if self.n_reps < 1:
             raise ValueError("need at least one replicate")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         critical_value(self.alpha)
         if not self.measures:
             raise ValueError("need at least one weight measure")
@@ -848,28 +850,30 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
     raise ValueError(f"expected one or two integers, got {text!r}")
 
 
-def parse_scenario_text(text: str) -> ScenarioSpec:
-    """Parse the plain key = value scenario format.
+def read_scenario_file(source) -> tuple[str, ScenarioSpec]:
+    """The ``study`` key of a scenario file, which picks the runner
+    (:func:`study_runner`), and the scenario.
 
-    ``#`` starts a comment, on its own line or after a value.  Required key
-    ``study`` picks a named study or ``custom``; the remaining keys override
-    its parameters.  Custom studies spell out the full generative
-    description.
+    ``source`` is a path or an open handle, read as :func:`read_dataset_csv`
+    reads one: bytes must be UTF-8 and a leading byte-order mark is dropped.
+    Lines are ``key = value``; ``#`` starts a comment, on its own line or
+    after a value, and a key given twice is an error naming its line.
+    Required key ``study`` picks a named study or ``custom``; the remaining
+    keys override its parameters.  Custom studies spell out the full
+    generative description.
     """
-    return _parse_scenario(text)[1]
-
-
-def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
-    """(the ``study`` key, the scenario) of a scenario text."""
     entries: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(source).splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataFormatError(f"expected 'key = value', got {line!r}", line=line_no)
         key, _, value = line.partition("=")
-        entries[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in entries:
+            raise DataFormatError(f"scenario key {key!r} given twice", line=line_no)
+        entries[key] = value.strip()
 
     study = entries.pop("study", None)
     if study is None:
@@ -943,10 +947,3 @@ def _parse_scenario(text: str) -> tuple[str, ScenarioSpec]:
     if entries:
         raise DataFormatError(f"unknown scenario keys: {', '.join(sorted(entries))}")
     return study, spec
-
-
-def read_scenario_file(path) -> tuple[str, ScenarioSpec]:
-    """The ``study`` key of a scenario file, which picks the runner
-    (:func:`study_runner`), and the scenario."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _parse_scenario(handle.read())

@@ -289,7 +289,8 @@ def record_resample(records, idx):
 
 
 def record_validate(diseased, nondiseased, n_markers, n_times):
-    """(message, group, subject_id) of every issue, in the records' order."""
+    """(message, group, subject_id) of every issue, in the records' order,
+    found by visiting every cell of every subject."""
     issues = []
     if not diseased:
         issues.append(("no diseased subjects", None, None))
@@ -309,11 +310,17 @@ def record_validate(diseased, nondiseased, n_markers, n_times):
                         issues.append((f"non-finite value in cell (marker {marker}, time {time})",
                                        group, rec.subject_id))
                         break
-            for marker in range(1, n_markers + 1):
+            # consecutive empty cells in (marker, time) order are one issue
+            run = []
+            for marker in range(1, n_markers + 2):
                 for time in range(1, n_times + 1):
-                    if not rec.cells.get((marker, time), ()):
-                        issues.append((f"empty cell (marker {marker}, time {time})",
-                                       group, rec.subject_id))
+                    if marker <= n_markers and not rec.cells.get((marker, time), ()):
+                        run.append(f"(marker {marker}, time {time})")
+                    elif run:
+                        message = (f"empty cell {run[0]}" if len(run) == 1
+                                   else f"empty cells {run[0]} to {run[-1]}")
+                        issues.append((message, group, rec.subject_id))
+                        run = []
     return issues
 
 
@@ -566,7 +573,7 @@ def old_wauc_vector(dataset, design, measure, midrank=False):
 def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
-    pairs, labels = _stratum_pairs(dataset, design)
+    pairs, _ = _stratum_pairs(dataset, design)
     n_dis = dataset.n_diseased
     n_non = dataset.n_nondiseased
     counts_d = np.array([x.counts for x, _ in pairs])
@@ -588,7 +595,6 @@ def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
         draws[b] = [_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
     sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     return CovarianceEstimate(sigma=sigma, sigma_diseased=None, sigma_nondiseased=None,
-                              labels=labels, measure=measure, design=design,
                               method="bootstrap", n_redrawn=n_redrawn)
 
 

@@ -17,13 +17,12 @@ from test_estimator_core import clustered_datasets, measures
 
 
 def bootstrap_outcome(fn, *args, **kwargs):
-    """sigma's bytes, labels, method and redraw count, or the error."""
+    """sigma's bytes, method and redraw count, or the error."""
     try:
         est = fn(*args, **kwargs)
     except (ValueError, WrocError) as exc:
         return ("error", type(exc).__name__, str(exc))
-    return ("value", est.sigma.shape, est.sigma.tobytes(), est.labels, est.method,
-            est.n_redrawn)
+    return ("value", est.sigma.shape, est.sigma.tobytes(), est.method, est.n_redrawn)
 
 
 def _ragged_dataset():

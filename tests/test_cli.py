@@ -379,6 +379,34 @@ def test_simulate_scenario_alpha_without_finite_critical_value_exit_2(tmp_path, 
     assert captured.out == ""
 
 
+def test_simulate_scenario_file_with_a_byte_order_mark(tmp_path, capsys):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_bytes(b"\xef\xbb\xbfstudy = null\r\nn = 10\r\nreps = 2\r\nseed = 5\r\n")
+    code, report = run_json(capsys, ["simulate", "--scenario", str(scenario)])
+    assert code == 0
+    assert report["seed"] == 5
+    assert report["results"]["scenario"]["n_reps"] == 2
+
+
+def test_simulate_scenario_key_given_twice_exit_2(tmp_path, capsys):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("study = null\nn = 10\nreps = 2\nreps = 3\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "wroc: input error: line 4: scenario key 'reps' given twice\n"
+    assert captured.out == ""
+
+
+def test_negative_seed_exit_2(tmp_path, capsys, rng):
+    assert main(["simulate", "null", "--n", "10", "--reps", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "wroc: input error: seed must be non-negative, got -1\n"
+    path = write_dataset(tmp_path, reader_dataset(rng))
+    for command in (["analyze"], ["compare", "--design", "readers:2"]):
+        assert main([*command, "--input", str(path), "--bootstrap", "100", "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == (
+            "wroc: input error: bootstrap seed must be non-negative, got -3\n")
+
+
 @pytest.mark.parametrize("flags", [["--rho", "0.9"], ["--family", "normal"], ["--n", "99"],
                                    ["--reps", "3"], ["--seed", "1"],
                                    ["--rho", "0.9", "--n", "99"], ["table3"]])

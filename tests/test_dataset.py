@@ -13,7 +13,6 @@ from wroc.dataset import (
     MarkerDataset,
     SubjectRecord,
     dataset_to_csv_text,
-    pooled_counts,
     read_dataset_csv,
     validate,
     write_dataset_csv,
@@ -129,7 +128,7 @@ def test_pooled_counts():
         [{(1, 1): (1.0, 2.0, 3.0)} for _ in range(2)],
         [{(1, 1): (0.0, 0.5)} for _ in range(3)],
     )
-    assert pooled_counts(ds, 1) == (6, 6)
+    assert (ds.stratum("diseased", 1).n, ds.stratum("nondiseased", 1).n) == (6, 6)
 
 
 def test_pooled_counts_longitudinal():
@@ -137,8 +136,8 @@ def test_pooled_counts_longitudinal():
     d = [np.ones((5, 3)), np.ones((5, 3))]
     n = [np.zeros((4, 3)), np.zeros((4, 3))]
     ds = paired_dataset(d, n, n_times=3)
-    assert pooled_counts(ds, 1) == (15, 12)
-    assert pooled_counts(ds, 2) == (15, 12)
+    for marker in (1, 2):
+        assert (ds.stratum("diseased", marker).n, ds.stratum("nondiseased", marker).n) == (15, 12)
 
 
 def test_stratum_views():
@@ -243,6 +242,53 @@ def test_validate_reports_out_of_range_indices():
     np.testing.assert_array_equal(ds.stratum("diseased", 1).values, [1.0])
     assert dataset_to_csv_text(ds).splitlines()[1:5] == [
         "d1,D,0,1,1,5.0", "d1,D,1,1,1,1.0", "d1,D,1,2,1,nan", "d1,D,3,1,1,2.0"]
+
+
+def test_validate_reports_a_run_of_empty_cells_once():
+    full = {(m, t): (0.0,) for m in (1, 2, 3) for t in (1, 2, 3)}
+    ds = clustered_dataset(
+        [{(1, 1): (1.0,), (2, 3): (2.0,), (3, 2): (0.5,)}, {}, full],
+        [full], n_markers=3, n_times=3)
+    assert [str(issue) for issue in validate(ds).issues] == [
+        "diseased subject d1: empty cells (marker 1, time 2) to (marker 2, time 2)",
+        "diseased subject d1: empty cell (marker 3, time 1)",
+        "diseased subject d1: empty cell (marker 3, time 3)",
+        "diseased subject d2: empty cells (marker 1, time 1) to (marker 3, time 3)",
+    ]
+
+
+def _sparse_csv(n_subjects: int) -> str:
+    """One row at marker 1 per diseased subject and one non-diseased row at
+    marker 200000: every subject misses almost every cell."""
+    rows = [f"d{i},D,1,1,1,1.0" for i in range(n_subjects)] + ["h0,ND,200000,1,1,0.0"]
+    return "subject_id,status,marker,time,replicate,value\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n_subjects", [1, 100])
+def test_validate_on_a_sparse_large_index_grows_with_the_rows(n_subjects):
+    ds = read_dataset_csv(io.StringIO(_sparse_csv(n_subjects)))
+    tracemalloc.start()
+    try:
+        report = validate(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a grid over every subject and cell would take 8 bytes a cell: 1.6 MB
+    # a subject here
+    assert peak < 512 * 1024, peak
+    assert [str(issue) for issue in report.issues] == [
+        f"diseased subject d{i}: empty cells (marker 2, time 1) to (marker 200000, time 1)"
+        for i in range(n_subjects)
+    ] + ["nondiseased subject h0: empty cells (marker 1, time 1) to (marker 199999, time 1)"]
+
+
+def test_analyze_names_the_run_of_empty_cells(tmp_path, capsys):
+    path = tmp_path / "sparse.csv"
+    path.write_text(_sparse_csv(1))
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "wroc: input error: invalid dataset: "
+        "empty cells (marker 2, time 1) to (marker 200000, time 1)\n")
 
 
 # -- the column-based dataset against the record-based path ---------------

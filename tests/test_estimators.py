@@ -10,7 +10,6 @@ from wroc.estimators import (
     empirical_roc,
     inverse_survival,
     pauc,
-    per_time_wauc,
     sensitivity_at_fpr,
     survival,
     wauc,
@@ -58,13 +57,16 @@ def test_inverse_survival_rejects_zero():
         EmpiricalSurvival([1.0, 2.0]).inverse_survival(0.0)
 
 
-def test_inverse_survival_many_names_first_bad_rate():
+def test_inverse_survival_of_an_array_names_first_bad_rate():
     surv = EmpiricalSurvival([10.0, 20.0, 30.0, 40.0])
-    np.testing.assert_array_equal(surv.inverse_survival_many([0.25, 1.0]), [30.0, 10.0])
+    got = surv.inverse_survival([0.25, 1.0])
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_array_equal(got, [30.0, 10.0])
+    assert type(surv.inverse_survival(0.25)) is float
     with pytest.raises(ValueError, match=r"must be in \(0, 1\], got 1\.5$"):
-        surv.inverse_survival_many([0.25, 0.5, 1.5, 0.7, 0.0])
+        surv.inverse_survival([0.25, 0.5, 1.5, 0.7, 0.0])
     with pytest.raises(ValueError, match=r"got nan$"):
-        surv.inverse_survival_many(np.array([[0.5, np.nan]]))
+        surv.inverse_survival(np.array([[0.5, np.nan]]))
 
 
 def test_sensitivity_at_fpr():
@@ -140,8 +142,8 @@ def test_per_time_and_pooled():
     d = [[1.0, 10.0], [2.0, 20.0]]   # two subjects x two times
     n = [[0.5, 5.0], [1.5, 15.0]]
     ds = paired_dataset([d], [n], n_times=2)
-    t1 = per_time_wauc(ds, 1, 1, WeightMeasure.full_auc())
-    t2 = per_time_wauc(ds, 1, 2, WeightMeasure.full_auc())
+    t1 = wauc(ds, 1, WeightMeasure.full_auc(), time=1)
+    t2 = wauc(ds, 1, WeightMeasure.full_auc(), time=2)
     assert t1 == auc_oracle([1.0, 2.0], [0.5, 1.5])
     assert t2 == auc_oracle([10.0, 20.0], [5.0, 15.0])
     pooled = auc(ds, 1)
@@ -170,8 +172,8 @@ def test_wauc_vector_longitudinal_design():
     vec = wauc_vector(ds, design, WeightMeasure.full_auc())
     assert vec.labels == ("marker1_time1", "marker1_time2", "marker1_time3",
                           "marker2_time1", "marker2_time2", "marker2_time3")
-    assert vec.values[1] == per_time_wauc(ds, 1, 2, WeightMeasure.full_auc())
-    assert vec.values[5] == per_time_wauc(ds, 2, 3, WeightMeasure.full_auc())
+    assert vec.values[1] == wauc(ds, 1, WeightMeasure.full_auc(), time=2)
+    assert vec.values[5] == wauc(ds, 2, WeightMeasure.full_auc(), time=3)
 
 
 def test_wauc_vector_marker_count_mismatch():

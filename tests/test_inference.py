@@ -132,11 +132,11 @@ def test_z_test_known_values():
 
 
 def test_z_test_interval_and_null():
-    res = z_test(0.3, 0.01, alpha=0.05, null=0.3)
+    res = z_test(0.0, 0.01, alpha=0.05)
     assert res.z == 0.0
     assert res.p_value == 1.0
-    assert res.ci_lower == pytest.approx(0.3 - 1.959964 * 0.1, rel=1e-5)
-    assert res.ci_upper == pytest.approx(0.3 + 1.959964 * 0.1, rel=1e-5)
+    assert res.ci_lower == pytest.approx(-1.959964 * 0.1, rel=1e-5)
+    assert res.ci_upper == pytest.approx(1.959964 * 0.1, rel=1e-5)
     with pytest.raises(ValueError):
         z_test(0.1, 0.0)
     with pytest.raises(ValueError):

@@ -80,14 +80,14 @@ _MASS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def _measures(draw):
-    kind = draw(st.sampled_from(["full", "pauc", "point", "steps"]))
-    if kind == "full":
+    shape = draw(st.sampled_from(["full", "pauc", "sens", "steps"]))
+    if shape == "full":
         return WeightMeasure.full_auc()
-    if kind == "pauc":
+    if shape == "pauc":
         lower = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
         upper = draw(st.floats(min_value=lower, max_value=1.0, exclude_min=True))
         return WeightMeasure.partial_auc(lower, upper, normalized=draw(st.booleans()))
-    if kind == "point":
+    if shape == "sens":
         return WeightMeasure.point_mass(draw(_RATE))
     return WeightMeasure.steps(draw(st.lists(st.tuples(_RATE, _MASS), min_size=1, max_size=4)))
 
@@ -101,9 +101,6 @@ def test_selector_round_trips_any_measure(measure):
     (dict(kind="full", lower=0.2), "full measure takes no lower"),
     (dict(kind="full", normalized=True), "full measure takes no normalized"),
     (dict(kind="pauc", upper=0.5, atoms=((0.2, 1.0),)), "pauc measure takes no atoms"),
-    (dict(kind="point", atoms=((0.3, 2.0),)), "point measure is one atom of mass 1"),
-    (dict(kind="point", atoms=((0.3, 1.0), (0.5, 1.0))), "point measure is one atom of mass 1"),
-    (dict(kind="point", atoms=((0.3, 1.0),), upper=0.5), "point measure takes no upper"),
     (dict(kind="steps", atoms=((0.1, 1.0), (0.3, 3.0)), normalized=True),
      "steps measure takes no normalized"),
     (dict(kind="steps", atoms=((0.1, 1.0),), lower=0.05), "steps measure takes no lower"),
@@ -114,7 +111,7 @@ def test_each_kind_takes_only_its_fields(fields, message):
 
 
 # each field over its whole domain, valid or not for the kind it meets;
-# a single unit atom is drawn often enough to make point measures
+# a single unit atom is drawn often enough to make sens: measures
 _FIELDS = {
     "lower": st.floats(min_value=0.0, max_value=1.0),
     "upper": st.floats(min_value=0.0, max_value=1.0),
@@ -126,7 +123,7 @@ _FIELDS = {
 
 @st.composite
 def _constructor_calls(draw):
-    kind = draw(st.sampled_from(["full", "pauc", "point", "steps"]))
+    kind = draw(st.sampled_from(["full", "pauc", "steps"]))
     names = draw(st.lists(st.sampled_from(sorted(_FIELDS)), max_size=2, unique=True))
     return kind, {name: draw(_FIELDS[name]) for name in names}
 
@@ -142,6 +139,21 @@ def test_every_accepted_measure_round_trips(call):
     except ValueError:
         return
     assert parse_measure(measure.selector()) == measure
+
+
+def test_one_unit_atom_is_the_sens_measure():
+    for text in ("steps:0.2=1", "sens:0.2"):
+        measure = parse_measure(text)
+        assert measure == WeightMeasure.point_mass(0.2)
+        assert measure.kind == "steps"
+        assert measure.selector() == "sens:0.2"
+    # any other single atom stays a steps measure
+    assert parse_measure("steps:0.2=2").selector() == "steps:0.2=2"
+
+
+def test_point_is_no_measure_kind():
+    with pytest.raises(ValueError, match="unknown weight measure kind: 'point'"):
+        WeightMeasure(kind="point", atoms=((0.3, 1.0),))
 
 
 def test_parse_measure_errors():
@@ -185,8 +197,7 @@ def test_contrast_matrix_pairs_halves():
 def test_parse_design():
     assert parse_design("readers:5") == StudyDesign.readers(5)
     assert parse_design("longitudinal:3") == StudyDesign.longitudinal(3)
-    assert parse_design("longitudinal:2,3") == StudyDesign.longitudinal(3)
-    for bad in ("readers:0", "longitudinal:3,3", "grid:2", "readers:x"):
+    for bad in ("readers:0", "longitudinal:2,3", "longitudinal:3,3", "grid:2", "readers:x"):
         with pytest.raises(DataFormatError):
             parse_design(bad)
 

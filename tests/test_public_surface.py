@@ -12,7 +12,7 @@ import wroc
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file",
-           "ContrastFunction")
+           "ContrastFunction", "per_time_wauc", "pooled_counts", "parse_scenario_text")
 
 
 def test_every_exported_name_resolves():
@@ -31,6 +31,10 @@ def test_removed_names_are_not_exported():
     assert not hasattr(importlib.import_module("wroc.designs"), "GRADIENT_STEP")
     assert not hasattr(importlib.import_module("wroc.designs"), "ContrastFunction")
     assert not hasattr(importlib.import_module("wroc.covariance"), "DEFAULT_NODES")
+    assert not hasattr(importlib.import_module("wroc.estimators"), "per_time_wauc")
+    assert not hasattr(importlib.import_module("wroc.dataset"), "pooled_counts")
+    assert not hasattr(importlib.import_module("wroc.simulation"), "parse_scenario_text")
+    assert not hasattr(wroc.EmpiricalSurvival, "inverse_survival_many")
     for cls, attrs in ((wroc.DeltaVariance, ("__float__",)),
                        (wroc.WaucVector, ("as_dict",)),
                        (wroc.ComparisonResult, ("to_dict",)),
@@ -38,12 +42,16 @@ def test_removed_names_are_not_exported():
         for attr in attrs:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
     assert "raw_sum" not in {f.name for f in dataclasses.fields(wroc.WeightVector)}
+    assert [f.name for f in dataclasses.fields(wroc.WaucVector)] == ["values", "labels"]
+    assert not {"labels", "measure", "design"} & {
+        f.name for f in dataclasses.fields(wroc.CovarianceEstimate)}
 
 
 def test_options_with_one_value_in_use_are_constants():
     for func, params in ((wroc.sigma_matrix, ("n_nodes",)),
                          (wroc.baseline_semiparametric_auc, ("max_iter", "tol")),
-                         (wroc.WeightMeasure.steps, ("normalized",))):
+                         (wroc.WeightMeasure.steps, ("normalized",)),
+                         (wroc.z_test, ("null",))):
         assert not set(params) & set(inspect.signature(func).parameters), func.__name__
 
 

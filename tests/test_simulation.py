@@ -1,5 +1,6 @@
 """Scenario construction, data generation, truths, runners, baselines."""
 
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from wroc.simulation import (
     compound_symmetry,
     generate_dataset,
     null_scenario,
-    parse_scenario_text,
+    read_scenario_file,
     replicate_rng,
     run_method_comparison,
     run_study,
@@ -466,21 +467,26 @@ def test_run_method_comparison_smoke():
 # -- scenario text files --------------------------------------------------
 
 
+def _scenario(text: str):
+    """The scenario of a scenario text, read from a text handle."""
+    return read_scenario_file(io.StringIO(text))[1]
+
+
 def test_parse_named_studies():
-    sc = parse_scenario_text("study = table1\nrho = 0.2\nn = 50\nreps = 10\n")
+    sc = _scenario("study = table1\nrho = 0.2\nn = 50\nreps = 10\n")
     assert sc.name.startswith("table1")
     assert sc.rho_diseased == 0.2
     assert sc.n_reps == 10
 
-    sc3 = parse_scenario_text("study=table3\nrho=0.5\nn=100\nseed=99\n")
+    sc3 = _scenario("study=table3\nrho=0.5\nn=100\nseed=99\n")
     assert sc3.seed == 99
     assert sc3.weight_methods == ("equal", "optimal")
 
-    sc4 = parse_scenario_text("study=table4\nn=50\nfamily=normal\n")
+    sc4 = _scenario("study=table4\nn=50\nfamily=normal\n")
     assert sc4.family == "normal"
     assert sc4.design == StudyDesign.longitudinal(3)
 
-    scn = parse_scenario_text("study=null\nn=200\n")
+    scn = _scenario("study=null\nn=200\n")
     assert scn.name.startswith("null")
 
 
@@ -494,7 +500,7 @@ measures = auc pauc:0,0.6:normalized
 weights = equal
 alpha = 0.1
 """
-    sc = parse_scenario_text(text)
+    sc = _scenario(text)
     assert sc.n_nondiseased == 60
     assert sc.alpha == 0.1
     assert sc.measures[1].normalized
@@ -513,7 +519,7 @@ j = 40
 reps = 5
 correlation_scope = modality
 """
-    sc = parse_scenario_text(text)
+    sc = _scenario(text)
     assert sc.name == "demo"
     assert sc.design == StudyDesign.readers(2)
     assert sc.n_diseased == 30
@@ -532,54 +538,88 @@ variances = 1,1
 cluster_sizes_diseased = 2,4
 cluster_sizes_nondiseased = 3
 """
-    sc = parse_scenario_text(text)
+    sc = _scenario(text)
     assert sc.cluster_sizes_diseased == (2, 4)
     assert sc.cluster_sizes_nondiseased == (3, 3)
     assert sc.config_dict()["cluster_sizes_diseased"] == [2, 4]
     with pytest.raises(DataFormatError):
-        parse_scenario_text(text.replace("cluster_sizes_diseased", "clusters_diseased"))
+        _scenario(text.replace("cluster_sizes_diseased", "clusters_diseased"))
 
 
 def test_parse_errors():
     with pytest.raises(DataFormatError):
-        parse_scenario_text("rho = 0.5\n")                     # no study
+        _scenario("rho = 0.5\n")                     # no study
     with pytest.raises(DataFormatError):
-        parse_scenario_text("study = table9\nn = 50\n")
+        _scenario("study = table9\nn = 50\n")
     with pytest.raises(DataFormatError):
-        parse_scenario_text("study = table1\n")                # missing n
+        _scenario("study = table1\n")                # missing n
     with pytest.raises(DataFormatError):
-        parse_scenario_text("study = table1\nn = 50\nbogus = 1\n")
+        _scenario("study = table1\nn = 50\nbogus = 1\n")
     with pytest.raises(DataFormatError):
-        parse_scenario_text("study = custom\nn = 20\n")        # incomplete custom
+        _scenario("study = custom\nn = 20\n")        # incomplete custom
     with pytest.raises(DataFormatError, match="unknown weight method 'bogus'"):
-        parse_scenario_text("study = table1\nn = 50\nweights = bogus\n")
+        _scenario("study = table1\nn = 50\nweights = bogus\n")
     with pytest.raises(DataFormatError, match="alpha"):
-        parse_scenario_text("study = table1\nn = 50\nalpha = 2\n")
+        _scenario("study = table1\nn = 50\nalpha = 2\n")
     with pytest.raises(DataFormatError, match="critical value is infinite"):
-        parse_scenario_text("study = table1\nn = 50\nalpha = 1e-17\n")
+        _scenario("study = table1\nn = 50\nalpha = 1e-17\n")
     with pytest.raises(DataFormatError, match="takes no family"):
-        parse_scenario_text("study = table3\nn = 50\nfamily = lognormal\n")
+        _scenario("study = table3\nn = 50\nfamily = lognormal\n")
     with pytest.raises(DataFormatError, match="takes no rho"):
-        parse_scenario_text("study = table4\nn = 50\nrho = 0.5\n")
+        _scenario("study = table4\nn = 50\nrho = 0.5\n")
     for key in ("weights", "measures"):
         for empty in ("", " ,", "  # nothing"):
             with pytest.raises(DataFormatError, match=f"'{key}' has no value"):
-                parse_scenario_text(f"study = table3\nn = 20\n{key} ={empty}\n")
+                _scenario(f"study = table3\nn = 20\n{key} ={empty}\n")
 
 
 def test_parse_inline_comments_and_weight_separators():
     for weights in ("equal optimal", "equal,optimal", "equal, optimal"):
-        sc = parse_scenario_text(f"study = table1  # the null study\nn = 20   # each group\n"
-                                 f"weights = {weights}  # both\n")
+        sc = _scenario(f"study = table1  # the null study\nn = 20   # each group\n"
+                       f"weights = {weights}  # both\n")
         assert sc.n_diseased == 20
         assert sc.weight_methods == ("equal", "optimal")
+
+
+def test_scenario_file_from_a_path_or_a_handle(tmp_path):
+    text = "study = table3\nrho = 0.5\nn = 20\nseed = 7\n"
+    want = ("table3", _scenario(text))
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    assert read_scenario_file(path) == want
+    assert read_scenario_file(str(path)) == want
+    with open(path, "rb") as handle:
+        assert read_scenario_file(handle) == want
+    with open(path, encoding="utf-8") as handle:
+        assert read_scenario_file(handle) == want
+    assert read_scenario_file(io.BytesIO(text.encode())) == want
+
+
+def test_scenario_file_not_utf8_names_its_line():
+    with pytest.raises(DataFormatError, match=r"^line 3: not UTF-8 text"):
+        read_scenario_file(io.BytesIO(b"study = table1\nn = 10\nname = caf\xe9\n"))
+
+
+def test_scenario_key_given_twice_names_its_line():
+    with pytest.raises(DataFormatError, match=r"^line 4: scenario key 'reps' given twice$"):
+        _scenario("study = table1\nn = 10\nreps = 2\nREPS = 3\n")
+    with pytest.raises(DataFormatError, match=r"^line 3: scenario key 'study' given twice$"):
+        _scenario("study = table1\n# n = 10\nstudy = null\n")
+
+
+def test_negative_seed_is_an_input_error():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        table3_scenario(0.5, 20, seed=-1)
+    with pytest.raises(DataFormatError, match="seed must be non-negative, got -2"):
+        _scenario("study = null\nn = 10\nseed = -2\n")
+    assert table3_scenario(0.5, 20, seed=0).seed == 0
 
 
 def test_readme_scenario_block_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("### Scenario files"):]
     block = section.split("```")[1]
-    sc = parse_scenario_text(block)
+    sc = _scenario(block)
     assert sc.name == "table3_rho0.5_n50"
     assert (sc.n_diseased, sc.n_reps, sc.seed) == (50, 1000, 20240817)
     assert [m.selector() for m in sc.measures] == ["auc", "pauc:0,0.6"]
