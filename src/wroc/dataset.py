@@ -409,8 +409,10 @@ def _read_text(source) -> str:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
+            head = data[:exc.start]  # lines end at \r, \n or \r\n, as the readers count them
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise DataFormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
-                                  line=data.count(b"\n", 0, exc.start) + 1) from None
+                                  line=line) from None
     return data.removeprefix("\ufeff")
 
 

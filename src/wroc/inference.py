@@ -11,9 +11,8 @@ difference.  If the solved weights are not all positive the comparison
 falls back to equal weights and flags it.
 
 The z test's normal tail and quantile are ``ndtr`` and ``ndtri`` from
-:mod:`wroc._normal`, a bit-exact port of the Cephes routines behind
-``scipy.stats.norm``'s ``sf`` and ``ppf``, so importing this module loads
-no scipy.
+:mod:`wroc._normal`, the standard library's ``math.erfc`` and
+``statistics.NormalDist.inv_cdf``, so importing this module loads no scipy.
 """
 
 from __future__ import annotations

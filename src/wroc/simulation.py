@@ -15,8 +15,8 @@ Three runners:
 * scenario text files (``key = value`` lines) drive both from the CLI.
 
 No scipy module loads at import: the normal CDF and quantile are ``ndtr``
-and ``ndtri`` from :mod:`wroc._normal`, a bit-exact port of the Cephes
-routines behind ``scipy.stats.norm``'s ``cdf`` and ``ppf``.
+and ``ndtri`` from :mod:`wroc._normal`, the standard library's
+``math.erfc`` and ``statistics.NormalDist.inv_cdf``.
 ``scipy.integrate.quad`` is imported only when :func:`true_wauc` integrates
 a pAUC truth.
 """
@@ -149,16 +149,6 @@ def _draw(mu: np.ndarray, chol: np.ndarray, size: int, rng: np.random.Generator,
     exponentiated for the lognormal family."""
     rows = mu + rng.standard_normal((size, chol.shape[0])) @ chol.T
     return np.exp(rows) if family == "lognormal" else rows
-
-
-def sample_mvn(mu, cov, size: int, rng: np.random.Generator,
-               family: str = "normal") -> np.ndarray:
-    """Draw ``size`` correlated vectors via the lower Cholesky factor applied
-    to iid standard normals; lognormal draws exponentiate the result."""
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    return _draw(np.asarray(mu, dtype=float), chol, size, rng, family)
 
 
 # -- closed-form truth ---------------------------------------------------

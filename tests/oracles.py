@@ -601,9 +601,10 @@ def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
 # -- the scipy.stats normal formulas -------------------------------------
 #
 # The normal CDF, tail, quantile and density used to come from
-# ``scipy.stats.norm``; the package now calls ``scipy.special`` directly.
-# These are the functions as they were, the reference for bit equality, and
-# the kernel density as one expression, the reference for its blocked form.
+# ``scipy.stats.norm``; the package now calls ``wroc._normal``.  These are
+# the functions as they were, the reference that the new ones agree with to
+# 1e-13, and the kernel density as one expression, the reference for its
+# blocked form.
 
 def old_kde_at(values, points, bandwidth):
     z = (points[:, None] - values[None, :]) / bandwidth
@@ -659,10 +660,10 @@ def old_baseline_parametric_auc(x_values, y_values):
 #
 # ``table3_scenario`` spelled out the reader-study skeleton that
 # ``table1_scenario`` builds, ``true_paired_delta`` paired markers by
-# branching on the design's kind, and ``sample_mvn`` wrote out the Cholesky
-# draw that the generator also wrote.  These are the functions as they were,
-# the reference for equality with the versions that read the layout from
-# the design.
+# branching on the design's kind, and the public ``sample_mvn`` (since
+# removed) wrote out the Cholesky draw that the generator's ``_draw`` makes.
+# These are the functions as they were, the reference for equality with the
+# versions that read the layout from the design.
 
 def old_table3_scenario(rho: float, n: int, *, n_reps: int = DEFAULT_REPS,
                         seed: int = DEFAULT_SEED,

@@ -1,10 +1,12 @@
 """Importing wroc, and running a comparison, loads no scipy module.
 
-The normal CDF, tail and quantile come from ``wroc._normal`` (a bit-exact
-port of scipy.special's Cephes code, see ``test_normal.py``) and the
-density from ``scipy.stats.norm.pdf``'s own formula, so each function that
-used ``scipy.stats.norm`` must give the same bits as the old formulas kept
-in ``oracles``.  Only a pAUC truth imports ``scipy.integrate``, on demand.
+The normal CDF, tail and quantile come from ``wroc._normal`` (the standard
+library's ``erfc`` and ``NormalDist.inv_cdf``, see ``test_normal.py``) and
+the density from ``scipy.stats.norm.pdf``'s own formula, so each function
+that used ``scipy.stats.norm`` must agree with the old formulas kept in
+``oracles`` to 1e-13 relative; only a subnormal result is held to an
+absolute floor instead.  Only a pAUC truth imports ``scipy.integrate``, on
+demand.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.linalg import block_diag
 
 from wroc.dataset import dataset_to_csv_text
@@ -63,8 +66,22 @@ print(json.dumps({{"codes": codes, "scipy": {_SCIPY_MODULES}}}))
 """
 
 
+RTOL = 1e-13
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _close(got, want, rtol=RTOL) -> bool:
+    """Within ``rtol`` of ``want`` relative, or within the smallest normal
+    double of it where either value is subnormal."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    subnormal = np.minimum(np.abs(got), np.abs(want)) < SMALLEST_NORMAL
+    with np.errstate(invalid="ignore"):  # an infinite rtol at a zero value
+        bound = np.where(subnormal, SMALLEST_NORMAL, rtol * np.abs(want))
+    return bool(np.all((np.abs(got - want) <= bound) | (got == want)))
 
 
 def test_import_loads_no_heavy_scipy_module():
@@ -75,7 +92,7 @@ def test_import_loads_no_heavy_scipy_module():
     # the pAUC truth imports its quadrature on demand, and still works
     assert report["integrate"]
     want = old_true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
-    assert float.fromhex(report["pauc"]) == want
+    assert _close(float.fromhex(report["pauc"]), want)
 
 
 def test_compare_run_loads_no_scipy_module(tmp_path):
@@ -95,43 +112,49 @@ _VARIANCES = [1e-12, 2.5e-5, 1e-3, 0.04, 1.0, 7.3]
 _ALPHAS = [1e-9, 0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 0.999]
 
 
-def test_z_test_matches_scipy_stats_bitwise():
+def test_z_test_matches_scipy_stats():
     for estimate, variance, alpha in itertools.product(_ESTIMATES, _VARIANCES, _ALPHAS):
         got = z_test(estimate, variance, alpha=alpha)
         want = old_z_test(estimate, variance, alpha)
-        assert _bits([got.z, got.p_value, got.ci_lower, got.ci_upper]) == _bits(want), \
+        assert got.z == want[0], (estimate, variance, alpha)
+        assert _close([got.p_value, got.ci_lower, got.ci_upper], want[1:]), \
             (estimate, variance, alpha)
 
 
-def test_binormal_roc_matches_scipy_stats_bitwise():
+def test_binormal_roc_matches_scipy_stats():
+    """Deep in the lower tail the relative condition number of Φ grows like
+    ``t²`` at its argument ``t``, so a 1-ulp change of ``t`` (through Φ⁻¹)
+    moves the result by about ``t² ε``; the bound there is the ``ndtr`` bound
+    of ``test_normal.py``, ``4 (1 + t²) ε``, where that exceeds ``RTOL``."""
     rng = np.random.default_rng(11)
     rates = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0],
                             rng.uniform(size=2000), np.linspace(0.0, 1.0, 257)])
     for params in [(1.0, 1.0, 0.0, 1.0), (0.3, 2.0, -0.4, 0.5), (-1.0, 0.7, 2.0, 3.0)]:
         got = binormal_roc(rates, *params)
         assert isinstance(got, np.ndarray) and got.shape == rates.shape
-        assert _bits(got) == _bits(old_binormal_roc(rates, *params))
-        assert _bits(binormal_roc(0.37, *params)) == _bits(old_binormal_roc(0.37, *params))
+        mu_x, sd_x, mu_y, sd_y = params
+        t = (mu_x - mu_y + sd_y * special.ndtri(rates)) / sd_x
+        rtol = np.maximum(RTOL, 4.0 * (1.0 + t * t) * np.finfo(float).eps)
+        assert _close(got, old_binormal_roc(rates, *params), rtol), params
+        assert _close(binormal_roc(0.37, *params), old_binormal_roc(0.37, *params)), params
 
 
 @pytest.mark.parametrize("selector", ["auc", "pauc:0,0.6", "pauc:0.1,0.3",
                                       "pauc:0,0.6:normalized", "sens:0.2",
                                       "steps:0.1=0.5,0.4=0.25,0.8=0.25"])
-def test_true_wauc_matches_scipy_stats_bitwise(selector):
+def test_true_wauc_matches_scipy_stats(selector):
     measure = parse_measure(selector)
     for params in [(1.0, 1.0, 0.0, 1.0), (0.5, math.sqrt(2.0), 0.0, 1.0),
                    (2.0, 0.6, 1.5, 1.3), (0.0, 1.0, 0.0, 1.0)]:
-        assert _bits(true_wauc(measure, *params)) == _bits(old_true_wauc(measure, *params)), \
-            params
+        assert _close(true_wauc(measure, *params), old_true_wauc(measure, *params)), params
 
 
-def test_baseline_parametric_auc_matches_scipy_stats_bitwise():
+def test_baseline_parametric_auc_matches_scipy_stats():
     rng = np.random.default_rng(3)
     for shift in np.linspace(-12.0, 12.0, 4001):
         x = rng.normal(shift, rng.uniform(0.2, 3.0), rng.integers(2, 40))
         y = rng.normal(0.0, rng.uniform(0.2, 3.0), rng.integers(2, 40))
-        assert _bits(baseline_parametric_auc(x, y)) == \
-            _bits(old_baseline_parametric_auc(x, y)), shift
+        assert _close(baseline_parametric_auc(x, y), old_baseline_parametric_auc(x, y)), shift
 
 
 def test_modality_blocks_match_block_diag():

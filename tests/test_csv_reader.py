@@ -187,8 +187,10 @@ def test_leading_byte_order_mark_is_dropped(source):
         old_read_dataset_csv(io.StringIO("\ufeff" + CSV_OK))
 
 
-def test_non_utf8_input_names_its_line(tmp_path, capsys):
-    payload = CSV_OK.encode().replace(b"h1,ND,1,1,1,1.0", b"h\xe91,ND,1,1,1,1.0")
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+def test_non_utf8_input_names_its_line(tmp_path, capsys, line_end):
+    payload = CSV_OK.replace("\n", line_end).encode()
+    payload = payload.replace(b"h1,ND,1,1,1,1.0", b"h\xe91,ND,1,1,1,1.0")
     with pytest.raises(DataFormatError) as err:
         read_dataset_csv(io.BytesIO(payload))
     assert err.value.line == 4

@@ -12,7 +12,8 @@ import wroc
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file",
-           "ContrastFunction", "per_time_wauc", "pooled_counts", "parse_scenario_text")
+           "ContrastFunction", "per_time_wauc", "pooled_counts", "parse_scenario_text",
+           "sample_mvn")
 
 
 def test_every_exported_name_resolves():
@@ -34,6 +35,12 @@ def test_removed_names_are_not_exported():
     assert not hasattr(importlib.import_module("wroc.estimators"), "per_time_wauc")
     assert not hasattr(importlib.import_module("wroc.dataset"), "pooled_counts")
     assert not hasattr(importlib.import_module("wroc.simulation"), "parse_scenario_text")
+    assert not hasattr(importlib.import_module("wroc.simulation"), "sample_mvn")
+    # the generator's helper, not an export
+    assert "compound_symmetry" not in wroc.__all__ and not hasattr(wroc, "compound_symmetry")
+    assert hasattr(importlib.import_module("wroc.simulation"), "compound_symmetry")
+    normal = importlib.import_module("wroc._normal")
+    assert not hasattr(normal, "erf") and not hasattr(normal, "erfc")
     assert not hasattr(wroc.EmpiricalSurvival, "inverse_survival_many")
     for cls, attrs in ((wroc.DeltaVariance, ("__float__",)),
                        (wroc.WaucVector, ("as_dict",)),
