@@ -41,9 +41,7 @@ from .covariance import (
     CovarianceEstimate,
     bootstrap_covariance,
     contrast_covariance,
-    density_ratio,
     sigma_matrix,
-    silverman_bandwidth,
 )
 from .inference import (
     ComparisonResult,
@@ -110,8 +108,6 @@ __all__ = [
     "sigma_matrix",
     "contrast_covariance",
     "bootstrap_covariance",
-    "density_ratio",
-    "silverman_bandwidth",
     "WeightVector",
     "equal_weights",
     "custom_weights",

@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--component", type=int, default=1,
                        help="headline marker for method comparisons")
     p_sim.add_argument("--threads", type=int, default=0,
-                       help="worker processes; 0 means 1")
+                       help="at most this many worker processes; 0 means 1")
     p_sim.add_argument("--output", metavar="BASE",
                        help="write BASE.json and BASE.csv")
     p_sim.set_defaults(func=_cmd_simulate)

@@ -53,9 +53,7 @@ from .errors import DegenerateDensityError, WrocError
 from .estimators import (
     _check_midrank,
     _placements,
-    _roc,
     _roc_at,
-    _stratum_pair,
     _stratum_pairs,
     _stratum_wauc,
     _stratum_wauc_draws,
@@ -97,19 +95,11 @@ class CovarianceEstimate:
 # -- kernel density machinery -------------------------------------------
 
 
-def silverman_bandwidth(values) -> float:
-    """0.9 * min(sd, IQR / 1.34) * n^(-1/5), skipping zero candidates.
-
-    Raises ``DegenerateDensityError`` when no candidate is positive or the
-    product underflows to zero.
-    """
-    v = np.asarray(values, dtype=float)
-    return _bandwidth(v, np.sort(v, axis=None))
-
-
 def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
-    """:func:`silverman_bandwidth` of ``values``, given them in ascending
-    order as ``ordered`` (a stratum's ``sorted_values``).
+    """Silverman's ``0.9 * min(sd, IQR / 1.34) * n^(-1/5)``, skipping zero
+    candidates, of ``values`` given in ascending order as ``ordered`` (a
+    stratum's ``sorted_values``); ``DegenerateDensityError`` when no
+    candidate is positive or the product underflows to zero.
 
     The standard deviation is numpy's ``std(ddof=1)`` step for step (the
     sum, the mean, the squared deviations and their sum), so its bits are
@@ -185,18 +175,6 @@ def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray) -> np.ndar
         raise DegenerateDensityError(
             f"non-diseased density vanished at threshold {bad!r}")
     return f_dis / f_non
-
-
-def density_ratio(dataset: MarkerDataset, marker: int, u, *, time: int | None = None):
-    """Ratio of diseased to non-diseased density at the threshold for rate u.
-
-    This is the slope ratio of the two survival curves that scales the
-    non-diseased contribution to the wAUC covariance.
-    """
-    x, y = _stratum_pair(dataset, marker, time)
-    thresholds, _ = _roc(x, y, np.atleast_1d(np.asarray(u, dtype=float)))
-    out = _density_ratio_at(x, y, thresholds)
-    return float(out[0]) if np.isscalar(u) else out
 
 
 # -- covariance paths ----------------------------------------------------

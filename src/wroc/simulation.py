@@ -14,15 +14,14 @@ Three runners:
   binormal moment plug-in and a logistic-score AUC, per marker.
 * scenario text files (``key = value`` lines) drive both from the CLI.
 
-No scipy module loads at import: the normal CDF and quantile are ``ndtr``
-and ``ndtri`` from :mod:`wroc._normal`, the standard library's
-``math.erfc`` and ``statistics.NormalDist.inv_cdf``.
-``scipy.integrate.quad`` is imported only when :func:`true_wauc` integrates
-a pAUC truth.
+The population truths need numpy alone: the normal CDF and quantile are
+``ndtr`` and ``ndtri`` from :mod:`wroc._normal`, and :func:`true_wauc`
+integrates a pAUC with a fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -159,20 +158,49 @@ def binormal_roc(u, mu_x: float, sd_x: float, mu_y: float, sd_y: float):
     return ndtr((mu_x - mu_y + sd_y * ndtri(u)) / sd_x)
 
 
+def _pdf(x):
+    """φ(x) by ``scipy.stats.norm.pdf``'s array formula (``np.square``, not pow)."""
+    return np.exp(-np.square(x) / 2.0) / np.sqrt(2 * np.pi)
+
+
+@functools.lru_cache(maxsize=1)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-node Gauss-Legendre rule on [0, 1], built on first use, not at import."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
 def true_wauc(measure: WeightMeasure, mu_x: float, sd_x: float,
               mu_y: float, sd_y: float) -> float:
     """Population wAUC of a binormal pair.
 
     Exponentiating both groups preserves ranks, so the lognormal family has
-    the same wAUC as its latent Gaussian parameters.
+    the same wAUC as its latent Gaussian parameters.  With ``a = (mu_x -
+    mu_y) / sd_x``, ``b = sd_y / sd_x`` and ``[zl, zu] = Φ⁻¹([lower, upper])``
+    a pAUC is the integral of ``Φ(a + bz) φ(z)`` over ``[zl, zu]``.  For
+    ``b > 1``, so that no integrand is steeper than slope 1, it is
+    ``Φ(a + b zl) (Φ(zu) - Φ(zl))`` plus that of ``φ(w) (Φ(zu) - Φ((w - a) /
+    b))`` over ``[a + b zl, a + b zu]``.  The range, clipped to ±38.5, takes
+    20 Gauss-Legendre nodes on each of at most 39 equal panels no wider than
+    2: within 1e-13 relative of closed forms and 1e-15 of 40-digit
+    references (``tests/test_simulation.py``).
     """
     if measure.kind == "full":
         value = float(ndtr((mu_x - mu_y) / math.hypot(sd_x, sd_y)))
     elif measure.kind == "pauc":
-        # scipy.integrate costs about 0.2 s to import; only a pAUC truth needs it
-        from scipy.integrate import quad
-        value, _ = quad(binormal_roc, measure.lower, measure.upper,
-                        args=(mu_x, sd_x, mu_y, sd_y), epsabs=1e-10, limit=200)
+        a, b = (mu_x - mu_y) / sd_x, sd_y / sd_x
+        zl, zu = float(ndtri(measure.lower)), float(ndtri(measure.upper))
+        top = float(ndtr(zu))
+        lo, hi = (zl, zu) if b <= 1.0 else (a + b * zl, a + b * zu)
+        value = 0.0 if b <= 1.0 else float(ndtr(lo)) * (top - float(ndtr(zl)))
+        lo, hi = max(lo, -38.5), min(hi, 38.5)
+        if lo < hi:
+            nodes, weights = _legendre_rule()
+            n_panels = math.ceil((hi - lo) / 2.0)
+            width = (hi - lo) / n_panels
+            t = lo + width * (np.arange(n_panels)[:, None] + nodes)
+            f = ndtr(a + b * t) * _pdf(t) if b <= 1.0 else _pdf(t) * (top - ndtr((t - a) / b))
+            value += width * float(np.sum(f * weights))
     else:
         value = sum(mass * float(binormal_roc(u, mu_x, sd_x, mu_y, sd_y))
                     for u, mass in measure.atoms)
@@ -500,15 +528,14 @@ def _rep_range(one_rep, scenario: ScenarioSpec, reps: list[int]) -> list:
 def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int) -> list:
     """``one_rep(scenario, plan, rep)`` for every replicate, in order.
 
-    With ``n_jobs > 1`` contiguous chunks of replicates run in that many
-    worker processes; ``one_rep`` must then be a module-level function.
+    With ``n_jobs > 1`` contiguous chunks of replicates run in at most that
+    many worker processes, one per chunk; ``one_rep`` must be module-level.
     """
     reps = list(range(scenario.n_reps))
     if n_jobs <= 1 or scenario.n_reps <= 1:
         return _rep_range(one_rep, scenario, reps)
     chunks = [list(chunk) for chunk in np.array_split(reps, min(n_jobs * 4, len(reps)))]
-    chunks = [c for c in chunks if c]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
         pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks), chunks)
         return [item for piece in pieces for item in piece]
 
@@ -587,10 +614,7 @@ def baseline_parametric_auc(x_values, y_values) -> tuple[float, float]:
     var_delta_hat = (d_mu ** 2 * (sx2 / x.size + sy2 / y.size)
                      + d_var ** 2 * (2.0 * sx2 ** 2 / (x.size - 1)
                                      + 2.0 * sy2 ** 2 / (y.size - 1)))
-    # scipy.stats.norm.pdf's own formula, np.exp(-x**2 / 2.0) / sqrt(2 pi), as
-    # it runs on arrays: there ``**2`` squares, where a scalar's ``**`` calls
-    # pow, which can differ in the last bit
-    dens = float(np.exp(-np.square(delta) / 2.0) / np.sqrt(2 * np.pi))
+    dens = float(_pdf(delta))
     return float(ndtr(delta)), dens * dens * var_delta_hat
 
 

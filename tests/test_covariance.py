@@ -12,13 +12,11 @@ from wroc import covariance
 from wroc.covariance import (
     bootstrap_covariance,
     contrast_covariance,
-    density_ratio,
     sigma_matrix,
-    silverman_bandwidth,
 )
 from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
-from wroc.estimators import wauc_vector
+from wroc.estimators import _stratum_pair, wauc_vector
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
@@ -108,9 +106,21 @@ def test_normalized_measure_scales_covariance():
 # -- density ratio -------------------------------------------------------
 
 
+def _density_ratio(ds, thresholds):
+    """The kernel density ratio of marker 1 at ``thresholds``, as the
+    quadrature and atoms paths weight their non-diseased scores with it."""
+    x, y = _stratum_pair(ds, 1, None)
+    return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float))
+
+
+def _bandwidth(values):
+    v = np.asarray(values, dtype=float)
+    return covariance._bandwidth(v, np.sort(v, axis=None))
+
+
 def test_density_ratio_same_distribution_near_one(rng):
     ds = singles_dataset(rng.normal(size=3000), rng.normal(size=3000))
-    vals = density_ratio(ds, 1, np.array([0.3, 0.5, 0.7]))
+    vals = _density_ratio(ds, norm.ppf([0.7, 0.5, 0.3]))
     np.testing.assert_allclose(vals, 1.0, atol=0.15)
 
 
@@ -124,14 +134,14 @@ def test_density_ratio_binormal_shift(rng):
     for u in (0.2, 0.4, 0.6):
         z = norm.ppf(1.0 - u)
         want = math.exp(z - 0.5)
-        got = density_ratio(ds, 1, u)
+        got = float(_density_ratio(ds, [z])[0])
         assert abs(got - want) <= 0.2 * want
 
 
 def test_density_ratio_degenerate():
     ds = singles_dataset([2.0] * 10, list(range(10)))
     with pytest.raises(DegenerateDensityError):
-        density_ratio(ds, 1, 0.5)
+        _density_ratio(ds, [0.5])
 
 
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 200, 256, 257, 1000, 4000, 4097])
@@ -150,11 +160,11 @@ def test_blocked_kde_is_the_one_expression_bitwise(n):
 
 
 def test_silverman_bandwidth_basics():
-    assert silverman_bandwidth([1.0, 2.0, 3.0, 4.0]) > 0
+    assert _bandwidth([1.0, 2.0, 3.0, 4.0]) > 0
     with pytest.raises(DegenerateDensityError):
-        silverman_bandwidth([5.0])
+        _bandwidth([5.0])
     with pytest.raises(DegenerateDensityError):
-        silverman_bandwidth([3.0, 3.0, 3.0])
+        _bandwidth([3.0, 3.0, 3.0])
 
 
 def _percentile_bandwidth(values):
@@ -183,7 +193,7 @@ def test_quartiles_by_index_are_numpys_percentile(values):
     with np.errstate(invalid="ignore", over="ignore"):
         want = np.percentile(values, [75.0, 25.0, 0.0, 50.0, 100.0])
         try:
-            h = silverman_bandwidth(values)
+            h = _bandwidth(values)
         except DegenerateDensityError:
             h = DegenerateDensityError
         assert h == _percentile_bandwidth(values)
@@ -347,8 +357,7 @@ def test_empty_stratum_fails_alike_in_estimates_covariance_and_bootstrap():
     # the bootstrap rejects the input before drawing any replicate
     calls = [lambda: bootstrap_covariance(ds, None, FULL, 100, seed=1),
              lambda: sigma_matrix(ds, None, FULL),
-             lambda: sigma_matrix(ds, None, PAUC),
-             lambda: density_ratio(ds, 2, 0.3)]
+             lambda: sigma_matrix(ds, None, PAUC)]
     for call in calls:
         with pytest.raises(ValueError) as got:
             call()

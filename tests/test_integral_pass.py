@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wroc import covariance
-from wroc.covariance import sigma_matrix, silverman_bandwidth
+from wroc.covariance import sigma_matrix
 from wroc.designs import StudyDesign
 from wroc.errors import WrocError
 from wroc.estimators import _stratum_pairs
@@ -154,6 +154,6 @@ def test_bandwidth_is_the_std_formula_bitwise(values):
     """The sums that replace ``np.std(ddof=1)`` give its bits, over the sizes
     where numpy's pairwise summation changes its blocking, and in 2-D."""
     with np.errstate(invalid="ignore", over="ignore"):
-        got = _outcome(lambda: silverman_bandwidth(values))
+        got = _outcome(lambda: covariance._bandwidth(values, np.sort(values, axis=None)))
         want = _outcome(lambda: _old_bandwidth(values))
     assert got == want

@@ -13,7 +13,7 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file",
            "ContrastFunction", "per_time_wauc", "pooled_counts", "parse_scenario_text",
-           "sample_mvn")
+           "sample_mvn", "density_ratio", "silverman_bandwidth")
 
 
 def test_every_exported_name_resolves():
@@ -36,6 +36,8 @@ def test_removed_names_are_not_exported():
     assert not hasattr(importlib.import_module("wroc.dataset"), "pooled_counts")
     assert not hasattr(importlib.import_module("wroc.simulation"), "parse_scenario_text")
     assert not hasattr(importlib.import_module("wroc.simulation"), "sample_mvn")
+    assert not hasattr(importlib.import_module("wroc.covariance"), "density_ratio")
+    assert not hasattr(importlib.import_module("wroc.covariance"), "silverman_bandwidth")
     # the generator's helper, not an export
     assert "compound_symmetry" not in wroc.__all__ and not hasattr(wroc, "compound_symmetry")
     assert hasattr(importlib.import_module("wroc.simulation"), "compound_symmetry")

@@ -105,6 +105,57 @@ def test_true_pauc_quadrature_consistent():
     assert 0.0 < part < full
 
 
+def _pauc(a, b, lower, upper):
+    """The pAUC truth at ``a = (mu_x - mu_y) / sd_x`` and ``b = sd_y / sd_x``."""
+    return true_wauc(WeightMeasure.partial_auc(lower, upper), a, 1.0, 0.0, b)
+
+
+def _phi(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def test_true_pauc_half_window_is_an_angle():
+    """At ``a = 0`` the window (0, 1/2) holds ``P(W <= bZ, Z <= 0)``, the
+    share ``atan(1/b) / 2π`` of the plane; over b from 0.01 to 1000 this
+    runs through both forms of the rule."""
+    for b in np.geomspace(0.01, 1000.0, 41):
+        want = math.atan(1.0 / b) / (2.0 * math.pi)
+        assert _pauc(0.0, b, 0.0, 0.5) == pytest.approx(want, rel=1e-13, abs=0), b
+
+
+def test_true_pauc_of_the_chance_line():
+    for lower, upper in [(0.0, 0.6), (0.1, 0.3), (0.0, 1.0), (0.2, 0.9), (0.5, 1.0),
+                         (0.0, 1e-6), (0.999, 1.0)]:
+        want = (upper * upper - lower * lower) / 2.0
+        assert _pauc(0.0, 1.0, lower, upper) == pytest.approx(want, rel=1e-13, abs=0), \
+            (lower, upper)
+
+
+def test_true_pauc_windows_add_up_to_the_auc():
+    for a in np.linspace(-4.0, 8.0, 49):
+        for b in (0.05, 0.3, 1.0, 1.7, 10.0, 100.0):
+            want = _phi(a / math.hypot(1.0, b))
+            assert _pauc(a, b, 0.0, 1.0) == pytest.approx(want, rel=1e-13, abs=0), (a, b)
+            for cut in (1e-9, 0.01, 0.3, 0.6, 0.99):
+                split = _pauc(a, b, 0.0, cut) + _pauc(a, b, cut, 1.0)
+                assert split == pytest.approx(want, rel=0, abs=1e-14), (a, b, cut)
+
+
+@pytest.mark.parametrize("params, lower, upper, want", [
+    ((4.0, 0.3, 0.0, 3.0), 0.0, 1.0, 0.907698718861209881232738),
+    ((4.0, 0.3, 0.0, 3.0), 0.0, 0.6, 0.5076987188612098590282775),
+    ((4.0, 0.3, 0.0, 3.0), 0.1, 0.4, 0.2963916567584850329832298),
+    ((2.0, 0.6, 1.5, 1.3), 0.0, 1.0, 0.6365361025717273425950867),
+    ((2.0, 0.6, 1.5, 1.3), 0.0, 0.6, 0.2428481235343767452636524),
+    ((2.0, 0.6, 1.5, 1.3), 0.1, 0.4, 0.08492286733827600355531885),
+])
+def test_true_pauc_of_steep_binormals(params, lower, upper, want):
+    """Steep ROC curves (``b`` = 10 and 2.2) against 40-digit references
+    (mpmath quadrature in z, split at the integers ±1, ±2, ±4, ±8)."""
+    got = true_wauc(WeightMeasure.partial_auc(lower, upper), *params)
+    assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_true_atom_measures():
     u0 = 0.25
     want = float(binormal_roc(u0, 1.0, 1.0, 0.0, 1.0))
@@ -369,6 +420,32 @@ def test_run_study_counts_package_errors_and_raises_others(monkeypatch):
     monkeypatch.setattr("wroc.simulation.sigma_matrix", broken)
     with pytest.raises(ValueError, match="a programming error"):
         run_study(sc)
+
+
+def test_run_study_starts_no_more_workers_than_chunks(monkeypatch):
+    """Five replicates with ``n_jobs=64`` ask for five workers.  The stand-in
+    pool runs the chunks in this process and starts none."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("wroc.simulation.ProcessPoolExecutor", InProcessPool)
+    sc = replace(null_scenario(0.5, 10), n_reps=5)
+    fanned = run_study(sc, n_jobs=64)
+    assert asked == [5]
+    for got, want in zip(fanned.cells, run_study(sc).cells):
+        np.testing.assert_array_equal(got.estimates, want.estimates)
 
 
 def test_run_study_null_truth_zero():
