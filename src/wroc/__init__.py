@@ -25,7 +25,6 @@ from .dataset import (
     write_dataset_csv,
 )
 from .estimators import (
-    EmpiricalSurvival,
     WaucVector,
     auc,
     empirical_roc,
@@ -33,7 +32,6 @@ from .estimators import (
     pauc,
     sensitivity_at_fpr,
     survival,
-    survival_curve,
     wauc,
     wauc_vector,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "read_dataset_csv",
     "write_dataset_csv",
     "validate",
-    "EmpiricalSurvival",
-    "survival_curve",
     "survival",
     "inverse_survival",
     "auc",

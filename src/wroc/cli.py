@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -87,10 +88,25 @@ def _se_ignores_midrank(args, cov) -> bool:
     return bool(args.midrank) and cov.method == "quadrature"
 
 
+def _json_text(report: dict) -> str:
+    """The report as strict JSON: an undefined (non-finite) number is null."""
+    return json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(node):
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(value) for value in node]
+    return node
+
+
 def _emit(report: dict, args) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=False) + "\n"
+        text = _json_text(report)
     else:
         lines = []
         _flatten("", report, lines)
@@ -227,17 +243,17 @@ def _cmd_simulate(args) -> int:
     report = _report_header("simulate", args, None)
     report["seed"] = scenario.seed
     report["results"] = result.to_dict()
+    text = _json_text(report)
     if args.output:
         with open(args.output + ".json", "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
         with open(args.output + ".csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()),
                                     lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
     else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -47,9 +47,6 @@ class SubjectRecord:
         object.__setattr__(self, "cells", normalized)
         object.__setattr__(self, "subject_id", str(self.subject_id))
 
-    def n_values(self, marker: int, time: int) -> int:
-        return len(self.cells.get((marker, time), ()))
-
 
 @dataclass(frozen=True, eq=False)
 class GroupColumns:
@@ -115,10 +112,6 @@ class GroupColumns:
                                                 self.time.tolist(), self.value.tolist()):
             cells[subject].setdefault((marker, time), []).append(value)
         return tuple(SubjectRecord(sid, c) for sid, c in zip(self.subject_ids.tolist(), cells))
-
-    def equals(self, other: "GroupColumns") -> bool:
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in ("subject_ids", "subject", "marker", "time", "value"))
 
 
 @dataclass(frozen=True)
@@ -258,7 +251,10 @@ class MarkerDataset:
         return (
             self.n_markers == other.n_markers
             and self.n_times == other.n_times
-            and all(self._columns[g].equals(other._columns[g]) for g in _GROUPS)
+            and all(np.array_equal(getattr(self._columns[g], name),
+                                   getattr(other._columns[g], name))
+                    for g in _GROUPS
+                    for name in ("subject_ids", "subject", "marker", "time", "value"))
         )
 
 

@@ -76,10 +76,6 @@ class StudyDesign:
     def n_times(self) -> int:
         return 1 if self.kind == "readers" else self.n_pairs
 
-    @property
-    def n_strata(self) -> int:
-        return 2 * self.n_pairs
-
     def strata(self) -> list[tuple[int, int | None]]:
         """(marker, time) per stratum; time None means pooled over times."""
         if self.kind == "readers":
@@ -104,7 +100,7 @@ class StudyDesign:
         ]
 
     def contrast_matrix(self) -> np.ndarray:
-        """Signed pairing matrix A, shape (n_strata, n_pairs).
+        """Signed pairing matrix A, shape (2 * n_pairs, n_pairs).
 
         Column p has +1 at stratum p (first half) and -1 at stratum
         n_pairs + p (second half), so A' omega is the vector of paired

@@ -1,4 +1,4 @@
-"""Empirical survival curves and weighted-AUC point estimators.
+"""Empirical survival, ROC and weighted-AUC point estimators.
 
 All estimators are rank-based.  Pair indicators are strict (ties score 0)
 unless the ``midrank`` flag is set, in which case ties score 1/2.  The
@@ -15,9 +15,11 @@ Every estimate comes from one core of four pieces:
   groups' strata are paired.
 * :func:`_rank` is the one rank rule, ``ceil((1 - u) * n)`` per rate.
 * :func:`_roc` is the one ROC evaluator: the non-diseased thresholds at a
-  set of rates and the diseased survival at those thresholds.
-  :func:`_roc_at` takes the rates as the rows of the sorted non-diseased
-  values that :func:`_threshold_rows` gives, for callers that reuse them.
+  set of rates (rows :func:`_threshold_rows` of the sorted values) and the
+  diseased survival at those thresholds (:func:`_survival_at`).
+  :func:`_roc_at` takes the rates as their threshold rows, for callers that
+  reuse them.  The public :func:`survival` and :func:`inverse_survival`
+  read one group's stratum through the same two halves.
 * :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
   partial AUCs count diseased wins over the non-diseased values whose rank
   lies in the measure's window, over all pairs (so ``pauc(0, 1)`` is the
@@ -66,30 +68,6 @@ def _rank(u, n) -> np.ndarray:
     return np.ceil((1.0 - np.asarray(u, dtype=float)) * n - _INDEX_GUARD).astype(np.intp)
 
 
-class EmpiricalSurvival:
-    """Right-continuous empirical survival curve of one pooled sample."""
-
-    __slots__ = ("sorted_values", "n")
-
-    def __init__(self, values, *, presorted: bool = False):
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError("empirical survival needs at least one value")
-        self.sorted_values = arr if presorted else np.sort(arr)
-        self.n = int(arr.size)
-
-    def survival(self, x):
-        """Fraction of values strictly greater than x (scalar or array)."""
-        above = self.n - np.searchsorted(self.sorted_values, x, side="right")
-        out = above / self.n
-        return float(out) if np.isscalar(x) else out
-
-    def inverse_survival(self, u):
-        """Threshold whose empirical false-positive rate is u (scalar or array)."""
-        out = self.sorted_values[_threshold_rows(u, self.n)]
-        return float(out) if np.isscalar(u) else out
-
-
 def _threshold_rows(u, n: int) -> np.ndarray:
     """0-based rows of ``n`` ascending values that hold the thresholds at
     false-positive rates ``u``: :func:`_rank` clamped to at least 1, minus 1.
@@ -100,24 +78,6 @@ def _threshold_rows(u, n: int) -> np.ndarray:
         raise ValueError("false-positive rate must be in (0, 1], "
                          f"got {float(u.flat[np.argmax(bad)])}")
     return np.maximum(_rank(u, n), 1) - 1
-
-
-def survival_curve(dataset: MarkerDataset, marker: int, *, group: str = "nondiseased",
-                   time: int | None = None) -> EmpiricalSurvival:
-    stratum = dataset.stratum(group, marker, time)
-    if stratum.n == 0:
-        raise ValueError(f"no {group} measurements for marker {marker}")
-    return EmpiricalSurvival(stratum.sorted_values, presorted=True)
-
-
-def survival(dataset: MarkerDataset, marker: int, x, *, group: str = "diseased",
-             time: int | None = None):
-    return survival_curve(dataset, marker, group=group, time=time).survival(x)
-
-
-def inverse_survival(dataset: MarkerDataset, marker: int, u, *,
-                     group: str = "nondiseased", time: int | None = None):
-    return survival_curve(dataset, marker, group=group, time=time).inverse_survival(u)
 
 
 # -- the core --------------------------------------------------------------
@@ -131,6 +91,15 @@ def _stratum_pair(dataset: MarkerDataset, marker: int,
     if x.n == 0 or y.n == 0:
         raise ValueError(f"marker {marker} has an empty group in the requested stratum")
     return x, y
+
+
+def _group_stratum(dataset: MarkerDataset, marker: int, group: str,
+                   time: int | None) -> Stratum:
+    """One group's stratum of one (marker, time), non-empty."""
+    stratum = dataset.stratum(group, marker, time)
+    if stratum.n == 0:
+        raise ValueError(f"no {group} measurements for marker {marker}")
+    return stratum
 
 
 def _stratum_pairs(dataset: MarkerDataset, design: StudyDesign | None):
@@ -161,8 +130,13 @@ def _roc(x: Stratum, y: Stratum, u):
 def _roc_at(x: Stratum, y: Stratum, rows: np.ndarray):
     """:func:`_roc` with the rates given as their :func:`_threshold_rows`."""
     thresholds = y.sorted_values[rows]
-    above = x.n - np.searchsorted(x.sorted_values, thresholds, side="right")
-    return thresholds, above / x.n
+    return thresholds, _survival_at(x, thresholds)
+
+
+def _survival_at(stratum: Stratum, points):
+    """Fraction of the stratum's values strictly greater than each point."""
+    above = stratum.n - np.searchsorted(stratum.sorted_values, points, side="right")
+    return above / stratum.n
 
 
 def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:
@@ -280,6 +254,22 @@ def _placements(x: Stratum, y: Stratum, midrank: bool) -> tuple[np.ndarray, np.n
 
 
 # -- public estimators ---------------------------------------------------
+
+
+def survival(dataset: MarkerDataset, marker: int, x, *, group: str = "diseased",
+             time: int | None = None):
+    """Fraction of the group's values strictly greater than x (scalar or array)."""
+    out = _survival_at(_group_stratum(dataset, marker, group, time), x)
+    return float(out) if np.isscalar(x) else out
+
+
+def inverse_survival(dataset: MarkerDataset, marker: int, u, *,
+                     group: str = "nondiseased", time: int | None = None):
+    """Threshold whose empirical false-positive rate in the group is u
+    (scalar or array)."""
+    stratum = _group_stratum(dataset, marker, group, time)
+    out = stratum.sorted_values[_threshold_rows(u, stratum.n)]
+    return float(out) if np.isscalar(u) else out
 
 
 def auc(dataset: MarkerDataset, marker: int, *, time: int | None = None,

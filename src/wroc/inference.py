@@ -63,9 +63,11 @@ def equal_weights(n_pairs: int) -> WeightVector:
 
 def custom_weights(values) -> WeightVector:
     arr = np.asarray(values, dtype=float)
-    total = float(arr.sum())
-    if not np.all(np.isfinite(arr)) or total <= 0.0:
-        raise ValueError("custom weights must be finite with a positive sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(arr.sum())    # not finite if a weight is not
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"custom weights must be finite with a positive, finite sum, "
+                         f"got sum {total}")
     return WeightVector(arr / total, method="custom")
 
 

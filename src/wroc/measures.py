@@ -60,6 +60,8 @@ class WeightMeasure:
                     raise ValueError(f"atom mass {mass} must be positive and finite")
             # canonical order makes reports and covariance grids deterministic
             object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
+            if not math.isfinite(self.total_mass):
+                raise ValueError(f"atom masses sum to {self.total_mass}, which is not finite")
 
     # -- constructors ----------------------------------------------------
 

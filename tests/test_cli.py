@@ -1,5 +1,6 @@
 """End-to-end command line behavior: reports, files, exit codes."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -36,6 +37,13 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def strict_json(text):
+    """``json.loads`` refusing ``NaN`` and ``Infinity``, which RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 # -- analyze -------------------------------------------------------------
@@ -328,6 +336,21 @@ def test_simulate_writes_json_and_csv(tmp_path):
     assert lines[0].split(",")[:2] == ["measure", "weight_method"]
 
 
+def test_simulate_json_writes_undefined_numbers_as_null(tmp_path, capsys):
+    # one replicate leaves the Monte Carlo variance undefined
+    argv = ["simulate", "null", "--n", "10", "--reps", "1"]
+    assert main(argv) == 0
+    cells = strict_json(capsys.readouterr().out)["results"]["cells"]
+    assert [cell["mc_variance"] for cell in cells] == [None, None]
+    base = tmp_path / "one"
+    assert main(argv + ["--output", str(base)]) == 0
+    cells = strict_json((tmp_path / "one.json").read_text(encoding="utf-8"))["results"]["cells"]
+    assert [cell["mc_variance"] for cell in cells] == [None, None]
+    lines = (tmp_path / "one.csv").read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("mc_variance")
+    assert [line.split(",")[column] for line in lines[1:]] == ["nan", "nan"]
+
+
 def test_simulate_stdout_and_scenario_file(tmp_path, capsys):
     scenario = tmp_path / "scen.txt"
     scenario.write_text("study = table1\nrho = 0.2\nn = 10\nreps = 4\n"
@@ -529,6 +552,19 @@ def test_pyproject_version_matches_package():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match is not None
     assert match.group(1) == __version__
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option.startswith("--") and option != "--help":
+                    assert re.search(re.escape(option) + r"(?![\w-])", readme), \
+                        f"{command} {option}"
 
 
 def test_readme_command_lines_parse():

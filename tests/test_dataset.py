@@ -221,7 +221,7 @@ def test_resample_repeated_draws_clustered_longitudinal():
     np.testing.assert_array_equal(boot.stratum("nondiseased", 1).values,
                                   [-1.0, -2.0, -3.0, -1.0, -2.0, -3.0, 9.0, 9.0])
     np.testing.assert_array_equal(boot.stratum("nondiseased", 1, 2).counts, [1, 1])
-    assert boot.diseased[0].n_values(1, 2) == 0
+    assert (1, 2) not in boot.diseased[0].cells
     assert [str(i) for i in validate(boot).issues] == [
         "diseased subject d3: empty cell (marker 1, time 2)"]
 

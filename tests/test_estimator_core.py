@@ -13,13 +13,14 @@ from wroc.covariance import bootstrap_covariance, sigma_matrix
 from wroc.dataset import MarkerDataset
 from wroc.designs import StudyDesign
 from wroc.estimators import (
-    EmpiricalSurvival,
     _rank,
+    _threshold_rows,
     auc,
     empirical_roc,
     inverse_survival,
     pauc,
     sensitivity_at_fpr,
+    survival,
     wauc,
     wauc_vector,
 )
@@ -28,6 +29,7 @@ from wroc.measures import WeightMeasure, parse_measure
 
 from conftest import paired_dataset
 from oracles import (
+    _old_survival,
     old_auc,
     old_empirical_roc,
     old_inverse_survival,
@@ -106,10 +108,26 @@ def test_public_estimators_equal_the_per_kind_path(ds, kinds, u, grid):
             for rates in (u, grid):
                 assert outcome(empirical_roc, ds, marker, rates, time=time) == \
                     outcome(old_empirical_roc, ds, marker, rates, time)
-            y = ds.stratum("nondiseased", marker, time)
-            if y.n:
-                assert inverse_survival(ds, marker, u, time=time) == \
-                    old_inverse_survival(y.sorted_values, u)
+            for group in ("diseased", "nondiseased"):
+                stratum = ds.stratum(group, marker, time)
+                if not stratum.n:
+                    empty = f"no {group} measurements for marker {marker}"
+                    for fn, arg in ((survival, 0.0), (inverse_survival, u)):
+                        assert outcome(fn, ds, marker, arg, group=group, time=time) == \
+                            ("error", empty)
+                    continue
+                points = np.concatenate(([-np.inf, np.inf], stratum.values,
+                                         stratum.values + 0.25))
+                for x in (*points[:3].tolist(), points):
+                    got = survival(ds, marker, x, group=group, time=time)
+                    want = _old_survival(stratum.sorted_values, x)
+                    assert type(got) is type(want) and np.array_equal(got, want)
+                got = inverse_survival(ds, marker, u, group=group, time=time)
+                assert type(got) is float
+                assert got == old_inverse_survival(stratum.sorted_values, u)
+                assert np.array_equal(
+                    inverse_survival(ds, marker, grid, group=group, time=time),
+                    old_inverse_survival_many(stratum.sorted_values, grid))
             for measure in kinds:
                 assert outcome(wauc, ds, marker, measure, time=time) == \
                     outcome(old_wauc, ds, marker, measure, time)
@@ -163,11 +181,11 @@ def test_rank_rule_is_exact_up_to_ten_million(sized):
     assert int(_rank(u, n)) == want
     assert _rank([u, u], n).tolist() == [want, want]
     if u > 0.0:
-        surv = EmpiricalSurvival(_order_statistics()[:n], presorted=True)
-        # the threshold is the max(rank, 1)-th smallest value
-        assert surv.inverse_survival(u) == max(want, 1)
-        assert surv.inverse_survival([u])[0] == max(want, 1)
-        assert old_inverse_survival_many(surv.sorted_values, [u])[0] == max(want, 1)
+        # the threshold inverse_survival reads is the max(rank, 1)-th smallest value
+        ordered = _order_statistics()[:n]
+        assert ordered[_threshold_rows(u, n)] == max(want, 1)
+        assert ordered[_threshold_rows([u], n)][0] == max(want, 1)
+        assert old_inverse_survival_many(ordered, [u])[0] == max(want, 1)
 
 
 # -- midrank -------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from wroc.designs import StudyDesign
 from wroc.estimators import (
-    EmpiricalSurvival,
     auc,
     empirical_roc,
     inverse_survival,
@@ -53,20 +52,21 @@ def test_inverse_survival_order_statistics():
 
 
 def test_inverse_survival_rejects_zero():
+    ds = singles_dataset([0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        EmpiricalSurvival([1.0, 2.0]).inverse_survival(0.0)
+        inverse_survival(ds, 1, 0.0)
 
 
 def test_inverse_survival_of_an_array_names_first_bad_rate():
-    surv = EmpiricalSurvival([10.0, 20.0, 30.0, 40.0])
-    got = surv.inverse_survival([0.25, 1.0])
+    ds = singles_dataset([0.0], [40.0, 10.0, 30.0, 20.0])
+    got = inverse_survival(ds, 1, [0.25, 1.0])
     assert isinstance(got, np.ndarray)
     np.testing.assert_array_equal(got, [30.0, 10.0])
-    assert type(surv.inverse_survival(0.25)) is float
+    assert type(inverse_survival(ds, 1, 0.25)) is float
     with pytest.raises(ValueError, match=r"must be in \(0, 1\], got 1\.5$"):
-        surv.inverse_survival([0.25, 0.5, 1.5, 0.7, 0.0])
+        inverse_survival(ds, 1, [0.25, 0.5, 1.5, 0.7, 0.0])
     with pytest.raises(ValueError, match=r"got nan$"):
-        surv.inverse_survival(np.array([[0.5, np.nan]]))
+        inverse_survival(ds, 1, np.array([[0.5, np.nan]]))
 
 
 def test_sensitivity_at_fpr():

@@ -1,6 +1,7 @@
 """Weights, contrasts, delta-method variance and the z test."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ def test_custom_weights_normalize():
     np.testing.assert_allclose(w.weights, [0.25, 0.75])
     with pytest.raises(ValueError):
         custom_weights([1.0, -1.0, 0.0])
+    # a sum that overflows is rejected before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="got sum inf$"):
+            custom_weights([1e308, 1e308, 1e308])
 
 
 def test_weight_scale_invariance_exact():

@@ -13,7 +13,8 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 REMOVED = ("delta_m", "delta_longitudinal", "joint_survival", "parse_scenario_file",
            "ContrastFunction", "per_time_wauc", "pooled_counts", "parse_scenario_text",
-           "sample_mvn", "density_ratio", "silverman_bandwidth")
+           "sample_mvn", "density_ratio", "silverman_bandwidth", "EmpiricalSurvival",
+           "survival_curve")
 
 
 def test_every_exported_name_resolves():
@@ -43,11 +44,16 @@ def test_removed_names_are_not_exported():
     assert hasattr(importlib.import_module("wroc.simulation"), "compound_symmetry")
     normal = importlib.import_module("wroc._normal")
     assert not hasattr(normal, "erf") and not hasattr(normal, "erfc")
-    assert not hasattr(wroc.EmpiricalSurvival, "inverse_survival_many")
+    estimators = importlib.import_module("wroc.estimators")
+    assert not hasattr(estimators, "EmpiricalSurvival")
+    assert not hasattr(estimators, "survival_curve")
     for cls, attrs in ((wroc.DeltaVariance, ("__float__",)),
                        (wroc.WaucVector, ("as_dict",)),
                        (wroc.ComparisonResult, ("to_dict",)),
-                       (wroc.CovarianceEstimate, ("n_strata",))):
+                       (wroc.CovarianceEstimate, ("n_strata",)),
+                       (wroc.StudyDesign, ("n_strata",)),
+                       (wroc.SubjectRecord, ("n_values",)),
+                       (importlib.import_module("wroc.dataset").GroupColumns, ("equals",))):
         for attr in attrs:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
     assert "raw_sum" not in {f.name for f in dataclasses.fields(wroc.WeightVector)}
