@@ -46,7 +46,6 @@ from .simulation import (
     read_scenario_file,
     run_method_comparison,
     study_names,
-    study_runner,
     study_scenario,
 )
 
@@ -55,9 +54,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _threads(flag: int) -> int:
+def _threads(flag: int | None) -> int:
     """Worker processes: ``--threads`` when positive, else 1."""
-    if flag < 0:
+    if flag is not None and flag < 0:
         raise DataFormatError(f"--threads must be >= 0, got {flag}")
     return flag or 1
 
@@ -130,9 +129,11 @@ def _flatten(prefix: str, node, lines: list[str]) -> None:
         lines.append(f"{prefix[:-1]} = {node}")
 
 
-def _report_header(command: str, args, digest: str | None) -> dict:
-    config = {key: value for key, value in sorted(vars(args).items())
-              if key not in ("func", "output", "format") and value is not None}
+def _report_header(command: str, args, digest: str | None, **in_effect) -> dict:
+    """The report's header; ``config`` lists the arguments given and ``in_effect``."""
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("func", "output", "format") and value is not None}
+    config = dict(sorted({**given, **in_effect}.items()))
     header = {
         "tool": "wroc",
         "version": __version__,
@@ -210,37 +211,34 @@ def _cmd_compare(args) -> int:
 # -- simulate ------------------------------------------------------------
 
 
-# --n, --reps and --seed of a named study when not given
-_SIMULATE_DEFAULTS = {"n": DEFAULT_N, "reps": DEFAULT_REPS, "seed": DEFAULT_SEED}
+# the study flags of a named study, which --scenario excludes
+_STUDY_FLAGS = ("rho", "family", "n", "reps", "seed")
 
 
 def _cmd_simulate(args) -> int:
     threads = _threads(args.threads)
+    given = {key: getattr(args, key) for key in _STUDY_FLAGS if getattr(args, key) is not None}
     if args.scenario:
-        given = [f"--{key}" for key in ("rho", "family", "n", "reps", "seed")
-                 if getattr(args, key) is not None]
+        excluded = [f"--{key}" for key in given]
         if args.study:
-            given.insert(0, f"study {args.study}")
-        if given:
-            raise DataFormatError(f"--scenario takes no {', '.join(given)}; "
+            excluded.insert(0, f"study {args.study}")
+        if excluded:
+            raise DataFormatError(f"--scenario takes no {', '.join(excluded)}; "
                                   "set them in the scenario file")
-        study, scenario = read_scenario_file(args.scenario)
+        study, runner, scenario = read_scenario_file(args.scenario)
     elif args.study:
-        for key, default in _SIMULATE_DEFAULTS.items():
-            if getattr(args, key) is None:
-                setattr(args, key, default)
         study = args.study
-        scenario = study_scenario(study, args.n, rho=args.rho, family=args.family,
-                                  n_reps=args.reps, seed=args.seed)
+        runner, scenario = study_scenario(study, **given)
     else:
         raise DataFormatError("simulate needs a study name or --scenario FILE")
-    runner = study_runner(study)
-    if runner is run_method_comparison:
-        result = runner(scenario, component=args.component, n_jobs=threads)
-    else:
-        result = runner(scenario, n_jobs=threads)
+    options = {} if args.component is None else {"component": args.component}
+    if options and runner is not run_method_comparison:
+        raise DataFormatError(f"study {study} takes no component")
+    result = runner(scenario, n_jobs=threads, **options)
     rows = [cell.to_dict() for cell in result.cells]
-    report = _report_header("simulate", args, None)
+    in_effect = {} if args.scenario else {
+        "n": scenario.n_diseased, "reps": scenario.n_reps, "seed": scenario.seed}
+    report = _report_header("simulate", args, None, **in_effect)
     report["seed"] = scenario.seed
     report["results"] = result.to_dict()
     text = _json_text(report)
@@ -330,18 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho", type=float,
                        help=f"within-subject correlation (default {DEFAULT_RHO:g}) "
                             "for studies that take it")
-    p_sim.add_argument("--n", type=int,
-                       help=f"subjects per group (default {_SIMULATE_DEFAULTS['n']})")
+    p_sim.add_argument("--n", type=int, help=f"subjects per group (default {DEFAULT_N})")
     p_sim.add_argument("--family", choices=FAMILIES,
                        help="marker distribution for studies that take it")
-    p_sim.add_argument("--reps", type=int,
-                       help=f"replicates (default {_SIMULATE_DEFAULTS['reps']})")
-    p_sim.add_argument("--seed", type=int,
-                       help=f"master seed (default {_SIMULATE_DEFAULTS['seed']})")
-    p_sim.add_argument("--component", type=int, default=1,
-                       help="headline marker for method comparisons")
-    p_sim.add_argument("--threads", type=int, default=0,
-                       help="at most this many worker processes; 0 means 1")
+    p_sim.add_argument("--reps", type=int, help=f"replicates (default {DEFAULT_REPS})")
+    p_sim.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
+    p_sim.add_argument("--component", type=int,
+                       help="headline marker of the table2 method comparison (default 1)")
+    p_sim.add_argument("--threads", type=int,
+                       help="at most this many worker processes; left out or 0, one")
     p_sim.add_argument("--output", metavar="BASE",
                        help="write BASE.json and BASE.csv")
     p_sim.set_defaults(func=_cmd_simulate)

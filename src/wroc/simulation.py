@@ -5,14 +5,16 @@ Gaussian marker vectors with exchangeable correlation.  Each replicate gets
 its own RNG stream derived from (master seed, replicate index), so results
 are independent of execution order and worker count.
 
-Three runners:
+Two runners:
 
 * :func:`run_study` estimates bias, RMSE, confidence coverage and rejection
   rate of the weighted paired wAUC difference over the scenario grid of
   measures and weighting methods.
 * :func:`run_method_comparison` benchmarks the empirical AUC against a
   binormal moment plug-in and a logistic-score AUC, per marker.
-* scenario text files (``key = value`` lines) drive both from the CLI.
+
+Every study is a row of one registry; :func:`study_scenario` alone turns
+its keys, from CLI flags or a scenario file, into its runner and scenario.
 
 The population truths need numpy alone: the normal CDF and quantile are
 ``ndtr`` and ``ndtri`` from :mod:`wroc._normal`, and :func:`true_wauc`
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import time as _time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -328,7 +331,7 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 # -- scenario builders ---------------------------------------------------
 
-# a study's defaults when not given; DEFAULT_N serves the CLI and custom scenarios
+# a study's defaults when not given, applied by study_scenario
 DEFAULT_SEED = 20240817
 DEFAULT_REPS = 1000
 DEFAULT_N = 50
@@ -803,53 +806,91 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
 
 # -- study registry ------------------------------------------------------
 
-# study name -> (scenario function, the optional arguments it takes, the
-# runner its scenarios go to).  An argument the study takes but is not given
-# falls back to DEFAULT_RHO or to the family default in the function's
-# signature.
+
+def _custom_scenario(n: int, *, n_reps: int, seed: int, rho: float, design: StudyDesign,
+                     mu_diseased, mu_nondiseased, variances, name: str = "custom",
+                     family: str = "normal", rho_diseased: float | None = None,
+                     rho_nondiseased: float | None = None,
+                     cluster_sizes_diseased=(1, 1), cluster_sizes_nondiseased=(1, 1),
+                     correlation_scope: str = "all") -> ScenarioSpec:
+    """A scenario spelled out key by key: ``rho`` serves both groups unless
+    ``rho_diseased`` or ``rho_nondiseased`` is given; full AUC, equal weights."""
+    return ScenarioSpec(
+        name=name, family=family, design=design, mu_diseased=mu_diseased,
+        mu_nondiseased=mu_nondiseased, variances=variances,
+        rho_diseased=rho if rho_diseased is None else rho_diseased,
+        rho_nondiseased=rho if rho_nondiseased is None else rho_nondiseased,
+        cluster_sizes_diseased=cluster_sizes_diseased,
+        cluster_sizes_nondiseased=cluster_sizes_nondiseased,
+        n_diseased=n, n_nondiseased=n, n_reps=n_reps, seed=seed,
+        measures=(WeightMeasure.full_auc(),), weight_methods=("equal",),
+        correlation_scope=correlation_scope)
+
+
+@dataclass(frozen=True)
+class _Study:
+    builder: Callable[..., ScenarioSpec]   # builder(n=, n_reps=, seed=, **keys)
+    runner: Callable
+    takes: tuple[str, ...]                 # keys beside the common ones
+    needs: tuple[str, ...] = ()            # keys it cannot do without
+    rho: float = DEFAULT_RHO               # when it takes rho and none is given
+
+
+# keys every study takes
+_COMMON_KEYS = ("n", "m", "j", "reps", "seed", "alpha", "measures", "weights")
+
 _STUDIES = {
-    "table1": (table1_scenario, ("rho", "family"), run_study),
-    "table2": (table2_scenario, ("rho", "family"), run_method_comparison),
-    "table3": (table3_scenario, ("rho",), run_study),
-    "table4": (table4_scenario, ("family",), run_study),
-    "null": (null_scenario, ("rho",), run_study),
+    "table1": _Study(table1_scenario, run_study, ("rho", "family")),
+    "table2": _Study(table2_scenario, run_method_comparison, ("rho", "family")),
+    "table3": _Study(table3_scenario, run_study, ("rho",)),
+    "table4": _Study(table4_scenario, run_study, ("family",)),
+    "null": _Study(null_scenario, run_study, ("rho",)),
+    "custom": _Study(_custom_scenario, run_study,
+                     ("rho", "family", "name", "rho_diseased", "rho_nondiseased",
+                      "cluster_sizes_diseased", "cluster_sizes_nondiseased",
+                      "correlation_scope"),
+                     needs=("design", "mu_diseased", "mu_nondiseased", "variances"), rho=0.0),
 }
 
 
 def study_names() -> tuple[str, ...]:
-    return tuple(_STUDIES)
+    """The studies the command line can run: all that need no key, so not ``custom``."""
+    return tuple(name for name, row in _STUDIES.items() if not row.needs)
 
 
-def study_runner(study: str):
-    """The runner for scenarios of ``study``; ``custom`` goes to
-    :func:`run_study`."""
-    if study == "custom":
-        return run_study
-    if study not in _STUDIES:
-        raise DataFormatError(f"unknown study {study!r}")
-    return _STUDIES[study][2]
+def study_scenario(study: str, **keys) -> tuple[Callable, ScenarioSpec]:
+    """The runner of ``study`` and its scenario, built from ``keys``: the
+    one place that applies a study's defaults, for the command line's flags
+    and a scenario file's keys alike.
 
-
-def study_scenario(study: str, n: int, *, rho: float | None = None,
-                   family: str | None = None, n_reps: int = DEFAULT_REPS,
-                   seed: int = DEFAULT_SEED) -> ScenarioSpec:
-    """Scenario of a named study with ``n`` subjects per group.
-
-    ``rho`` and ``family`` are None when not given; giving one the study
-    does not take raises ``DataFormatError``.
+    Every study takes ``n``, both group sizes (default 50), ``m`` or ``j``
+    to override the diseased or the non-diseased one, ``reps`` (default
+    1000), ``seed`` (default 20240817), ``alpha`` (default 0.05),
+    ``measures`` (WeightMeasures) and ``weights`` (method names); its
+    ``_STUDIES`` row lists what else it takes and needs.  Left out, ``rho``
+    is the row's (0.5, or 0.0 for ``custom``) and ``family`` the builder's.
+    An unknown study, a key it does not take or a key it needs but lacks
+    raises ``DataFormatError``.
     """
     if study not in _STUDIES:
         raise DataFormatError(f"unknown study {study!r}")
-    builder, takes, _ = _STUDIES[study]
-    kwargs = {"n": n, "n_reps": n_reps, "seed": seed}
-    for key, value in (("rho", rho), ("family", family)):
-        if value is not None and key not in takes:
+    row = _STUDIES[study]
+    for key in keys:
+        if key not in _COMMON_KEYS + row.takes + row.needs:
             raise DataFormatError(f"study {study} takes no {key}")
-    if "rho" in takes:
-        kwargs["rho"] = DEFAULT_RHO if rho is None else rho
-    if family is not None:
-        kwargs["family"] = family
-    return builder(**kwargs)
+    missing = [key for key in row.needs if key not in keys]
+    if missing:
+        raise DataFormatError(f"study {study} needs {', '.join(missing)}")
+    n = keys.pop("n", DEFAULT_N)
+    overrides = {"n_nondiseased": keys.pop("j", n), "alpha": keys.pop("alpha", DEFAULT_ALPHA)}
+    for key, attr in (("measures", "measures"), ("weights", "weight_methods")):
+        if key in keys:
+            overrides[attr] = keys.pop(key)
+    if "rho" in row.takes:
+        keys.setdefault("rho", row.rho)
+    scenario = row.builder(n=keys.pop("m", n), n_reps=keys.pop("reps", DEFAULT_REPS),
+                           seed=keys.pop("seed", DEFAULT_SEED), **keys)
+    return row.runner, replace(scenario, **overrides)
 
 
 # -- scenario files ------------------------------------------------------
@@ -864,17 +905,35 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
     raise ValueError(f"expected one or two integers, got {text!r}")
 
 
-def read_scenario_file(source) -> tuple[str, ScenarioSpec]:
-    """The ``study`` key of a scenario file, which picks the runner
-    (:func:`study_runner`), and the scenario.
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# scenario-file key -> the reader of its value; study_scenario decides
+# which keys a study takes
+_KEY_READERS = {
+    **dict.fromkeys(("n", "m", "j", "reps", "seed"), int),
+    **dict.fromkeys(("alpha", "rho", "rho_diseased", "rho_nondiseased"), float),
+    **dict.fromkeys(("family", "name", "correlation_scope"), str),
+    **dict.fromkeys(("mu_diseased", "mu_nondiseased", "variances"), _floats),
+    **dict.fromkeys(("cluster_sizes_diseased", "cluster_sizes_nondiseased"), _parse_int_pair),
+    "design": parse_design,
+    "measures": lambda text: tuple(parse_measure(token) for token in text.split()),
+    "weights": lambda text: tuple(text.replace(",", " ").split()),
+}
+
+
+def read_scenario_file(source) -> tuple[str, Callable, ScenarioSpec]:
+    """The study a scenario file names, with the runner and scenario that
+    :func:`study_scenario` gives for the file's other keys.
 
     ``source`` is a path or an open handle, read as :func:`read_dataset_csv`
     reads one: bytes must be UTF-8 and a leading byte-order mark is dropped.
     Lines are ``key = value``; ``#`` starts a comment, on its own line or
     after a value, and a key given twice is an error naming its line.
-    Required key ``study`` picks a named study or ``custom``; the remaining
-    keys override its parameters.  Custom studies spell out the full
-    generative description.
+    Required key ``study`` picks a named study or ``custom``; each other
+    key's value is read by its reader in ``_KEY_READERS``, and the resolver
+    applies the defaults and refuses a key the study does not take.
     """
     entries: dict[str, str] = {}
     for line_no, raw in enumerate(_read_text(source).splitlines(), start=1):
@@ -893,71 +952,14 @@ def read_scenario_file(source) -> tuple[str, ScenarioSpec]:
     if study is None:
         raise DataFormatError("scenario file needs a 'study' key")
     study = study.lower()
+    unknown = sorted(set(entries) - set(_KEY_READERS))
+    if unknown:
+        raise DataFormatError(f"unknown scenario keys: {', '.join(unknown)}")
     for key in ("measures", "weights"):
         if key in entries and not entries[key].replace(",", " ").split():
             raise DataFormatError(f"scenario key {key!r} has no value")
-
-    def pop_float(key, default=None):
-        if key in entries:
-            return float(entries.pop(key))
-        return default
-
-    def pop_int(key, default=None):
-        if key in entries:
-            return int(entries.pop(key))
-        return default
-
     try:
-        n_val = pop_int("n")
-        m_val = pop_int("m", n_val)
-        j_val = pop_int("j", n_val)
-        reps = pop_int("reps", DEFAULT_REPS)
-        seed = pop_int("seed", DEFAULT_SEED)
-        family = entries.pop("family", None)
-        rho = pop_float("rho")
-        overrides = {"alpha": pop_float("alpha", DEFAULT_ALPHA)}
-        measures = entries.pop("measures", "").split()
-        if measures:
-            overrides["measures"] = tuple(parse_measure(tok) for tok in measures)
-        weight_methods = entries.pop("weights", "").replace(",", " ").split()
-        if weight_methods:
-            overrides["weight_methods"] = tuple(weight_methods)
-
-        if study == "custom":
-            rho = 0.0 if rho is None else rho
-            spec = ScenarioSpec(
-                name=entries.pop("name", "custom"),
-                family=family or "normal",
-                design=parse_design(entries.pop("design")),
-                mu_diseased=tuple(float(v) for v in entries.pop("mu_diseased").split(",")),
-                mu_nondiseased=tuple(float(v) for v in entries.pop("mu_nondiseased").split(",")),
-                variances=tuple(float(v) for v in entries.pop("variances").split(",")),
-                rho_diseased=pop_float("rho_diseased", rho),
-                rho_nondiseased=pop_float("rho_nondiseased", rho),
-                cluster_sizes_diseased=_parse_int_pair(
-                    entries.pop("cluster_sizes_diseased", "1")),
-                cluster_sizes_nondiseased=_parse_int_pair(
-                    entries.pop("cluster_sizes_nondiseased", "1")),
-                n_diseased=m_val if m_val is not None else DEFAULT_N,
-                n_nondiseased=j_val if j_val is not None else DEFAULT_N,
-                n_reps=reps,
-                seed=seed,
-                measures=(WeightMeasure.full_auc(),),
-                weight_methods=("equal",),
-                correlation_scope=entries.pop("correlation_scope", "all"),
-            )
-        elif study not in _STUDIES:
-            raise DataFormatError(f"unknown study {study!r}")
-        elif m_val is None:
-            raise DataFormatError(f"study {study} needs n (or m/j)")
-        else:
-            spec = study_scenario(study, m_val, rho=rho, family=family,
-                                  n_reps=reps, seed=seed)
-            if j_val is not None:
-                overrides["n_nondiseased"] = j_val
-        spec = replace(spec, **overrides)
-    except (KeyError, ValueError) as exc:
+        keys = {key: _KEY_READERS[key](value) for key, value in entries.items()}
+        return (study, *study_scenario(study, **keys))
+    except ValueError as exc:
         raise DataFormatError(f"bad scenario file: {exc}") from exc
-    if entries:
-        raise DataFormatError(f"unknown scenario keys: {', '.join(sorted(entries))}")
-    return study, spec

@@ -17,6 +17,7 @@ from wroc.designs import StudyDesign
 from wroc.estimators import empirical_roc, wauc
 from wroc.inference import compare_modalities
 from wroc.measures import WeightMeasure
+from wroc.simulation import _COMMON_KEYS, _KEY_READERS, _STUDIES, study_names
 
 from conftest import paired_dataset, singles_dataset
 
@@ -470,7 +471,7 @@ def test_simulate_threads_zero_means_one_process(monkeypatch, capsys):
     monkeypatch.setenv("WROC_THREADS", "abc")
     code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
     assert code == 0
-    assert report["config"]["threads"] == 0
+    assert "threads" not in report["config"]
     code, flagged = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2",
                                       "--threads", "1"])
     assert code == 0
@@ -478,6 +479,42 @@ def test_simulate_threads_zero_means_one_process(monkeypatch, capsys):
     for results in (report["results"], flagged["results"]):
         del results["elapsed_seconds"]
     assert flagged["results"] == report["results"]
+
+
+def test_simulate_component_only_for_the_method_comparison(capsys):
+    assert main(["simulate", "table3", "--n", "10", "--reps", "1", "--component", "2"]) == 2
+    assert capsys.readouterr().err == "wroc: input error: study table3 takes no component\n"
+    assert main(["simulate", "table2", "--n", "10", "--reps", "1", "--component", "9"]) == 2
+    assert "component 9 outside 1..6" in capsys.readouterr().err
+    code, report = run_json(capsys, ["simulate", "table2", "--n", "10", "--reps", "1",
+                                     "--component", "2"])
+    assert code == 0
+    assert report["config"]["component"] == report["results"]["component"] == 2
+    code, report = run_json(capsys, ["simulate", "null", "--n", "10", "--reps", "2"])
+    assert code == 0
+    assert not {"component", "threads"} & set(report["config"])
+
+
+def test_simulate_scenario_component_names_the_file_study(tmp_path, capsys):
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("study = null\nn = 10\nreps = 2\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--component", "1"]) == 2
+    assert capsys.readouterr().err == "wroc: input error: study null takes no component\n"
+
+
+@pytest.mark.parametrize("study", study_names())
+def test_simulate_study_flags_and_scenario_file_agree(tmp_path, capsys, study):
+    # both go through one resolver, so the same keys give the same results
+    code, flagged = run_json(capsys, ["simulate", study, "--n", "10", "--reps", "3",
+                                      "--seed", "5"])
+    assert code == 0
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text(f"study = {study}\nn = 10\nreps = 3\nseed = 5\n", encoding="utf-8")
+    code, filed = run_json(capsys, ["simulate", "--scenario", str(scenario)])
+    assert code == 0
+    for results in (flagged["results"], filed["results"]):
+        del results["elapsed_seconds"]
+    assert filed["results"] == flagged["results"]
 
 
 CUSTOM_SCENARIO = """study = custom
@@ -565,6 +602,16 @@ def test_readme_names_every_option():
                 if option.startswith("--") and option != "--help":
                     assert re.search(re.escape(option) + r"(?![\w-])", readme), \
                         f"{command} {option}"
+
+
+def test_readme_names_every_scenario_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Scenario files"):readme.index("## Library")]
+    listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+    assert sorted(listed) == sorted({"study", *_KEY_READERS})
+    # and each key the file reader reads is one that some study takes
+    taken = {key for row in _STUDIES.values() for key in _COMMON_KEYS + row.takes + row.needs}
+    assert taken == set(_KEY_READERS)
 
 
 def test_readme_command_lines_parse():

@@ -29,7 +29,6 @@ from wroc.simulation import (
     run_method_comparison,
     run_study,
     study_names,
-    study_runner,
     study_scenario,
     table1_scenario,
     table2_scenario,
@@ -219,7 +218,7 @@ def test_truths_match_old_form_bitwise():
 
 def test_config_design_is_the_design_selector():
     for study in study_names():
-        scenario = study_scenario(study, 10)
+        _, scenario = study_scenario(study, n=10)
         selector = scenario.config_dict()["design"]
         assert parse_design(selector) == scenario.design
     assert table4_scenario(10).config_dict()["design"] == "longitudinal:3"
@@ -289,18 +288,23 @@ def test_study_names():
 
 
 def test_study_scenario_defaults_and_rejections():
-    assert study_scenario("table1", 20) == table1_scenario(0.5, 20, "normal")
-    assert study_scenario("table2", 20, rho=0.2) == table2_scenario(0.2, 20, "lognormal")
-    assert study_scenario("table3", 20, n_reps=7, seed=3) == table3_scenario(
+    assert study_scenario("table1", n=20) == (run_study, table1_scenario(0.5, 20, "normal"))
+    assert study_scenario("table2", n=20, rho=0.2) == (
+        run_method_comparison, table2_scenario(0.2, 20, "lognormal"))
+    assert study_scenario("table3", n=20, reps=7, seed=3)[1] == table3_scenario(
         0.5, 20, n_reps=7, seed=3)
-    assert study_scenario("table4", 20, family="normal") == table4_scenario(20, "normal")
-    assert study_scenario("null", 20) == null_scenario(0.5, 20, n_reps=1000)
+    assert study_scenario("table4", n=20, family="normal")[1] == table4_scenario(20, "normal")
+    assert study_scenario("null", n=20)[1] == null_scenario(0.5, 20, n_reps=1000)
+    # n, reps and seed left out take the study defaults, whatever the builder's own
+    assert study_scenario("null")[1] == null_scenario(0.5, 50, n_reps=1000, seed=20240817)
     with pytest.raises(DataFormatError, match="takes no family"):
-        study_scenario("table3", 20, family="lognormal")
+        study_scenario("table3", n=20, family="lognormal")
     with pytest.raises(DataFormatError, match="takes no rho"):
-        study_scenario("table4", 20, rho=0.5)
+        study_scenario("table4", n=20, rho=0.5)
+    with pytest.raises(DataFormatError, match="^study table1 takes no name$"):
+        study_scenario("table1", n=20, name="mine")
     with pytest.raises(DataFormatError, match="unknown study"):
-        study_scenario("table9", 20)
+        study_scenario("table9", n=20)
 
 
 # -- dataset generation ---------------------------------------------------
@@ -541,7 +545,7 @@ def test_run_method_comparison_smoke():
 
 def _scenario(text: str):
     """The scenario of a scenario text, read from a text handle."""
-    return read_scenario_file(io.StringIO(text))[1]
+    return read_scenario_file(io.StringIO(text))[-1]
 
 
 def test_parse_named_studies():
@@ -624,11 +628,15 @@ def test_parse_errors():
     with pytest.raises(DataFormatError):
         _scenario("study = table9\nn = 50\n")
     with pytest.raises(DataFormatError):
-        _scenario("study = table1\n")                # missing n
-    with pytest.raises(DataFormatError):
         _scenario("study = table1\nn = 50\nbogus = 1\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError,
+                       match="^study custom needs design, mu_diseased, mu_nondiseased, variances$"):
         _scenario("study = custom\nn = 20\n")        # incomplete custom
+    with pytest.raises(DataFormatError, match="^study custom needs variances$"):
+        _scenario("study = custom\ndesign = readers:1\nmu_diseased = 1,1\n"
+                  "mu_nondiseased = 0,0\n")
+    with pytest.raises(DataFormatError, match="^study table1 takes no name$"):
+        _scenario("study = table1\nn = 50\nname = mine\n")   # a custom-only key
     with pytest.raises(DataFormatError, match="unknown weight method 'bogus'"):
         _scenario("study = table1\nn = 50\nweights = bogus\n")
     with pytest.raises(DataFormatError, match="alpha"):
@@ -655,7 +663,7 @@ def test_parse_inline_comments_and_weight_separators():
 
 def test_scenario_file_from_a_path_or_a_handle(tmp_path):
     text = "study = table3\nrho = 0.5\nn = 20\nseed = 7\n"
-    want = ("table3", _scenario(text))
+    want = ("table3", run_study, _scenario(text))
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
     assert read_scenario_file(path) == want
@@ -709,8 +717,39 @@ def test_replicate_rng_streams_differ():
 
 
 def test_study_runner_from_registry():
-    assert study_runner("table2") is run_method_comparison
-    for study in ("table1", "table3", "table4", "null", "custom"):
-        assert study_runner(study) is run_study
+    assert study_scenario("table2")[0] is run_method_comparison
+    for study in ("table1", "table3", "table4", "null"):
+        assert study_scenario(study)[0] is run_study
+    custom = {"design": StudyDesign.readers(1), "mu_diseased": (1.0, 1.0),
+              "mu_nondiseased": (0.0, 0.0), "variances": (1.0, 1.0)}
+    assert study_scenario("custom", **custom)[0] is run_study
     with pytest.raises(DataFormatError, match="unknown study"):
-        study_runner("table9")
+        study_scenario("table9")
+
+
+CUSTOM_TEXT = """study = custom
+design = readers:1
+mu_diseased = 1,1
+mu_nondiseased = 0,0
+variances = 1,1
+"""
+
+
+@pytest.mark.parametrize("head", ["study = table3\n", CUSTOM_TEXT], ids=["table3", "custom"])
+@pytest.mark.parametrize("sizes, want", [
+    ("", (50, 50)),
+    ("m = 30\n", (30, 50)),
+    ("j = 30\n", (50, 30)),
+    ("n = 20\nj = 60\n", (20, 60)),
+    ("n = 20\nm = 30\nj = 40\n", (30, 40)),
+], ids=["no-n", "m", "j", "n-j", "n-m-j"])
+def test_group_sizes_follow_one_rule(head, sizes, want):
+    # n sets both groups and m or j overrides one, in every study
+    sc = _scenario(head + sizes)
+    assert (sc.n_diseased, sc.n_nondiseased) == want
+
+
+def test_scenario_file_without_n_runs_at_the_default():
+    sc = _scenario("study = table1\n")
+    assert sc == table1_scenario(0.5, 50, "normal")
+    assert _scenario("study = null\nreps = 2\n") == null_scenario(0.5, 50, n_reps=2)
