@@ -12,8 +12,11 @@ structure (structural components, DeLong et al. 1988, clustered by subject
 as in Obuchowski 1997).  Cost is linear in the number of values; no
 within-subject pairs are enumerated.
 
-* Full-AUC measures score each value by its exact placement.  The per-subject
-  sums are centred by ``omega * c_i`` and covaried across subjects with an
+* Full-AUC measures score each value by its exact placement: the fraction
+  of its pairs that the diseased value wins, counted by
+  :func:`~wroc.estimators._wins` (a tie 1/2 with ``midrank``).  The AUC
+  ``omega`` is the same wins over all pairs.  The per-subject sums are
+  centred by ``omega * c_i`` and covaried across subjects with an
   ``n / (n - 1)`` factor, which reduces exactly to the classic
   structural-component AUC covariance when every subject contributes one
   measurement.  No density estimation is involved.
@@ -52,12 +55,11 @@ from .designs import StudyDesign
 from .errors import DegenerateDensityError, WrocError
 from .estimators import (
     _check_midrank,
-    _placements,
     _roc_at,
     _stratum_pairs,
-    _stratum_wauc,
     _stratum_wauc_draws,
     _threshold_rows,
+    _wins,
 )
 from .measures import WeightMeasure
 
@@ -194,10 +196,13 @@ def _placement_parts(pairs, measure: WeightMeasure, midrank: bool):
     m_tot = np.zeros(n_s)
     n_tot = np.zeros(n_s)
     for s, (x, y) in enumerate(pairs):
-        vx, vy = _placements(x, y, midrank)
-        omega = _stratum_wauc(x, y, measure, midrank)
-        sum_x = np.bincount(x.subjects, weights=vx, minlength=n_dis)
-        sum_y = np.bincount(y.subjects, weights=vy, minlength=n_non)
+        # a non-diseased value's wins are the diseased values above it:
+        # the same count with the roles swapped, on the negated values
+        wins_x = _wins(x.values, y.sorted_values, measure, midrank)
+        wins_y = _wins(-y.values, -x.sorted_values[::-1], measure, midrank)
+        omega = wins_x.sum() / (x.n * y.n)
+        sum_x = np.bincount(x.subjects, weights=wins_x / y.n, minlength=n_dis)
+        sum_y = np.bincount(y.subjects, weights=wins_y / x.n, minlength=n_non)
         dev_x[s] = sum_x - omega * x.counts
         dev_y[s] = sum_y - omega * y.counts
         m_tot[s] = x.n

@@ -7,7 +7,7 @@ threshold at false-positive rate ``u`` over ``n`` pooled non-diseased values
 is the ``ceil((1 - u) * n)``-th smallest value, with the index clamped into
 ``[1, n]``.
 
-Every estimate comes from one core of four pieces:
+Every estimate comes from one core of five pieces:
 
 * :func:`_stratum_pairs` turns a dataset and a design into the checked
   (diseased, non-diseased) :class:`Stratum` pairs and their labels; it and
@@ -20,13 +20,17 @@ Every estimate comes from one core of four pieces:
   :func:`_roc_at` takes the rates as their threshold rows, for callers that
   reuse them.  The public :func:`survival` and :func:`inverse_survival`
   read one group's stratum through the same two halves.
+* :func:`_wins` is the one win count: how many sorted non-diseased values
+  each diseased value beats, with the one tie rule (``midrank`` scores a
+  tie 1/2) and the one pAUC window rule (only values whose rank lies in
+  the window count).  Estimates, placement values and bootstrap draws all
+  read their wins from it.
 * :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
-  partial AUCs count diseased wins over the non-diseased values whose rank
-  lies in the measure's window, over all pairs (so ``pauc(0, 1)`` is the
-  AUC); ``midrank`` scores ties 1/2 in that count.  Atomic measures sum
-  ``mass * ROC(u)`` over their atoms and take no ``midrank``.
-  :func:`_stratum_wauc_draws` gives the same values for many bootstrap
-  draws at once, from per-subject multiplicities, with the same rank rule.
+  partial AUCs sum the wins over all pairs (so ``pauc(0, 1)`` is the AUC).
+  Atomic measures sum ``mass * ROC(u)`` over their atoms and take no
+  ``midrank``.  :func:`_stratum_wauc_draws` gives the same values for many
+  bootstrap draws at once, from per-subject multiplicities, with the same
+  rank rule and win count.
 
 The public estimators, the covariance paths, the bootstrap and the
 simulators call these pieces.
@@ -144,14 +148,33 @@ def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:
         raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
 
 
-def _count_pairs(x_values: np.ndarray, y_sorted: np.ndarray, midrank: bool) -> float:
-    """Sum over x of strict (or midrank) win counts against y_sorted."""
-    below = np.searchsorted(y_sorted, x_values, side="left")
-    total = float(below.sum())
+def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
+          below: np.ndarray | None = None) -> np.ndarray:
+    """Each value's win count over the ascending ``ordered`` values.
+
+    A value's positions among ``ordered`` are the number of values below
+    it and, with ``midrank``, at or below it.  With ``below`` (one row per
+    bootstrap draw, ``below[b, q]`` the draw's values at input positions
+    < q) they are read per draw, over the draw sizes ``n_y = below[:, -1:]``
+    in place of ``ordered.size``.  A pauc measure clips them to its window
+    of ranks ``(rank(upper), rank(lower)]`` over ``n_y``.  A win counts 1
+    and a tie 1/2: wins are half-integers, so every sum of them is exact.
+    """
+    n_y = ordered.size if below is None else below[:, -1:]
+    window = measure.kind == "pauc"
+    if window:
+        hi, lo = _rank(measure.upper, n_y), _rank(measure.lower, n_y)
+
+    def positions(side):
+        pos = np.searchsorted(ordered, values, side=side)
+        if below is not None:
+            pos = below[:, pos]
+        return np.minimum(np.maximum(pos, hi), lo) - hi if window else pos
+
+    wins = positions("left")
     if midrank:
-        ties = np.searchsorted(y_sorted, x_values, side="right") - below
-        total += 0.5 * float(ties.sum())
-    return total
+        return wins + 0.5 * (positions("right") - wins)
+    return wins
 
 
 def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool) -> float:
@@ -162,12 +185,7 @@ def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool)
         _, roc = _roc(x, y, [u for u, _ in measure.atoms])
         value = sum(mass * r for (_, mass), r in zip(measure.atoms, roc))
     else:
-        window = y.sorted_values
-        if measure.kind == "pauc":
-            # the values with rank in (rank(upper), rank(lower)]
-            hi, lo = _rank((measure.upper, measure.lower), y.n)
-            window = window[hi:lo]
-        value = _count_pairs(x.values, window, midrank) / (x.n * y.n)
+        value = _wins(x.values, y.sorted_values, measure, midrank).sum() / (x.n * y.n)
     if measure.normalized:
         value /= measure.total_mass
     return float(value)
@@ -181,20 +199,17 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
     subject's multiplicity in draw b: the resampled stratum holds subject
     s's values ``mult_x[b, s]`` times.  No resampled stratum is built or
     sorted.  Cumulative multiplicities over the input's sorted non-diseased
-    values count a draw's values below any input position; they give the
-    window ranks (by :func:`_rank`), the win counts and each atom's order
-    statistic.  Counts are exact integers, and the divisions and atom sums
-    run in :func:`_stratum_wauc`'s order, so each value equals it bit for
-    bit.  Draws are scored in blocks of about ``_DRAW_BLOCK_ENTRIES`` work
-    array entries.
+    values count a draw's values below any input position: :func:`_wins`
+    reads each draw's win counts through them, and they give each atom's
+    order statistic.  Wins are half-integers, so each draw's total is exact,
+    and the divisions and atom sums run in :func:`_stratum_wauc`'s order, so
+    each value equals it bit for bit.  Draws are scored in blocks of about
+    ``_DRAW_BLOCK_ENTRIES`` work array entries.
     """
     _check_midrank(measure, midrank)
     y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
     if measure.is_atomic:
         x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
-    else:
-        sides = ("left", "right") if midrank else ("left",)
-        positions = [np.searchsorted(y.sorted_values, x.values, side=side) for side in sides]
     step = max(1, _DRAW_BLOCK_ENTRIES // (x.n + y.n + 1))
     out = np.empty(len(mult_x))
     for start in range(0, len(mult_x), step):
@@ -218,39 +233,12 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
                 exceed = above[rows, np.searchsorted(x.sorted_values, threshold, side="right")]
                 value = value + mass * (exceed / n_x)
         else:
-            weights = block_x[:, x.subjects]
-            counts = [below[:, p] for p in positions]
-            if measure.kind == "pauc":
-                hi = _rank(measure.upper, n_y)[:, None]
-                lo = _rank(measure.lower, n_y)[:, None]
-                counts = [np.clip(c, hi, lo) - hi for c in counts]
-            total = (weights * counts[0]).sum(axis=1).astype(float)
-            if midrank:
-                total += 0.5 * (weights * (counts[1] - counts[0])).sum(axis=1).astype(float)
-            value = total / (n_x * n_y)
+            wins = _wins(x.values, y.sorted_values, measure, midrank, below)
+            value = (block_x[:, x.subjects] * wins).sum(axis=1) / (n_x * n_y)
         if measure.normalized:
             value = value / measure.total_mass
         out[start:start + step] = value
     return out
-
-
-def _placements(x: Stratum, y: Stratum, midrank: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-measurement placement values (vx against y, vy against x).
-
-    ``vx[i]`` is the fraction of pooled non-diseased values beaten by the
-    i-th diseased measurement; ``vy[j]`` the fraction of diseased values
-    beating the j-th non-diseased one.  Both average to the same AUC.
-    """
-    below = np.searchsorted(y.sorted_values, x.values, side="left").astype(float)
-    if midrank:
-        below += 0.5 * (np.searchsorted(y.sorted_values, x.values, side="right") - below)
-    vx = below / y.n
-    above = (x.n - np.searchsorted(x.sorted_values, y.values, side="right")).astype(float)
-    if midrank:
-        above += 0.5 * (np.searchsorted(x.sorted_values, y.values, side="right")
-                        - np.searchsorted(x.sorted_values, y.values, side="left"))
-    vy = above / x.n
-    return vx, vy
 
 
 # -- public estimators ---------------------------------------------------

@@ -37,7 +37,7 @@ from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset, _read_text
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
-from .estimators import _count_pairs, _stratum_pairs, _stratum_wauc, wauc_vector
+from .estimators import _stratum_pairs, _stratum_wauc, _wins, wauc_vector
 from .inference import DEFAULT_ALPHA, critical_value, paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
@@ -423,8 +423,8 @@ def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = DEFAULT_
     )
 
 
-def null_scenario(rho: float = DEFAULT_RHO, n: int = 200, *, n_reps: int = 2000,
-                  seed: int = DEFAULT_SEED) -> ScenarioSpec:
+def null_scenario(rho: float = DEFAULT_RHO, n: int = DEFAULT_N, *,
+                  n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED) -> ScenarioSpec:
     """Identical modalities, used to check test size under both weightings."""
     base = table1_scenario(rho, n, "normal", n_reps=n_reps, seed=seed,
                            measures=(WeightMeasure.full_auc(),),
@@ -648,7 +648,8 @@ def baseline_semiparametric_auc(x_values, y_values) -> SemiparametricAuc:
     values = np.concatenate([x, y])
     labels = np.concatenate([np.ones(x.size), np.zeros(y.size)])
     sd = values.std(ddof=1)
-    forward = _count_pairs(x, np.sort(y), midrank=False) / (x.size * y.size)
+    full = WeightMeasure.full_auc()
+    forward = float(_wins(x, np.sort(y), full, False).sum()) / (x.size * y.size)
     if not sd > 0.0:
         return SemiparametricAuc(auc=forward, slope=0.0, converged=False, separation=False)
     v = (values - values.mean()) / sd
@@ -682,7 +683,7 @@ def baseline_semiparametric_auc(x_values, y_values) -> SemiparametricAuc:
     if slope > 0.0:
         return SemiparametricAuc(auc=forward, slope=slope, converged=True, separation=False)
     if slope < 0.0:
-        reverse = _count_pairs(-x, np.sort(-y), midrank=False) / (x.size * y.size)
+        reverse = float(_wins(-x, np.sort(-y), full, False).sum()) / (x.size * y.size)
         return SemiparametricAuc(auc=reverse, slope=slope, converged=True, separation=False)
     return SemiparametricAuc(auc=forward, slope=0.0, converged=True, separation=False)
 

@@ -20,7 +20,7 @@ from wroc.covariance import _MAX_DRAWS, CovarianceEstimate, _repair_part
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
 from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError, DegenerateDensityError, WrocError
-from wroc.estimators import WaucVector, _stratum_pairs, _stratum_wauc
+from wroc.estimators import WaucVector, _stratum_pairs
 from wroc.measures import WeightMeasure
 from wroc.simulation import DEFAULT_MEASURES, DEFAULT_REPS, DEFAULT_SEED, ScenarioSpec, true_wauc
 from wroc.simulation import FAMILIES as _FAMILIES
@@ -564,11 +564,101 @@ def old_wauc_vector(dataset, design, measure, midrank=False):
     return values, labels
 
 
+# -- the four win counts ----------------------------------------------------
+#
+# The pair count behind the AUC and the rank-window pAUC used to be written
+# out four times: ``_count_pairs`` on a sliced window in ``_stratum_wauc``,
+# a clip-and-halve block in ``_stratum_wauc_draws``, both halves of
+# ``_placements``, and ``_placement_parts``, which took its centre from a
+# second ``_stratum_wauc`` call.  Those forms are kept here, as they were
+# (``_old_count_pairs`` above is ``_count_pairs``), as the reference for
+# bit equality of the one win count.
+
+def old_stratum_wauc(x, y, measure, midrank):
+    if midrank and measure.is_atomic:
+        raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
+    if measure.is_atomic:
+        _, roc = _old_roc(x, y, [u for u, _ in measure.atoms])
+        value = sum(mass * r for (_, mass), r in zip(measure.atoms, roc))
+    else:
+        window = y.sorted_values
+        if measure.kind == "pauc":
+            n = y.n
+            hi = _old_ceil_index((1.0 - measure.upper) * n)
+            lo = _old_ceil_index((1.0 - measure.lower) * n)
+            window = window[hi:lo]
+        value = _old_count_pairs(x.values, window, midrank) / (x.n * y.n)
+    if measure.normalized:
+        value /= measure.total_mass
+    return float(value)
+
+
+def old_stratum_wauc_draws(x, y, measure, midrank, mult_x, mult_y):
+    """The auc and pauc branch, all draws in one block."""
+    y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
+    sides = ("left", "right") if midrank else ("left",)
+    positions = [np.searchsorted(y.sorted_values, x.values, side=side) for side in sides]
+    below = np.zeros((len(mult_y), y.n + 1), dtype=np.intp)
+    np.cumsum(mult_y[:, y_subjects], axis=1, out=below[:, 1:])
+    n_y = below[:, -1]
+    n_x = mult_x @ x.counts
+    weights = mult_x[:, x.subjects]
+    counts = [below[:, p] for p in positions]
+    if measure.kind == "pauc":
+        hi = np.ceil((1.0 - measure.upper) * n_y - OLD_INDEX_GUARD).astype(np.intp)[:, None]
+        lo = np.ceil((1.0 - measure.lower) * n_y - OLD_INDEX_GUARD).astype(np.intp)[:, None]
+        counts = [np.clip(c, hi, lo) - hi for c in counts]
+    total = (weights * counts[0]).sum(axis=1).astype(float)
+    if midrank:
+        total += 0.5 * (weights * (counts[1] - counts[0])).sum(axis=1).astype(float)
+    value = total / (n_x * n_y)
+    if measure.normalized:
+        value = value / measure.total_mass
+    return value
+
+
+def old_placements(x, y, midrank):
+    below = np.searchsorted(y.sorted_values, x.values, side="left").astype(float)
+    if midrank:
+        below += 0.5 * (np.searchsorted(y.sorted_values, x.values, side="right") - below)
+    vx = below / y.n
+    above = (x.n - np.searchsorted(x.sorted_values, y.values, side="right")).astype(float)
+    if midrank:
+        above += 0.5 * (np.searchsorted(x.sorted_values, y.values, side="right")
+                        - np.searchsorted(x.sorted_values, y.values, side="left"))
+    vy = above / x.n
+    return vx, vy
+
+
+def old_placement_parts(pairs, measure, midrank):
+    n_dis = pairs[0][0].n_subjects
+    n_non = pairs[0][1].n_subjects
+    n_s = len(pairs)
+    dev_x = np.zeros((n_s, n_dis))
+    dev_y = np.zeros((n_s, n_non))
+    m_tot = np.zeros(n_s)
+    n_tot = np.zeros(n_s)
+    for s, (x, y) in enumerate(pairs):
+        vx, vy = old_placements(x, y, midrank)
+        omega = old_stratum_wauc(x, y, measure, midrank)
+        sum_x = np.bincount(x.subjects, weights=vx, minlength=n_dis)
+        sum_y = np.bincount(y.subjects, weights=vy, minlength=n_non)
+        dev_x[s] = sum_x - omega * x.counts
+        dev_y[s] = sum_y - omega * y.counts
+        m_tot[s] = x.n
+        n_tot[s] = y.n
+    sigma1 = (dev_x @ dev_x.T) * (n_dis / (n_dis - 1)) / np.outer(m_tot, m_tot)
+    sigma2 = (dev_y @ dev_y.T) * (n_non / (n_non - 1)) / np.outer(n_tot, n_tot)
+    return sigma1, sigma2
+
+
 # -- the per-draw bootstrap -------------------------------------------------
 #
 # ``bootstrap_covariance`` used to rebuild a resampled dataset for every
 # draw and score it with the estimator core.  That loop is kept here, as it
-# was, as the reference for the bootstrap scored from multiplicities.
+# was, as the reference for the bootstrap scored from multiplicities; it
+# scores each resampled stratum with :func:`old_stratum_wauc`, so it calls
+# no win count of the package.
 
 def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
     if n_boot < 100:
@@ -592,7 +682,7 @@ def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
         else:
             raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
         resampled, _ = _stratum_pairs(dataset.resample(idx_d, idx_n), design)
-        draws[b] = [_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
+        draws[b] = [old_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
     sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     return CovarianceEstimate(sigma=sigma, sigma_diseased=None, sigma_nondiseased=None,
                               method="bootstrap", n_redrawn=n_redrawn)

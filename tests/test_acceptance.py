@@ -292,7 +292,7 @@ def test_criterion_8_invariances_and_variance_agreement(reader_studies):
 
 
 def test_criterion_9_null_calibration():
-    report = run_study(null_scenario())
+    report = run_study(null_scenario(n=200, n_reps=2000))
     eq = report.cell("auc", "equal").power
     opt = report.cell("auc", "optimal").power
     ok = abs(eq - 0.05) <= 0.02 and abs(opt - 0.05) <= 0.02

@@ -421,6 +421,18 @@ def test_simulate_scenario_key_given_twice_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_simulate_scenario_values_keep_their_case(tmp_path, capsys):
+    """Keys and the study value ignore case; a family is read as --family
+    reads it, with case-sensitive choices."""
+    scenario = tmp_path / "scen.txt"
+    scenario.write_text("STUDY = Table1\nfamily = Normal\nn = 10\nreps = 2\n",
+                        encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert "('normal', 'lognormal')" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_exit_2(tmp_path, capsys, rng):
     assert main(["simulate", "null", "--n", "10", "--reps", "2", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "wroc: input error: seed must be non-negative, got -1\n"

@@ -297,6 +297,8 @@ def test_study_scenario_defaults_and_rejections():
     assert study_scenario("null", n=20)[1] == null_scenario(0.5, 20, n_reps=1000)
     # n, reps and seed left out take the study defaults, whatever the builder's own
     assert study_scenario("null")[1] == null_scenario(0.5, 50, n_reps=1000, seed=20240817)
+    # acceptance criterion 9's study, as `wroc simulate null --n 200 --reps 2000` runs it
+    assert study_scenario("null", n=200, reps=2000)[1] == null_scenario(n=200, n_reps=2000)
     with pytest.raises(DataFormatError, match="takes no family"):
         study_scenario("table3", n=20, family="lognormal")
     with pytest.raises(DataFormatError, match="takes no rho"):
