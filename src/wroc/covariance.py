@@ -36,10 +36,18 @@ within-subject pairs are enumerated.
   The thresholds ``t_p`` are order statistics of the non-diseased stratum.
   Which ones (the rank plan: each node's row, the distinct rows and the map
   back) depends only on the measure and the stratum size, so it is computed
-  once per measure and size and cached.  Several
-  nodes often share a row (64 nodes on ``pauc:0,0.6`` over 50 values hit 30
-  order statistics), and the kernel sums are taken once per distinct order
-  statistic.  Each part is built in one pass over the stratum pairs.
+  once per measure and size and cached.  Several nodes often share a row
+  (64 nodes on ``pauc:0,0.6`` over 50 values hit 30 order statistics), and
+  the kernel sums are taken once per distinct order statistic.
+
+Both paths run one pass per stratum block (see :mod:`~wroc.estimators`):
+the strata whose diseased sizes and non-diseased sizes are both equal,
+held as ``(k, n)`` arrays, one row per stratum.  A block takes row-wise
+win counts, sums and sorts, one offset ``bincount`` per group into its
+strata's columns of ``G``, and on the quadrature path one rank plan, one
+bandwidth per row and one stacked kernel density estimate per group.
+Designs whose strata all share their sizes, as every simulated study does,
+make a single block.
 """
 
 from __future__ import annotations
@@ -50,12 +58,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MarkerDataset, Stratum
+from .dataset import MarkerDataset, _StratumBlock
 from .designs import StudyDesign
 from .errors import DegenerateDensityError, WrocError
 from .estimators import (
     _check_midrank,
+    _positions,
     _roc_at,
+    _stratum_blocks,
     _stratum_pairs,
     _stratum_wauc_draws,
     _threshold_rows,
@@ -97,85 +107,115 @@ class CovarianceEstimate:
 # -- kernel density machinery -------------------------------------------
 
 
-def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
+def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     """Silverman's ``0.9 * min(sd, IQR / 1.34) * n^(-1/5)``, skipping zero
-    candidates, of ``values`` given in ascending order as ``ordered`` (a
-    stratum's ``sorted_values``); ``DegenerateDensityError`` when no
-    candidate is positive or the product underflows to zero.
+    candidates, of each row of a block's ``values``, given in ascending
+    order as ``ordered`` (its ``sorted_values``).  ``DegenerateDensityError``
+    when the rows hold fewer than 2 values, else for the first row with no
+    positive candidate or whose product underflows to zero, as that row on
+    its own would raise.
 
     The standard deviation is numpy's ``std(ddof=1)`` step for step (the
-    sum, the mean, the squared deviations and their sum), so its bits are
-    the same without the wrapper's cost.
+    sum, the mean, the squared deviations and their sum) along each row, so
+    its bits are the same without the wrapper's cost.
     """
-    n = values.size
+    n = values.shape[1]
     if n < 2:
         raise DegenerateDensityError("need at least 2 values for a density estimate")
-    dev = values - np.add.reduce(values, axis=None) / n
+    dev = values - (np.add.reduce(values, axis=1) / n)[:, None]
     np.square(dev, out=dev)
-    sd = math.sqrt(np.add.reduce(dev, axis=None) / (n - 1))
-    iqr = _quantile(ordered, 0.75) - _quantile(ordered, 0.25)
-    candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
-    if not candidates:
-        raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
-    h = 0.9 * min(candidates) * n ** (-0.2)
-    if not h > 0.0:
-        raise DegenerateDensityError(f"non-positive bandwidth {h}")
+    sd = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1))
+    upper, lower = _quantile(ordered, (0.75, 0.25)).T
+    spread = (upper - lower) / 1.34
+    sd_usable, spread_usable = sd > 0.0, spread > 0.0
+    # min() of the usable candidates: sd, unless the spread is smaller or
+    # the only usable one
+    smaller = np.where(spread_usable & (~sd_usable | (spread < sd)), spread, sd)
+    h = 0.9 * smaller * n ** (-0.2)
+    bad = ~(sd_usable | spread_usable) | ~(h > 0.0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not (sd_usable[row] or spread_usable[row]):
+            raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
+        raise DegenerateDensityError(f"non-positive bandwidth {float(h[row])}")
     return h
 
 
-def _quantile(ordered: np.ndarray, q: float) -> float:
-    """``np.quantile(ordered, q)`` for an ascending array, read off by index.
+def _quantile(ordered: np.ndarray, qs) -> np.ndarray:
+    """``np.quantile(row, qs)`` of each ascending row, read off by index:
+    one column per level in ``qs``.
 
     The arithmetic is numpy's default ("linear") method step for step, its
     ``_lerp`` included, so the result is bit-identical up to the sign of a
     zero (numpy's partition may place -0.0 and 0.0 otherwise than a sort); a
-    NaN sorts last and makes every quantile NaN, as in numpy.
+    NaN sorts last and makes every quantile of its row NaN, as in numpy.
     """
-    last = ordered.size - 1
-    if math.isnan(ordered[last]):
-        return math.nan
-    pos = last * q
-    lo = min(math.floor(pos), last)
-    a, b = float(ordered[lo]), float(ordered[min(lo + 1, last)])
+    last = ordered.shape[1] - 1
+    pos = last * np.asarray(qs, dtype=float)
+    lo = np.minimum(np.floor(pos), last).astype(np.intp)
+    a, b = ordered[:, lo], ordered[:, np.minimum(lo + 1, last)]
     t = pos - lo
     diff = b - a
-    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    value = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    return np.where(np.isnan(ordered[:, last:]), math.nan, value)
 
 
-def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian kernel density estimate of ``values`` at ``points``.
+def _kde_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two work buffers of :func:`_kde_at` for rows of up to ``n`` values."""
+    entries = max(_KDE_BLOCK_ENTRIES, n)
+    return np.empty(entries), np.empty(entries)
 
-    Works in place on two buffers of at most ``_KDE_BLOCK_ENTRIES`` entries,
-    a block of points at a time.  Each point still sums its whole row, so
-    the bits equal those of ``np.exp(-0.5 * z * z).sum(axis=1)`` with
-    ``z = (points[:, None] - values) / bandwidth``.
+
+def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray,
+            z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate of each row of a block's ``values``
+    at its row of ``points``, with its ``bandwidth``.
+
+    Works in place on the caller's two :func:`_kde_buffers`, at most
+    ``_KDE_BLOCK_ENTRIES`` (point, value) pairs at a time: as many whole
+    rows as fit, else one row's points a slice at a time.  Each point still
+    sums its whole row, so the bits equal those of
+    ``np.exp(-0.5 * z * z).sum(axis=1)`` with
+    ``z = (points[:, None] - values) / bandwidth`` for each row.
     """
-    rows = max(1, min(points.size, _KDE_BLOCK_ENTRIES // values.size))
-    z = np.empty((rows, values.size))
-    work = np.empty_like(z)
-    sums = np.empty(points.size)
-    for start in range(0, points.size, rows):
-        block = points[start:start + rows]
-        z_b, work_b = z[:block.size], work[:block.size]
-        np.subtract(block[:, None], values, z_b)
-        z_b /= bandwidth
-        np.multiply(z_b, -0.5, work_b)
-        work_b *= z_b
-        np.exp(work_b, work_b)
-        work_b.sum(axis=1, out=sums[start:start + rows])
-    sums /= values.size * bandwidth * _SQRT_2PI
+    k, n = values.shape
+    d = points.shape[1]
+    if d * n <= _KDE_BLOCK_ENTRIES:
+        rows, step = _KDE_BLOCK_ENTRIES // (d * n), d
+    else:
+        rows, step = 1, max(1, _KDE_BLOCK_ENTRIES // n)
+    z3 = z[:rows * step * n].reshape(rows, step, n)
+    work3 = work[:rows * step * n].reshape(rows, step, n)
+    sums = np.empty(points.shape)
+    for r in range(0, k, rows):
+        row_values = values[r:r + rows, None, :]
+        row_bandwidth = bandwidth[r:r + rows, None, None]
+        for j in range(0, d, step):
+            block = points[r:r + rows, j:j + step, None]
+            z_b = z3[:block.shape[0], :block.shape[1]]
+            work_b = work3[:block.shape[0], :block.shape[1]]
+            np.subtract(block, row_values, out=z_b)
+            z_b /= row_bandwidth
+            np.multiply(z_b, -0.5, out=work_b)
+            work_b *= z_b
+            np.exp(work_b, out=work_b)
+            np.add.reduce(work_b, axis=2, out=sums[r:r + rows, j:j + step])
+    sums /= (n * bandwidth * _SQRT_2PI)[:, None]
     return sums
 
 
-def _density_ratio_at(x: Stratum, y: Stratum, thresholds: np.ndarray) -> np.ndarray:
+def _density_ratio_at(x: _StratumBlock, y: _StratumBlock, points: np.ndarray,
+                      buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The diseased over the non-diseased density of each stratum row of a
+    block pair, at its row of ``points``."""
     hx = _bandwidth(x.values, x.sorted_values)
     hy = _bandwidth(y.values, y.sorted_values)
-    f_dis = _kde_at(x.values, thresholds, hx)
-    f_non = _kde_at(y.values, thresholds, hy)
-    if np.any(f_non <= 0.0):
-        bad = thresholds[np.argmax(f_non <= 0.0)]
+    f_dis = _kde_at(x.values, points, hx, *buffers)
+    f_non = _kde_at(y.values, points, hy, *buffers)
+    vanished = f_non <= 0.0
+    if vanished.any():
         raise DegenerateDensityError(
-            f"non-diseased density vanished at threshold {bad!r}")
+            f"non-diseased density vanished at threshold {points[vanished][0]!r}")
     return f_dis / f_non
 
 
@@ -187,26 +227,32 @@ def _check_group_sizes(dataset: MarkerDataset) -> None:
         raise ValueError("analytic covariance needs at least 2 subjects per group")
 
 
-def _placement_parts(pairs, measure: WeightMeasure, midrank: bool):
-    n_dis = pairs[0][0].n_subjects
-    n_non = pairs[0][1].n_subjects
-    n_s = len(pairs)
+def _subject_sums(block: _StratumBlock, weights: np.ndarray) -> np.ndarray:
+    """Per stratum row, the sums of ``weights`` (one per value) over each
+    subject's values, ``(k, n_subjects)``."""
+    sums = np.bincount(block.bins.ravel(), weights=weights.ravel(),
+                       minlength=block.counts.size)
+    return sums.reshape(block.counts.shape)
+
+
+def _placement_parts(blocks, measure: WeightMeasure, midrank: bool):
+    n_s = sum(idx.size for idx, _, _ in blocks)
+    _, x0, y0 = blocks[0]
+    n_dis, n_non = x0.n_subjects, y0.n_subjects
     dev_x = np.zeros((n_s, n_dis))
     dev_y = np.zeros((n_s, n_non))
     m_tot = np.zeros(n_s)
     n_tot = np.zeros(n_s)
-    for s, (x, y) in enumerate(pairs):
+    for idx, x, y in blocks:
         # a non-diseased value's wins are the diseased values above it:
         # the same count with the roles swapped, on the negated values
         wins_x = _wins(x.values, y.sorted_values, measure, midrank)
-        wins_y = _wins(-y.values, -x.sorted_values[::-1], measure, midrank)
-        omega = wins_x.sum() / (x.n * y.n)
-        sum_x = np.bincount(x.subjects, weights=wins_x / y.n, minlength=n_dis)
-        sum_y = np.bincount(y.subjects, weights=wins_y / x.n, minlength=n_non)
-        dev_x[s] = sum_x - omega * x.counts
-        dev_y[s] = sum_y - omega * y.counts
-        m_tot[s] = x.n
-        n_tot[s] = y.n
+        wins_y = _wins(-y.values, -x.sorted_values[:, ::-1], measure, midrank)
+        omega = np.add.reduce(wins_x, axis=1)[:, None] / (x.n * y.n)
+        dev_x[idx] = _subject_sums(x, wins_x / y.n) - omega * x.counts
+        dev_y[idx] = _subject_sums(y, wins_y / x.n) - omega * y.counts
+        m_tot[idx] = x.n
+        n_tot[idx] = y.n
     sigma1 = (dev_x @ dev_x.T) * (n_dis / (n_dis - 1)) / np.outer(m_tot, m_tot)
     sigma2 = (dev_y @ dev_y.T) * (n_non / (n_non - 1)) / np.outer(n_tot, n_tot)
     return sigma1, sigma2
@@ -265,43 +311,83 @@ def _rank_plan(measure: WeightMeasure, n: int) -> tuple[np.ndarray, np.ndarray, 
     return rows, distinct, inverse
 
 
-def _integral_parts(pairs, measure: WeightMeasure):
-    """The diseased and non-diseased parts on a pauc or atomic measure's
-    grid, in one pass over the stratum pairs.
+def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``row @ vector`` for each row of ``matrix``, one BLAS dot a row, as
+    each stratum's mean score was taken on its own: a matrix-vector product
+    sums in another order and changes the last bit.  Each row is copied to
+    a fresh array first, as the per-stratum operands were, since how a dot
+    kernel sums may depend on where its operand starts in memory."""
+    return np.array([row.copy() @ vector for row in matrix])
 
-    Per stratum: the thresholds come from the cached rank plan, the two
-    kernel density estimates run at the distinct thresholds only, one sort
-    of the thresholds serves both groups' cumulative weights, and each
-    group's per-subject score sums and counts fill one column of ``G`` and
-    ``C``.  ``g(v)`` counts only thresholds strictly below ``v``, so ties
-    between a value and a threshold score nothing.
+
+def _integral_columns(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure,
+                      buffers: tuple[np.ndarray, np.ndarray]):
+    """Per group of a block pair, the per-subject score sums ``(k,
+    n_subjects)`` and the weighted mean scores ``(k,)`` on the measure's
+    grid.
+
+    The thresholds come from the cached rank plan of the block's size, the
+    kernel density estimates run at the distinct thresholds only, one
+    row-wise sort of the thresholds serves both groups' cumulative weights,
+    and one ``bincount`` per group sums the scores.  ``g(v)`` counts only
+    thresholds strictly below ``v``, so ties between a value and a
+    threshold score nothing.
     """
     u_nodes, u_weights = _grid(measure)
-    n_s = len(pairs)
-    groups = []
-    for st in pairs[0]:
-        groups.append((np.empty((st.n_subjects, n_s)),
-                       np.empty((st.n_subjects, n_s), dtype=st.counts.dtype),
-                       np.empty(n_s), np.empty(n_s)))
-    cumulative = np.zeros(u_nodes.size + 1)
-    for s, (x, y) in enumerate(pairs):
-        rows, distinct, inverse = _rank_plan(measure, y.n)
-        thresholds, roc = _roc_at(x, y, rows)
-        ratio = _density_ratio_at(x, y, y.sorted_values[distinct])
-        ratio_weights = u_weights * ratio[inverse]
-        order = np.argsort(thresholds, kind="stable")
-        ordered = thresholds[order]
-        for st, weights, mean, (scores, counts, means, sizes) in (
-                (x, u_weights, u_weights @ roc, groups[0]),
-                (y, ratio_weights, ratio_weights @ u_nodes, groups[1])):
-            np.cumsum(weights[order], out=cumulative[1:])
-            below = np.searchsorted(ordered, st.values, side="left")
-            scores[:, s] = np.bincount(st.subjects, weights=cumulative[below],
-                                       minlength=st.n_subjects)
-            counts[:, s] = st.counts
-            means[s] = mean
-            sizes[s] = st.n
-    return tuple(_gram_part(*group) for group in groups)
+    rows, distinct, inverse = _rank_plan(measure, y.n)
+    thresholds, roc = _roc_at(x, y, rows)
+    ratio = _density_ratio_at(x, y, y.sorted_values[:, distinct], buffers)
+    ratio_weights = u_weights * ratio[:, inverse]
+    order = np.argsort(thresholds, axis=1, kind="stable")
+    ordered = np.take_along_axis(thresholds, order, axis=1)
+    columns = []
+    for block, weights, means in (
+            (x, u_weights[order], _row_dots(roc, u_weights)),
+            (y, np.take_along_axis(ratio_weights, order, axis=1),
+             _row_dots(ratio_weights, u_nodes))):
+        cumulative = np.zeros((weights.shape[0], weights.shape[1] + 1))
+        np.cumsum(weights, axis=1, out=cumulative[:, 1:])
+        below = _positions(ordered, block.values, "left")
+        scores = np.take_along_axis(cumulative, below, axis=1)
+        columns.append((_subject_sums(block, scores), means))
+    return columns
+
+
+def _integral_parts(blocks, measure: WeightMeasure):
+    """The diseased and non-diseased parts on a pauc or atomic measure's
+    grid, one pass per block pair (:func:`_integral_columns`) filling its
+    strata's columns of ``G`` and ``C``.
+
+    A block raises when any of its strata fails.  The strata are then
+    scored one at a time in design order, so the error raised is the one
+    the first failing stratum gives on its own.
+    """
+    n_s = sum(idx.size for idx, _, _ in blocks)
+    buffers = _kde_buffers(max(block.n for _, x, y in blocks for block in (x, y)))
+    try:
+        columns = [_integral_columns(x, y, measure, buffers) for _, x, y in blocks]
+    except (DegenerateDensityError, ValueError):
+        columns = None
+    if columns is None:
+        strata = sorted((s, row, x, y) for idx, x, y in blocks
+                        for row, s in enumerate(idx.tolist()))
+        for _, row, x, y in strata:
+            _integral_columns(x.take([row]), y.take([row]), measure, buffers)
+    parts = []
+    for group in (0, 1):
+        n_subjects = blocks[0][1 + group].n_subjects
+        scores = np.empty((n_subjects, n_s))
+        counts = np.empty((n_subjects, n_s), dtype=np.intp)
+        means, sizes = np.empty(n_s), np.empty(n_s)
+        for (idx, *pair), block_columns in zip(blocks, columns):
+            block = pair[group]
+            sums, block_means = block_columns[group]
+            scores[:, idx] = sums.T
+            counts[:, idx] = block.counts.T
+            means[idx] = block_means
+            sizes[idx] = block.n
+        parts.append(_gram_part(scores, counts, means, sizes))
+    return tuple(parts)
 
 
 def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -328,12 +414,12 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     """
     _check_group_sizes(dataset)
     _check_midrank(measure, midrank)
-    pairs, _ = _stratum_pairs(dataset, design)
+    blocks, _ = _stratum_blocks(dataset, design)
     if measure.kind == "full":
-        sigma1, sigma2 = _placement_parts(pairs, measure, midrank)
+        sigma1, sigma2 = _placement_parts(blocks, measure, midrank)
         method = "placement"
     else:
-        sigma1, sigma2 = _integral_parts(pairs, measure)
+        sigma1, sigma2 = _integral_parts(blocks, measure)
         method = "quadrature" if measure.kind == "pauc" else "atoms"
     if measure.normalized:
         scale = measure.total_mass ** 2

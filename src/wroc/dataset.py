@@ -12,8 +12,9 @@ measurement, in canonical order (subject, marker, time, replicate).
 records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
 
 Datasets are logically immutable.  Construction sorts each group's rows
-once by (marker, time); a stratum is cut from that sort and cached when first
-read, so two threads can at worst build one twice, and workers get copies.
+once by (marker, time); a stratum, or a block of equal-size strata stacked
+one row each, is cut from that sort and cached when first read, so two
+threads can at worst build one twice, and workers get copies.
 """
 
 from __future__ import annotations
@@ -167,6 +168,37 @@ class Stratum:
         return int(self.counts.size)
 
 
+@dataclass(frozen=True)
+class _StratumBlock:
+    """Strata of one group that share a size ``n``, one row each, in the
+    order they were asked for.
+
+    Each row is what :class:`Stratum` holds for its stratum: ``values`` and
+    ``subjects`` are ``(k, n)``, ``sorted_values`` sorts each row and
+    ``counts`` is ``(k, n_subjects)``.  ``bins`` numbers each value's
+    (row, subject) cell, ``row * n_subjects + subject``, so one
+    ``bincount`` over it sums per subject in every row at once.
+    """
+
+    values: np.ndarray
+    subjects: np.ndarray
+    counts: np.ndarray
+    sorted_values: np.ndarray
+    bins: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.values.shape[1])
+
+    @property
+    def n_subjects(self) -> int:
+        return int(self.counts.shape[1])
+
+    def take(self, rows) -> "_StratumBlock":
+        """The block of the given rows."""
+        return _make_block(self.values[rows], self.subjects[rows], self.n_subjects)
+
+
 class MarkerDataset:
     """Logically immutable container for a two-group clustered marker study.
 
@@ -198,6 +230,7 @@ class MarkerDataset:
             self._sorted[group] = (key[order], cols.value[inside][order],
                                    cols.subject[inside][order])
         self._strata: dict[tuple[str, int, int | None], Stratum] = {}
+        self._block_cache: dict[tuple, tuple] = {}
 
     # -- accessors -------------------------------------------------------
 
@@ -222,19 +255,56 @@ class MarkerDataset:
     def stratum(self, group: str, marker: int, time: int | None = None) -> Stratum:
         if group not in _GROUPS:
             raise ValueError(f"group must be 'diseased' or 'nondiseased', got {group!r}")
+        slot = (group, marker, time)
+        if slot not in self._strata:
+            key, values, subjects = self._sorted[group]
+            lo, hi = np.searchsorted(key, self._key_range(marker, time))
+            self._strata[slot] = _make_stratum(values[lo:hi], subjects[lo:hi],
+                                               self._columns[group].n_subjects)
+        return self._strata[slot]
+
+    def _key_range(self, marker: int, time: int | None) -> tuple[int, int]:
+        """The (marker, time) keys ``[first, last)`` of one stratum; time None
+        pools the marker's times."""
         if not 1 <= marker <= self.n_markers:
             raise ValueError(f"marker {marker} outside 1..{self.n_markers}")
         if time is not None and not 1 <= time <= self.n_times:
             raise ValueError(f"time {time} outside 1..{self.n_times}")
-        slot = (group, marker, time)
-        if slot not in self._strata:
-            key, values, subjects = self._sorted[group]
-            first, last = (1, self.n_times) if time is None else (time, time)
-            base = (marker - 1) * self.n_times
-            lo, hi = np.searchsorted(key, (base + first - 1, base + last))
-            self._strata[slot] = _make_stratum(values[lo:hi], subjects[lo:hi],
-                                               self._columns[group].n_subjects)
-        return self._strata[slot]
+        first, last = (1, self.n_times) if time is None else (time, time)
+        base = (marker - 1) * self.n_times
+        return base + first - 1, base + last
+
+    def _blocks(self, strata: tuple[tuple[int, int | None], ...]):
+        """The strata, given as (marker, time) pairs, as
+        :class:`_StratumBlock` pairs: ``(positions, diseased, non-diseased)``
+        for each set of strata whose diseased sizes and non-diseased sizes
+        are both equal, in order of first appearance, with the positions of
+        its strata in ``strata``.  Strata may be empty.  Cached per
+        ``strata``."""
+        if strata not in self._block_cache:
+            keys = np.array([self._key_range(marker, time) for marker, time in strata])
+            starts, sizes = {}, []
+            for group in _GROUPS:
+                lo, hi = np.searchsorted(self._sorted[group][0], keys).T
+                starts[group] = lo
+                sizes.append((hi - lo).tolist())
+            members: dict[tuple[int, int], list[int]] = {}
+            for s, size in enumerate(zip(*sizes)):
+                members.setdefault(size, []).append(s)
+            blocks = []
+            for size, positions in members.items():
+                idx = np.array(positions)
+                blocks.append((idx, *(self._block(group, starts[group][idx], n)
+                                      for group, n in zip(_GROUPS, size))))
+            self._block_cache[strata] = tuple(blocks)
+        return self._block_cache[strata]
+
+    def _block(self, group: str, starts: np.ndarray, n: int) -> "_StratumBlock":
+        """The block of one group's strata of ``n`` rows each, starting at
+        ``starts`` in the key-sorted rows."""
+        _, values, subjects = self._sorted[group]
+        rows = starts[:, None] + np.arange(n)
+        return _make_block(values[rows], subjects[rows], self._columns[group].n_subjects)
 
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
         """New dataset from positional subject draws, repeats allowed."""
@@ -261,6 +331,13 @@ class MarkerDataset:
 def _make_stratum(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> Stratum:
     counts = np.bincount(subjects, minlength=n_subjects)
     return Stratum(values, subjects, counts, np.sort(values))
+
+
+def _make_block(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> "_StratumBlock":
+    k = values.shape[0]
+    bins = np.arange(k)[:, None] * n_subjects + subjects
+    counts = np.bincount(bins.ravel(), minlength=k * n_subjects).reshape(k, n_subjects)
+    return _StratumBlock(values, subjects, counts, np.sort(values, axis=1), bins)
 
 
 def validate(dataset: MarkerDataset) -> ValidationReport:

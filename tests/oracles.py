@@ -917,6 +917,225 @@ def old_integral_sigma(dataset, design, measure, n_nodes=64):
     return sigma1, sigma2, repaired1 or repaired2
 
 
+# -- the per-stratum loop ---------------------------------------------------
+#
+# ``wauc_vector`` and both analytic covariance paths used to score a
+# design's strata one at a time, in a Python loop over the stratum pairs:
+# one estimate per pair, and in ``_placement_parts`` and ``_integral_parts``
+# one win count, bandwidth, kernel density estimate and ``bincount`` per
+# stratum and group.  Those kernels are kept here, as they were, as the
+# reference for bit equality of the pass over stratum blocks.
+
+OLD_LOOP_MAX_RANK_N = 10_000_000
+OLD_LOOP_KDE_BLOCK_ENTRIES = 1 << 12
+
+
+def _old_loop_rank(u, n):
+    largest = n.max(initial=0) if isinstance(n, np.ndarray) else n
+    if largest > OLD_LOOP_MAX_RANK_N:
+        raise ValueError(f"the rank rule is exact for at most {OLD_LOOP_MAX_RANK_N:,} values "
+                         f"a stratum, got {int(largest):,}")
+    return np.ceil((1.0 - np.asarray(u, dtype=float)) * n - OLD_INDEX_GUARD).astype(np.intp)
+
+
+def _old_loop_threshold_rows(u, n):
+    u = np.asarray(u, dtype=float)
+    bad = ~((u > 0.0) & (u <= 1.0))
+    if bad.any():
+        raise ValueError("false-positive rate must be in (0, 1], "
+                         f"got {float(u.flat[np.argmax(bad)])}")
+    return np.maximum(_old_loop_rank(u, n), 1) - 1
+
+
+def _old_loop_roc_at(x, y, rows):
+    thresholds = y.sorted_values[rows]
+    above = x.n - np.searchsorted(x.sorted_values, thresholds, side="right")
+    return thresholds, above / x.n
+
+
+def old_loop_wins(values, ordered, measure, midrank):
+    n_y = ordered.size
+    window = measure.kind == "pauc"
+    if window:
+        hi, lo = _old_loop_rank(measure.upper, n_y), _old_loop_rank(measure.lower, n_y)
+
+    def positions(side):
+        pos = np.searchsorted(ordered, values, side=side)
+        return np.minimum(np.maximum(pos, hi), lo) - hi if window else pos
+
+    wins = positions("left")
+    if midrank:
+        return wins + 0.5 * (positions("right") - wins)
+    return wins
+
+
+def old_loop_stratum_wauc(x, y, measure, midrank):
+    if midrank and measure.is_atomic:
+        raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
+    if measure.is_atomic:
+        rows = _old_loop_threshold_rows([u for u, _ in measure.atoms], y.n)
+        _, roc = _old_loop_roc_at(x, y, rows)
+        value = sum(mass * r for (_, mass), r in zip(measure.atoms, roc))
+    else:
+        value = old_loop_wins(x.values, y.sorted_values, measure, midrank).sum() / (x.n * y.n)
+    if measure.normalized:
+        value /= measure.total_mass
+    return float(value)
+
+
+def old_loop_wauc_vector(dataset, design, measure, midrank=False):
+    pairs, labels = _stratum_pairs(dataset, design)
+    values = [old_loop_stratum_wauc(x, y, measure, midrank) for x, y in pairs]
+    return WaucVector(np.asarray(values), labels)
+
+
+def _old_loop_quantile(ordered, q):
+    last = ordered.size - 1
+    if math.isnan(ordered[last]):
+        return math.nan
+    pos = last * q
+    lo = min(math.floor(pos), last)
+    a, b = float(ordered[lo]), float(ordered[min(lo + 1, last)])
+    t = pos - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def old_loop_bandwidth(values, ordered):
+    n = values.size
+    if n < 2:
+        raise DegenerateDensityError("need at least 2 values for a density estimate")
+    dev = values - np.add.reduce(values, axis=None) / n
+    np.square(dev, out=dev)
+    sd = math.sqrt(np.add.reduce(dev, axis=None) / (n - 1))
+    iqr = _old_loop_quantile(ordered, 0.75) - _old_loop_quantile(ordered, 0.25)
+    candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
+    if not candidates:
+        raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
+    h = 0.9 * min(candidates) * n ** (-0.2)
+    if not h > 0.0:
+        raise DegenerateDensityError(f"non-positive bandwidth {h}")
+    return h
+
+
+def old_loop_kde_at(values, points, bandwidth):
+    rows = max(1, min(points.size, OLD_LOOP_KDE_BLOCK_ENTRIES // values.size))
+    z = np.empty((rows, values.size))
+    work = np.empty_like(z)
+    sums = np.empty(points.size)
+    for start in range(0, points.size, rows):
+        block = points[start:start + rows]
+        z_b, work_b = z[:block.size], work[:block.size]
+        np.subtract(block[:, None], values, z_b)
+        z_b /= bandwidth
+        np.multiply(z_b, -0.5, work_b)
+        work_b *= z_b
+        np.exp(work_b, work_b)
+        work_b.sum(axis=1, out=sums[start:start + rows])
+    sums /= values.size * bandwidth * math.sqrt(2.0 * math.pi)
+    return sums
+
+
+def _old_loop_density_ratio_at(x, y, thresholds):
+    hx = old_loop_bandwidth(x.values, x.sorted_values)
+    hy = old_loop_bandwidth(y.values, y.sorted_values)
+    f_dis = old_loop_kde_at(x.values, thresholds, hx)
+    f_non = old_loop_kde_at(y.values, thresholds, hy)
+    if np.any(f_non <= 0.0):
+        bad = thresholds[np.argmax(f_non <= 0.0)]
+        raise DegenerateDensityError(
+            f"non-diseased density vanished at threshold {bad!r}")
+    return f_dis / f_non
+
+
+def old_loop_placement_parts(pairs, measure, midrank):
+    n_dis = pairs[0][0].n_subjects
+    n_non = pairs[0][1].n_subjects
+    n_s = len(pairs)
+    dev_x = np.zeros((n_s, n_dis))
+    dev_y = np.zeros((n_s, n_non))
+    m_tot = np.zeros(n_s)
+    n_tot = np.zeros(n_s)
+    for s, (x, y) in enumerate(pairs):
+        wins_x = old_loop_wins(x.values, y.sorted_values, measure, midrank)
+        wins_y = old_loop_wins(-y.values, -x.sorted_values[::-1], measure, midrank)
+        omega = wins_x.sum() / (x.n * y.n)
+        sum_x = np.bincount(x.subjects, weights=wins_x / y.n, minlength=n_dis)
+        sum_y = np.bincount(y.subjects, weights=wins_y / x.n, minlength=n_non)
+        dev_x[s] = sum_x - omega * x.counts
+        dev_y[s] = sum_y - omega * y.counts
+        m_tot[s] = x.n
+        n_tot[s] = y.n
+    sigma1 = (dev_x @ dev_x.T) * (n_dis / (n_dis - 1)) / np.outer(m_tot, m_tot)
+    sigma2 = (dev_y @ dev_y.T) * (n_non / (n_non - 1)) / np.outer(n_tot, n_tot)
+    return sigma1, sigma2
+
+
+def _old_loop_rank_plan(u_nodes, n):
+    rows = _old_loop_threshold_rows(u_nodes, n)
+    first = np.empty(rows.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    return rows, rows[first], np.cumsum(first) - 1
+
+
+def _old_loop_gram_part(scores, counts, means, sizes):
+    centre = (counts.T @ counts) * np.outer(means, means)
+    return (scores.T @ scores - centre) / np.outer(sizes, sizes)
+
+
+def old_loop_integral_parts(pairs, measure):
+    u_nodes, u_weights = old_integral_grid(measure)
+    n_s = len(pairs)
+    groups = []
+    for st in pairs[0]:
+        groups.append((np.empty((st.n_subjects, n_s)),
+                       np.empty((st.n_subjects, n_s), dtype=st.counts.dtype),
+                       np.empty(n_s), np.empty(n_s)))
+    cumulative = np.zeros(u_nodes.size + 1)
+    for s, (x, y) in enumerate(pairs):
+        rows, distinct, inverse = _old_loop_rank_plan(u_nodes, y.n)
+        thresholds, roc = _old_loop_roc_at(x, y, rows)
+        ratio = _old_loop_density_ratio_at(x, y, y.sorted_values[distinct])
+        ratio_weights = u_weights * ratio[inverse]
+        order = np.argsort(thresholds, kind="stable")
+        ordered = thresholds[order]
+        for st, weights, mean, (scores, counts, means, sizes) in (
+                (x, u_weights, u_weights @ roc, groups[0]),
+                (y, ratio_weights, ratio_weights @ u_nodes, groups[1])):
+            np.cumsum(weights[order], out=cumulative[1:])
+            below = np.searchsorted(ordered, st.values, side="left")
+            scores[:, s] = np.bincount(st.subjects, weights=cumulative[below],
+                                       minlength=st.n_subjects)
+            counts[:, s] = st.counts
+            means[s] = mean
+            sizes[s] = st.n
+    return tuple(_old_loop_gram_part(*group) for group in groups)
+
+
+def old_loop_sigma_matrix(dataset, design, measure, *, midrank=False):
+    if dataset.n_diseased < 2 or dataset.n_nondiseased < 2:
+        raise ValueError("analytic covariance needs at least 2 subjects per group")
+    if midrank and measure.is_atomic:
+        raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
+    pairs, _ = _stratum_pairs(dataset, design)
+    if measure.kind == "full":
+        sigma1, sigma2 = old_loop_placement_parts(pairs, measure, midrank)
+        method = "placement"
+    else:
+        sigma1, sigma2 = old_loop_integral_parts(pairs, measure)
+        method = "quadrature" if measure.kind == "pauc" else "atoms"
+    if measure.normalized:
+        scale = measure.total_mass ** 2
+        sigma1 = sigma1 / scale
+        sigma2 = sigma2 / scale
+    sigma1, repaired1 = _repair_part(sigma1)
+    sigma2, repaired2 = _repair_part(sigma2)
+    return CovarianceEstimate(sigma=sigma1 + sigma2, sigma_diseased=sigma1,
+                              sigma_nondiseased=sigma2, method=method,
+                              repaired=repaired1 or repaired2)
+
+
 # -- the contrast layer before it was cut to the linear pair contrast -----
 
 OLD_GRADIENT_STEP = 1e-6

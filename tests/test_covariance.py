@@ -16,7 +16,7 @@ from wroc.covariance import (
 )
 from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
-from wroc.estimators import _stratum_pair, wauc_vector
+from wroc.estimators import _blocks_of, wauc_vector
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
@@ -109,13 +109,20 @@ def test_normalized_measure_scales_covariance():
 def _density_ratio(ds, thresholds):
     """The kernel density ratio of marker 1 at ``thresholds``, as the
     quadrature and atoms paths weight their non-diseased scores with it."""
-    x, y = _stratum_pair(ds, 1, None)
-    return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float))
+    ((_, x, y),) = _blocks_of(ds, [(1, None)])
+    points = np.asarray(thresholds, dtype=float)[None]
+    return covariance._density_ratio_at(x, y, points, covariance._kde_buffers(y.n))[0]
 
 
 def _bandwidth(values):
-    v = np.asarray(values, dtype=float)
-    return covariance._bandwidth(v, np.sort(v, axis=None))
+    v = np.asarray(values, dtype=float)[None]
+    return covariance._bandwidth(v, np.sort(v, axis=1))[0]
+
+
+def _kde_at(values, points, bandwidth):
+    """One row's kernel density estimate through the block form."""
+    buffers = covariance._kde_buffers(values.size)
+    return covariance._kde_at(values[None], points[None], np.array([bandwidth]), *buffers)[0]
 
 
 def test_density_ratio_same_distribution_near_one(rng):
@@ -155,7 +162,7 @@ def test_blocked_kde_is_the_one_expression_bitwise(n):
     points = np.concatenate([rng.normal(size=63), values[:1]])
     for vals in (values, tied):
         for pts in (points, points[:5], points[:1]):
-            got = covariance._kde_at(vals, pts, 0.31)
+            got = _kde_at(vals, pts, 0.31)
             assert got.tobytes() == old_kde_at(vals, pts, 0.31).tobytes()
 
 
@@ -189,8 +196,8 @@ _samples = hnp.arrays(
 @settings(deadline=None, max_examples=400)
 def test_quartiles_by_index_are_numpys_percentile(values):
     ordered = np.sort(values)
-    got = np.array([covariance._quantile(ordered, q) for q in (0.75, 0.25, 0.0, 0.5, 1.0)])
     with np.errstate(invalid="ignore", over="ignore"):
+        got = covariance._quantile(ordered[None], (0.75, 0.25, 0.0, 0.5, 1.0))[0]
         want = np.percentile(values, [75.0, 25.0, 0.0, 50.0, 100.0])
         try:
             h = _bandwidth(values)

@@ -188,6 +188,21 @@ def test_rank_rule_is_exact_up_to_ten_million(sized):
         assert old_inverse_survival_many(ordered, [u])[0] == max(want, 1)
 
 
+@given(_sized_rates(), st.integers(min_value=10**7 + 1, max_value=2**40))
+@settings(deadline=None, max_examples=400)
+def test_rank_rule_scalar_form_is_the_array_form(sized, too_many):
+    """A float rate with an int size takes the pure-Python form; it gives
+    the array form's rank, and both reject more than 1e7 values."""
+    n, u, _ = sized
+    scalar = _rank(u, n)
+    assert type(scalar) is int
+    assert scalar == int(_rank(np.array(u), n)) == _rank(np.array([u]), n)[0]
+    with pytest.raises(ValueError, match="at most 10,000,000 values"):
+        _rank(u, too_many)
+    with pytest.raises(ValueError, match="at most 10,000,000 values"):
+        _rank(np.array([u]), too_many)
+
+
 # -- midrank -------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from wroc import covariance
 from wroc.covariance import sigma_matrix
 from wroc.designs import StudyDesign
 from wroc.errors import WrocError
-from wroc.estimators import _stratum_pairs
+from wroc.estimators import _stratum_blocks, _stratum_pairs
 from wroc.measures import parse_measure
 from wroc.simulation import (
     _build_plan,
@@ -58,7 +58,8 @@ def _assert_matches_oracle(dataset, design, measure):
     assert got.repaired == want[2]
     # and the parts before the PSD repair, which would blur a difference
     pairs, _ = _stratum_pairs(dataset, design)
-    raw = covariance._integral_parts(pairs, measure)
+    blocks, _ = _stratum_blocks(dataset, design)
+    raw = covariance._integral_parts(blocks, measure)
     raw_want = old_integral_parts(pairs, *old_integral_grid(measure))
     for part, part_want in zip(raw, raw_want):
         assert np.array_equal(part, part_want, equal_nan=True)
@@ -152,8 +153,25 @@ _values = st.one_of(st.floats(min_value=-1e6, max_value=1e6),
 @settings(deadline=None, max_examples=300)
 def test_bandwidth_is_the_std_formula_bitwise(values):
     """The sums that replace ``np.std(ddof=1)`` give its bits, over the sizes
-    where numpy's pairwise summation changes its blocking, and in 2-D."""
+    where numpy's pairwise summation changes its blocking, and in 2-D: all
+    of the values as one row, and each row of a block of rows, where the
+    block raises what its first failing row raises on its own."""
+    def block_outcome(rows):
+        got = _outcome(lambda: covariance._bandwidth(rows, np.sort(rows, axis=1)))
+        return got if isinstance(got, tuple) else got.tolist()
+
+    def rows_outcome(rows):
+        hs = []
+        for row in rows:
+            h = _outcome(lambda: _old_bandwidth(row))
+            if isinstance(h, tuple):
+                return h
+            hs.append(h)
+        return hs
+
     with np.errstate(invalid="ignore", over="ignore"):
-        got = _outcome(lambda: covariance._bandwidth(values, np.sort(values, axis=None)))
+        got = block_outcome(values.reshape(1, -1))
         want = _outcome(lambda: _old_bandwidth(values))
-    assert got == want
+        assert got == (want if isinstance(want, tuple) else [want])
+        if values.ndim == 2:
+            assert block_outcome(values) == rows_outcome(values)

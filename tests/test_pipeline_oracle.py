@@ -34,12 +34,21 @@ from wroc.simulation import (
     _build_plan,
     _simulate_one_rep,
     generate_dataset,
+    null_scenario,
     replicate_rng,
+    table1_scenario,
     table3_scenario,
     table4_scenario,
 )
 
-from oracles import OldContrastFunction, old_delta_m, old_pair_contrast, old_variance_delta
+from oracles import (
+    OldContrastFunction,
+    old_delta_m,
+    old_loop_sigma_matrix,
+    old_loop_wauc_vector,
+    old_pair_contrast,
+    old_variance_delta,
+)
 
 DESIGN = "longitudinal:3"
 MEASURE = "pauc:0,0.6"
@@ -89,7 +98,8 @@ def old_cli_compare_results(dataset, weights_spec, bootstrap, seed):
 
 
 def old_simulate_one_rep(scenario, plan, rep):
-    """The Monte Carlo replicate as it composed the primitives itself."""
+    """The Monte Carlo replicate as it composed the primitives itself, with
+    its estimates and covariance from the per-stratum loop."""
     n_cells = len(scenario.measures) * len(scenario.weight_methods)
     out = np.full((n_cells, 4), np.nan)
     dataset = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
@@ -97,8 +107,8 @@ def old_simulate_one_rep(scenario, plan, rep):
     idx = 0
     for measure in scenario.measures:
         try:
-            omega = wauc_vector(dataset, design, measure)
-            cov = sigma_matrix(dataset, design, measure)
+            omega = old_loop_wauc_vector(dataset, design, measure)
+            cov = old_loop_sigma_matrix(dataset, design, measure)
             cov_diff = contrast_covariance(cov.sigma, design)
         except (WrocError, np.linalg.LinAlgError, ValueError):
             for _ in scenario.weight_methods:
@@ -142,9 +152,11 @@ def test_cli_compare_equals_old_composition(clustered_csv, capsys, weights, boot
     assert got == want
 
 
-@pytest.mark.parametrize("scenario", [table3_scenario(0.5, 50),
-                                      table4_scenario(50, "normal")],
-                         ids=["table3", "table4"])
+@pytest.mark.parametrize("scenario", [table1_scenario(0.5, 20, "lognormal"),
+                                      table3_scenario(0.5, 50),
+                                      table4_scenario(50, "normal"),
+                                      null_scenario()],
+                         ids=["table1", "table3", "table4", "null"])
 def test_simulate_one_rep_equals_old_composition(scenario):
     plan = _build_plan(scenario)
     for rep in range(20):

@@ -8,7 +8,7 @@ import pytest
 
 from wroc import covariance
 from wroc.designs import StudyDesign
-from wroc.estimators import _stratum_pairs, _stratum_wauc_draws, wauc_vector
+from wroc.estimators import _stratum_blocks, _stratum_pairs, _stratum_wauc_draws, wauc_vector
 from wroc.measures import parse_measure
 from wroc.simulation import baseline_semiparametric_auc
 
@@ -71,7 +71,8 @@ def test_placement_parts_equal_the_old_placements(design, midrank, seed):
     dataset = _tied_dataset(design, seed)
     measure = parse_measure("auc")
     pairs, _ = _stratum_pairs(dataset, design)
-    got = covariance._placement_parts(pairs, measure, midrank)
+    blocks, _ = _stratum_blocks(dataset, design)
+    got = covariance._placement_parts(blocks, measure, midrank)
     want = old_placement_parts(pairs, measure, midrank)
     for part, part_want in zip(got, want):
         assert np.array_equal(part, part_want)
