@@ -47,7 +47,8 @@ win counts, sums and sorts, one offset ``bincount`` per group into its
 strata's columns of ``G``, and on the quadrature path one rank plan, one
 bandwidth per row and one stacked kernel density estimate per group.
 Designs whose strata all share their sizes, as every simulated study does,
-make a single block.
+make a single block; a stratum of its own size is its 1-D arrays, which
+the same code takes as one row.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MarkerDataset, _StratumBlock
+from .dataset import MarkerDataset, Stratum
 from .designs import StudyDesign
 from .errors import DegenerateDensityError, WrocError
 from .estimators import (
@@ -109,55 +110,83 @@ class CovarianceEstimate:
 
 def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     """Silverman's ``0.9 * min(sd, IQR / 1.34) * n^(-1/5)``, skipping zero
-    candidates, of each row of a block's ``values``, given in ascending
-    order as ``ordered`` (its ``sorted_values``).  ``DegenerateDensityError``
-    when the rows hold fewer than 2 values, else for the first row with no
+    candidates, of a stratum's ``values`` given in ascending order as
+    ``ordered`` (its ``sorted_values``), or of each row of a block's: an
+    array of ``values.shape[:-1]``.  ``DegenerateDensityError`` when a
+    stratum holds fewer than 2 values, else for the first row with no
     positive candidate or whose product underflows to zero, as that row on
     its own would raise.
 
     The standard deviation is numpy's ``std(ddof=1)`` step for step (the
     sum, the mean, the squared deviations and their sum) along each row, so
-    its bits are the same without the wrapper's cost.
+    its bits are the same without the wrapper's cost.  From the sums of
+    squares on, each row is worked on Python floats: at the few rows of a
+    block that costs less than the numpy calls it would take.
     """
-    n = values.shape[1]
+    n = values.shape[-1]
     if n < 2:
         raise DegenerateDensityError("need at least 2 values for a density estimate")
-    dev = values - (np.add.reduce(values, axis=1) / n)[:, None]
+    # transposed, the means broadcast over a stratum's values or a block's
+    # rows alike, and the deviations come back in the rows' layout
+    dev = (values.T - np.add.reduce(values, axis=-1) / n).T
     np.square(dev, out=dev)
-    sd = np.sqrt(np.add.reduce(dev, axis=1) / (n - 1))
-    upper, lower = _quantile(ordered, (0.75, 0.25)).T
-    spread = (upper - lower) / 1.34
-    sd_usable, spread_usable = sd > 0.0, spread > 0.0
-    # min() of the usable candidates: sd, unless the spread is smaller or
-    # the only usable one
-    smaller = np.where(spread_usable & (~sd_usable | (spread < sd)), spread, sd)
-    h = 0.9 * smaller * n ** (-0.2)
-    bad = ~(sd_usable | spread_usable) | ~(h > 0.0)
-    if bad.any():
-        row = int(np.argmax(bad))
-        if not (sd_usable[row] or spread_usable[row]):
+    squares = np.add.reduce(dev, axis=-1)
+    h = []
+    for square, (upper, lower) in zip(squares.tolist() if squares.ndim else [float(squares)],
+                                      _quantile(ordered, (0.75, 0.25))):
+        candidates = [c for c in (math.sqrt(square / (n - 1)), (upper - lower) / 1.34) if c > 0.0]
+        if not candidates:
             raise DegenerateDensityError("sample has zero spread, no usable bandwidth")
-        raise DegenerateDensityError(f"non-positive bandwidth {float(h[row])}")
-    return h
+        row_h = 0.9 * min(candidates) * n ** (-0.2)
+        if not row_h > 0.0:
+            raise DegenerateDensityError(f"non-positive bandwidth {row_h}")
+        h.append(row_h)
+    return np.array(h if squares.ndim else h[0])
 
 
-def _quantile(ordered: np.ndarray, qs) -> np.ndarray:
-    """``np.quantile(row, qs)`` of each ascending row, read off by index:
-    one column per level in ``qs``.
+def _quantile(ordered: np.ndarray, qs) -> list[list[float]]:
+    """``np.quantile(row, qs)`` of an ascending stratum, or of each row of
+    a block's, read off by index: one list per row, one value per level in
+    ``qs``.
 
     The arithmetic is numpy's default ("linear") method step for step, its
     ``_lerp`` included, so the result is bit-identical up to the sign of a
     zero (numpy's partition may place -0.0 and 0.0 otherwise than a sort); a
     NaN sorts last and makes every quantile of its row NaN, as in numpy.
+    Only the two values each level reads leave numpy; the arithmetic runs
+    on them as Python floats.
     """
-    last = ordered.shape[1] - 1
-    pos = last * np.asarray(qs, dtype=float)
-    lo = np.minimum(np.floor(pos), last).astype(np.intp)
-    a, b = ordered[:, lo], ordered[:, np.minimum(lo + 1, last)]
-    t = pos - lo
+    columns, levels = _quantile_plan(ordered.shape[-1] - 1, tuple(qs))
+    quantiles = []
+    for row in ordered.take(columns, axis=-1).reshape(-1, columns.size).tolist():
+        if math.isnan(row[0]):
+            quantiles.append([math.nan] * len(levels))
+        else:
+            quantiles.append([_lerp(row[at], row[at + 1], t) for at, t in levels])
+    return quantiles
+
+
+@functools.lru_cache(maxsize=256)
+def _quantile_plan(last: int, qs: tuple[float, ...]) -> tuple[np.ndarray, tuple]:
+    """The columns :func:`_quantile` reads from rows of ``last + 1``
+    values, the last one first (for the NaN check), and per level where its
+    pair of values sits among them and the fraction between the two; shared
+    read-only."""
+    columns, levels = [last], []
+    for q in qs:
+        pos = last * q
+        lo = min(math.floor(pos), last)
+        levels.append((len(columns), pos - lo))
+        columns += [lo, min(lo + 1, last)]
+    columns = np.array(columns)
+    columns.flags.writeable = False
+    return columns, tuple(levels)
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """numpy's ``_lerp``: from whichever end ``t`` is nearer."""
     diff = b - a
-    value = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-    return np.where(np.isnan(ordered[:, last:]), math.nan, value)
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _kde_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,48 +195,73 @@ def _kde_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(entries), np.empty(entries)
 
 
+@functools.lru_cache(maxsize=256)
+def _kde_slices(shape: tuple[int, ...], n: int) -> tuple:
+    """How :func:`_kde_at` cuts points of ``shape`` (``(d,)`` for a stratum,
+    ``(k, d)`` for a block) against rows of ``n`` values: as many whole
+    rows a slice as fit in ``_KDE_BLOCK_ENTRIES`` (point, value) pairs,
+    else one row's points a slice at a time.
+
+    Per set of rows: their index, the index of their values with a point
+    axis, and per slice the index of its points, the same with a value
+    axis, and its ``(points, values)`` work shape and size.  One row is
+    indexed by an int, so its slices are 2-D as a stratum's are.  Cached
+    per shape.
+    """
+    *lead, d = shape
+    fit = max(1, _KDE_BLOCK_ENTRIES // n)
+    step = min(d, fit)
+    rows = [((), ())]
+    if lead:
+        per = max(1, fit // d)
+        rows = [((slice(r, r + per),), (min(per, lead[0] - r),)) if per > 1 else ((r,), ())
+                for r in range(0, lead[0], per)]
+    plan = []
+    for row, row_shape in rows:
+        cuts = []
+        for j in range(0, d, step):
+            cut = row + (slice(j, j + step),)
+            work_shape = row_shape + (min(step, d - j), n)
+            cuts.append((cut, cut + (None,), work_shape, math.prod(work_shape)))
+        plan.append((row, row + (None, slice(None)), tuple(cuts)))
+    return tuple(plan)
+
+
 def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray,
             z: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density estimate of each row of a block's ``values``
-    at its row of ``points``, with its ``bandwidth``.
+    """Gaussian kernel density estimate of a stratum's ``values`` at
+    ``points`` with its ``bandwidth``; for a block, of each row's values at
+    its row of points with its bandwidth.
 
-    Works in place on the caller's two :func:`_kde_buffers`, at most
-    ``_KDE_BLOCK_ENTRIES`` (point, value) pairs at a time: as many whole
-    rows as fit, else one row's points a slice at a time.  Each point still
-    sums its whole row, so the bits equal those of
-    ``np.exp(-0.5 * z * z).sum(axis=1)`` with
-    ``z = (points[:, None] - values) / bandwidth`` for each row.
+    Works in place on the caller's two :func:`_kde_buffers`, a slice of
+    points at a time (:func:`_kde_slices`).  Each point still sums its
+    whole row, so the bits equal those of
+    ``np.exp(-0.5 * z * z).sum(axis=-1)`` with
+    ``z = (points[..., None] - values[..., None, :]) / bandwidth``.
     """
-    k, n = values.shape
-    d = points.shape[1]
-    if d * n <= _KDE_BLOCK_ENTRIES:
-        rows, step = _KDE_BLOCK_ENTRIES // (d * n), d
-    else:
-        rows, step = 1, max(1, _KDE_BLOCK_ENTRIES // n)
-    z3 = z[:rows * step * n].reshape(rows, step, n)
-    work3 = work[:rows * step * n].reshape(rows, step, n)
+    n = values.shape[-1]
+    scale = bandwidth.reshape(bandwidth.shape + (1, 1))
     sums = np.empty(points.shape)
-    for r in range(0, k, rows):
-        row_values = values[r:r + rows, None, :]
-        row_bandwidth = bandwidth[r:r + rows, None, None]
-        for j in range(0, d, step):
-            block = points[r:r + rows, j:j + step, None]
-            z_b = z3[:block.shape[0], :block.shape[1]]
-            work_b = work3[:block.shape[0], :block.shape[1]]
-            np.subtract(block, row_values, out=z_b)
-            z_b /= row_bandwidth
+    for row, value_cut, cuts in _kde_slices(points.shape, n):
+        row_values, row_scale = values[value_cut], scale[row]
+        for cut, point_cut, shape, size in cuts:
+            z_b = z[:size].reshape(shape)
+            work_b = work[:size].reshape(shape)
+            np.subtract(points[point_cut], row_values, out=z_b)
+            z_b /= row_scale
             np.multiply(z_b, -0.5, out=work_b)
             work_b *= z_b
             np.exp(work_b, out=work_b)
-            np.add.reduce(work_b, axis=2, out=sums[r:r + rows, j:j + step])
-    sums /= (n * bandwidth * _SQRT_2PI)[:, None]
+            np.add.reduce(work_b, axis=-1, out=sums[cut])
+    norm = n * bandwidth * _SQRT_2PI
+    sums /= norm.reshape(norm.shape + (1,))
     return sums
 
 
-def _density_ratio_at(x: _StratumBlock, y: _StratumBlock, points: np.ndarray,
+def _density_ratio_at(x: Stratum, y: Stratum, points: np.ndarray,
                       buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The diseased over the non-diseased density of each stratum row of a
-    block pair, at its row of ``points``."""
+    """The diseased over the non-diseased density of a stratum pair at
+    ``points``, or of each row of a block pair at its row of points."""
     hx = _bandwidth(x.values, x.sorted_values)
     hy = _bandwidth(y.values, y.sorted_values)
     f_dis = _kde_at(x.values, points, hx, *buffers)
@@ -227,16 +281,21 @@ def _check_group_sizes(dataset: MarkerDataset) -> None:
         raise ValueError("analytic covariance needs at least 2 subjects per group")
 
 
-def _subject_sums(block: _StratumBlock, weights: np.ndarray) -> np.ndarray:
-    """Per stratum row, the sums of ``weights`` (one per value) over each
-    subject's values, ``(k, n_subjects)``."""
-    sums = np.bincount(block.bins.ravel(), weights=weights.ravel(),
-                       minlength=block.counts.size)
-    return sums.reshape(block.counts.shape)
+def _subject_sums(stratum: Stratum, weights: np.ndarray) -> np.ndarray:
+    """The sums of ``weights`` (one per value) over each subject's values,
+    in the shape of ``stratum.counts``: per row for a block."""
+    sums = np.bincount(stratum.bins.ravel(), weights=weights.ravel(),
+                       minlength=stratum.counts.size)
+    return sums.reshape(stratum.counts.shape)
+
+
+def _n_strata(blocks) -> int:
+    """The number of strata in block pairs: one for an int position."""
+    return sum(1 if isinstance(idx, int) else idx.size for idx, _, _ in blocks)
 
 
 def _placement_parts(blocks, measure: WeightMeasure, midrank: bool):
-    n_s = sum(idx.size for idx, _, _ in blocks)
+    n_s = _n_strata(blocks)
     _, x0, y0 = blocks[0]
     n_dis, n_non = x0.n_subjects, y0.n_subjects
     dev_x = np.zeros((n_s, n_dis))
@@ -247,8 +306,8 @@ def _placement_parts(blocks, measure: WeightMeasure, midrank: bool):
         # a non-diseased value's wins are the diseased values above it:
         # the same count with the roles swapped, on the negated values
         wins_x = _wins(x.values, y.sorted_values, measure, midrank)
-        wins_y = _wins(-y.values, -x.sorted_values[:, ::-1], measure, midrank)
-        omega = np.add.reduce(wins_x, axis=1)[:, None] / (x.n * y.n)
+        wins_y = _wins(-y.values, -x.sorted_values[..., ::-1], measure, midrank)
+        omega = np.add.reduce(wins_x, axis=-1, keepdims=True) / (x.n * y.n)
         dev_x[idx] = _subject_sums(x, wins_x / y.n) - omega * x.counts
         dev_y[idx] = _subject_sums(y, wins_y / x.n) - omega * y.counts
         m_tot[idx] = x.n
@@ -312,21 +371,32 @@ def _rank_plan(measure: WeightMeasure, n: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _row_dots(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``row @ vector`` for each row of ``matrix``, one BLAS dot a row, as
-    each stratum's mean score was taken on its own: a matrix-vector product
-    sums in another order and changes the last bit.  Each row is copied to
-    a fresh array first, as the per-stratum operands were, since how a dot
-    kernel sums may depend on where its operand starts in memory."""
+    """``row @ vector`` for each row of ``matrix`` (a 1-D ``matrix`` is one
+    row), one BLAS dot a row, as each stratum's mean score was taken on its
+    own: a matrix-vector product sums in another order and changes the last
+    bit.  Each row of a block is copied to a fresh array first, as the
+    per-stratum operands were, since how a dot kernel sums may depend on
+    where its operand starts in memory."""
+    if matrix.ndim == 1:
+        return matrix @ vector
     return np.array([row.copy() @ vector for row in matrix])
 
 
-def _integral_columns(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure,
-                      buffers: tuple[np.ndarray, np.ndarray]):
-    """Per group of a block pair, the per-subject score sums ``(k,
-    n_subjects)`` and the weighted mean scores ``(k,)`` on the measure's
-    grid.
+def _along(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, index, axis=-1)`` for a stratum's 1-D arrays
+    or a block's 2-D ones, without that function's overhead."""
+    if a.ndim == 1:
+        return a[index]
+    return a[np.arange(len(a))[:, None], index]
 
-    The thresholds come from the cached rank plan of the block's size, the
+
+def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure,
+                      buffers: tuple[np.ndarray, np.ndarray]):
+    """Per group of a stratum pair, the per-subject score sums and the
+    weighted mean score on the measure's grid; for a block pair, one row
+    of each per stratum.
+
+    The thresholds come from the cached rank plan of the stratum size, the
     kernel density estimates run at the distinct thresholds only, one
     row-wise sort of the thresholds serves both groups' cumulative weights,
     and one ``bincount`` per group sums the scores.  ``g(v)`` counts only
@@ -336,20 +406,18 @@ def _integral_columns(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure
     u_nodes, u_weights = _grid(measure)
     rows, distinct, inverse = _rank_plan(measure, y.n)
     thresholds, roc = _roc_at(x, y, rows)
-    ratio = _density_ratio_at(x, y, y.sorted_values[:, distinct], buffers)
-    ratio_weights = u_weights * ratio[:, inverse]
-    order = np.argsort(thresholds, axis=1, kind="stable")
-    ordered = np.take_along_axis(thresholds, order, axis=1)
+    ratio = _density_ratio_at(x, y, y.sorted_values.take(distinct, axis=-1), buffers)
+    ratio_weights = u_weights * ratio.take(inverse, axis=-1)
+    order = np.argsort(thresholds, axis=-1, kind="stable")
+    ordered = _along(thresholds, order)
+    cumulative = np.zeros(order.shape[:-1] + (order.shape[-1] + 1,))
     columns = []
-    for block, weights, means in (
+    for stratum, weights, means in (
             (x, u_weights[order], _row_dots(roc, u_weights)),
-            (y, np.take_along_axis(ratio_weights, order, axis=1),
-             _row_dots(ratio_weights, u_nodes))):
-        cumulative = np.zeros((weights.shape[0], weights.shape[1] + 1))
-        np.cumsum(weights, axis=1, out=cumulative[:, 1:])
-        below = _positions(ordered, block.values, "left")
-        scores = np.take_along_axis(cumulative, below, axis=1)
-        columns.append((_subject_sums(block, scores), means))
+            (y, _along(ratio_weights, order), _row_dots(ratio_weights, u_nodes))):
+        np.cumsum(weights, axis=-1, out=cumulative[..., 1:])
+        scores = _along(cumulative, _positions(ordered, stratum.values, "left"))
+        columns.append((_subject_sums(stratum, scores), means))
     return columns
 
 
@@ -360,32 +428,37 @@ def _integral_parts(blocks, measure: WeightMeasure):
 
     A block raises when any of its strata fails.  The strata are then
     scored one at a time in design order, so the error raised is the one
-    the first failing stratum gives on its own.
+    the first failing stratum gives on its own; should none of them fail
+    alone, the block's own error is raised.
     """
-    n_s = sum(idx.size for idx, _, _ in blocks)
+    n_s = _n_strata(blocks)
     buffers = _kde_buffers(max(block.n for _, x, y in blocks for block in (x, y)))
     try:
         columns = [_integral_columns(x, y, measure, buffers) for _, x, y in blocks]
-    except (DegenerateDensityError, ValueError):
-        columns = None
-    if columns is None:
-        strata = sorted((s, row, x, y) for idx, x, y in blocks
-                        for row, s in enumerate(idx.tolist()))
-        for _, row, x, y in strata:
-            _integral_columns(x.take([row]), y.take([row]), measure, buffers)
+    except (DegenerateDensityError, ValueError) as exc:
+        error = exc
+    else:
+        error = None
+    if error is not None:
+        strata = sorted(((s, x_row, y_row) for idx, x, y in blocks
+                         for s, x_row, y_row in zip(np.atleast_1d(idx).tolist(),
+                                                    x.split(), y.split())),
+                        key=lambda stratum: stratum[0])
+        for _, x, y in strata:
+            _integral_columns(x, y, measure, buffers)
+        raise error
     parts = []
     for group in (0, 1):
         n_subjects = blocks[0][1 + group].n_subjects
         scores = np.empty((n_subjects, n_s))
         counts = np.empty((n_subjects, n_s), dtype=np.intp)
         means, sizes = np.empty(n_s), np.empty(n_s)
+        # each stratum's sums and counts are a column: a row of the transposes
         for (idx, *pair), block_columns in zip(blocks, columns):
-            block = pair[group]
-            sums, block_means = block_columns[group]
-            scores[:, idx] = sums.T
-            counts[:, idx] = block.counts.T
-            means[idx] = block_means
-            sizes[idx] = block.n
+            stratum = pair[group]
+            scores.T[idx], means[idx] = block_columns[group]
+            counts.T[idx] = stratum.counts
+            sizes[idx] = stratum.n
         parts.append(_gram_part(scores, counts, means, sizes))
     return tuple(parts)
 

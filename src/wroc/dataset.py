@@ -147,37 +147,18 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Stratum:
-    """Pooled measurements for one (marker, times) slice of one group.
+    """Pooled measurements of one group for one (marker, times) slice, or a
+    block: several slices of one size, stacked one row each.
 
+    The last axis runs over a stratum's values: ``values`` and ``subjects``
+    are ``(n,)`` for one stratum and ``(k, n)`` for a block of k.
     ``values`` keeps subject order, ``subjects`` maps each value to its
-    0-based subject row, ``counts`` gives per-subject cluster sizes within
-    the stratum, and ``sorted_values`` backs the empirical survival curve.
-    """
-
-    values: np.ndarray
-    subjects: np.ndarray
-    counts: np.ndarray
-    sorted_values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def n_subjects(self) -> int:
-        return int(self.counts.size)
-
-
-@dataclass(frozen=True)
-class _StratumBlock:
-    """Strata of one group that share a size ``n``, one row each, in the
-    order they were asked for.
-
-    Each row is what :class:`Stratum` holds for its stratum: ``values`` and
-    ``subjects`` are ``(k, n)``, ``sorted_values`` sorts each row and
-    ``counts`` is ``(k, n_subjects)``.  ``bins`` numbers each value's
-    (row, subject) cell, ``row * n_subjects + subject``, so one
-    ``bincount`` over it sums per subject in every row at once.
+    0-based subject row, ``counts`` (``(n_subjects,)`` or ``(k,
+    n_subjects)``) gives per-subject cluster sizes within the stratum, and
+    ``sorted_values`` sorts each stratum's values for the empirical survival
+    curve.  ``bins`` numbers each value's (row, subject) cell, ``row *
+    n_subjects + subject`` (``subjects`` itself for one stratum), so one
+    ``bincount`` over it sums per subject in every stratum at once.
     """
 
     values: np.ndarray
@@ -188,15 +169,18 @@ class _StratumBlock:
 
     @property
     def n(self) -> int:
-        return int(self.values.shape[1])
+        return int(self.values.shape[-1])
 
     @property
     def n_subjects(self) -> int:
-        return int(self.counts.shape[1])
+        return int(self.counts.shape[-1])
 
-    def take(self, rows) -> "_StratumBlock":
-        """The block of the given rows."""
-        return _make_block(self.values[rows], self.subjects[rows], self.n_subjects)
+    def split(self) -> list["Stratum"]:
+        """A block's strata one at a time, or one stratum itself."""
+        if self.values.ndim == 1:
+            return [self]
+        return [_make_stratum(values, subjects, self.n_subjects)
+                for values, subjects in zip(self.values, self.subjects)]
 
 
 class MarkerDataset:
@@ -204,7 +188,7 @@ class MarkerDataset:
 
     Each group is given as :class:`GroupColumns` or as an iterable of
     :class:`SubjectRecord` objects or ``(id, cells)`` tuples.  Strata are
-    cut and cached on first read by :meth:`stratum`.
+    cut and cached on first read by :meth:`stratum` and ``_blocks``.
     """
 
     def __init__(self, diseased, nondiseased, n_markers: int, n_times: int = 1):
@@ -229,7 +213,6 @@ class MarkerDataset:
             order = np.argsort(key, kind="stable")
             self._sorted[group] = (key[order], cols.value[inside][order],
                                    cols.subject[inside][order])
-        self._strata: dict[tuple[str, int, int | None], Stratum] = {}
         self._block_cache: dict[tuple, tuple] = {}
 
     # -- accessors -------------------------------------------------------
@@ -255,13 +238,8 @@ class MarkerDataset:
     def stratum(self, group: str, marker: int, time: int | None = None) -> Stratum:
         if group not in _GROUPS:
             raise ValueError(f"group must be 'diseased' or 'nondiseased', got {group!r}")
-        slot = (group, marker, time)
-        if slot not in self._strata:
-            key, values, subjects = self._sorted[group]
-            lo, hi = np.searchsorted(key, self._key_range(marker, time))
-            self._strata[slot] = _make_stratum(values[lo:hi], subjects[lo:hi],
-                                               self._columns[group].n_subjects)
-        return self._strata[slot]
+        ((_, *pair),) = self._blocks(((marker, time),))
+        return pair[_GROUPS.index(group)]
 
     def _key_range(self, marker: int, time: int | None) -> tuple[int, int]:
         """The (marker, time) keys ``[first, last)`` of one stratum; time None
@@ -276,35 +254,47 @@ class MarkerDataset:
 
     def _blocks(self, strata: tuple[tuple[int, int | None], ...]):
         """The strata, given as (marker, time) pairs, as
-        :class:`_StratumBlock` pairs: ``(positions, diseased, non-diseased)``
+        ``(positions, diseased, non-diseased)`` :class:`Stratum` pairs: one
         for each set of strata whose diseased sizes and non-diseased sizes
-        are both equal, in order of first appearance, with the positions of
-        its strata in ``strata``.  Strata may be empty.  Cached per
-        ``strata``."""
+        are both equal, in order of first appearance.  A set of one is a
+        single stratum and its position in ``strata`` an int; more make a
+        block, with the positions of its strata as an array.  Strata may be
+        empty.  Cached per ``strata``."""
         if strata not in self._block_cache:
             keys = np.array([self._key_range(marker, time) for marker, time in strata])
             starts, sizes = {}, []
             for group in _GROUPS:
-                lo, hi = np.searchsorted(self._sorted[group][0], keys).T
+                lo, hi = self._sorted[group][0].searchsorted(keys).T.tolist()
                 starts[group] = lo
-                sizes.append((hi - lo).tolist())
+                sizes.append([b - a for a, b in zip(lo, hi)])
             members: dict[tuple[int, int], list[int]] = {}
             for s, size in enumerate(zip(*sizes)):
                 members.setdefault(size, []).append(s)
             blocks = []
             for size, positions in members.items():
-                idx = np.array(positions)
-                blocks.append((idx, *(self._block(group, starts[group][idx], n)
-                                      for group, n in zip(_GROUPS, size))))
+                blocks.append((positions[0] if len(positions) == 1 else np.array(positions),
+                               *(self._block(group, [starts[group][s] for s in positions], n)
+                                 for group, n in zip(_GROUPS, size))))
             self._block_cache[strata] = tuple(blocks)
         return self._block_cache[strata]
 
-    def _block(self, group: str, starts: np.ndarray, n: int) -> "_StratumBlock":
-        """The block of one group's strata of ``n`` rows each, starting at
-        ``starts`` in the key-sorted rows."""
+    def _block(self, group: str, starts: list[int], n: int) -> Stratum:
+        """One group's strata of ``n`` rows each, starting at ``starts`` in
+        the key-sorted rows: a slice of them for one stratum, and for a
+        block a reshaped slice when its strata lie end to end in that
+        order, as a reader design's do."""
         _, values, subjects = self._sorted[group]
-        rows = starts[:, None] + np.arange(n)
-        return _make_block(values[rows], subjects[rows], self._columns[group].n_subjects)
+        k, first = len(starts), starts[0]
+        if k == 1:
+            rows = slice(first, first + n)
+            block_values, block_subjects = values[rows], subjects[rows]
+        elif n == 0 or starts == list(range(first, first + k * n, n)):
+            rows = slice(first, first + k * n)
+            block_values, block_subjects = values[rows].reshape(k, n), subjects[rows].reshape(k, n)
+        else:
+            rows = np.array(starts)[:, None] + np.arange(n)
+            block_values, block_subjects = values[rows], subjects[rows]
+        return _make_stratum(block_values, block_subjects, self._columns[group].n_subjects)
 
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
         """New dataset from positional subject draws, repeats allowed."""
@@ -329,15 +319,14 @@ class MarkerDataset:
 
 
 def _make_stratum(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> Stratum:
-    counts = np.bincount(subjects, minlength=n_subjects)
-    return Stratum(values, subjects, counts, np.sort(values))
-
-
-def _make_block(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> "_StratumBlock":
-    k = values.shape[0]
-    bins = np.arange(k)[:, None] * n_subjects + subjects
-    counts = np.bincount(bins.ravel(), minlength=k * n_subjects).reshape(k, n_subjects)
-    return _StratumBlock(values, subjects, counts, np.sort(values, axis=1), bins)
+    if values.ndim == 1:
+        bins = subjects
+        counts = np.bincount(subjects, minlength=n_subjects)
+    else:
+        k = len(values)
+        bins = np.arange(k)[:, None] * n_subjects + subjects
+        counts = np.bincount(bins.ravel(), minlength=k * n_subjects).reshape(k, n_subjects)
+    return Stratum(values, subjects, counts, np.sort(values, axis=-1), bins)
 
 
 def validate(dataset: MarkerDataset) -> ValidationReport:

@@ -11,14 +11,16 @@ Every estimate comes from one core of five pieces:
 
 * :func:`_stratum_blocks` turns a dataset and a design into the checked
   stratum blocks and the strata labels.  A block pair holds the strata
-  whose diseased sizes and non-diseased sizes are both equal, one row per
-  stratum, for each group as a ``_StratumBlock`` of ``(k, n)`` values,
-  sorted values and subject rows plus ``(k, n_subjects)`` counts, with
-  the positions of its strata in design order; equal-size strata make one
-  block.  Estimates and the analytic covariance take one vectorised pass
-  per block, not a loop per stratum.  :func:`_stratum_pairs` gives the
-  same strata one :class:`Stratum` pair at a time, for the bootstrap; the
-  two are the only places the two groups' strata are paired.
+  whose diseased sizes and non-diseased sizes are both equal: per group a
+  :class:`Stratum` of ``(k, n)`` values, sorted values and subject rows
+  plus ``(k, n_subjects)`` counts, and the positions of its strata in
+  design order.  Equal-size strata, as in every simulated study, make one
+  block.  A stratum of its own size is a 1-D :class:`Stratum` at an int
+  position, and the same code takes it as one row.  Estimates and the
+  analytic covariance take one vectorised pass per block, not a loop per
+  stratum.  :func:`_stratum_pairs` gives the strata one 1-D pair at a
+  time, for the bootstrap; the two are the only places the two groups'
+  strata are paired.
 * :func:`_rank` is the one rank rule, ``ceil((1 - u) * n)`` per rate.
 * :func:`_roc` is the one ROC evaluator: the non-diseased thresholds at a
   set of rates (rows :func:`_threshold_rows` of the sorted values) and the
@@ -32,7 +34,7 @@ Every estimate comes from one core of five pieces:
   tie rule (``midrank`` scores a tie 1/2) and the one pAUC window rule
   (only values whose rank lies in the window count).  Estimates, placement
   values and bootstrap draws all read their wins from it.
-* :func:`_block_wauc` is the one dispatch over measure kinds.  Full and
+* :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
   partial AUCs sum the wins over all pairs (so ``pauc(0, 1)`` is the AUC).
   Atomic measures sum ``mass * ROC(u)`` over their atoms and take no
   ``midrank``.  :func:`_stratum_wauc_draws` gives the same values for many
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MarkerDataset, Stratum, _StratumBlock
+from .dataset import MarkerDataset, Stratum
 from .designs import StudyDesign
 from .measures import WeightMeasure
 
@@ -150,7 +152,7 @@ def _blocks_of(dataset: MarkerDataset, strata):
     :func:`_stratum_pair` checks each: the first stratum with an empty group
     raises."""
     blocks = dataset._blocks(tuple(strata))
-    empty = [int(idx[0]) for idx, x, y in blocks if x.n == 0 or y.n == 0]
+    empty = [int(np.min(idx)) for idx, x, y in blocks if x.n == 0 or y.n == 0]
     if empty:
         raise _empty_group(strata[min(empty)][0])
     return blocks
@@ -171,11 +173,11 @@ def _roc(x, y, u):
 
 def _roc_at(x, y, rows: np.ndarray):
     """:func:`_roc` with the rates given as their :func:`_threshold_rows`."""
-    thresholds = y.sorted_values[..., rows]
+    thresholds = y.sorted_values.take(rows, axis=-1)
     return thresholds, _survival_at(x, thresholds)
 
 
-def _survival_at(stratum, points):
+def _survival_at(stratum: Stratum, points):
     """Fraction of the stratum's values strictly greater than each point;
     for a block, of each row's values at its row of points."""
     above = stratum.n - _positions(stratum.sorted_values, points, "right")
@@ -235,10 +237,10 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
     return wins
 
 
-def _block_wauc(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure,
-                midrank: bool) -> np.ndarray:
-    """Integral of the empirical ROC curve of each stratum pair of a block
-    pair against the weight measure, one value per row."""
+def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure,
+                  midrank: bool) -> np.ndarray:
+    """Integral of the empirical ROC curve of a stratum pair against the
+    weight measure: a 0-d array, or for a block pair one value per row."""
     _check_midrank(measure, midrank)
     if measure.is_atomic:
         _, roc = _roc(x, y, [u for u, _ in measure.atoms])
@@ -248,7 +250,7 @@ def _block_wauc(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure,
             value = value + mass * column
     else:
         wins = _wins(x.values, y.sorted_values, measure, midrank)
-        value = np.add.reduce(wins, axis=1) / (x.n * y.n)
+        value = np.add.reduce(wins, axis=-1) / (x.n * y.n)
     if measure.normalized:
         value = value / measure.total_mass
     return value
@@ -256,8 +258,8 @@ def _block_wauc(x: _StratumBlock, y: _StratumBlock, measure: WeightMeasure,
 
 def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool,
                         mult_x: np.ndarray, mult_y: np.ndarray) -> np.ndarray:
-    """The wAUC (as :func:`_block_wauc` gives it) of every resampled copy of
-    one stratum pair.
+    """The wAUC (as :func:`_stratum_wauc` gives it) of every resampled copy
+    of one stratum pair.
 
     Row b of ``mult_x`` (``mult_y``) holds each diseased (non-diseased)
     subject's multiplicity in draw b: the resampled stratum holds subject
@@ -266,7 +268,7 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
     values count a draw's values below any input position: :func:`_wins`
     reads each draw's win counts through them, and they give each atom's
     order statistic.  Wins are half-integers, so each draw's total is exact,
-    and the divisions and atom sums run in :func:`_block_wauc`'s order, so
+    and the divisions and atom sums run in :func:`_stratum_wauc`'s order, so
     each value equals it bit for bit.  Draws are scored in blocks of about
     ``_DRAW_BLOCK_ENTRIES`` work array entries.
     """
@@ -360,8 +362,7 @@ def empirical_roc(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
 def wauc(dataset: MarkerDataset, marker: int, measure: WeightMeasure, *,
          time: int | None = None, midrank: bool = False) -> float:
     """Integral of the empirical ROC curve against the weight measure."""
-    ((_, x, y),) = _blocks_of(dataset, [(marker, time)])
-    return float(_block_wauc(x, y, measure, midrank)[0])
+    return float(_stratum_wauc(*_stratum_pair(dataset, marker, time), measure, midrank))
 
 
 @dataclass(frozen=True)
@@ -382,5 +383,5 @@ def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
     blocks, labels = _stratum_blocks(dataset, design)
     values = np.empty(len(labels))
     for idx, x, y in blocks:
-        values[idx] = _block_wauc(x, y, measure, midrank)
+        values[idx] = _stratum_wauc(x, y, measure, midrank)
     return WaucVector(values, labels)

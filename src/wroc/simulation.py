@@ -37,7 +37,7 @@ from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset, _read_text
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
-from .estimators import _stratum_pairs, _wins, wauc_vector
+from .estimators import _stratum_pairs, _stratum_wauc, _wins, wauc_vector
 from .inference import DEFAULT_ALPHA, critical_value, paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
@@ -751,12 +751,12 @@ def _comparison_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     rng = replicate_rng(scenario.seed, rep)
     dataset = generate_dataset(scenario, rng, plan)
     pairs, _ = _stratum_pairs(dataset, None)
-    empiricals = wauc_vector(dataset, None, _FULL_AUC).values
     est = np.zeros((3, len(pairs)))
     matches = True
     positive = 0
     separated = 0
-    for idx, ((x, y), empirical) in enumerate(zip(pairs, empiricals.tolist())):
+    for idx, (x, y) in enumerate(pairs):
+        empirical = float(_stratum_wauc(x, y, _FULL_AUC, midrank=False))
         parametric, _ = baseline_parametric_auc(x.values, y.values)
         semi = baseline_semiparametric_auc(x.values, y.values)
         est[:, idx] = empirical, parametric, semi.auc

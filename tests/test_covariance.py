@@ -16,7 +16,7 @@ from wroc.covariance import (
 )
 from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
-from wroc.estimators import _blocks_of, wauc_vector
+from wroc.estimators import _stratum_pair, wauc_vector
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
@@ -109,9 +109,9 @@ def test_normalized_measure_scales_covariance():
 def _density_ratio(ds, thresholds):
     """The kernel density ratio of marker 1 at ``thresholds``, as the
     quadrature and atoms paths weight their non-diseased scores with it."""
-    ((_, x, y),) = _blocks_of(ds, [(1, None)])
-    points = np.asarray(thresholds, dtype=float)[None]
-    return covariance._density_ratio_at(x, y, points, covariance._kde_buffers(y.n))[0]
+    x, y = _stratum_pair(ds, 1, None)
+    return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float),
+                                        covariance._kde_buffers(y.n))
 
 
 def _bandwidth(values):
@@ -120,9 +120,13 @@ def _bandwidth(values):
 
 
 def _kde_at(values, points, bandwidth):
-    """One row's kernel density estimate through the block form."""
+    """One stratum's kernel density estimate, which must be the same
+    through the block form, as a block's one row."""
     buffers = covariance._kde_buffers(values.size)
-    return covariance._kde_at(values[None], points[None], np.array([bandwidth]), *buffers)[0]
+    got = covariance._kde_at(values, points, np.array(bandwidth), *buffers)
+    row = covariance._kde_at(values[None], points[None], np.array([bandwidth]), *buffers)[0]
+    assert got.tobytes() == row.tobytes()
+    return got
 
 
 def test_density_ratio_same_distribution_near_one(rng):
@@ -197,7 +201,7 @@ _samples = hnp.arrays(
 def test_quartiles_by_index_are_numpys_percentile(values):
     ordered = np.sort(values)
     with np.errstate(invalid="ignore", over="ignore"):
-        got = covariance._quantile(ordered[None], (0.75, 0.25, 0.0, 0.5, 1.0))[0]
+        got = np.array(covariance._quantile(ordered[None], (0.75, 0.25, 0.0, 0.5, 1.0))[0])
         want = np.percentile(values, [75.0, 25.0, 0.0, 50.0, 100.0])
         try:
             h = _bandwidth(values)

@@ -11,7 +11,7 @@ import pytest
 from wroc import covariance
 from wroc.covariance import sigma_matrix
 from wroc.designs import StudyDesign
-from wroc.errors import WrocError
+from wroc.errors import DegenerateDensityError, WrocError
 from wroc.estimators import _stratum_blocks, _stratum_pairs, wauc_vector
 from wroc.measures import parse_measure
 
@@ -157,3 +157,78 @@ def test_first_failing_stratum_in_design_order_raises(design, spoiled, message):
     assert want[1] == message
     assert _outcome(lambda: covariance._integral_parts(blocks, measure)) == want
     assert _outcome(lambda: sigma_matrix(dataset, design, measure)) == want
+
+
+def _sized_study(design, seed, sizes):
+    """Values on a half grid with ``sizes[s]`` replicates a cell in design
+    stratum s, for every subject: strata of equal ``sizes`` form a block,
+    one of its own size is a lone stratum."""
+    rng = np.random.default_rng(seed)
+
+    def group(n_subjects, shift):
+        return [{(marker, time or 1): tuple(np.round(2 * rng.normal(shift, 1.0, size)) / 2)
+                 for size, (marker, time) in zip(sizes, design.strata())}
+                for _ in range(n_subjects)]
+
+    return group(12, 0.7), group(10, 0.0)
+
+
+# every stratum its own size; and one block of two between lone strata
+SIZES = [(1, 2, 3, 4), (3, 2, 2, 1)]
+
+
+@pytest.mark.parametrize("sizes", SIZES, ids=str)
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
+def test_a_lone_stratum_is_the_one_dimensional_stratum(design, sizes):
+    """A stratum of its own size comes as its 1-D arrays at an int
+    position, equal to what ``dataset.stratum`` gives."""
+    dataset = _dataset(design, *_sized_study(design, 5, sizes))
+    blocks, _ = _stratum_blocks(dataset, design)
+    lone = [(idx, x, y) for idx, x, y in blocks if np.ndim(idx) == 0]
+    assert len(lone) == (4 if sizes == (1, 2, 3, 4) else 2)
+    for idx, x, y in lone:
+        marker, time = design.strata()[idx]
+        for stratum, group in ((x, "diseased"), (y, "nondiseased")):
+            assert stratum.values.ndim == 1 and stratum.counts.ndim == 1
+            alone = dataset.stratum(group, marker, time)
+            for field in ("values", "subjects", "counts", "sorted_values", "bins"):
+                assert np.array_equal(getattr(stratum, field), getattr(alone, field))
+
+
+@pytest.mark.parametrize("sizes", SIZES, ids=str)
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
+def test_lone_strata_equal_the_loop(design, sizes):
+    dataset = _dataset(design, *_sized_study(design, 23, sizes))
+    pairs, _ = _stratum_pairs(dataset, design)
+    blocks, _ = _stratum_blocks(dataset, design)
+    for midrank in (False, True):
+        got = covariance._placement_parts(blocks, parse_measure("auc"), midrank)
+        want = old_loop_placement_parts(pairs, parse_measure("auc"), midrank)
+        for part, part_want in zip(got, want):
+            assert part.tobytes() == part_want.tobytes()
+    for selector in RANK_SELECTORS + GRID_SELECTORS:
+        measure = parse_measure(selector)
+        got = wauc_vector(dataset, design, measure)
+        assert got.values.tobytes() == old_loop_wauc_vector(dataset, design, measure).values.tobytes()
+        if measure.kind != "full":
+            got = covariance._integral_parts(blocks, measure)
+            for part, part_want in zip(got, old_loop_integral_parts(pairs, measure)):
+                assert part.tobytes() == part_want.tobytes()
+
+
+def test_a_block_error_no_stratum_repeats_is_raised(monkeypatch):
+    """Should a block fail where none of its strata fails alone, the
+    block's own error is raised, not a later one of the assembly."""
+    design = DESIGNS[0]
+    dataset = _dataset(design, *_alternating_study(design, 5))
+    blocks, _ = _stratum_blocks(dataset, design)
+    alone = covariance._integral_columns
+
+    def block_fails(x, y, measure, buffers):
+        if x.values.ndim == 2:
+            raise DegenerateDensityError("only as a block")
+        return alone(x, y, measure, buffers)
+
+    monkeypatch.setattr(covariance, "_integral_columns", block_fails)
+    with pytest.raises(DegenerateDensityError, match="^only as a block$"):
+        covariance._integral_parts(blocks, parse_measure("pauc:0,0.6"))
