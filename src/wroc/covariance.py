@@ -253,8 +253,7 @@ def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray,
             work_b *= z_b
             np.exp(work_b, out=work_b)
             np.add.reduce(work_b, axis=-1, out=sums[cut])
-    norm = n * bandwidth * _SQRT_2PI
-    sums /= norm.reshape(norm.shape + (1,))
+    sums /= n * bandwidth[..., None] * _SQRT_2PI
     return sums
 
 

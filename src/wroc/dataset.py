@@ -20,6 +20,7 @@ threads can at worst build one twice, and workers get copies.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -167,11 +168,11 @@ class Stratum:
     sorted_values: np.ndarray
     bins: np.ndarray
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return int(self.values.shape[-1])
 
-    @property
+    @functools.cached_property
     def n_subjects(self) -> int:
         return int(self.counts.shape[-1])
 
