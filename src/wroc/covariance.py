@@ -67,7 +67,7 @@ from .estimators import (
     _positions,
     _roc_at,
     _stratum_blocks,
-    _stratum_pairs,
+    _stratum_rows,
     _stratum_wauc_draws,
     _threshold_rows,
     _wins,
@@ -439,11 +439,7 @@ def _integral_parts(blocks, measure: WeightMeasure):
     else:
         error = None
     if error is not None:
-        strata = sorted(((s, x_row, y_row) for idx, x, y in blocks
-                         for s, x_row, y_row in zip(np.atleast_1d(idx).tolist(),
-                                                    x.split(), y.split())),
-                        key=lambda stratum: stratum[0])
-        for _, x, y in strata:
+        for x, y in _stratum_rows(blocks):
             _integral_columns(x, y, measure, buffers)
         raise error
     parts = []
@@ -535,7 +531,7 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
     if seed < 0:
         raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs = _stratum_rows(_stratum_blocks(dataset, design)[0])
     n_dis = dataset.n_diseased
     n_non = dataset.n_nondiseased
     # per-subject value counts by stratum; times a draw's per-subject

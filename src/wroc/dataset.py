@@ -177,11 +177,13 @@ class Stratum:
         return int(self.counts.shape[-1])
 
     def split(self) -> list["Stratum"]:
-        """A block's strata one at a time, or one stratum itself."""
+        """A block's strata one at a time, as 1-D views of its rows (its
+        ``bins`` row is the ``subjects`` row); one stratum is itself."""
         if self.values.ndim == 1:
             return [self]
-        return [_make_stratum(values, subjects, self.n_subjects)
-                for values, subjects in zip(self.values, self.subjects)]
+        return [Stratum(values, subjects, counts, ordered, subjects)
+                for values, subjects, counts, ordered
+                in zip(self.values, self.subjects, self.counts, self.sorted_values)]
 
 
 class MarkerDataset:
@@ -189,7 +191,8 @@ class MarkerDataset:
 
     Each group is given as :class:`GroupColumns` or as an iterable of
     :class:`SubjectRecord` objects or ``(id, cells)`` tuples.  Strata are
-    cut and cached on first read by :meth:`stratum` and ``_blocks``.
+    cut and cached on first read by ``_blocks``, through which
+    :meth:`stratum` reads a single stratum.
     """
 
     def __init__(self, diseased, nondiseased, n_markers: int, n_times: int = 1):
@@ -237,6 +240,10 @@ class MarkerDataset:
         return self._columns["nondiseased"].n_subjects
 
     def stratum(self, group: str, marker: int, time: int | None = None) -> Stratum:
+        """One group's 1-D :class:`Stratum` of ``marker`` at ``time``, or
+        pooled over the marker's times when ``time`` is None; it may be
+        empty.  Unknown groups and out-of-range indices raise
+        ``ValueError``."""
         if group not in _GROUPS:
             raise ValueError(f"group must be 'diseased' or 'nondiseased', got {group!r}")
         ((_, *pair),) = self._blocks(((marker, time),))

@@ -9,18 +9,19 @@ is the ``ceil((1 - u) * n)``-th smallest value, with the index clamped into
 
 Every estimate comes from one core of five pieces:
 
-* :func:`_stratum_blocks` turns a dataset and a design into the checked
-  stratum blocks and the strata labels.  A block pair holds the strata
-  whose diseased sizes and non-diseased sizes are both equal: per group a
-  :class:`Stratum` of ``(k, n)`` values, sorted values and subject rows
-  plus ``(k, n_subjects)`` counts, and the positions of its strata in
-  design order.  Equal-size strata, as in every simulated study, make one
-  block.  A stratum of its own size is a 1-D :class:`Stratum` at an int
-  position, and the same code takes it as one row.  Estimates and the
-  analytic covariance take one vectorised pass per block, not a loop per
-  stratum.  :func:`_stratum_pairs` gives the strata one 1-D pair at a
-  time, for the bootstrap; the two are the only places the two groups'
-  strata are paired.
+* :func:`_blocks_of` is the one place strata are cut, checked and
+  paired: it turns (marker, time) strata into checked block pairs, and
+  :func:`_stratum_blocks` gives a design's blocks with the strata labels.
+  A block pair holds the strata whose diseased sizes and non-diseased
+  sizes are both equal: per group a :class:`Stratum` of ``(k, n)``
+  values, sorted values and subject rows plus ``(k, n_subjects)`` counts,
+  and the positions of its strata in design order.  Equal-size strata, as
+  in every simulated study, make one block.  A stratum of its own size is
+  a 1-D :class:`Stratum` at an int position, and the same code takes it
+  as one row.  Estimates and the analytic covariance take one vectorised
+  pass per block, not a loop per stratum.  :func:`_stratum_rows` reads
+  the blocks' rows back as 1-D pairs in design order, for the bootstrap,
+  the table2 method comparison and the covariance's error path.
 * :func:`_rank` is the one rank rule, ``ceil((1 - u) * n)`` per rate.
 * :func:`_roc` is the one ROC evaluator: the non-diseased thresholds at a
   set of rates (rows :func:`_threshold_rows` of the sorted values) and the
@@ -104,16 +105,6 @@ def _empty_group(marker: int) -> ValueError:
     return ValueError(f"marker {marker} has an empty group in the requested stratum")
 
 
-def _stratum_pair(dataset: MarkerDataset, marker: int,
-                  time: int | None) -> tuple[Stratum, Stratum]:
-    """The (diseased, non-diseased) strata of one (marker, time), both non-empty."""
-    x = dataset.stratum("diseased", marker, time)
-    y = dataset.stratum("nondiseased", marker, time)
-    if x.n == 0 or y.n == 0:
-        raise _empty_group(marker)
-    return x, y
-
-
 def _group_stratum(dataset: MarkerDataset, marker: int, group: str,
                    time: int | None) -> Stratum:
     """One group's stratum of one (marker, time), non-empty."""
@@ -139,18 +130,10 @@ def _design_strata(dataset: MarkerDataset, design: StudyDesign | None):
     return design.strata(), tuple(design.labels())
 
 
-def _stratum_pairs(dataset: MarkerDataset, design: StudyDesign | None):
-    """Checked stratum pairs over a design's strata, in design order, and
-    their labels."""
-    strata, labels = _design_strata(dataset, design)
-    return [_stratum_pair(dataset, marker, time) for marker, time in strata], labels
-
-
 def _blocks_of(dataset: MarkerDataset, strata):
     """The (marker, time) strata as ``(positions, diseased, non-diseased)``
-    block pairs (see ``MarkerDataset._blocks``), checked as
-    :func:`_stratum_pair` checks each: the first stratum with an empty group
-    raises."""
+    block pairs (see ``MarkerDataset._blocks``), each stratum with both
+    groups non-empty: the first stratum with an empty group raises."""
     blocks = dataset._blocks(tuple(strata))
     empty = [int(np.min(idx)) for idx, x, y in blocks if x.n == 0 or y.n == 0]
     if empty:
@@ -162,6 +145,15 @@ def _stratum_blocks(dataset: MarkerDataset, design: StudyDesign | None):
     """Checked block pairs over a design's strata and the strata labels."""
     strata, labels = _design_strata(dataset, design)
     return _blocks_of(dataset, strata), labels
+
+
+def _stratum_rows(blocks) -> list[tuple[Stratum, Stratum]]:
+    """The strata of block pairs as 1-D (diseased, non-diseased) pairs, in
+    design order: views of the blocks' rows (:meth:`Stratum.split`)."""
+    rows = [(s, x_row, y_row) for idx, x, y in blocks
+            for s, x_row, y_row in zip(np.atleast_1d(idx).tolist(), x.split(), y.split())]
+    rows.sort(key=lambda row: row[0])
+    return [(x, y) for _, x, y in rows]
 
 
 def _roc(x, y, u):
@@ -355,14 +347,16 @@ def sensitivity_at_fpr(dataset: MarkerDataset, marker: int, at: float, *,
 
 def empirical_roc(dataset: MarkerDataset, marker: int, u, *, time: int | None = None):
     """Empirical ROC value(s): diseased survival at the non-diseased threshold."""
-    _, roc = _roc(*_stratum_pair(dataset, marker, time), u)
+    ((_, x, y),) = _blocks_of(dataset, ((marker, time),))
+    _, roc = _roc(x, y, u)
     return float(roc) if np.isscalar(u) else roc
 
 
 def wauc(dataset: MarkerDataset, marker: int, measure: WeightMeasure, *,
          time: int | None = None, midrank: bool = False) -> float:
     """Integral of the empirical ROC curve against the weight measure."""
-    return float(_stratum_wauc(*_stratum_pair(dataset, marker, time), measure, midrank))
+    ((_, x, y),) = _blocks_of(dataset, ((marker, time),))
+    return float(_stratum_wauc(x, y, measure, midrank))
 
 
 @dataclass(frozen=True)

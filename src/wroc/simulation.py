@@ -37,7 +37,7 @@ from .covariance import sigma_matrix
 from .dataset import GroupColumns, MarkerDataset, _read_text
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
-from .estimators import _stratum_pairs, _stratum_wauc, _wins, wauc_vector
+from .estimators import _stratum_blocks, _stratum_rows, _stratum_wauc, _wins, wauc_vector
 from .inference import DEFAULT_ALPHA, critical_value, paired_difference, resolve_weights
 from .measures import WeightMeasure, parse_measure
 
@@ -750,7 +750,7 @@ _FULL_AUC = WeightMeasure.full_auc()
 def _comparison_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     rng = replicate_rng(scenario.seed, rep)
     dataset = generate_dataset(scenario, rng, plan)
-    pairs, _ = _stratum_pairs(dataset, None)
+    pairs = _stratum_rows(_stratum_blocks(dataset, None)[0])
     est = np.zeros((3, len(pairs)))
     matches = True
     positive = 0

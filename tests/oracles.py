@@ -20,7 +20,7 @@ from wroc.covariance import _MAX_DRAWS, CovarianceEstimate, _repair_part
 from wroc.dataset import CSV_HEADER, GroupColumns, MarkerDataset, SubjectRecord
 from wroc.designs import StudyDesign
 from wroc.errors import DataFormatError, DegenerateDensityError, WrocError
-from wroc.estimators import WaucVector, _stratum_pairs
+from wroc.estimators import WaucVector
 from wroc.measures import WeightMeasure
 from wroc.simulation import DEFAULT_MEASURES, DEFAULT_REPS, DEFAULT_SEED, ScenarioSpec, true_wauc
 from wroc.simulation import FAMILIES as _FAMILIES
@@ -490,6 +490,25 @@ def _old_survival(sorted_values, x):
     return float(out) if np.isscalar(x) else out
 
 
+def old_stratum_pairs(dataset, design):
+    """A design's (diseased, non-diseased) strata in design order, each cut
+    on its own through ``dataset.stratum``, and their labels; without a
+    design, one pooled stratum per marker labelled ``marker<m>``.  The
+    first stratum with an empty group raises."""
+    if design is None:
+        strata = [(marker, None) for marker in range(1, dataset.n_markers + 1)]
+        labels = tuple(f"marker{marker}" for marker, _ in strata)
+    else:
+        if design.n_markers != dataset.n_markers:
+            raise ValueError(f"design expects {design.n_markers} markers, "
+                             f"dataset has {dataset.n_markers}")
+        if design.kind == "longitudinal" and design.n_times != dataset.n_times:
+            raise ValueError(f"design expects {design.n_times} times, "
+                             f"dataset has {dataset.n_times}")
+        strata, labels = design.strata(), tuple(design.labels())
+    return [_old_strata(dataset, marker, time) for marker, time in strata], labels
+
+
 def _old_strata(dataset, marker, time):
     x = dataset.stratum("diseased", marker, time)
     y = dataset.stratum("nondiseased", marker, time)
@@ -663,7 +682,7 @@ def old_placement_parts(pairs, measure, midrank):
 def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     n_dis = dataset.n_diseased
     n_non = dataset.n_nondiseased
     counts_d = np.array([x.counts for x, _ in pairs])
@@ -681,7 +700,7 @@ def bootstrap_oracle(dataset, design, measure, n_boot, seed, *, midrank=False):
             n_redrawn += 1
         else:
             raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
-        resampled, _ = _stratum_pairs(dataset.resample(idx_d, idx_n), design)
+        resampled, _ = old_stratum_pairs(dataset.resample(idx_d, idx_n), design)
         draws[b] = [old_stratum_wauc(x, y, measure, midrank) for x, y in resampled]
     sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     return CovarianceEstimate(sigma=sigma, sigma_diseased=None, sigma_nondiseased=None,
@@ -907,7 +926,7 @@ def old_integral_grid(measure, n_nodes=64):
 def old_integral_sigma(dataset, design, measure, n_nodes=64):
     """``(sigma_diseased, sigma_nondiseased, repaired)`` of ``sigma_matrix``
     on a pauc or atomic measure, through :func:`old_integral_parts`."""
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     sigma1, sigma2 = old_integral_parts(pairs, *old_integral_grid(measure, n_nodes))
     if measure.normalized:
         sigma1 = sigma1 / measure.total_mass ** 2
@@ -984,7 +1003,7 @@ def old_loop_stratum_wauc(x, y, measure, midrank):
 
 
 def old_loop_wauc_vector(dataset, design, measure, midrank=False):
-    pairs, labels = _stratum_pairs(dataset, design)
+    pairs, labels = old_stratum_pairs(dataset, design)
     values = [old_loop_stratum_wauc(x, y, measure, midrank) for x, y in pairs]
     return WaucVector(np.asarray(values), labels)
 
@@ -1118,7 +1137,7 @@ def old_loop_sigma_matrix(dataset, design, measure, *, midrank=False):
         raise ValueError("analytic covariance needs at least 2 subjects per group")
     if midrank and measure.is_atomic:
         raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     if measure.kind == "full":
         sigma1, sigma2 = old_loop_placement_parts(pairs, measure, midrank)
         method = "placement"

@@ -16,7 +16,7 @@ from wroc.covariance import (
 )
 from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
-from wroc.estimators import _stratum_pair, wauc_vector
+from wroc.estimators import wauc_vector
 from wroc.measures import WeightMeasure
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
@@ -24,6 +24,7 @@ from oracles import (
     delong_variance_oracle,
     integral_covariance_oracle,
     old_kde_at,
+    old_stratum_pairs,
 )
 
 FULL = WeightMeasure.full_auc()
@@ -109,7 +110,7 @@ def test_normalized_measure_scales_covariance():
 def _density_ratio(ds, thresholds):
     """The kernel density ratio of marker 1 at ``thresholds``, as the
     quadrature and atoms paths weight their non-diseased scores with it."""
-    x, y = _stratum_pair(ds, 1, None)
+    x, y = old_stratum_pairs(ds, None)[0][0]
     return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float),
                                         covariance._kde_buffers(y.n))
 

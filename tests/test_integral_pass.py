@@ -13,7 +13,7 @@ from wroc import covariance
 from wroc.covariance import sigma_matrix
 from wroc.designs import StudyDesign
 from wroc.errors import WrocError
-from wroc.estimators import _stratum_blocks, _stratum_pairs
+from wroc.estimators import _stratum_blocks
 from wroc.measures import parse_measure
 from wroc.simulation import (
     _build_plan,
@@ -30,6 +30,7 @@ from oracles import (
     old_integral_parts,
     old_integral_sigma,
     old_inverse_survival_many,
+    old_stratum_pairs,
 )
 
 # the steps atoms are given out of order; the measure sorts them
@@ -57,7 +58,7 @@ def _assert_matches_oracle(dataset, design, measure):
     assert np.array_equal(got.sigma_nondiseased, want[1], equal_nan=True)
     assert got.repaired == want[2]
     # and the parts before the PSD repair, which would blur a difference
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     raw = covariance._integral_parts(blocks, measure)
     raw_want = old_integral_parts(pairs, *old_integral_grid(measure))

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from wroc import covariance
-from wroc.covariance import sigma_matrix
+from wroc.covariance import bootstrap_covariance, sigma_matrix
 from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
-from wroc.estimators import _stratum_blocks, _stratum_pairs, wauc_vector
+from wroc.estimators import _stratum_blocks, wauc_vector
 from wroc.measures import parse_measure
 
 from conftest import clustered_dataset
@@ -21,6 +21,7 @@ from oracles import (
     old_loop_placement_parts,
     old_loop_sigma_matrix,
     old_loop_wauc_vector,
+    old_stratum_pairs,
 )
 
 DESIGNS = [StudyDesign.longitudinal(2), StudyDesign.readers(2)]
@@ -85,7 +86,7 @@ def test_estimates_and_placement_parts_equal_the_loop(design, midrank, seed):
         assert got.values.tobytes() == want.values.tobytes(), selector
         assert got.labels == want.labels
     measure = parse_measure("auc")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     got = covariance._placement_parts(blocks, measure, midrank)
     want = old_loop_placement_parts(pairs, measure, midrank)
@@ -102,7 +103,7 @@ def test_grid_estimates_and_quadrature_parts_equal_the_loop(design, selector, se
     got = wauc_vector(dataset, design, measure)
     want = old_loop_wauc_vector(dataset, design, measure)
     assert got.values.tobytes() == want.values.tobytes()
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     got = covariance._integral_parts(blocks, measure)
     want = old_loop_integral_parts(pairs, measure)
@@ -151,7 +152,7 @@ def test_first_failing_stratum_in_design_order_raises(design, spoiled, message):
         _spoil(diseased if group == "diseased" else nondiseased, stratum, design, underflow)
     dataset = _dataset(design, diseased, nondiseased)
     measure = parse_measure("pauc:0,0.6")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     want = _outcome(lambda: old_loop_integral_parts(pairs, measure))
     assert want[1] == message
@@ -177,29 +178,56 @@ def _sized_study(design, seed, sizes):
 SIZES = [(1, 2, 3, 4), (3, 2, 2, 1)]
 
 
-@pytest.mark.parametrize("sizes", SIZES, ids=str)
+@pytest.mark.parametrize("sizes", SIZES + ["alternating"], ids=str)
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
 def test_a_lone_stratum_is_the_one_dimensional_stratum(design, sizes):
     """A stratum of its own size comes as its 1-D arrays at an int
-    position, equal to what ``dataset.stratum`` gives."""
-    dataset = _dataset(design, *_sized_study(design, 5, sizes))
+    position, and each row of a block's ``split()`` as 1-D views of the
+    block's rows; every one equals what ``dataset.stratum`` gives.  The
+    block of two in (3, 2, 2, 1) lies end to end in the sorted rows and is
+    cut as a reshaped slice of them; the alternating study's interleaved
+    blocks are gathered."""
+    study = (_alternating_study(design, 5) if sizes == "alternating"
+             else _sized_study(design, 5, sizes))
+    dataset = _dataset(design, *study)
     blocks, _ = _stratum_blocks(dataset, design)
-    lone = [(idx, x, y) for idx, x, y in blocks if np.ndim(idx) == 0]
-    assert len(lone) == (4 if sizes == (1, 2, 3, 4) else 2)
-    for idx, x, y in lone:
-        marker, time = design.strata()[idx]
-        for stratum, group in ((x, "diseased"), (y, "nondiseased")):
-            assert stratum.values.ndim == 1 and stratum.counts.ndim == 1
-            alone = dataset.stratum(group, marker, time)
-            for field in ("values", "subjects", "counts", "sorted_values", "bins"):
-                assert np.array_equal(getattr(stratum, field), getattr(alone, field))
+    lone = [idx for idx, _, _ in blocks if np.ndim(idx) == 0]
+    assert len(lone) == {(1, 2, 3, 4): 4, (3, 2, 2, 1): 2, "alternating": 0}[sizes]
+    sliced = []
+    for idx, x, y in blocks:
+        for block, group in ((x, "diseased"), (y, "nondiseased")):
+            rows = block.split()
+            assert len(rows) == np.size(idx)
+            if np.ndim(idx) == 1:
+                sliced.append(np.shares_memory(block.values, dataset._sorted[group][1]))
+            for s, row in zip(np.atleast_1d(idx).tolist(), rows):
+                assert row.values.ndim == 1 and row.counts.ndim == 1
+                if np.ndim(idx) == 1:
+                    for field in ("values", "subjects", "counts", "sorted_values"):
+                        assert np.shares_memory(getattr(row, field), getattr(block, field))
+                    assert np.shares_memory(row.bins, block.subjects)
+                marker, time = design.strata()[s]
+                alone = dataset.stratum(group, marker, time)
+                for field in ("values", "subjects", "counts", "sorted_values", "bins"):
+                    assert np.array_equal(getattr(row, field), getattr(alone, field))
+    assert sliced == {(1, 2, 3, 4): [], (3, 2, 2, 1): [True, True],
+                      "alternating": [False] * 4}[sizes]
+
+
+@pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
+def test_the_bootstrap_reads_the_designs_blocks(design):
+    """The bootstrap cuts a fresh dataset's strata once, as the design's
+    blocks: the block cache then holds the design's key and no other."""
+    dataset = _dataset(design, *_alternating_study(design, 5))
+    bootstrap_covariance(dataset, design, parse_measure("pauc:0,0.6"), 100, 0)
+    assert set(dataset._block_cache) == {tuple(design.strata())}
 
 
 @pytest.mark.parametrize("sizes", SIZES, ids=str)
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
 def test_lone_strata_equal_the_loop(design, sizes):
     dataset = _dataset(design, *_sized_study(design, 23, sizes))
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     for midrank in (False, True):
         got = covariance._placement_parts(blocks, parse_measure("auc"), midrank)

@@ -8,7 +8,7 @@ import pytest
 
 from wroc import covariance
 from wroc.designs import StudyDesign
-from wroc.estimators import _stratum_blocks, _stratum_pairs, _stratum_wauc_draws, wauc_vector
+from wroc.estimators import _stratum_blocks, _stratum_wauc_draws, wauc_vector
 from wroc.measures import parse_measure
 from wroc.simulation import baseline_semiparametric_auc
 
@@ -16,6 +16,7 @@ from conftest import clustered_dataset
 from oracles import (
     _old_count_pairs,
     old_placement_parts,
+    old_stratum_pairs,
     old_stratum_wauc,
     old_stratum_wauc_draws,
 )
@@ -47,7 +48,7 @@ def _tied_dataset(design, seed):
 def test_estimates_and_draws_equal_the_old_counts(design, selector, midrank, seed):
     dataset = _tied_dataset(design, seed)
     measure = parse_measure(selector)
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     got = wauc_vector(dataset, design, measure, midrank=midrank).values
     want = [old_stratum_wauc(x, y, measure, midrank) for x, y in pairs]
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
@@ -70,7 +71,7 @@ def test_estimates_and_draws_equal_the_old_counts(design, selector, midrank, see
 def test_placement_parts_equal_the_old_placements(design, midrank, seed):
     dataset = _tied_dataset(design, seed)
     measure = parse_measure("auc")
-    pairs, _ = _stratum_pairs(dataset, design)
+    pairs, _ = old_stratum_pairs(dataset, design)
     blocks, _ = _stratum_blocks(dataset, design)
     got = covariance._placement_parts(blocks, measure, midrank)
     want = old_placement_parts(pairs, measure, midrank)
