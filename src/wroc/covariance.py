@@ -6,8 +6,8 @@ the finite-sample variance scale (the covariance of the estimates as they
 stand, with no asymptotic rescaling).
 
 Every analytic path has one shape: each value gets a score, the scores are
-summed per subject with ``bincount`` into an n_subjects x n_strata matrix
-``G``, and one Gram product ``G'G`` over subjects carries the cluster
+summed per subject with ``bincount`` into an n_strata x n_subjects matrix
+``G``, and one Gram product ``G G'`` over subjects carries the cluster
 structure (structural components, DeLong et al. 1988, clustered by subject
 as in Obuchowski 1997).  Cost is linear in the number of values; no
 within-subject pairs are enumerated.
@@ -25,7 +25,7 @@ within-subject pairs are enumerated.
   ``g(v) = sum_p w_p * 1[v > t_p]`` over the grid thresholds ``t_p``, where
   on the non-diseased side ``w_p`` carries the density ratio of the two
   groups at ``t_p``, estimated by Gaussian kernels with a Silverman-type
-  bandwidth.  The part is ``(G'G - (C'C) o (m m')) / (n_a n_b)`` with ``C``
+  bandwidth.  The part is ``(G G' - (C C') o (m m')) / (n_a n_b)`` with ``C``
   the per-subject value counts, ``m`` each stratum's weighted mean score and
   ``n_a`` its number of values.  This path has no ``n / (n - 1)`` factor:
   it is the plug-in value of the pair-pooled integrand
@@ -40,15 +40,21 @@ within-subject pairs are enumerated.
   (64 nodes on ``pauc:0,0.6`` over 50 values hit 30 order statistics), and
   the kernel sums are taken once per distinct order statistic.
 
-Both paths run one pass per stratum block (see :mod:`~wroc.estimators`):
-the strata whose diseased sizes and non-diseased sizes are both equal,
-held as ``(k, n)`` arrays, one row per stratum.  A block takes row-wise
-win counts, sums and sorts, one offset ``bincount`` per group into its
-strata's columns of ``G``, and on the quadrature path one rank plan, one
-bandwidth per row and one stacked kernel density estimate per group.
-Designs whose strata all share their sizes, as every simulated study does,
-make a single block; a stratum of its own size is its 1-D arrays, which
-the same code takes as one row.
+One walk (:func:`_walk`) serves every path, one pass per stratum block
+(see :mod:`~wroc.estimators`): the strata whose diseased sizes and
+non-diseased sizes are both equal, held as ``(k, n)`` arrays, one row per
+stratum; a stratum of its own size is its 1-D arrays, taken as one row.
+A scorer per path (:func:`_placement_columns`, or :func:`_integral_columns`
+with one rank plan, one bandwidth per row and one stacked kernel density
+estimate per group) gives a block's rows of ``G`` and their centres,
+``omega`` or ``m``, which the walk writes with the value counts and sizes
+into one row-per-stratum layout per group.  A failing block is scored
+again one stratum at a time in design order, so every path raises what
+the first failing stratum raises alone.  The Gram form is the one fork:
+the placement path centres the sums before the product
+(:func:`_centred_gram`), the grid paths subtract ``(C C') o (m m')`` after
+it (:func:`_gram_part`).  Their ``m`` is not each subject's mean score, so
+centring first would change their numbers.
 """
 
 from __future__ import annotations
@@ -288,46 +294,42 @@ def _subject_sums(stratum: Stratum, weights: np.ndarray) -> np.ndarray:
     return sums.reshape(stratum.counts.shape)
 
 
-def _n_strata(blocks) -> int:
-    """The number of strata in block pairs: one for an int position."""
-    return sum(1 if isinstance(idx, int) else idx.size for idx, _, _ in blocks)
+def _placement_columns(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool):
+    """Per group of a stratum pair, the per-subject sums of each value's
+    placement (its share of pairs won) and the AUC ``omega``; for a block
+    pair, one row of each per stratum."""
+    # a non-diseased value's wins are the diseased values above it:
+    # the same count with the roles swapped, on the negated values
+    wins_x = _wins(x.values, y.sorted_values, measure, midrank)
+    wins_y = _wins(-y.values, -x.sorted_values[..., ::-1], measure, midrank)
+    omega = np.add.reduce(wins_x, axis=-1) / (x.n * y.n)
+    return (_subject_sums(x, wins_x / y.n), omega), (_subject_sums(y, wins_y / x.n), omega)
 
 
-def _placement_parts(blocks, measure: WeightMeasure, midrank: bool):
-    n_s = _n_strata(blocks)
-    _, x0, y0 = blocks[0]
-    n_dis, n_non = x0.n_subjects, y0.n_subjects
-    dev_x = np.zeros((n_s, n_dis))
-    dev_y = np.zeros((n_s, n_non))
-    m_tot = np.zeros(n_s)
-    n_tot = np.zeros(n_s)
-    for idx, x, y in blocks:
-        # a non-diseased value's wins are the diseased values above it:
-        # the same count with the roles swapped, on the negated values
-        wins_x = _wins(x.values, y.sorted_values, measure, midrank)
-        wins_y = _wins(-y.values, -x.sorted_values[..., ::-1], measure, midrank)
-        omega = np.add.reduce(wins_x, axis=-1, keepdims=True) / (x.n * y.n)
-        dev_x[idx] = _subject_sums(x, wins_x / y.n) - omega * x.counts
-        dev_y[idx] = _subject_sums(y, wins_y / x.n) - omega * y.counts
-        m_tot[idx] = x.n
-        n_tot[idx] = y.n
-    sigma1 = (dev_x @ dev_x.T) * (n_dis / (n_dis - 1)) / np.outer(m_tot, m_tot)
-    sigma2 = (dev_y @ dev_y.T) * (n_non / (n_non - 1)) / np.outer(n_tot, n_tot)
-    return sigma1, sigma2
+def _centred_gram(sums: np.ndarray, counts: np.ndarray, centres: np.ndarray,
+                  sizes: np.ndarray) -> np.ndarray:
+    """The placement form for one group: ``n / (n - 1)`` times the Gram
+    over its ``n`` subjects of their sums centred by ``omega * c_i``, over
+    ``n_a n_b``; the arguments as :func:`_gram_part` takes them."""
+    dev = sums - centres[:, None] * counts
+    n = sums.shape[1]
+    return (dev @ dev.T) * (n / (n - 1)) / np.outer(sizes, sizes)
 
 
-def _gram_part(scores: np.ndarray, counts: np.ndarray, means: np.ndarray,
+def _gram_part(sums: np.ndarray, counts: np.ndarray, means: np.ndarray,
                sizes: np.ndarray) -> np.ndarray:
-    """``(G'G - (C'C) o (m m')) / (n n')`` for one group.
+    """The quadrature and atoms form for one group:
+    ``(G G' - (C C') o (m m')) / (n n')``.
 
-    ``G`` (``scores``) holds per-subject score sums and ``C`` (``counts``)
-    per-subject value counts, one column per stratum; ``m`` is each
-    stratum's weighted mean score and ``n`` its number of values.  ``G'G``
-    is the weighted joint exceedance summed over every within-subject cross
-    pair of values, and ``C'C`` counts those pairs.
+    ``G`` (``sums``) holds per-subject score sums and ``C`` (``counts``)
+    per-subject value counts, one row per stratum and one column per
+    subject; ``m`` is each stratum's weighted mean score and ``n`` its
+    number of values.  ``G G'`` is the weighted joint exceedance summed over
+    every within-subject cross pair of values, and ``C C'`` counts those
+    pairs.
     """
-    centre = (counts.T @ counts) * np.outer(means, means)
-    return (scores.T @ scores - centre) / np.outer(sizes, sizes)
+    centre = (counts @ counts.T) * np.outer(means, means)
+    return (sums @ sums.T - centre) / np.outer(sizes, sizes)
 
 
 @functools.lru_cache(maxsize=32)
@@ -420,41 +422,41 @@ def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure,
     return columns
 
 
-def _integral_parts(blocks, measure: WeightMeasure):
-    """The diseased and non-diseased parts on a pauc or atomic measure's
-    grid, one pass per block pair (:func:`_integral_columns`) filling its
-    strata's columns of ``G`` and ``C``.
+def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
+    """The diseased and non-diseased parts over a design's ``n_strata``
+    strata, given as block pairs, before normalisation and repair.
 
-    A block raises when any of its strata fails.  The strata are then
-    scored one at a time in design order, so the error raised is the one
-    the first failing stratum gives on its own; should none of them fail
-    alone, the block's own error is raised.
+    Should a block fail, its strata are scored one at a time in design
+    order and the first one's own error is raised; should none of them fail
+    alone, the block's error is.
     """
-    n_s = _n_strata(blocks)
-    buffers = _kde_buffers(max(block.n for _, x, y in blocks for block in (x, y)))
+    if measure.kind == "full":
+        score = functools.partial(_placement_columns, measure=measure, midrank=midrank)
+        gram = _centred_gram
+    else:
+        buffers = _kde_buffers(max(block.n for _, x, y in blocks for block in (x, y)))
+        score = functools.partial(_integral_columns, measure=measure, buffers=buffers)
+        gram = _gram_part
+    error = None
     try:
-        columns = [_integral_columns(x, y, measure, buffers) for _, x, y in blocks]
+        columns = [score(x, y) for _, x, y in blocks]
     except (DegenerateDensityError, ValueError) as exc:
         error = exc
-    else:
-        error = None
     if error is not None:
         for x, y in _stratum_rows(blocks):
-            _integral_columns(x, y, measure, buffers)
+            score(x, y)
         raise error
     parts = []
     for group in (0, 1):
         n_subjects = blocks[0][1 + group].n_subjects
-        scores = np.empty((n_subjects, n_s))
-        counts = np.empty((n_subjects, n_s), dtype=np.intp)
-        means, sizes = np.empty(n_s), np.empty(n_s)
-        # each stratum's sums and counts are a column: a row of the transposes
+        sums = np.empty((n_strata, n_subjects))
+        counts = np.empty((n_strata, n_subjects), dtype=np.intp)
+        centres, sizes = np.empty(n_strata), np.empty(n_strata)
         for (idx, *pair), block_columns in zip(blocks, columns):
-            stratum = pair[group]
-            scores.T[idx], means[idx] = block_columns[group]
-            counts.T[idx] = stratum.counts
-            sizes[idx] = stratum.n
-        parts.append(_gram_part(scores, counts, means, sizes))
+            sums[idx], centres[idx] = block_columns[group]
+            counts[idx] = pair[group].counts
+            sizes[idx] = pair[group].n
+        parts.append(gram(sums, counts, centres, sizes))
     return tuple(parts)
 
 
@@ -482,13 +484,9 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     """
     _check_group_sizes(dataset)
     _check_midrank(measure, midrank)
-    blocks, _ = _stratum_blocks(dataset, design)
-    if measure.kind == "full":
-        sigma1, sigma2 = _placement_parts(blocks, measure, midrank)
-        method = "placement"
-    else:
-        sigma1, sigma2 = _integral_parts(blocks, measure)
-        method = "quadrature" if measure.kind == "pauc" else "atoms"
+    blocks, labels = _stratum_blocks(dataset, design)
+    sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank)
+    method = {"full": "placement", "pauc": "quadrature"}.get(measure.kind, "atoms")
     if measure.normalized:
         scale = measure.total_mass ** 2
         sigma1 = sigma1 / scale

@@ -59,8 +59,8 @@ def _assert_matches_oracle(dataset, design, measure):
     assert got.repaired == want[2]
     # and the parts before the PSD repair, which would blur a difference
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
-    raw = covariance._integral_parts(blocks, measure)
+    blocks, labels = _stratum_blocks(dataset, design)
+    raw = covariance._walk(blocks, len(labels), measure, False)
     raw_want = old_integral_parts(pairs, *old_integral_grid(measure))
     for part, part_want in zip(raw, raw_want):
         assert np.array_equal(part, part_want, equal_nan=True)

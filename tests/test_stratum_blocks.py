@@ -1,9 +1,10 @@
 """The pass over stratum blocks against the per-stratum loop it replaced
 (the ``old_loop_*`` functions in ``oracles``), on designs whose strata
 alternate between two sizes, so that each group's strata fall into two
-blocks whose rows interleave in design order: estimates, placement parts
-and quadrature parts must be equal bit for bit, and a failing study must
-raise what the first failing stratum in design order raises."""
+blocks whose rows interleave in design order: estimates, placement parts,
+quadrature parts and whole ``sigma_matrix`` estimates must be equal bit for
+bit, and a failing study must raise what the first failing stratum in
+design order raises."""
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _assert_sigma_equals_the_loop(dataset, design, measure, midrank=False):
+    """The whole estimate, both parts after the repair, bit for bit."""
+    got = sigma_matrix(dataset, design, measure, midrank=midrank)
+    want = old_loop_sigma_matrix(dataset, design, measure, midrank=midrank)
+    for field in ("sigma", "sigma_diseased", "sigma_nondiseased"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert (got.method, got.repaired) == (want.method, want.repaired)
+
+
 @pytest.mark.parametrize("seed", [5, 23])
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: d.selector())
 def test_alternating_sizes_make_two_interleaved_blocks(design, seed):
@@ -87,11 +97,12 @@ def test_estimates_and_placement_parts_equal_the_loop(design, midrank, seed):
         assert got.labels == want.labels
     measure = parse_measure("auc")
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
-    got = covariance._placement_parts(blocks, measure, midrank)
+    blocks, labels = _stratum_blocks(dataset, design)
+    got = covariance._walk(blocks, len(labels), measure, midrank)
     want = old_loop_placement_parts(pairs, measure, midrank)
     for part, part_want in zip(got, want):
         assert part.tobytes() == part_want.tobytes()
+    _assert_sigma_equals_the_loop(dataset, design, measure, midrank)
 
 
 @pytest.mark.parametrize("seed", [5, 23])
@@ -104,8 +115,8 @@ def test_grid_estimates_and_quadrature_parts_equal_the_loop(design, selector, se
     want = old_loop_wauc_vector(dataset, design, measure)
     assert got.values.tobytes() == want.values.tobytes()
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
-    got = covariance._integral_parts(blocks, measure)
+    blocks, labels = _stratum_blocks(dataset, design)
+    got = covariance._walk(blocks, len(labels), measure, False)
     want = old_loop_integral_parts(pairs, measure)
     for part, part_want in zip(got, want):
         assert part.tobytes() == part_want.tobytes()
@@ -113,6 +124,7 @@ def test_grid_estimates_and_quadrature_parts_equal_the_loop(design, selector, se
     cov_want = old_loop_sigma_matrix(dataset, design, measure)
     assert cov.sigma.tobytes() == cov_want.sigma.tobytes()
     assert cov.repaired == cov_want.repaired
+    _assert_sigma_equals_the_loop(dataset, design, measure)
 
 
 # a stratum's values that leave no usable bandwidth: all equal, or so close
@@ -153,10 +165,10 @@ def test_first_failing_stratum_in_design_order_raises(design, spoiled, message):
     dataset = _dataset(design, diseased, nondiseased)
     measure = parse_measure("pauc:0,0.6")
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
+    blocks, labels = _stratum_blocks(dataset, design)
     want = _outcome(lambda: old_loop_integral_parts(pairs, measure))
     assert want[1] == message
-    assert _outcome(lambda: covariance._integral_parts(blocks, measure)) == want
+    assert _outcome(lambda: covariance._walk(blocks, len(labels), measure, False)) == want
     assert _outcome(lambda: sigma_matrix(dataset, design, measure)) == want
 
 
@@ -228,20 +240,23 @@ def test_the_bootstrap_reads_the_designs_blocks(design):
 def test_lone_strata_equal_the_loop(design, sizes):
     dataset = _dataset(design, *_sized_study(design, 23, sizes))
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
+    blocks, labels = _stratum_blocks(dataset, design)
     for midrank in (False, True):
-        got = covariance._placement_parts(blocks, parse_measure("auc"), midrank)
+        got = covariance._walk(blocks, len(labels), parse_measure("auc"), midrank)
         want = old_loop_placement_parts(pairs, parse_measure("auc"), midrank)
         for part, part_want in zip(got, want):
             assert part.tobytes() == part_want.tobytes()
+        _assert_sigma_equals_the_loop(dataset, design, parse_measure("auc"), midrank)
     for selector in RANK_SELECTORS + GRID_SELECTORS:
         measure = parse_measure(selector)
         got = wauc_vector(dataset, design, measure)
         assert got.values.tobytes() == old_loop_wauc_vector(dataset, design, measure).values.tobytes()
         if measure.kind != "full":
-            got = covariance._integral_parts(blocks, measure)
+            got = covariance._walk(blocks, len(labels), measure, False)
             for part, part_want in zip(got, old_loop_integral_parts(pairs, measure)):
                 assert part.tobytes() == part_want.tobytes()
+    for selector in GRID_SELECTORS:
+        _assert_sigma_equals_the_loop(dataset, design, parse_measure(selector))
 
 
 def test_a_block_error_no_stratum_repeats_is_raised(monkeypatch):
@@ -249,7 +264,7 @@ def test_a_block_error_no_stratum_repeats_is_raised(monkeypatch):
     block's own error is raised, not a later one of the assembly."""
     design = DESIGNS[0]
     dataset = _dataset(design, *_alternating_study(design, 5))
-    blocks, _ = _stratum_blocks(dataset, design)
+    blocks, labels = _stratum_blocks(dataset, design)
     alone = covariance._integral_columns
 
     def block_fails(x, y, measure, buffers):
@@ -259,4 +274,4 @@ def test_a_block_error_no_stratum_repeats_is_raised(monkeypatch):
 
     monkeypatch.setattr(covariance, "_integral_columns", block_fails)
     with pytest.raises(DegenerateDensityError, match="^only as a block$"):
-        covariance._integral_parts(blocks, parse_measure("pauc:0,0.6"))
+        covariance._walk(blocks, len(labels), parse_measure("pauc:0,0.6"), False)

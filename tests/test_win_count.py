@@ -72,8 +72,8 @@ def test_placement_parts_equal_the_old_placements(design, midrank, seed):
     dataset = _tied_dataset(design, seed)
     measure = parse_measure("auc")
     pairs, _ = old_stratum_pairs(dataset, design)
-    blocks, _ = _stratum_blocks(dataset, design)
-    got = covariance._placement_parts(blocks, measure, midrank)
+    blocks, labels = _stratum_blocks(dataset, design)
+    got = covariance._walk(blocks, len(labels), measure, midrank)
     want = old_placement_parts(pairs, measure, midrank)
     for part, part_want in zip(got, want):
         assert np.array_equal(part, part_want)
