@@ -274,13 +274,17 @@ def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
 
     ``weights`` takes any spec :func:`resolve_weights` reads.  ``covariance``
     replaces the analytic ``sigma_matrix`` estimate, for example with a
-    ``bootstrap_covariance`` of the same dataset.
+    ``bootstrap_covariance`` of the same dataset.  A difference variance
+    that is not positive (identical arms) raises ``SingularCovarianceError``.
     """
     omega = wauc_vector(dataset, design, measure, midrank=midrank)
     cov = covariance if covariance is not None else sigma_matrix(
         dataset, design, measure, midrank=midrank)
     weight_vec = resolve_weights(weights, design, cov.sigma, ridge=ridge)
     estimate, var = paired_difference(omega, cov, design, weight_vec)
+    critical_value(alpha)      # a bad alpha stays an input error on any data
+    if not var.total > 0.0:
+        raise SingularCovarianceError(f"difference variance must be positive, got {var.total}")
     test = z_test(estimate, var.total, alpha=alpha)
     return ComparisonResult(
         **vars(test),

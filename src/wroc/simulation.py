@@ -15,6 +15,9 @@ Two runners:
 
 Every study is a row of one registry; :func:`study_scenario` alone turns
 its keys, from CLI flags or a scenario file, into its runner and scenario.
+A builder such as :func:`table3_scenario` takes only its study's parameters;
+its run settings (1000 replicates, seed 20240817, the study's measures and
+weightings) change by ``dataclasses.replace`` alone.
 
 The population truths need numpy alone: the normal CDF and quantile are
 ``ndtr`` and ``ndtri`` from :mod:`wroc._normal`, and :func:`true_wauc`
@@ -59,7 +62,7 @@ class ScenarioSpec:
     each modality's markers and the two modality blocks are independent.
     Cluster sizes are per-subject-half pairs: the first ``ceil(n/2)``
     subjects of a group use the first size for every cell, the rest the
-    second.
+    second.  ``measures`` and ``weight_methods`` are stored as tuples; neither may be empty.
     """
 
     name: str
@@ -82,6 +85,8 @@ class ScenarioSpec:
     correlation_scope: str = "all"
 
     def __post_init__(self):
+        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "weight_methods", tuple(self.weight_methods))
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.correlation_scope not in ("all", "modality"):
@@ -108,6 +113,8 @@ class ScenarioSpec:
         critical_value(self.alpha)
         if not self.measures:
             raise ValueError("need at least one weight measure")
+        if not self.weight_methods:
+            raise ValueError("need at least one weight method")
         for method in self.weight_methods:
             if method not in ("equal", "optimal"):
                 raise ValueError(f"unknown weight method {method!r}")
@@ -331,7 +338,7 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
 
 # -- scenario builders ---------------------------------------------------
 
-# a study's defaults when not given, applied by study_scenario
+# a study's defaults: builders write the reps and seed, study_scenario the n and rho
 DEFAULT_SEED = 20240817
 DEFAULT_REPS = 1000
 DEFAULT_N = 50
@@ -340,10 +347,7 @@ _TABLE1_VARIANCES = (1.0, 1.5, 2.0, 1.0, 1.5, 2.0)
 DEFAULT_MEASURES = (WeightMeasure.full_auc(), WeightMeasure.partial_auc(0.0, 0.6))
 
 
-def table1_scenario(rho: float, n: int, family: str = "normal", *,
-                    n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED,
-                    measures=DEFAULT_MEASURES,
-                    weight_methods=("equal",)) -> ScenarioSpec:
+def table1_scenario(rho: float, n: int, family: str = "normal") -> ScenarioSpec:
     """Three readers, two identical modalities: a null difference whose
     coverage calibrates the variance estimator.
 
@@ -365,42 +369,34 @@ def table1_scenario(rho: float, n: int, family: str = "normal", *,
         cluster_sizes_nondiseased=(1, 1),
         n_diseased=n,
         n_nondiseased=n,
-        n_reps=n_reps,
-        seed=seed,
-        measures=tuple(measures),
-        weight_methods=tuple(weight_methods),
+        n_reps=DEFAULT_REPS,
+        seed=DEFAULT_SEED,
+        measures=DEFAULT_MEASURES,
+        weight_methods=("equal",),
         correlation_scope="modality",
     )
 
 
-def table2_scenario(rho: float, n: int, family: str = "lognormal", *,
-                    n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED) -> ScenarioSpec:
+def table2_scenario(rho: float, n: int, family: str = "lognormal") -> ScenarioSpec:
     """Method-comparison scenario: modality 2 separates better than
     modality 1, heavier means on the second half."""
-    base = table1_scenario(rho, n, family, n_reps=n_reps, seed=seed,
-                           measures=(WeightMeasure.full_auc(),))
-    return replace(base,
+    return replace(table1_scenario(rho, n, family),
                    name=f"table2_rho{rho:g}_n{n}_{family}",
-                   mu_diseased=(1.0, 1.0, 1.0, 1.5, 2.0, 2.5))
+                   mu_diseased=(1.0, 1.0, 1.0, 1.5, 2.0, 2.5),
+                   measures=(WeightMeasure.full_auc(),))
 
 
-def table3_scenario(rho: float, n: int, *, n_reps: int = DEFAULT_REPS,
-                    seed: int = DEFAULT_SEED,
-                    measures=DEFAULT_MEASURES,
-                    weight_methods=("equal", "optimal")) -> ScenarioSpec:
+def table3_scenario(rho: float, n: int) -> ScenarioSpec:
     """Power scenario: reader 1 modality 1 separates strongly, so optimal
     weights concentrate there."""
-    base = table1_scenario(rho, n, "normal", n_reps=n_reps, seed=seed,
-                           measures=measures, weight_methods=weight_methods)
-    return replace(base,
+    return replace(table1_scenario(rho, n),
                    name=f"table3_rho{rho:g}_n{n}",
                    mu_diseased=(2.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-                   variances=(1.0, 1.5, 2.0, 2.0, 3.0, 2.0))
+                   variances=(1.0, 1.5, 2.0, 2.0, 3.0, 2.0),
+                   weight_methods=("equal", "optimal"))
 
 
-def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = DEFAULT_REPS,
-                    seed: int = DEFAULT_SEED,
-                    measures=DEFAULT_MEASURES) -> ScenarioSpec:
+def table4_scenario(n: int, family: str = "lognormal") -> ScenarioSpec:
     """Longitudinal two-marker scenario with three times and unbalanced
     cluster sizes (diseased 2 then 4 replicates, non-diseased 5 then 3)."""
     return ScenarioSpec(
@@ -416,20 +412,19 @@ def table4_scenario(n: int, family: str = "lognormal", *, n_reps: int = DEFAULT_
         cluster_sizes_nondiseased=(5, 3),
         n_diseased=n,
         n_nondiseased=n,
-        n_reps=n_reps,
-        seed=seed,
-        measures=tuple(measures),
+        n_reps=DEFAULT_REPS,
+        seed=DEFAULT_SEED,
+        measures=DEFAULT_MEASURES,
         weight_methods=("equal",),
     )
 
 
-def null_scenario(rho: float = DEFAULT_RHO, n: int = DEFAULT_N, *,
-                  n_reps: int = DEFAULT_REPS, seed: int = DEFAULT_SEED) -> ScenarioSpec:
+def null_scenario(rho: float = DEFAULT_RHO, n: int = DEFAULT_N) -> ScenarioSpec:
     """Identical modalities, used to check test size under both weightings."""
-    base = table1_scenario(rho, n, "normal", n_reps=n_reps, seed=seed,
-                           measures=(WeightMeasure.full_auc(),),
-                           weight_methods=("equal", "optimal"))
-    return replace(base, name=f"null_rho{rho:g}_n{n}")
+    return replace(table1_scenario(rho, n),
+                   name=f"null_rho{rho:g}_n{n}",
+                   measures=(WeightMeasure.full_auc(),),
+                   weight_methods=("equal", "optimal"))
 
 
 # -- study runner --------------------------------------------------------
@@ -808,10 +803,9 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
 # -- study registry ------------------------------------------------------
 
 
-def _custom_scenario(n: int, *, n_reps: int, seed: int, rho: float, design: StudyDesign,
-                     mu_diseased, mu_nondiseased, variances, name: str = "custom",
-                     family: str = "normal", rho_diseased: float | None = None,
-                     rho_nondiseased: float | None = None,
+def _custom_scenario(n: int, *, rho: float, design: StudyDesign, mu_diseased, mu_nondiseased,
+                     variances, name: str = "custom", family: str = "normal",
+                     rho_diseased: float | None = None, rho_nondiseased: float | None = None,
                      cluster_sizes_diseased=(1, 1), cluster_sizes_nondiseased=(1, 1),
                      correlation_scope: str = "all") -> ScenarioSpec:
     """A scenario spelled out key by key: ``rho`` serves both groups unless
@@ -823,22 +817,25 @@ def _custom_scenario(n: int, *, n_reps: int, seed: int, rho: float, design: Stud
         rho_nondiseased=rho if rho_nondiseased is None else rho_nondiseased,
         cluster_sizes_diseased=cluster_sizes_diseased,
         cluster_sizes_nondiseased=cluster_sizes_nondiseased,
-        n_diseased=n, n_nondiseased=n, n_reps=n_reps, seed=seed,
+        n_diseased=n, n_nondiseased=n, n_reps=DEFAULT_REPS, seed=DEFAULT_SEED,
         measures=(WeightMeasure.full_auc(),), weight_methods=("equal",),
         correlation_scope=correlation_scope)
 
 
 @dataclass(frozen=True)
 class _Study:
-    builder: Callable[..., ScenarioSpec]   # builder(n=, n_reps=, seed=, **keys)
+    builder: Callable[..., ScenarioSpec]   # builder(n=, **keys)
     runner: Callable
     takes: tuple[str, ...]                 # keys beside the common ones
     needs: tuple[str, ...] = ()            # keys it cannot do without
     rho: float = DEFAULT_RHO               # when it takes rho and none is given
 
 
+# the keys that set a built scenario's run settings: key -> ScenarioSpec field
+_RUN_SETTINGS = {"reps": "n_reps", "seed": "seed", "alpha": "alpha",
+                 "measures": "measures", "weights": "weight_methods"}
 # keys every study takes
-_COMMON_KEYS = ("n", "m", "j", "reps", "seed", "alpha", "measures", "weights")
+_COMMON_KEYS = ("n", "m", "j", *_RUN_SETTINGS)
 
 _STUDIES = {
     "table1": _Study(table1_scenario, run_study, ("rho", "family")),
@@ -860,18 +857,19 @@ def study_names() -> tuple[str, ...]:
 
 
 def study_scenario(study: str, **keys) -> tuple[Callable, ScenarioSpec]:
-    """The runner of ``study`` and its scenario, built from ``keys``: the
-    one place that applies a study's defaults, for the command line's flags
-    and a scenario file's keys alike.
+    """The runner of ``study`` and its scenario, built from ``keys``, for
+    the command line's flags and a scenario file's keys alike.
 
     Every study takes ``n``, both group sizes (default 50), ``m`` or ``j``
-    to override the diseased or the non-diseased one, ``reps`` (default
-    1000), ``seed`` (default 20240817), ``alpha`` (default 0.05),
-    ``measures`` (WeightMeasures) and ``weights`` (method names); its
-    ``_STUDIES`` row lists what else it takes and needs.  Left out, ``rho``
-    is the row's (0.5, or 0.0 for ``custom``) and ``family`` the builder's.
-    An unknown study, a key it does not take or a key it needs but lacks
-    raises ``DataFormatError``.
+    to override the diseased or the non-diseased one, ``reps``, ``seed``,
+    ``alpha``, ``measures`` (WeightMeasures) and ``weights`` (method
+    names); its ``_STUDIES`` row lists what else it takes and needs.  The
+    builder gets ``n`` (or ``m``) and the study's own keys, ``rho`` left out
+    being the row's (0.5, or 0.0 for ``custom``); one ``replace`` sets ``j``
+    and the run settings given, the rest keeping the builder's (1000
+    replicates, seed 20240817, alpha 0.05, the study's measures and
+    weightings).  An unknown study, a key it does not take or a key it
+    needs but lacks raises ``DataFormatError``.
     """
     if study not in _STUDIES:
         raise DataFormatError(f"unknown study {study!r}")
@@ -883,15 +881,11 @@ def study_scenario(study: str, **keys) -> tuple[Callable, ScenarioSpec]:
     if missing:
         raise DataFormatError(f"study {study} needs {', '.join(missing)}")
     n = keys.pop("n", DEFAULT_N)
-    overrides = {"n_nondiseased": keys.pop("j", n), "alpha": keys.pop("alpha", DEFAULT_ALPHA)}
-    for key, attr in (("measures", "measures"), ("weights", "weight_methods")):
-        if key in keys:
-            overrides[attr] = keys.pop(key)
+    settings = {attr: keys.pop(key) for key, attr in _RUN_SETTINGS.items() if key in keys}
+    settings["n_nondiseased"] = keys.pop("j", n)
     if "rho" in row.takes:
         keys.setdefault("rho", row.rho)
-    scenario = row.builder(n=keys.pop("m", n), n_reps=keys.pop("reps", DEFAULT_REPS),
-                           seed=keys.pop("seed", DEFAULT_SEED), **keys)
-    return row.runner, replace(scenario, **overrides)
+    return row.runner, replace(row.builder(n=keys.pop("m", n), **keys), **settings)
 
 
 # -- scenario files ------------------------------------------------------

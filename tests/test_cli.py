@@ -286,6 +286,19 @@ def test_degenerate_density_exit_3(tmp_path, capsys, rng):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--bootstrap", "100"], ["--measure", "pauc:0,0.6"],
+                                   ["--weights", "optimal"]],
+                         ids=["equal", "bootstrap", "pauc", "optimal"])
+def test_identical_modalities_exit_3(tmp_path, capsys, rng, extra):
+    # the two modalities hold the same values: a zero difference variance is
+    # a numerical failure, whatever the weights and the covariance
+    x, y = rng.normal(1.0, 1.0, 3), rng.normal(0.0, 1.0, 3)
+    path = write_dataset(tmp_path, paired_dataset([x, x], [y, y]))
+    code = main(["compare", "--input", str(path), "--design", "readers:1", *extra])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("wroc: numerical error: ")
+
+
 def test_simulate_without_study_exit_2(capsys):
     code = main(["simulate"])
     assert code == 2

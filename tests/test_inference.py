@@ -246,3 +246,22 @@ def test_compare_modalities_takes_a_covariance(rng):
     assert res.variance == variance_delta(boot, contrast).total
     with pytest.raises(DataFormatError, match="unknown weights"):
         compare_modalities(ds, design, FULL, weights="inverse")
+
+
+@pytest.mark.parametrize("measure, bootstrap", [
+    (FULL, 0), (FULL, 100), (WeightMeasure.partial_auc(0.0, 0.6), 0)],
+    ids=["auc", "auc-bootstrap", "pauc"])
+def test_a_zero_difference_variance_is_a_numerical_failure(rng, measure, bootstrap):
+    # both modalities hold the same values, so every paired difference is 0
+    x, y = rng.normal(1.0, 1, 12), rng.normal(0, 1, 12)
+    ds = paired_dataset([x, x], [y, y])
+    design = StudyDesign.readers(1)
+    cov = bootstrap_covariance(ds, design, measure, bootstrap, 5) if bootstrap else None
+    with pytest.raises(SingularCovarianceError, match="must be positive, got 0.0"):
+        compare_modalities(ds, design, measure, covariance=cov)
+    # a bad alpha is still the input error it is on any data
+    with pytest.raises(ValueError, match="alpha must be in"):
+        compare_modalities(ds, design, measure, alpha=2.0, covariance=cov)
+    # z_test called directly keeps its own input error
+    with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
+        z_test(0.0, 0.0)

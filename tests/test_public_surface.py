@@ -70,6 +70,23 @@ def test_options_with_one_value_in_use_are_constants():
         assert not set(params) & set(inspect.signature(func).parameters), func.__name__
 
 
+def test_scenario_builders_take_only_their_study_parameters():
+    # run settings (n_reps, seed, alpha, measures, weight_methods) are set
+    # by dataclasses.replace alone
+    simulation = importlib.import_module("wroc.simulation")
+    empty = inspect.Parameter.empty
+    want = {"table1_scenario": [("rho", empty), ("n", empty), ("family", "normal")],
+            "table2_scenario": [("rho", empty), ("n", empty), ("family", "lognormal")],
+            "table3_scenario": [("rho", empty), ("n", empty)],
+            "table4_scenario": [("n", empty), ("family", "lognormal")],
+            "null_scenario": [("rho", 0.5), ("n", 50)]}
+    for name, params in want.items():
+        got = inspect.signature(getattr(simulation, name)).parameters.values()
+        assert [(p.name, p.default) for p in got] == params, name
+    custom = inspect.signature(simulation._custom_scenario).parameters
+    assert not {"n_reps", "seed"} & set(custom)
+
+
 def test_benchmark_tracer_finds_every_target():
     """A traced benchmark run exits on a missing wrap target; the same
     lookup, run here without switching the wrappers on."""

@@ -201,7 +201,7 @@ def test_table3_scenario_matches_old_form(rho, n):
     assert table3_scenario(rho, n) == old_table3_scenario(rho, n)
     custom = {"n_reps": 7, "seed": 11, "measures": [FULL, WeightMeasure.point_mass(0.3)],
               "weight_methods": ["optimal"]}
-    assert table3_scenario(rho, n, **custom) == old_table3_scenario(rho, n, **custom)
+    assert replace(table3_scenario(rho, n), **custom) == old_table3_scenario(rho, n, **custom)
 
 
 def test_truths_match_old_form_bitwise():
@@ -283,6 +283,24 @@ def test_scenario_validation():
     assert replace(table1_scenario(0.5, 50), alpha=2.3e-16).alpha == 2.3e-16
 
 
+def test_empty_weightings_are_an_error():
+    # a study with no weighting used to run and report no cells at all
+    with pytest.raises(ValueError, match="^need at least one weight method$"):
+        run_study(replace(table3_scenario(0.5, 10), n_reps=2, weight_methods=()))
+    with pytest.raises(ValueError, match="^need at least one weight method$"):
+        study_scenario("table3", n=10, weights=())
+    with pytest.raises(ValueError, match="^need at least one weight measure$"):
+        replace(table3_scenario(0.5, 10), measures=[])
+
+
+def test_run_settings_given_as_lists_are_stored_as_tuples():
+    listed = replace(table3_scenario(0.5, 10), measures=[FULL], weight_methods=["optimal"])
+    tupled = replace(table3_scenario(0.5, 10), measures=(FULL,), weight_methods=("optimal",))
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert (listed.measures, listed.weight_methods) == ((FULL,), ("optimal",))
+
+
 def test_study_names():
     assert set(study_names()) == {"table1", "table2", "table3", "table4", "null"}
 
@@ -291,14 +309,16 @@ def test_study_scenario_defaults_and_rejections():
     assert study_scenario("table1", n=20) == (run_study, table1_scenario(0.5, 20, "normal"))
     assert study_scenario("table2", n=20, rho=0.2) == (
         run_method_comparison, table2_scenario(0.2, 20, "lognormal"))
-    assert study_scenario("table3", n=20, reps=7, seed=3)[1] == table3_scenario(
-        0.5, 20, n_reps=7, seed=3)
+    assert study_scenario("table3", n=20, reps=7, seed=3)[1] == replace(
+        table3_scenario(0.5, 20), n_reps=7, seed=3)
     assert study_scenario("table4", n=20, family="normal")[1] == table4_scenario(20, "normal")
-    assert study_scenario("null", n=20)[1] == null_scenario(0.5, 20, n_reps=1000)
+    assert study_scenario("null", n=20)[1] == replace(null_scenario(0.5, 20), n_reps=1000)
     # n, reps and seed left out take the study defaults, whatever the builder's own
-    assert study_scenario("null")[1] == null_scenario(0.5, 50, n_reps=1000, seed=20240817)
+    assert study_scenario("null")[1] == replace(null_scenario(0.5, 50), n_reps=1000,
+                                                seed=20240817)
     # acceptance criterion 9's study, as `wroc simulate null --n 200 --reps 2000` runs it
-    assert study_scenario("null", n=200, reps=2000)[1] == null_scenario(n=200, n_reps=2000)
+    assert study_scenario("null", n=200, reps=2000)[1] == replace(null_scenario(n=200),
+                                                                  n_reps=2000)
     with pytest.raises(DataFormatError, match="takes no family"):
         study_scenario("table3", n=20, family="lognormal")
     with pytest.raises(DataFormatError, match="takes no rho"):
@@ -693,10 +713,10 @@ def test_scenario_key_given_twice_names_its_line():
 
 def test_negative_seed_is_an_input_error():
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        table3_scenario(0.5, 20, seed=-1)
+        replace(table3_scenario(0.5, 20), seed=-1)
     with pytest.raises(DataFormatError, match="seed must be non-negative, got -2"):
         _scenario("study = null\nn = 10\nseed = -2\n")
-    assert table3_scenario(0.5, 20, seed=0).seed == 0
+    assert replace(table3_scenario(0.5, 20), seed=0).seed == 0
 
 
 def test_readme_scenario_block_parses():
@@ -754,4 +774,4 @@ def test_group_sizes_follow_one_rule(head, sizes, want):
 def test_scenario_file_without_n_runs_at_the_default():
     sc = _scenario("study = table1\n")
     assert sc == table1_scenario(0.5, 50, "normal")
-    assert _scenario("study = null\nreps = 2\n") == null_scenario(0.5, 50, n_reps=2)
+    assert _scenario("study = null\nreps = 2\n") == replace(null_scenario(0.5, 50), n_reps=2)
