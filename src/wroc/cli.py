@@ -7,7 +7,8 @@ Four subcommands:
 * ``simulate`` Monte Carlo studies (named or from a scenario file)
 * ``roc``      empirical ROC curve on a midpoint grid
 
-Exit codes: 0 success, 2 input or usage problems, 3 numerical failures.
+Exit codes: 0 success, 2 input or usage problems (a request too large for
+memory included), 3 numerical failures.
 Reports embed the package version, the resolved configuration, the seed and
 the SHA-256 of the input file so results can be tied back to their inputs.
 """
@@ -363,6 +364,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"wroc: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a Python list does not
+        detail = f": {exc}" if str(exc) else ""
+        print(f"wroc: input error: not enough memory for this request{detail}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateDensityError, SingularCovarianceError,
             np.linalg.LinAlgError) as exc:

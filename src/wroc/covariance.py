@@ -480,7 +480,8 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     of each wAUC entry as computed, with cluster sizes and group sizes
     already folded in.  ``midrank`` reaches only the placement path: the
     quadrature path stays tie-free (a value scores no threshold it ties)
-    with or without it, and atomic measures reject it.
+    with or without it, and atomic measures reject it.  A covariance that is
+    not finite (an overflowing measure mass) raises ``WrocError``.
     """
     _check_group_sizes(dataset)
     _check_midrank(measure, midrank)
@@ -491,6 +492,8 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         scale = measure.total_mass ** 2
         sigma1 = sigma1 / scale
         sigma2 = sigma2 / scale
+    if not np.isfinite(sigma1 + sigma2).all():
+        raise WrocError(f"the {method} covariance is not finite")
     sigma1, repaired1 = _repair_part(sigma1)
     sigma2, repaired2 = _repair_part(sigma2)
     return CovarianceEstimate(
@@ -523,7 +526,8 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     scheduling.  A replicate leaving any stratum empty is redrawn and
     counted in ``n_redrawn``.  A replicate is kept as the per-subject
     multiplicities of its draw, and all replicates of a stratum pair are
-    scored from them at once; no resampled dataset is built.
+    scored from them at once; no resampled dataset is built.  A covariance
+    that is not finite raises ``WrocError``.
     """
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
@@ -554,6 +558,8 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
         draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n)
     sigma = np.cov(draws, rowvar=False, ddof=1)
     sigma = np.atleast_2d(sigma)
+    if not np.isfinite(sigma).all():
+        raise WrocError("the bootstrap covariance is not finite")
     return CovarianceEstimate(
         sigma=sigma,
         sigma_diseased=None,

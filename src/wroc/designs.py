@@ -14,9 +14,9 @@ derives from those two values.
   grid, marker-major, and entry ``(1, k)`` is paired with ``(2, k)``.
 
 Both kinds therefore expose a vector of ``2 * n_pairs`` strata whose first
-half is compared against the second half, which is what the signed contrast
-matrix encodes.  :meth:`StudyDesign.selector` writes the text form that
-:func:`parse_design` reads.
+half is compared against the second half; the signed contrast matrix
+(:meth:`StudyDesign.contrast_matrix`) is the one statement of that pairing.
+:meth:`StudyDesign.selector` writes the text form :func:`parse_design` reads.
 """
 
 from __future__ import annotations

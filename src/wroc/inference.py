@@ -2,13 +2,13 @@
 
 The paired summary is ``delta = sum_p w_p (omega_first[p] - omega_second[p])
 / sum_p w_p`` over a design's pairs (readers of two modalities, or time
-points of two markers): the linear contrast ``c' omega`` with the array
-``c = (w, -w) / sum_p w_p`` that :func:`pair_contrast` returns, of
-delta-method variance ``c' Sigma c``.  Weights can be equal, user supplied, or optimal:
-the solution of ``(Sigma_A + ridge I) w = 1`` with ``Sigma_A`` the covariance
-of the paired differences, which minimizes the variance of the weighted
-difference.  If the solved weights are not all positive the comparison
-falls back to equal weights and flags it.
+points of two markers): the linear contrast ``c' omega``, ``c = A w / sum_p w_p``
+for the design's contrast matrix ``A``, of delta-method variance ``c' Sigma c``.
+:func:`paired_difference` is the one step to it for the library, the CLI and
+the simulator.  Weights can be equal, user supplied, or optimal: the solution
+of ``(Sigma_A + ridge I) w = 1`` with ``Sigma_A`` the covariance of the paired
+differences, which minimizes the variance of the weighted difference.  If the
+solved weights are not all positive the comparison falls back to equal weights.
 
 The z test's normal tail and quantile are ``ndtr`` and ``ndtri`` from
 :mod:`wroc._normal`, the standard library's ``math.erfc`` and
@@ -159,12 +159,10 @@ def delta_h(omega, coefficients: np.ndarray) -> float:
 
 
 def pair_contrast(design: StudyDesign, weights: WeightVector) -> np.ndarray:
-    """The coefficients ``c = (w, -w)`` over the full wAUC vector whose
-    linear contrast is the weighted paired difference."""
+    """The coefficients ``c = A w`` whose contrast is the weighted paired difference."""
     if weights.n_pairs != design.n_pairs:
         raise ValueError(f"{weights.n_pairs} weights for a {design.n_pairs}-pair design")
-    w = weights.weights / weights.weights.sum()
-    return np.concatenate([w, -w])
+    return design.contrast_matrix() @ (weights.weights / weights.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -199,10 +197,17 @@ def variance_delta(cov: CovarianceEstimate | np.ndarray,
 
 
 def paired_difference(omega: WaucVector, cov: CovarianceEstimate, design: StudyDesign,
-                      weights: WeightVector) -> tuple[float, DeltaVariance]:
-    """The weighted paired wAUC difference and its delta-method variance."""
-    coefficients = pair_contrast(design, weights)
-    return delta_h(omega, coefficients), variance_delta(cov, coefficients)
+                      weights="equal", *, ridge: float | None = None
+                      ) -> tuple[WeightVector, float, DeltaVariance]:
+    """The weights resolved from any spec :func:`resolve_weights` reads, the
+    weighted paired wAUC difference and its delta-method variance; a variance
+    that is not positive (identical arms, or NaN) raises SingularCovarianceError."""
+    weight_vec = resolve_weights(weights, design, cov.sigma, ridge=ridge)
+    coefficients = pair_contrast(design, weight_vec)
+    var = variance_delta(cov, coefficients)
+    if not var.total > 0.0:
+        raise SingularCovarianceError(f"difference variance must be positive, got {var.total}")
+    return weight_vec, delta_h(omega, coefficients), var
 
 
 @dataclass(frozen=True)
@@ -272,19 +277,15 @@ def compare_modalities(dataset: MarkerDataset, design: StudyDesign,
                        covariance: CovarianceEstimate | None = None) -> ComparisonResult:
     """Estimate, test and interval for the weighted paired wAUC difference.
 
-    ``weights`` takes any spec :func:`resolve_weights` reads.  ``covariance``
+    ``weights`` and ``ridge`` go to :func:`paired_difference`.  ``covariance``
     replaces the analytic ``sigma_matrix`` estimate, for example with a
-    ``bootstrap_covariance`` of the same dataset.  A difference variance
-    that is not positive (identical arms) raises ``SingularCovarianceError``.
+    ``bootstrap_covariance`` of the same dataset.
     """
     omega = wauc_vector(dataset, design, measure, midrank=midrank)
     cov = covariance if covariance is not None else sigma_matrix(
         dataset, design, measure, midrank=midrank)
-    weight_vec = resolve_weights(weights, design, cov.sigma, ridge=ridge)
-    estimate, var = paired_difference(omega, cov, design, weight_vec)
     critical_value(alpha)      # a bad alpha stays an input error on any data
-    if not var.total > 0.0:
-        raise SingularCovarianceError(f"difference variance must be positive, got {var.total}")
+    weight_vec, estimate, var = paired_difference(omega, cov, design, weights, ridge=ridge)
     test = z_test(estimate, var.total, alpha=alpha)
     return ComparisonResult(
         **vars(test),

@@ -9,7 +9,9 @@ Two runners:
 
 * :func:`run_study` estimates bias, RMSE, confidence coverage and rejection
   rate of the weighted paired wAUC difference over the scenario grid of
-  measures and weighting methods.
+  measures and weighting methods.  ``n_failures`` counts replicates whose
+  estimate, covariance or weights fail, or whose paired difference has no
+  positive variance, which ``compare`` rejects too.
 * :func:`run_method_comparison` benchmarks the empirical AUC against a
   binormal moment plug-in and a logistic-score AUC, per marker.
 
@@ -41,7 +43,7 @@ from .dataset import GroupColumns, MarkerDataset, _read_text
 from .designs import StudyDesign, parse_design
 from .errors import DataFormatError, WrocError
 from .estimators import _stratum_blocks, _stratum_rows, _stratum_wauc, _wins, wauc_vector
-from .inference import DEFAULT_ALPHA, critical_value, paired_difference, resolve_weights
+from .inference import DEFAULT_ALPHA, critical_value, paired_difference
 from .measures import WeightMeasure, parse_measure
 
 FAMILIES = ("normal", "lognormal")
@@ -232,11 +234,8 @@ def true_paired_delta(scenario: ScenarioSpec, measure: WeightMeasure) -> float:
     Every scenario here has time-invariant marginals, so per-time and pooled
     wAUCs share the same population value and equal weights lose nothing.
     """
-    strata = scenario.design.strata()
-    pairs = scenario.design.n_pairs
-    diffs = [_marker_wauc(scenario, measure, a) - _marker_wauc(scenario, measure, b)
-             for (a, _), (b, _) in zip(strata[:pairs], strata[pairs:])]
-    return float(np.mean(diffs))
+    truths = [_marker_wauc(scenario, measure, marker) for marker, _ in scenario.design.strata()]
+    return float(np.mean(scenario.design.contrast_matrix().T @ truths))
 
 
 # -- dataset generation --------------------------------------------------
@@ -509,8 +508,7 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
             continue
         for method in scenario.weight_methods:
             try:
-                w = resolve_weights(method, design, cov.sigma)
-                estimate, variance = paired_difference(omega, cov, design, w)
+                w, estimate, variance = paired_difference(omega, cov, design, method)
                 out[idx] = (estimate, variance.total, float(w.fell_back), 0.0)
             except (WrocError, np.linalg.LinAlgError):
                 out[idx] = (np.nan, np.nan, 0.0, 1.0)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,85 @@ def test_identical_modalities_exit_3(tmp_path, capsys, rng, extra):
     code = main(["compare", "--input", str(path), "--design", "readers:1", *extra])
     assert code == 3
     assert capsys.readouterr().err.startswith("wroc: numerical error: ")
+
+
+# subject d1 has two replicates at visit 1, so longitudinal:2 has strata of
+# 4, 3, 4 and 3 diseased values
+VISITS_CSV = """\
+subject_id,status,marker,time,replicate,value
+d1,D,1,1,1,2.1
+d1,D,1,1,2,1.7
+d1,D,1,2,1,1.2
+d1,D,2,1,1,0.9
+d1,D,2,1,2,1.4
+d1,D,2,2,1,2.2
+d2,D,1,1,1,0.8
+d2,D,1,2,1,1.9
+d2,D,2,1,1,1.6
+d2,D,2,2,1,0.7
+d3,D,1,1,1,1.5
+d3,D,1,2,1,2.4
+d3,D,2,1,1,2.0
+d3,D,2,2,1,1.1
+h1,ND,1,1,1,0.3
+h1,ND,1,2,1,-0.4
+h1,ND,2,1,1,0.6
+h1,ND,2,2,1,0.1
+h2,ND,1,1,1,-0.2
+h2,ND,1,2,1,0.9
+h2,ND,2,1,1,-0.7
+h2,ND,2,2,1,0.4
+h3,ND,1,1,1,1.0
+h3,ND,1,2,1,0.2
+h3,ND,2,1,1,0.5
+h3,ND,2,2,1,-0.3
+"""
+
+
+@pytest.mark.parametrize("argv, method", [
+    (["analyze", "--measure", "steps:0.5=1e160"], "atoms"),
+    (["analyze", "--design", "longitudinal:2", "--measure", "steps:0.3=1e160"], "atoms"),
+    (["compare", "--design", "longitudinal:2", "--measure", "steps:0.3=1e160"], "atoms"),
+    (["analyze", "--measure", "steps:0.3=1e160", "--bootstrap", "100"], "bootstrap"),
+    (["compare", "--design", "longitudinal:2", "--measure", "steps:0.3=1e160",
+      "--bootstrap", "100"], "bootstrap"),
+], ids=["analyze", "analyze-longitudinal", "compare-longitudinal", "analyze-bootstrap",
+        "compare-bootstrap"])
+def test_non_finite_covariance_exit_3(tmp_path, capsys, argv, method):
+    # a mass of 1e160 squares past the largest float
+    path = tmp_path / "visits.csv"
+    path.write_text(VISITS_CSV, encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([*argv, "--input", str(path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the {method} covariance is not finite" in captured.err
+
+
+# each request asks for one array or list of 1e17 elements, 711 PiB or more:
+# beyond a 64-bit address space, so the allocation fails at once whatever
+# the kernel's overcommit policy, and nothing is allocated in part
+HUGE = "100000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["roc", "--grid", HUGE],
+    ["analyze", "--bootstrap", HUGE],
+    ["simulate", "null", "--n", "10", "--reps", HUGE],
+    ["simulate", "null", "--n", HUGE, "--reps", "1"],
+], ids=["roc-grid", "analyze-bootstrap", "simulate-reps", "simulate-n"])
+def test_request_too_large_for_memory_exit_2(tmp_path, capsys, argv):
+    if argv[0] != "simulate":
+        path = tmp_path / "visits.csv"
+        path.write_text(VISITS_CSV, encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
+    code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wroc: input error: not enough memory for this request")
 
 
 def test_simulate_without_study_exit_2(capsys):

@@ -19,6 +19,7 @@ from wroc.inference import (
     equal_weights,
     optimal_weights,
     pair_contrast,
+    paired_difference,
     resolve_weights,
     variance_delta,
     z_test,
@@ -232,6 +233,40 @@ def test_resolve_weights_grammar():
             resolve_weights(spec, design, sigma, ridge=-1.0)
 
 
+@pytest.mark.parametrize("spec", ["equal", "optimal", "custom:1,3", [2.0, 1.0]])
+def test_paired_difference_resolves_weights_as_resolve_weights_does(rng, spec):
+    design = StudyDesign.readers(2)
+    ds = paired_dataset([rng.normal(1.2, 1, 30) for _ in range(4)],
+                        [rng.normal(0, 1, 30) for _ in range(4)])
+    omega = wauc_vector(ds, design, FULL)
+    cov = sigma_matrix(ds, design, FULL)
+    weights, estimate, var = paired_difference(omega, cov, design, spec)
+    want = resolve_weights(spec, design, cov.sigma)
+    np.testing.assert_array_equal(weights.weights, want.weights)
+    assert (weights.method, weights.fell_back, weights.ridge) == (
+        want.method, want.fell_back, want.ridge)
+    contrast = pair_contrast(design, want)
+    assert estimate == delta_h(omega, contrast)
+    assert var == variance_delta(cov, contrast)
+    ready = equal_weights(2)
+    assert paired_difference(omega, cov, design, ready)[0] is ready
+    with pytest.raises(ValueError, match="ridge must be non-negative"):
+        paired_difference(omega, cov, design, spec, ridge=-1.0)
+
+
+@pytest.mark.parametrize("spec", ["equal", "custom:1,3", "optimal"])
+def test_paired_difference_of_identical_arms_raises(rng, spec):
+    # two readers whose modalities hold the same values
+    x = [rng.normal(1.0, 1, 12) for _ in range(2)]
+    y = [rng.normal(0, 1, 12) for _ in range(2)]
+    ds = paired_dataset(x + x, y + y)
+    design = StudyDesign.readers(2)
+    omega = wauc_vector(ds, design, FULL)
+    cov = sigma_matrix(ds, design, FULL)
+    with pytest.raises(SingularCovarianceError):
+        paired_difference(omega, cov, design, spec)
+
+
 def test_compare_modalities_takes_a_covariance(rng):
     design = StudyDesign.readers(2)
     ds = paired_dataset([rng.normal(1.2, 1, 30) for _ in range(4)],
@@ -259,9 +294,10 @@ def test_a_zero_difference_variance_is_a_numerical_failure(rng, measure, bootstr
     cov = bootstrap_covariance(ds, design, measure, bootstrap, 5) if bootstrap else None
     with pytest.raises(SingularCovarianceError, match="must be positive, got 0.0"):
         compare_modalities(ds, design, measure, covariance=cov)
-    # a bad alpha is still the input error it is on any data
-    with pytest.raises(ValueError, match="alpha must be in"):
-        compare_modalities(ds, design, measure, alpha=2.0, covariance=cov)
+    # a bad alpha is still the input error it is on any data, whatever the weights
+    for weights in ("equal", "optimal"):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            compare_modalities(ds, design, measure, weights=weights, alpha=2.0, covariance=cov)
     # z_test called directly keeps its own input error
     with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
         z_test(0.0, 0.0)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,13 +12,15 @@ from scipy.stats import norm
 
 from wroc.dataset import dataset_to_csv_text
 from wroc.designs import StudyDesign, parse_design
-from wroc.errors import DataFormatError, DegenerateDensityError
+from wroc.errors import DataFormatError, DegenerateDensityError, SingularCovarianceError, WrocError
 from wroc.estimators import auc, wauc_vector
+from wroc.inference import compare_modalities
 from wroc.measures import WeightMeasure, parse_measure
 from wroc.simulation import (
     ScenarioSpec,
     _build_plan,
     _draw,
+    _simulate_one_rep,
     baseline_parametric_auc,
     baseline_semiparametric_auc,
     binormal_roc,
@@ -472,6 +475,66 @@ def test_run_study_starts_no_more_workers_than_chunks(monkeypatch):
     assert asked == [5]
     for got, want in zip(fanned.cells, run_study(sc).cells):
         np.testing.assert_array_equal(got.estimates, want.estimates)
+
+
+# table3 and null at n 3: a few replicates leave the paired difference a
+# variance of 0 or a rounding error below it
+SMALL_N = {"table3": replace(table3_scenario(0.5, 3), n_reps=400),
+           "null": replace(null_scenario(0.5, 3), n_reps=400)}
+# (replicate, cell) of such replicates; cells run measure-major, then weighting
+ZERO_VARIANCE_CELLS = {"table3": [(55, 3), (104, 3), (222, 1), (283, 1), (290, 0), (308, 1)],
+                       "null": [(29, 1), (177, 0)]}
+
+
+def _small_n_rows(study):
+    scenario = SMALL_N[study]
+    plan = _build_plan(scenario)
+    return scenario, plan, [_simulate_one_rep(scenario, plan, rep)
+                            for rep in range(scenario.n_reps)]
+
+
+@pytest.mark.parametrize("study", sorted(SMALL_N))
+def test_kept_replicates_have_a_positive_variance(study):
+    _, _, rows = _small_n_rows(study)
+    for row in rows:
+        for estimate, variance, fallback, failed in row:
+            assert failed in (0.0, 1.0)
+            if failed == 0.0:
+                assert math.isfinite(estimate) and variance > 0.0 and fallback in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("study", sorted(SMALL_N))
+def test_run_study_takes_no_square_root_of_a_negative(study):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_study(SMALL_N[study])
+    assert sum(cell.n_failures for cell in report.cells) >= len(ZERO_VARIANCE_CELLS[study])
+
+
+@pytest.mark.parametrize("study", sorted(SMALL_N))
+def test_a_replicate_fails_where_compare_does(study):
+    """The simulator and ``compare_modalities`` share one rule: a replicate
+    cell fails exactly when the comparison of its dataset raises, and a kept
+    one has the comparison's estimate and variance, bit for bit."""
+    scenario, plan, rows = _small_n_rows(study)
+    cells = [(measure, method) for measure in scenario.measures
+             for method in scenario.weight_methods]
+    for rep, row in enumerate(rows):
+        dataset = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
+        for (measure, method), (estimate, variance, _, failed) in zip(cells, row):
+            try:
+                result = compare_modalities(dataset, scenario.design, measure, weights=method)
+            except (WrocError, np.linalg.LinAlgError):
+                assert failed == 1.0, (rep, measure.selector(), method)
+                continue
+            assert failed == 0.0, (rep, measure.selector(), method)
+            assert (result.estimate, result.variance) == (estimate, variance)
+    for rep, idx in ZERO_VARIANCE_CELLS[study]:
+        assert rows[rep][idx, 3] == 1.0
+        measure, method = cells[idx]
+        dataset = generate_dataset(scenario, replicate_rng(scenario.seed, rep), plan)
+        with pytest.raises(SingularCovarianceError, match="variance must be positive"):
+            compare_modalities(dataset, scenario.design, measure, weights=method)
 
 
 def test_run_study_null_truth_zero():
