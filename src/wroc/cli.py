@@ -29,12 +29,7 @@ from . import __version__
 from .covariance import bootstrap_covariance, sigma_matrix
 from .dataset import MarkerDataset, read_dataset_csv, validate
 from .designs import parse_design
-from .errors import (
-    DataFormatError,
-    DegenerateDensityError,
-    SingularCovarianceError,
-    WrocError,
-)
+from .errors import DataFormatError, WrocError
 from .estimators import empirical_roc, wauc_vector
 from .inference import DEFAULT_ALPHA, compare_modalities
 from .measures import parse_measure
@@ -370,12 +365,8 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"wroc: input error: not enough memory for this request{detail}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateDensityError, SingularCovarianceError,
-            np.linalg.LinAlgError) as exc:
+    except (WrocError, np.linalg.LinAlgError) as exc:
         print(f"wroc: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except WrocError as exc:
-        print(f"wroc: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"wroc: input error: {exc}", file=sys.stderr)

@@ -486,13 +486,16 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     _check_group_sizes(dataset)
     _check_midrank(measure, midrank)
     blocks, labels = _stratum_blocks(dataset, design)
-    sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank)
     method = {"full": "placement", "pauc": "quadrature"}.get(measure.kind, "atoms")
-    if measure.normalized:
-        scale = measure.total_mass ** 2
-        sigma1 = sigma1 / scale
-        sigma2 = sigma2 / scale
-    if not np.isfinite(sigma1 + sigma2).all():
+    # an overflow leaves a part that is not finite, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank)
+        if measure.normalized:
+            scale = measure.total_mass ** 2
+            sigma1 = sigma1 / scale
+            sigma2 = sigma2 / scale
+        finite = np.isfinite(sigma1 + sigma2).all()
+    if not finite:
         raise WrocError(f"the {method} covariance is not finite")
     sigma1, repaired1 = _repair_part(sigma1)
     sigma2, repaired2 = _repair_part(sigma2)
@@ -514,6 +517,13 @@ def contrast_covariance(sigma: np.ndarray, design: StudyDesign) -> np.ndarray:
         raise ValueError(
             f"sigma is {sigma.shape}, design expects {mat.shape[0]} strata")
     return mat.T @ sigma @ mat
+
+
+def _multiplicities(picks: np.ndarray, n: int) -> np.ndarray:
+    """Per-subject multiplicities of every row of draws from ``0..n-1``, by
+    one bincount over the rows' offset subjects."""
+    offset = picks + np.arange(len(picks))[:, None] * n
+    return np.bincount(offset.ravel(), minlength=picks.size).reshape(picks.shape)
 
 
 def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
@@ -540,11 +550,21 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     # multiplicities they give the resampled strata's sizes
     counts_d = np.array([x.counts for x, _ in pairs])
     counts_n = np.array([y.counts for _, y in pairs])
-    mult_d = np.empty((n_boot, n_dis), dtype=np.intp)
-    mult_n = np.empty((n_boot, n_non), dtype=np.intp)
-    n_redrawn = 0
+    # attempt 0 of every replicate, checked all at once; then each failing
+    # replicate is redrawn from attempts 1, 2, ... of its own stream
+    picks_d = np.empty((n_boot, n_dis), dtype=np.intp)
+    picks_n = np.empty((n_boot, n_non), dtype=np.intp)
     for b in range(n_boot):
-        for attempt in range(_MAX_DRAWS):
+        rng = np.random.default_rng((seed, b, 0))
+        picks_d[b] = rng.integers(0, n_dis, n_dis)
+        picks_n[b] = rng.integers(0, n_non, n_non)
+    mult_d = _multiplicities(picks_d, n_dis)
+    mult_n = _multiplicities(picks_n, n_non)
+    failing = np.flatnonzero(~((mult_d @ counts_d.T).all(axis=1)
+                               & (mult_n @ counts_n.T).all(axis=1)))
+    n_redrawn = int(failing.size)
+    for b in failing.tolist():
+        for attempt in range(1, _MAX_DRAWS):
             rng = np.random.default_rng((seed, b, attempt))
             mult_d[b] = np.bincount(rng.integers(0, n_dis, n_dis), minlength=n_dis)
             mult_n[b] = np.bincount(rng.integers(0, n_non, n_non), minlength=n_non)
@@ -556,8 +576,8 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     draws = np.empty((n_boot, len(pairs)))
     for s, (x, y) in enumerate(pairs):
         draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n)
-    sigma = np.cov(draws, rowvar=False, ddof=1)
-    sigma = np.atleast_2d(sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     if not np.isfinite(sigma).all():
         raise WrocError("the bootstrap covariance is not finite")
     return CovarianceEstimate(

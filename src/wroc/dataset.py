@@ -421,6 +421,11 @@ _MAX_INDEX = int(np.iinfo(np.intp).max)
 # ASCII text with none of them splits into csv.reader's records and stripped
 # fields on "\n" and "," alone
 _NOT_PLAIN = ('"',) + tuple(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+# a plain line's separators, and every other ASCII byte: deleting those from
+# a block leaves its separators, which repeat the line's when every line holds
+# six fields
+_ROW_SEPARATORS = b"," * (_N_FIELDS - 1) + b"\n"
+_NOT_SEPARATOR = bytes(c for c in range(128) if c not in _ROW_SEPARATORS)
 
 
 class _Malformed(Exception):
@@ -441,8 +446,13 @@ def read_dataset_csv(source) -> MarkerDataset:
     :func:`validate`.
 
     The body is converted and checked a block of rows at a time, column by
-    column; only when a check fails are the rows scanned one by one, to
-    name the first bad line.
+    column.  A plain text (ASCII with LF line ends, no quote and nothing to
+    strip) is cut into blocks of lines, and each block is split into its
+    fields at once; one pass over the block's separators checks that
+    every line holds six fields, since every sixth separator must be a
+    newline and no other may be.  Any other text is read by :mod:`csv`.
+    Only when a check fails are the rows scanned one by one, to name the
+    first bad line.
     """
     text = _read_text(source)
     if text.isascii() and not any(c in text for c in _NOT_PLAIN):
@@ -500,17 +510,28 @@ def _line_end(text: str, start: int) -> int:
 def _plain_blocks(text: str, start: int):
     """Flat fields of a plain text's body from ``start``, a block of lines at
     a time; blank lines are skipped and every other line must hold six
-    fields."""
-    while start < len(text):
-        stop = _line_end(text, start + _BLOCK_CHARS)
-        lines = text[start:stop].split("\n")
+    fields.  A block is split into its lines, to drop the blank ones, only
+    when it fails the six-field check as it stands."""
+    end = len(text) - text.endswith("\n")   # the last line's end
+    while start < end:
+        stop = text.find("\n", start + _BLOCK_CHARS, end)
+        stop = end if stop < 0 else stop
+        lines = text[start:stop]
         start = stop + 1
-        if "" in lines:
-            lines = list(filter(None, lines))
-        if set(map(str.count, lines, repeat(","))) - {_N_FIELDS - 1}:
-            raise _Malformed
+        if not _six_fields(lines):
+            lines = "\n".join(filter(None, lines.split("\n")))
+            if lines and not _six_fields(lines):
+                raise _Malformed
         if lines:
-            yield ",".join(lines).split(",")
+            yield lines.replace("\n", ",").split(",")
+
+
+def _six_fields(lines: str) -> bool:
+    """Whether every one of the plain lines holds six fields: of their
+    separators, every sixth is a newline and no other is."""
+    separators = lines.encode("ascii").translate(None, _NOT_SEPARATOR)
+    return separators == (_ROW_SEPARATORS * (len(separators) // _N_FIELDS)
+                          + _ROW_SEPARATORS[:-1])
 
 
 def _blank(row: list[str]) -> bool:
@@ -541,20 +562,20 @@ def _convert(fields: list[str], subjects: dict[tuple[str, str], int]):
     status = fields[1::_N_FIELDS]
     if not _STATUSES.issuperset(status):
         raise _Malformed
-    keys = list(zip(status, fields[0::_N_FIELDS]))
-    for key in dict.fromkeys(keys):
-        subjects.setdefault(key, len(subjects))
-    code = np.fromiter(map(subjects.__getitem__, keys), np.intp, len(keys))
+    n = len(status)
+    # a new key's code is the size of ``subjects`` just before setdefault adds it
+    code = np.fromiter(map(subjects.setdefault, zip(status, fields[0::_N_FIELDS]),
+                           map(len, repeat(subjects))), np.intp, n)
     indices = [fields[k::_N_FIELDS] for k in (2, 3, 4)]
     try:
         # int() and float() themselves, so the spellings accepted stay theirs
         table = {s: int(s) for s in set().union(*indices)}
-        value = np.fromiter(map(float, fields[5::_N_FIELDS]), float, len(keys))
+        value = np.fromiter(map(float, fields[5::_N_FIELDS]), float, n)
     except ValueError:
         raise _Malformed from None
     if min(table.values()) < 1:
         raise _Malformed
-    return (code, *(np.fromiter(map(table.__getitem__, col), np.intp, len(keys))
+    return (code, *(np.fromiter(map(table.__getitem__, col), np.intp, n)
                     for col in indices), value)
 
 
@@ -565,15 +586,19 @@ def _build(blocks) -> MarkerDataset:
         raise DataFormatError("no data rows", line=2)
     code, marker, time, replicate, value = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((replicate, time, marker, code))
-    keys = np.stack((code, marker, time, replicate))[:, order]
-    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
+    code, marker, time, replicate, value = (col[order]
+                                            for col in (code, marker, time, replicate, value))
+    duplicate = code[1:] == code[:-1]
+    for col in (marker, time, replicate):
+        duplicate &= col[1:] == col[:-1]
+    if duplicate.any():
         raise _Malformed   # a duplicate replicate
     diseased = np.fromiter((status == "D" for status, _ in subjects), bool, len(subjects))
     # a subject's row within its group, in order of first appearance
     row = np.where(diseased, np.cumsum(diseased), np.cumsum(~diseased)) - 1
+    in_diseased = diseased[code]
     columns = []
-    for token, flag in (("D", True), ("ND", False)):
-        mine = order[diseased[code[order]] == flag]
+    for token, mine in (("D", in_diseased), ("ND", ~in_diseased)):
         ids = [sid for status, sid in subjects if status == token]
         columns.append(GroupColumns(np.asarray(ids, dtype=str), row[code[mine]],
                                     marker[mine], time[mine], value[mine]))

@@ -346,13 +346,14 @@ def test_non_finite_covariance_exit_3(tmp_path, capsys, argv, method):
     # a mass of 1e160 squares past the largest float
     path = tmp_path / "visits.csv"
     path.write_text(VISITS_CSV, encoding="utf-8")
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # the overflow is reported once, as the error, and warns nothing before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main([*argv, "--input", str(path)])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"the {method} covariance is not finite" in captured.err
+    assert captured.err == f"wroc: numerical error: the {method} covariance is not finite\n"
 
 
 # each request asks for one array or list of 1e17 elements, 711 PiB or more:

@@ -147,9 +147,51 @@ def test_generated_texts_read_as_oracle(text, blocks):
     HEADER + "\nd1,D,1,1,1,1.0\nd1,ND,1,1,1,1.0\n",
     HEADER + "\nd1,D,1,1,1,1.0\nd1,D,1,1,1\nd1,D,1,1,2,x\n",
     HEADER + '\nd1,D,1,1,1,"1.0\n"\nd1,D,1,1,0,2.0\n',
+    # 4 and 6 commas: twelve fields that, read in sixes, make two good rows
+    HEADER + "\nd1,D,1,1,1\n2.0,h1,ND,1,1,1,0.5\nd2,D,1,1,1,1.0\n",
+    HEADER + "\nd1,D,1,1,1,1.0\nh1,ND,1,1,1,0.0\n\n",
+    HEADER + "\nd1,D,1,1,1,1.0\nh1,ND,1,1,1,0.0\n\n\n",
+    # one subject_id under both statuses, and subjects whose rows interleave
+    HEADER + "\ns1,D,1,1,1,1.0\ns1,ND,1,1,1,0.5\ns2,ND,1,1,1,0.2\ns1,D,1,1,2,2.0\n",
+    HEADER + "\nd1,D,1,1,1,1.0\nd2,D,1,1,1,2.0\nh1,ND,1,1,1,0.0\nd1,D,2,1,1,3.0\n"
+    "h1,ND,2,1,1,0.5\nd2,D,2,1,1,4.0\n",
 ])
 def test_edge_texts_read_as_oracle(text):
     assert_reads_as_oracle(text)
+
+
+_BLANK_TEXTS = [
+    HEADER + "\nd1,D,1,1,1,1.0\n\nh1,ND,1,1,1,0.0\nd1,D,2,1,1,3.0\n\n\nh1,ND,2,1,1,0.5\n",
+    HEADER + "\nd1,D,1,1,1,1.0\n\nh1,ND,1,1,1\n0.0,d1,D,2,1,1,3.0\n\nh1,ND,2,1,1,0.5\n",
+]
+
+
+@pytest.mark.parametrize("text", _BLANK_TEXTS, ids=["valid", "balanced-commas"])
+def test_blank_lines_at_block_edges_read_as_oracle(text):
+    blocks = []
+    six_fields = dataset_module._six_fields
+
+    def recording(lines):
+        blocks.append(lines)
+        return six_fields(lines)
+
+    with mock.patch.object(dataset_module, "_six_fields", recording):
+        for size in range(1, len(text)):
+            with mock.patch.object(dataset_module, "_BLOCK_CHARS", size):
+                assert_reads_as_oracle(text)
+    # some block sizes start a block with a blank line, some end one with it
+    assert any(b.startswith("\n") for b in blocks) and any(b.endswith("\n") for b in blocks)
+
+
+def test_plain_text_never_reaches_the_csv_module(monkeypatch):
+    def unreachable(text):
+        raise AssertionError("a plain text went to csv.reader")
+
+    monkeypatch.setattr(dataset_module, "_records", unreachable)
+    text = _large_text()
+    got = read_dataset_csv(io.StringIO(text))
+    monkeypatch.undo()
+    assert_same_dataset(got, old_read_dataset_csv(io.StringIO(text, newline="")))
 
 
 def _large_text():
