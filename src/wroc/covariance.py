@@ -55,12 +55,19 @@ the placement path centres the sums before the product
 (:func:`_centred_gram`), the grid paths subtract ``(C C') o (m m')`` after
 it (:func:`_gram_part`).  Their ``m`` is not each subject's mean score, so
 centring first would change their numbers.
+
+The kernel sums run in place in a work buffer each thread keeps
+(:func:`_kde_work`, 1 MB): a block's points against its values in one
+pass when they fit, else in slices of whole rows or of one row's points.
+The cached plans are read-only, so the analytic covariance may be computed
+from several threads at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +93,12 @@ _NODES = 64
 _MAX_DRAWS = 1001
 PSD_EIGENVALUE_TOLERANCE = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# entries of one _kde_at buffer (32 KB).  Both buffers together stay under
-# glibc's default 128 KB heap trim threshold, so freeing them hands no pages
-# back to the kernel and the next call faults none in.  At 1 << 14 (two
-# 102 KB buffers at 200 values) a table4 replicate took about 265 minor
-# faults in 4 of 19 heap layouts of a process without scipy, and 0 at 1 << 12
-_KDE_BLOCK_ENTRIES = 1 << 12
+# entries of a thread's _kde_at work buffer (1 MB).  A table4 block (6
+# strata x 58 thresholds x 200 values) runs in one pass; only larger blocks
+# are cut into slices that fit
+_KDE_BLOCK_ENTRIES = 1 << 17
+# each thread's work buffer, kept across calls
+_kde_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -195,10 +202,19 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def _kde_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two work buffers of :func:`_kde_at` for rows of up to ``n`` values."""
-    entries = max(_KDE_BLOCK_ENTRIES, n)
-    return np.empty(entries), np.empty(entries)
+def _kde_work(n: int) -> np.ndarray:
+    """The work buffer of :func:`_kde_at` for rows of ``n`` values: this
+    thread's own of ``_KDE_BLOCK_ENTRIES`` entries, made on its first call
+    and kept, or for rows longer than that one of ``n`` entries for this
+    call alone, so what a thread keeps stays at 1 MB.  A kept buffer is
+    never freed, so no call hands pages back to the kernel that the next
+    one must fault in again."""
+    if n > _KDE_BLOCK_ENTRIES:
+        return np.empty(n)
+    work = getattr(_kde_local, "work", None)
+    if work is None:
+        work = _kde_local.work = np.empty(_KDE_BLOCK_ENTRIES)
+    return work
 
 
 @functools.lru_cache(maxsize=256)
@@ -233,44 +249,46 @@ def _kde_slices(shape: tuple[int, ...], n: int) -> tuple:
     return tuple(plan)
 
 
-def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray,
-            z: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate of a stratum's ``values`` at
     ``points`` with its ``bandwidth``; for a block, of each row's values at
     its row of points with its bandwidth.
 
-    Works in place on the caller's two :func:`_kde_buffers`, a slice of
-    points at a time (:func:`_kde_slices`).  Each point still sums its
-    whole row, so the bits equal those of
-    ``np.exp(-0.5 * z * z).sum(axis=-1)`` with
-    ``z = (points[..., None] - values[..., None, :]) / bandwidth``.
+    Works in place in this thread's :func:`_kde_work` buffer, the whole
+    block in one pass when it fits, else a slice at a time
+    (:func:`_kde_slices`).  The buffer is filled with the values and the
+    points are subtracted, so it holds ``-(points - values)`` exactly;
+    squared and scaled by the exact ``-0.5`` it gives what
+    ``-0.5 * z * z`` gives after ``exp``.  Each point still sums its whole
+    row, so the bits equal those of ``np.exp(-0.5 * z * z).sum(axis=-1)``
+    with ``z = (points[..., None] - values[..., None, :]) / bandwidth``.
     """
     n = values.shape[-1]
     scale = bandwidth.reshape(bandwidth.shape + (1, 1))
     sums = np.empty(points.shape)
+    work = _kde_work(n)
     for row, value_cut, cuts in _kde_slices(points.shape, n):
         row_values, row_scale = values[value_cut], scale[row]
         for cut, point_cut, shape, size in cuts:
-            z_b = z[:size].reshape(shape)
-            work_b = work[:size].reshape(shape)
-            np.subtract(points[point_cut], row_values, out=z_b)
-            z_b /= row_scale
-            np.multiply(z_b, -0.5, out=work_b)
-            work_b *= z_b
-            np.exp(work_b, out=work_b)
-            np.add.reduce(work_b, axis=-1, out=sums[cut])
+            w = work[:size].reshape(shape)
+            np.copyto(w, row_values)
+            w -= points[point_cut]
+            w /= row_scale
+            np.square(w, out=w)
+            w *= -0.5
+            np.exp(w, out=w)
+            np.add.reduce(w, axis=-1, out=sums[cut])
     sums /= n * bandwidth[..., None] * _SQRT_2PI
     return sums
 
 
-def _density_ratio_at(x: Stratum, y: Stratum, points: np.ndarray,
-                      buffers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _density_ratio_at(x: Stratum, y: Stratum, points: np.ndarray) -> np.ndarray:
     """The diseased over the non-diseased density of a stratum pair at
     ``points``, or of each row of a block pair at its row of points."""
     hx = _bandwidth(x.values, x.sorted_values)
     hy = _bandwidth(y.values, y.sorted_values)
-    f_dis = _kde_at(x.values, points, hx, *buffers)
-    f_non = _kde_at(y.values, points, hy, *buffers)
+    f_dis = _kde_at(x.values, points, hx)
+    f_non = _kde_at(y.values, points, hy)
     vanished = f_non <= 0.0
     if vanished.any():
         raise DegenerateDensityError(
@@ -391,8 +409,7 @@ def _along(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     return a[np.arange(len(a))[:, None], index]
 
 
-def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure,
-                      buffers: tuple[np.ndarray, np.ndarray]):
+def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure):
     """Per group of a stratum pair, the per-subject score sums and the
     weighted mean score on the measure's grid; for a block pair, one row
     of each per stratum.
@@ -402,12 +419,13 @@ def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure,
     row-wise sort of the thresholds serves both groups' cumulative weights,
     and one ``bincount`` per group sums the scores.  ``g(v)`` counts only
     thresholds strictly below ``v``, so ties between a value and a
-    threshold score nothing.
+    threshold score nothing.  Both groups' kernel sums use the calling
+    thread's :func:`_kde_work` buffer in turn.
     """
     u_nodes, u_weights = _grid(measure)
     rows, distinct, inverse = _rank_plan(measure, y.n)
     thresholds, roc = _roc_at(x, y, rows)
-    ratio = _density_ratio_at(x, y, y.sorted_values.take(distinct, axis=-1), buffers)
+    ratio = _density_ratio_at(x, y, y.sorted_values.take(distinct, axis=-1))
     ratio_weights = u_weights * ratio.take(inverse, axis=-1)
     order = np.argsort(thresholds, axis=-1, kind="stable")
     ordered = _along(thresholds, order)
@@ -428,14 +446,14 @@ def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
 
     Should a block fail, its strata are scored one at a time in design
     order and the first one's own error is raised; should none of them fail
-    alone, the block's error is.
+    alone, the block's error is.  The walk allocates no KDE buffer: the
+    grid paths' kernel sums run in the calling thread's kept one.
     """
     if measure.kind == "full":
         score = functools.partial(_placement_columns, measure=measure, midrank=midrank)
         gram = _centred_gram
     else:
-        buffers = _kde_buffers(max(block.n for _, x, y in blocks for block in (x, y)))
-        score = functools.partial(_integral_columns, measure=measure, buffers=buffers)
+        score = functools.partial(_integral_columns, measure=measure)
         gram = _gram_part
     error = None
     try:

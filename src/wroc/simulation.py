@@ -516,24 +516,44 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     return out
 
 
-def _rep_range(one_rep, scenario: ScenarioSpec, reps: list[int]) -> list:
+def _rep_range(one_rep, scenario: ScenarioSpec, reps: range) -> list:
     plan = _build_plan(scenario)
     return [one_rep(scenario, plan, rep) for rep in reps]
 
 
-def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int) -> list:
-    """``one_rep(scenario, plan, rep)`` for every replicate, in order.
+def _per_replicate(n_reps: int, *shape: int) -> np.ndarray:
+    """An empty array of ``shape`` per replicate, made before the first
+    replicate runs, so a count too large for memory fails at once: as
+    ``MemoryError`` also where numpy finds the size beyond any address
+    space."""
+    try:
+        return np.empty((n_reps, *shape))
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
+
+
+def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int):
+    """Yields ``(rep, one_rep(scenario, plan, rep))`` for every replicate,
+    in order, so a caller fills its per-replicate arrays as they come.
 
     With ``n_jobs > 1`` contiguous chunks of replicates run in at most that
     many worker processes, one per chunk; ``one_rep`` must be module-level.
     """
-    reps = list(range(scenario.n_reps))
-    if n_jobs <= 1 or scenario.n_reps <= 1:
-        return _rep_range(one_rep, scenario, reps)
-    chunks = [list(chunk) for chunk in np.array_split(reps, min(n_jobs * 4, len(reps)))]
+    n_reps = scenario.n_reps
+    if n_jobs <= 1 or n_reps <= 1:
+        plan = _build_plan(scenario)
+        for rep in range(n_reps):
+            yield rep, one_rep(scenario, plan, rep)
+        return
+    # np.array_split's bounds: the first n_reps % n_chunks chunks one longer
+    n_chunks = min(n_jobs * 4, n_reps)
+    size, extra = divmod(n_reps, n_chunks)
+    chunks = [range(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra))
+              for i in range(n_chunks)]
     with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
         pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks), chunks)
-        return [item for piece in pieces for item in piece]
+        for chunk, piece in zip(chunks, pieces):
+            yield from zip(chunk, piece)
 
 
 def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
@@ -543,8 +563,10 @@ def run_study(scenario: ScenarioSpec, n_jobs: int = 1) -> StudyReport:
     output identical for any worker count.
     """
     started = _time.perf_counter()
+    raw = _per_replicate(scenario.n_reps, len(scenario.measures) * len(scenario.weight_methods), 4)
     # looked up at call time, so a replacement on the module is what runs
-    raw = np.stack(_fan_out(_simulate_one_rep, scenario, n_jobs))
+    for rep, out in _fan_out(_simulate_one_rep, scenario, n_jobs):
+        raw[rep] = out
 
     crit = critical_value(scenario.alpha)
     cells = []
@@ -768,12 +790,14 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
     started = _time.perf_counter()
     if not 1 <= component <= scenario.design.n_markers:
         raise ValueError(f"component {component} outside 1..{scenario.design.n_markers}")
-    results = _fan_out(_comparison_rep, scenario, n_jobs)
-
-    estimates = np.stack([r[0] for r in results])      # (reps, 3, markers)
-    matches = all(r[1] for r in results)
-    positive = sum(r[2] for r in results)
-    separated = sum(r[3] for r in results)
+    estimates = _per_replicate(scenario.n_reps, 3, scenario.design.n_markers)
+    matches, positive, separated = True, 0, 0
+    for rep, (est, rep_matches, rep_positive, rep_separated) in _fan_out(
+            _comparison_rep, scenario, n_jobs):
+        estimates[rep] = est
+        matches = matches and rep_matches
+        positive += rep_positive
+        separated += rep_separated
     cells = []
     for m_idx, method in enumerate(_COMPARISON_METHODS):
         for marker in range(1, scenario.design.n_markers + 1):

@@ -367,7 +367,8 @@ HUGE = "100000000000000000"
     ["analyze", "--bootstrap", HUGE],
     ["simulate", "null", "--n", "10", "--reps", HUGE],
     ["simulate", "null", "--n", HUGE, "--reps", "1"],
-], ids=["roc-grid", "analyze-bootstrap", "simulate-reps", "simulate-n"])
+    ["simulate", "table2", "--n", "10", "--reps", HUGE],
+], ids=["roc-grid", "analyze-bootstrap", "simulate-reps", "simulate-n", "simulate-table2-reps"])
 def test_request_too_large_for_memory_exit_2(tmp_path, capsys, argv):
     if argv[0] != "simulate":
         path = tmp_path / "visits.csv"

@@ -1,6 +1,8 @@
 """Covariance estimators: placement path, quadrature path, bootstrap."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from wroc.designs import StudyDesign
 from wroc.errors import DegenerateDensityError, WrocError
 from wroc.estimators import wauc_vector
 from wroc.measures import WeightMeasure
+from wroc.simulation import generate_dataset, replicate_rng, table4_scenario
 
 from conftest import clustered_dataset, paired_dataset, singles_dataset
 from oracles import (
@@ -111,8 +114,7 @@ def _density_ratio(ds, thresholds):
     """The kernel density ratio of marker 1 at ``thresholds``, as the
     quadrature and atoms paths weight their non-diseased scores with it."""
     x, y = old_stratum_pairs(ds, None)[0][0]
-    return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float),
-                                        covariance._kde_buffers(y.n))
+    return covariance._density_ratio_at(x, y, np.asarray(thresholds, dtype=float))
 
 
 def _bandwidth(values):
@@ -123,9 +125,8 @@ def _bandwidth(values):
 def _kde_at(values, points, bandwidth):
     """One stratum's kernel density estimate, which must be the same
     through the block form, as a block's one row."""
-    buffers = covariance._kde_buffers(values.size)
-    got = covariance._kde_at(values, points, np.array(bandwidth), *buffers)
-    row = covariance._kde_at(values[None], points[None], np.array([bandwidth]), *buffers)[0]
+    got = covariance._kde_at(values, points, np.array(bandwidth))
+    row = covariance._kde_at(values[None], points[None], np.array([bandwidth]))[0]
     assert got.tobytes() == row.tobytes()
     return got
 
@@ -169,6 +170,79 @@ def test_blocked_kde_is_the_one_expression_bitwise(n):
         for pts in (points, points[:5], points[:1]):
             got = _kde_at(vals, pts, 0.31)
             assert got.tobytes() == old_kde_at(vals, pts, 0.31).tobytes()
+
+
+@pytest.mark.parametrize("rows, n_points, n, passes", [
+    (6, 58, 200, 1),
+    (6, 64, 400, 2),
+    (1, 64, 4097, 3),
+    (1, 2, (1 << 17) + 1, 2),
+], ids=["one-pass", "rows-a-pass", "point-slices", "row-over-cap"])
+def test_block_kde_routes_are_the_one_expression_bitwise(rows, n_points, n, passes):
+    """Every route of the kernel sums: a table4-sized block in one pass, a
+    block over the work buffer's cap cut into sets of whole rows, one row
+    too long for all its points at once cut into point slices, and a row
+    longer than the cap, one point a slice in a buffer of its own.  Each
+    row is its own single expression, bit for bit."""
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(rows, n))
+    values[:, ::3] = np.round(values[:, ::3] * 2.0) / 2.0
+    points = rng.normal(size=(rows, n_points))
+    points[:, 0] = values[:, 0]
+    bandwidth = rng.uniform(0.2, 0.5, rows)
+    plan = covariance._kde_slices(points.shape, n)
+    assert sum(len(cuts) for _, _, cuts in plan) == passes
+    got = covariance._kde_at(values, points, bandwidth)
+    for r in range(rows):
+        assert got[r].tobytes() == old_kde_at(values[r], points[r], bandwidth[r]).tobytes()
+
+
+def _in_threads(*targets):
+    """Runs each target in its own thread, switching between them often,
+    and checks that all of them finished."""
+    threads = [threading.Thread(target=target) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_pauc_sigma_from_two_threads_is_the_sequential_one():
+    """Each thread works in its own KDE buffer: two threads computing
+    table4 pAUC covariances side by side get the bytes of sequential runs."""
+    scenario = table4_scenario(50, "normal")
+    datasets = [generate_dataset(scenario, replicate_rng(scenario.seed, rep)) for rep in (0, 1)]
+    want = [sigma_matrix(ds, scenario.design, PAUC).sigma.tobytes() for ds in datasets]
+    got = [[], []]
+
+    def run(slot):
+        for _ in range(50):
+            got[slot].append(sigma_matrix(datasets[slot], scenario.design, PAUC).sigma.tobytes())
+
+    _in_threads(lambda: run(0), lambda: run(1))
+    assert got == [[want[0]] * 50, [want[1]] * 50]
+
+
+def test_kde_work_buffer_stays_within_its_cap():
+    """Strata of 2,000 values a group (6 of them, as on a large reader CSV)
+    are cut into slices, and the buffer a thread keeps stays at the cap."""
+    rng = np.random.default_rng(17)
+    ds = paired_dataset([rng.normal(1.0, 1.0, 2000) for _ in range(6)],
+                        [rng.normal(0.0, 1.0, 2000) for _ in range(6)])
+    kept = []
+
+    def run():
+        sigma_matrix(ds, StudyDesign.readers(3), PAUC)
+        kept.append(covariance._kde_local.work.size)
+
+    _in_threads(run)
+    assert kept and kept[0] <= covariance._KDE_BLOCK_ENTRIES
 
 
 def test_silverman_bandwidth_basics():

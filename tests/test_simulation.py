@@ -451,14 +451,17 @@ def test_run_study_counts_package_errors_and_raises_others(monkeypatch):
         run_study(sc)
 
 
-def test_run_study_starts_no_more_workers_than_chunks(monkeypatch):
-    """Five replicates with ``n_jobs=64`` ask for five workers.  The stand-in
-    pool runs the chunks in this process and starts none."""
-    asked = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in pool that runs the chunks in this process and starts no
+    worker; it records the workers asked for and the chunks handed out."""
 
     class InProcessPool:
+        asked = []
+        chunks = []
+
         def __init__(self, max_workers):
-            asked.append(max_workers)
+            self.asked.append(max_workers)
 
         def __enter__(self):
             return self
@@ -467,14 +470,33 @@ def test_run_study_starts_no_more_workers_than_chunks(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            self.chunks.extend(iterables[-1])
             return map(fn, *iterables)
 
     monkeypatch.setattr("wroc.simulation.ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
+
+
+def test_run_study_starts_no_more_workers_than_chunks(in_process_pool):
+    """Five replicates with ``n_jobs=64`` ask for five workers."""
     sc = replace(null_scenario(0.5, 10), n_reps=5)
     fanned = run_study(sc, n_jobs=64)
-    assert asked == [5]
+    assert in_process_pool.asked == [5]
     for got, want in zip(fanned.cells, run_study(sc).cells):
         np.testing.assert_array_equal(got.estimates, want.estimates)
+
+
+def test_fan_out_hands_out_ranges_with_array_splits_bounds(in_process_pool):
+    """23 replicates over 2 workers go out as 8 ranges, cut where
+    ``np.array_split`` cuts, and the workers' results fill the
+    per-replicate arrays in replicate order."""
+    sc = replace(null_scenario(0.5, 10), n_reps=23)
+    fanned = run_study(sc, n_jobs=2)
+    assert in_process_pool.chunks == [range(int(c[0]), int(c[-1]) + 1)
+                                      for c in np.array_split(np.arange(23), 8)]
+    for got, want in zip(fanned.cells, run_study(sc).cells):
+        np.testing.assert_array_equal(got.estimates, want.estimates)
+        np.testing.assert_array_equal(got.variances, want.variances)
 
 
 # table3 and null at n 3: a few replicates leave the paired difference a

@@ -267,10 +267,10 @@ def test_a_block_error_no_stratum_repeats_is_raised(monkeypatch):
     blocks, labels = _stratum_blocks(dataset, design)
     alone = covariance._integral_columns
 
-    def block_fails(x, y, measure, buffers):
+    def block_fails(x, y, measure):
         if x.values.ndim == 2:
             raise DegenerateDensityError("only as a block")
-        return alone(x, y, measure, buffers)
+        return alone(x, y, measure)
 
     monkeypatch.setattr(covariance, "_integral_columns", block_fails)
     with pytest.raises(DegenerateDensityError, match="^only as a block$"):
