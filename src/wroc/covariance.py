@@ -529,7 +529,7 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
 def contrast_covariance(sigma: np.ndarray, design: StudyDesign) -> np.ndarray:
     """Covariance of the paired differences: A' Sigma A for the design's
     signed pairing matrix."""
-    mat = design.contrast_matrix()
+    mat = design._contrast
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (mat.shape[0], mat.shape[0]):
         raise ValueError(

@@ -14,7 +14,11 @@ records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
 Datasets are logically immutable.  Construction sorts each group's rows
 once by (marker, time); a stratum, or a block of equal-size strata stacked
 one row each, is cut from that sort and cached when first read, so two
-threads can at worst build one twice, and workers get copies.
+threads can at worst build one twice, and workers get copies.  A dataset
+of the same layout with other values shares all of that but the values
+(``MarkerDataset._with_values``): the simulator keeps one template dataset
+per scenario, and each replicate fills in only its values, gathered and
+sorted along the template's cuts.
 """
 
 from __future__ import annotations
@@ -208,16 +212,20 @@ class MarkerDataset:
             raise ValueError(f"{n_markers} markers x {n_times} times overflow the stratum key")
         # per group, the in-range rows in one stable sort on the (marker, time)
         # key: subject-then-replicate order within a stratum, each marker's
-        # rows time-major
+        # rows time-major.  ``_row_order`` keeps the in-range mask and the
+        # sort's order, ``_block_cuts`` where each cached block lies in the sort
         self._sorted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._row_order: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for group, cols in self._columns.items():
             inside = ((cols.marker >= 1) & (cols.marker <= self.n_markers)
                       & (cols.time >= 1) & (cols.time <= self.n_times))
             key = ((cols.marker - 1) * self.n_times + cols.time - 1)[inside]
             order = np.argsort(key, kind="stable")
+            self._row_order[group] = (inside, order)
             self._sorted[group] = (key[order], cols.value[inside][order],
                                    cols.subject[inside][order])
         self._block_cache: dict[tuple, tuple] = {}
+        self._block_cuts: dict[tuple, list] = {}
 
     # -- accessors -------------------------------------------------------
 
@@ -278,31 +286,64 @@ class MarkerDataset:
             members: dict[tuple[int, int], list[int]] = {}
             for s, size in enumerate(zip(*sizes)):
                 members.setdefault(size, []).append(s)
-            blocks = []
+            blocks, cuts = [], []
             for size, positions in members.items():
+                cut = tuple(_cut([starts[group][s] for s in positions], n)
+                            for group, n in zip(_GROUPS, size))
                 blocks.append((positions[0] if len(positions) == 1 else np.array(positions),
-                               *(self._block(group, [starts[group][s] for s in positions], n)
-                                 for group, n in zip(_GROUPS, size))))
+                               *(self._block(group, rows) for group, rows in zip(_GROUPS, cut))))
+                cuts.append(cut)
+            self._block_cuts[strata] = cuts
             self._block_cache[strata] = tuple(blocks)
         return self._block_cache[strata]
 
-    def _block(self, group: str, starts: list[int], n: int) -> Stratum:
-        """One group's strata of ``n`` rows each, starting at ``starts`` in
-        the key-sorted rows: a slice of them for one stratum, and for a
-        block a reshaped slice when its strata lie end to end in that
-        order, as a reader design's do."""
+    def _block(self, group: str, cut: tuple) -> Stratum:
+        """One group's strata at ``cut`` (see :func:`_cut`) in the key-sorted rows."""
         _, values, subjects = self._sorted[group]
-        k, first = len(starts), starts[0]
-        if k == 1:
-            rows = slice(first, first + n)
-            block_values, block_subjects = values[rows], subjects[rows]
-        elif n == 0 or starts == list(range(first, first + k * n, n)):
-            rows = slice(first, first + k * n)
-            block_values, block_subjects = values[rows].reshape(k, n), subjects[rows].reshape(k, n)
-        else:
-            rows = np.array(starts)[:, None] + np.arange(n)
-            block_values, block_subjects = values[rows], subjects[rows]
-        return _make_stratum(block_values, block_subjects, self._columns[group].n_subjects)
+        rows, shape = cut
+        return _make_stratum(values[rows].reshape(shape), subjects[rows].reshape(shape),
+                             self._columns[group].n_subjects)
+
+    def _with_values(self, diseased: np.ndarray, nondiseased: np.ndarray) -> "MarkerDataset":
+        """A dataset of this one's layout with new value columns, one per
+        group in its canonical row order.
+
+        It shares this dataset's columns bar the values, the order of its
+        sort and the cuts of its cached blocks.  Each group's values are
+        gathered into the sort's order, and every block cached here is cut
+        from them where it was cut here and sorted; its ``subjects``,
+        ``counts`` and ``bins`` are shared.  What is shared is made
+        read-only.  Strata not cached here are cut when first read, as on
+        any dataset.
+        """
+        new = MarkerDataset.__new__(MarkerDataset)
+        new.n_markers, new.n_times = self.n_markers, self.n_times
+        new._columns, new._sorted, new._row_order = {}, {}, self._row_order
+        for group, value in zip(_GROUPS, (diseased, nondiseased)):
+            cols = self._columns[group]
+            key, _, subjects = self._sorted[group]
+            inside, order = self._row_order[group]
+            _read_only(cols.subject_ids, cols.subject, cols.marker, cols.time,
+                       key, subjects, inside, order)
+            new._columns[group] = GroupColumns(cols.subject_ids, cols.subject, cols.marker,
+                                               cols.time, value)
+            new._sorted[group] = (key, value[inside][order], subjects)
+        new._block_cuts = dict(self._block_cuts)
+        new._block_cache = {
+            strata: tuple((idx, *(new._revalued(group, cut, stratum)
+                                  for group, cut, stratum in zip(_GROUPS, cuts, pair)))
+                          for (idx, *pair), cuts in zip(blocks, self._block_cuts[strata]))
+            for strata, blocks in self._block_cache.items()}
+        return new
+
+    def _revalued(self, group: str, cut: tuple, stratum: Stratum) -> Stratum:
+        """``stratum``, cut at ``cut`` from another dataset of this layout,
+        with this dataset's values."""
+        rows, shape = cut
+        values = self._sorted[group][1][rows].reshape(shape)
+        _read_only(stratum.subjects, stratum.counts, stratum.bins)
+        return Stratum(values, stratum.subjects, stratum.counts, np.sort(values, axis=-1),
+                       stratum.bins)
 
     def resample(self, diseased_idx, nondiseased_idx) -> "MarkerDataset":
         """New dataset from positional subject draws, repeats allowed."""
@@ -324,6 +365,25 @@ class MarkerDataset:
                     for g in _GROUPS
                     for name in ("subject_ids", "subject", "marker", "time", "value"))
         )
+
+
+def _cut(starts: list[int], n: int) -> tuple[slice | np.ndarray, tuple[int, ...]]:
+    """Where strata of ``n`` rows each, starting at ``starts`` in the
+    key-sorted rows, lie in them, and the shape they are read in: a slice
+    for one stratum, and for a block a slice read as ``(k, n)`` when its
+    strata lie end to end in that order, as a reader design's do, else one
+    row of indices per stratum."""
+    k, first = len(starts), starts[0]
+    if k == 1:
+        return slice(first, first + n), (n,)
+    if n == 0 or starts == list(range(first, first + k * n, n)):
+        return slice(first, first + k * n), (k, n)
+    return np.array(starts)[:, None] + np.arange(n), (k, n)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _make_stratum(values: np.ndarray, subjects: np.ndarray, n_subjects: int) -> Stratum:

@@ -21,6 +21,7 @@ half is compared against the second half; the signed contrast matrix
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -78,26 +79,10 @@ class StudyDesign:
 
     def strata(self) -> list[tuple[int, int | None]]:
         """(marker, time) per stratum; time None means pooled over times."""
-        if self.kind == "readers":
-            return [(marker, None) for marker in range(1, 2 * self.n_pairs + 1)]
-        return [
-            (marker, time)
-            for marker in (1, 2)
-            for time in range(1, self.n_pairs + 1)
-        ]
+        return list(self._strata)
 
     def labels(self) -> list[str]:
-        if self.kind == "readers":
-            return [
-                f"reader{reader}_modality{modality}"
-                for modality in (1, 2)
-                for reader in range(1, self.n_pairs + 1)
-            ]
-        return [
-            f"marker{marker}_time{time}"
-            for marker in (1, 2)
-            for time in range(1, self.n_pairs + 1)
-        ]
+        return list(self._labels)
 
     def contrast_matrix(self) -> np.ndarray:
         """Signed pairing matrix A, shape (2 * n_pairs, n_pairs).
@@ -106,11 +91,44 @@ class StudyDesign:
         n_pairs + p (second half), so A' omega is the vector of paired
         differences.
         """
+        return self._contrast.copy()
+
+    # built once per design and shared by the estimators, the covariance and
+    # the contrasts; the public methods above hand out copies
+
+    @functools.cached_property
+    def _strata(self) -> tuple[tuple[int, int | None], ...]:
+        if self.kind == "readers":
+            return tuple((marker, None) for marker in range(1, 2 * self.n_pairs + 1))
+        return tuple(
+            (marker, time)
+            for marker in (1, 2)
+            for time in range(1, self.n_pairs + 1)
+        )
+
+    @functools.cached_property
+    def _labels(self) -> tuple[str, ...]:
+        if self.kind == "readers":
+            return tuple(
+                f"reader{reader}_modality{modality}"
+                for modality in (1, 2)
+                for reader in range(1, self.n_pairs + 1)
+            )
+        return tuple(
+            f"marker{marker}_time{time}"
+            for marker in (1, 2)
+            for time in range(1, self.n_pairs + 1)
+        )
+
+    @functools.cached_property
+    def _contrast(self) -> np.ndarray:
+        """The contrast matrix, read-only."""
         pairs = self.n_pairs
         mat = np.zeros((2 * pairs, pairs))
         for p in range(pairs):
             mat[p, p] = 1.0
             mat[pairs + p, p] = -1.0
+        mat.setflags(write=False)
         return mat
 
 

@@ -127,7 +127,7 @@ def _design_strata(dataset: MarkerDataset, design: StudyDesign | None):
     if design.kind == "longitudinal" and design.n_times != dataset.n_times:
         raise ValueError(
             f"design expects {design.n_times} times, dataset has {dataset.n_times}")
-    return design.strata(), tuple(design.labels())
+    return design._strata, design._labels
 
 
 def _blocks_of(dataset: MarkerDataset, strata):

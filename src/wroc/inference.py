@@ -162,7 +162,7 @@ def pair_contrast(design: StudyDesign, weights: WeightVector) -> np.ndarray:
     """The coefficients ``c = A w`` whose contrast is the weighted paired difference."""
     if weights.n_pairs != design.n_pairs:
         raise ValueError(f"{weights.n_pairs} weights for a {design.n_pairs}-pair design")
-    return design.contrast_matrix() @ (weights.weights / weights.weights.sum())
+    return design._contrast @ (weights.weights / weights.weights.sum())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Scenarios describe two groups of clustered Gaussian or exponentiated
 Gaussian marker vectors with exchangeable correlation.  Each replicate gets
 its own RNG stream derived from (master seed, replicate index), so results
-are independent of execution order and worker count.
+are independent of execution order and worker count.  A scenario's layout
+is fixed, so its generator plan keeps one template dataset with the strata
+its runner reads already cut; each replicate's dataset reuses the
+template's layout and cuts and fills in only its drawn values.
 
 Two runners:
 
@@ -262,6 +265,10 @@ class _GroupPlan:
 class _GeneratorPlan:
     diseased: _GroupPlan
     nondiseased: _GroupPlan
+    # a dataset of the draws' layout, every value 0, with the strata its
+    # runner reads already cut: each replicate's dataset shares its layout
+    # and cuts and fills in only the values (MarkerDataset._with_values)
+    template: MarkerDataset
 
 
 def _half_plan(scenario: ScenarioSpec, n_subjects: int, cluster_size: int,
@@ -304,31 +311,36 @@ def _group_plan(scenario: ScenarioSpec, total: int, sizes, mu, rho: float,
     return _GroupPlan(halves=halves, layout=layout)
 
 
-def _build_plan(scenario: ScenarioSpec) -> _GeneratorPlan:
-    return _GeneratorPlan(
-        diseased=_group_plan(scenario, scenario.n_diseased, scenario.cluster_sizes_diseased,
-                             scenario.mu_diseased, scenario.rho_diseased, "d"),
-        nondiseased=_group_plan(scenario, scenario.n_nondiseased,
-                                scenario.cluster_sizes_nondiseased,
-                                scenario.mu_nondiseased, scenario.rho_nondiseased, "n"),
-    )
+def _build_plan(scenario: ScenarioSpec, pooled: bool = False) -> _GeneratorPlan:
+    """The scenario's draws and its template dataset, cut into the design's
+    strata, or with ``pooled`` into one stratum per marker pooled over its
+    times, which :func:`run_method_comparison` reads."""
+    groups = (_group_plan(scenario, scenario.n_diseased, scenario.cluster_sizes_diseased,
+                          scenario.mu_diseased, scenario.rho_diseased, "d"),
+              _group_plan(scenario, scenario.n_nondiseased, scenario.cluster_sizes_nondiseased,
+                          scenario.mu_nondiseased, scenario.rho_nondiseased, "n"))
+    template = MarkerDataset(*(GroupColumns(*group.layout, np.zeros(group.layout[1].size))
+                               for group in groups),
+                             scenario.design.n_markers, scenario.design.n_times)
+    _stratum_blocks(template, None if pooled else scenario.design)
+    return _GeneratorPlan(*groups, template=template)
 
 
-def _draw_group(plan: _GroupPlan, family: str, rng: np.random.Generator) -> GroupColumns:
-    draws = [_draw(half.mu_row, half.chol, half.n_subjects, rng, family).ravel()
-             for half in plan.halves]
-    return GroupColumns(*plan.layout, np.concatenate(draws))
+def _draw_values(plan: _GroupPlan, family: str, rng: np.random.Generator) -> np.ndarray:
+    """A group's values in its layout's row order."""
+    return np.concatenate([_draw(half.mu_row, half.chol, half.n_subjects, rng, family).ravel()
+                           for half in plan.halves])
 
 
 def generate_dataset(scenario: ScenarioSpec, rng: np.random.Generator,
                      plan: _GeneratorPlan | None = None) -> MarkerDataset:
     """One simulated dataset.  Draws diseased halves first, then
-    non-diseased, so streams are reproducible."""
+    non-diseased, so streams are reproducible.  The dataset takes the
+    plan's template's layout and cut strata, with the drawn values."""
     if plan is None:
         plan = _build_plan(scenario)
-    return MarkerDataset(_draw_group(plan.diseased, scenario.family, rng),
-                         _draw_group(plan.nondiseased, scenario.family, rng),
-                         scenario.design.n_markers, scenario.design.n_times)
+    return plan.template._with_values(_draw_values(plan.diseased, scenario.family, rng),
+                                      _draw_values(plan.nondiseased, scenario.family, rng))
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -516,8 +528,8 @@ def _simulate_one_rep(scenario: ScenarioSpec, plan: _GeneratorPlan, rep: int):
     return out
 
 
-def _rep_range(one_rep, scenario: ScenarioSpec, reps: range) -> list:
-    plan = _build_plan(scenario)
+def _rep_range(one_rep, scenario: ScenarioSpec, pooled: bool, reps: range) -> list:
+    plan = _build_plan(scenario, pooled)
     return [one_rep(scenario, plan, rep) for rep in reps]
 
 
@@ -532,16 +544,18 @@ def _per_replicate(n_reps: int, *shape: int) -> np.ndarray:
         raise MemoryError(str(exc)) from exc
 
 
-def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int):
+def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int, pooled: bool = False):
     """Yields ``(rep, one_rep(scenario, plan, rep))`` for every replicate,
-    in order, so a caller fills its per-replicate arrays as they come.
+    in order, so a caller fills its per-replicate arrays as they come; the
+    plan's template is cut as ``_build_plan(scenario, pooled)`` cuts it.
 
     With ``n_jobs > 1`` contiguous chunks of replicates run in at most that
-    many worker processes, one per chunk; ``one_rep`` must be module-level.
+    many worker processes, one per chunk, and each builds its own plan;
+    ``one_rep`` must be module-level.
     """
     n_reps = scenario.n_reps
     if n_jobs <= 1 or n_reps <= 1:
-        plan = _build_plan(scenario)
+        plan = _build_plan(scenario, pooled)
         for rep in range(n_reps):
             yield rep, one_rep(scenario, plan, rep)
         return
@@ -551,7 +565,8 @@ def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int):
     chunks = [range(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra))
               for i in range(n_chunks)]
     with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
-        pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks), chunks)
+        pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks),
+                          [pooled] * len(chunks), chunks)
         for chunk, piece in zip(chunks, pieces):
             yield from zip(chunk, piece)
 
@@ -793,7 +808,7 @@ def run_method_comparison(scenario: ScenarioSpec, component: int = 1,
     estimates = _per_replicate(scenario.n_reps, 3, scenario.design.n_markers)
     matches, positive, separated = True, 0, 0
     for rep, (est, rep_matches, rep_positive, rep_separated) in _fan_out(
-            _comparison_rep, scenario, n_jobs):
+            _comparison_rep, scenario, n_jobs, pooled=True):
         estimates[rep] = est
         matches = matches and rep_matches
         positive += rep_positive

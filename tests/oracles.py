@@ -445,6 +445,23 @@ def record_draw_group(halves, family, rng, id_prefix, n_markers, n_times):
 
 
 
+def old_generate_dataset(scenario, rng, plan):
+    """A simulated dataset built as every replicate built one before the
+    plan kept a template: each group's columns from the plan's layout and
+    the Cholesky draws, diseased halves first, through ``MarkerDataset``."""
+
+    def draw_group(group):
+        draws = []
+        for half in group.halves:
+            z = rng.standard_normal((half.n_subjects, half.chol.shape[0]))
+            rows = half.mu_row + z @ half.chol.T
+            draws.append((np.exp(rows) if scenario.family == "lognormal" else rows).ravel())
+        return GroupColumns(*group.layout, np.concatenate(draws))
+
+    return MarkerDataset(draw_group(plan.diseased), draw_group(plan.nondiseased),
+                         scenario.design.n_markers, scenario.design.n_times)
+
+
 # -- the per-kind estimator path ------------------------------------------
 #
 # ``auc``, ``pauc``, ``sensitivity_at_fpr`` and ``wauc`` used to fetch and

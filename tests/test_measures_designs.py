@@ -1,6 +1,7 @@
 """Weight-measure grammar, design layout and the linear pair contrast."""
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -197,6 +198,30 @@ def test_contrast_matrix_pairs_halves():
     assert mat.shape == (4, 2)
     omega = np.array([0.8, 0.7, 0.6, 0.9])
     np.testing.assert_allclose(mat.T @ omega, [0.2, -0.2])
+
+
+@pytest.mark.parametrize("design", [StudyDesign.readers(3), StudyDesign.longitudinal(2)],
+                         ids=lambda d: d.selector())
+def test_design_constants_are_built_once_and_handed_out_as_copies(design):
+    """The estimators read one read-only copy per design; a caller that
+    writes to what ``strata()``, ``labels()`` or ``contrast_matrix()``
+    returned leaves the next call unchanged."""
+    strata, labels, mat = design.strata(), design.labels(), design.contrast_matrix()
+    want = (list(strata), list(labels), mat.copy())
+    strata.append((9, 9))
+    strata[0] = (7, 7)
+    labels.clear()
+    mat[...] = 5.0
+    mat.T[0, 0] = -3.0
+    assert design.strata() == want[0] and design.labels() == want[1]
+    assert design.contrast_matrix().tobytes() == want[2].tobytes()
+    assert design.contrast_matrix().flags.writeable
+    assert design._strata is design._strata and design._contrast is design._contrast
+    assert not design._contrast.flags.writeable
+    assert list(design._strata) == want[0] and list(design._labels) == want[1]
+    assert design == type(design)(design.kind, design.n_pairs)
+    copy = pickle.loads(pickle.dumps(design))
+    assert copy == design and copy.contrast_matrix().tobytes() == want[2].tobytes()
 
 
 def test_parse_design():
