@@ -57,6 +57,12 @@ def _threads(flag: int | None) -> int:
     return flag or 1
 
 
+def _check_seed(seed: int) -> None:
+    """A negative ``--seed`` is an input error, with or without ``--bootstrap``."""
+    if seed < 0:
+        raise DataFormatError(f"seed must be non-negative, got {seed}")
+
+
 def _load_dataset(path: str) -> tuple[MarkerDataset, str]:
     with open(path, "rb") as handle:
         payload = handle.read()
@@ -145,6 +151,7 @@ def _report_header(command: str, args, digest: str | None, **in_effect) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    _check_seed(args.seed)
     dataset, digest = _load_dataset(args.input)
     design = parse_design(args.design) if args.design else None
     measure = parse_measure(args.measure)
@@ -171,6 +178,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_seed(args.seed)
     dataset, digest = _load_dataset(args.input)
     design = parse_design(args.design)
     measure = parse_measure(args.measure)

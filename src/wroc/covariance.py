@@ -61,11 +61,20 @@ The kernel sums run in place in a work buffer each thread keeps
 pass when they fit, else in slices of whole rows or of one row's points.
 The cached plans are read-only, so the analytic covariance may be computed
 from several threads at once.
+
+The bootstrap's draws are those of one ``default_rng((seed, b, attempt))``
+per replicate and attempt, built for all replicates at once
+(:func:`_bootstrap_draws`): the seed hash as uint32 array operations, one
+PCG64 per replicate for its raw words, and numpy's bounded-integer rule
+over the whole draw matrix; only a replicate that meets numpy's rejection
+case is drawn through its own Generator.  ``numpy.random`` is imported on
+the first bootstrap, not with the module.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -537,11 +546,181 @@ def contrast_covariance(sigma: np.ndarray, design: StudyDesign) -> np.ndarray:
     return mat.T @ sigma @ mat
 
 
+# -- bootstrap draws ------------------------------------------------------
+#
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# words, and the constants of its entropy mix and of its state output
+_POOL_WORDS = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's running hash constant from ``init``, one step after
+    another: the constant a step's word is XORed with, and the next one,
+    ``mult`` times it, that the word is then multiplied by."""
+    while True:
+        xor, init = init, init * mult & _MASK32
+        yield xor, init
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_plan(n_entropy: int) -> tuple:
+    """SeedSequence's hash constants over ``n_entropy`` words as uint32
+    columns that broadcast over the rows, an ``(xor, mult)`` pair a step,
+    shared read-only.
+
+    The steps: the pool's first hash of its 4 words; per source word of
+    the pool, its hash towards each other pool word; per entropy word past
+    the pool, its hash towards each pool word; and the output's 8 words
+    over the pool twice, shaped ``(2, 4, 1)``.  The constants run on
+    through the first three in that order and each step's pool words take
+    them in turn; a source word's own slot gets a zero pair, and its
+    result is put back.
+    """
+    def take(steps, count, skip=None):
+        pairs = list(itertools.islice(steps, count))
+        if skip is not None:
+            pairs.insert(skip, (0, 0))
+        table = np.array(pairs, dtype=np.uint32)
+        table.flags.writeable = False
+        return table[:, :1], table[:, 1:]
+
+    mixing = _hash_steps(_HASH_INIT_A, _HASH_MULT_A)
+    first = take(mixing, _POOL_WORDS)
+    rounds = [take(mixing, _POOL_WORDS - 1, skip=src) for src in range(_POOL_WORDS)]
+    rounds += [take(mixing, _POOL_WORDS) for _ in range(n_entropy - _POOL_WORDS)]
+    output = [column.reshape(2, _POOL_WORDS, 1)
+              for column in take(_hash_steps(_HASH_INIT_B, _HASH_MULT_B), 2 * _POOL_WORDS)]
+    return first, tuple(rounds), tuple(output)
+
+
+def _stream_states(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
+    """Each row's PCG64 seed words, ``SeedSequence((seed, b, attempt))
+    .generate_state(4, np.uint64)`` for each ``b`` in ``rows``: a
+    ``(len(rows), 4)`` uint64 array.
+
+    The entropy is the seed's 32-bit words, low first, then ``b`` and
+    ``attempt``, one word each (both stay below 2**32: a replicate index
+    that large would need more memory than any machine has).  The hash is
+    numpy's step for step, on uint32 arrays of one column a row whose
+    products wrap as the C ones do.  The constants of :func:`_hash_plan`
+    do not depend on the entropy, so each step is one operation over every
+    row and every pool word it reaches, in place.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    n_entropy = len(words) + 2
+    first, rounds, (out_xor, out_mult) = _hash_plan(n_entropy)
+    entropy = np.zeros((max(n_entropy, _POOL_WORDS), len(rows)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = rows
+    entropy[len(words) + 1] = attempt
+    pool, hashed, shifted = np.empty((3, _POOL_WORDS, len(rows)), dtype=np.uint32)
+
+    def hashmix(value, xor, mult, out, shifted):
+        np.bitwise_xor(value, xor, out=out)
+        out *= mult
+        np.right_shift(out, 16, out=shifted)
+        out ^= shifted
+
+    hashmix(entropy[:_POOL_WORDS], *first, pool, shifted)
+    for step, (xor, mult) in enumerate(rounds):
+        # a pool word mixes in to the others; entropy past the pool, to all
+        src = pool[step].copy() if step < _POOL_WORDS else entropy[step]
+        hashmix(src, xor, mult, hashed, shifted)
+        pool *= _MIX_MULT_L
+        hashed *= _MIX_MULT_R
+        pool -= hashed
+        np.right_shift(pool, 16, out=shifted)
+        pool ^= shifted
+        if step < _POOL_WORDS:
+            pool[step] = src
+    # generate_state: 8 words over the pool twice, read as 4 little-endian uint64
+    state, shifted = np.empty((2, 2, _POOL_WORDS, len(rows)), dtype=np.uint32)
+    hashmix(pool, out_xor, out_mult, state, shifted)
+    state = np.ascontiguousarray(state.reshape(2 * _POOL_WORDS, -1).T, dtype="<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _pcg64_from_state():
+    """A maker of PCG64 bit generators from their four seed words, as
+    ``PCG64`` makes them from a ``SeedSequence``'s ``generate_state(4,
+    np.uint64)``.  Built on first use, so importing wroc loads no
+    ``numpy.random``."""
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: PCG64(_SeedWords(words))
+
+
+def _stream_draws(seed: int, b: int, attempt: int, sizes) -> list[np.ndarray]:
+    """Replicate ``b``'s draws at ``attempt`` from its own Generator:
+    ``integers(0, n, n)`` for each group size ``n`` in ``sizes``, in turn."""
+    rng = np.random.default_rng((seed, b, attempt))
+    return [rng.integers(0, n, n) for n in sizes]
+
+
+def _bootstrap_draws(seed: int, rows: np.ndarray, attempt: int, sizes) -> list[np.ndarray]:
+    """What :func:`_stream_draws` gives for each ``b`` in ``rows``, stacked:
+    one ``(len(rows), n)`` int64 array per group size ``n`` in ``sizes``.
+
+    numpy draws an integer below ``n`` from a 32-bit word ``u`` as
+    ``(u * n) >> 32`` and rejects the word when the low half of ``u * n`` is
+    below ``(2**32 - n) % n`` (Lemire's rule); a group of one subject takes
+    no word.  Its PCG64 yields a 64-bit word's low half, then its high half,
+    across calls, so a row's words are its raw 64-bit words read as
+    little-endian uint32 pairs, group after group.  Each row's generator is
+    seeded from :func:`_stream_states` and its raw words are taken at once;
+    the picks of every row come from one product per group.  A row that
+    holds a rejected word is drawn again by :func:`_stream_draws`, which
+    gives its exact draws.
+    """
+    spans = [n if n > 1 else 0 for n in sizes]
+    raw = np.empty((len(rows), (sum(spans) + 1) // 2), dtype="<u8")
+    if raw.size:
+        pcg64 = _pcg64_from_state()
+        for row, state in zip(raw, _stream_states(seed, rows, attempt)):
+            row[...] = pcg64(state).random_raw(raw.shape[1])
+    words = raw.view("<u4")
+    draws, rejected = [], np.zeros(len(rows), dtype=bool)
+    start = 0
+    for n, span in zip(sizes, spans):
+        if not span:
+            draws.append(np.zeros((len(rows), n), dtype=np.int64))
+            continue
+        product = np.multiply(words[:, start:start + span], n, dtype=np.uint64)
+        start += span
+        threshold = (2**32 - n) % n
+        if threshold:
+            low = product.astype("<u8", copy=False).view("<u4")[:, ::2]
+            rejected |= (low < threshold).any(axis=1)
+        product >>= 32
+        draws.append(product.view(np.int64))
+    for r in np.flatnonzero(rejected).tolist():
+        for group, exact in zip(draws, _stream_draws(seed, int(rows[r]), attempt, sizes)):
+            group[r] = exact
+    return draws
+
+
 def _multiplicities(picks: np.ndarray, n: int) -> np.ndarray:
     """Per-subject multiplicities of every row of draws from ``0..n-1``, by
-    one bincount over the rows' offset subjects."""
-    offset = picks + np.arange(len(picks))[:, None] * n
-    return np.bincount(offset.ravel(), minlength=picks.size).reshape(picks.shape)
+    one bincount over the rows' offset subjects; offsets ``picks`` in
+    place."""
+    picks += np.arange(len(picks))[:, None] * n
+    return np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
 
 
 def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
@@ -549,48 +728,47 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
                          midrank: bool = False) -> CovarianceEstimate:
     """Subject-level bootstrap covariance of the wAUC vector.
 
-    Subjects are resampled with replacement within each group; replicate b
-    draws its RNG stream from (seed, b) so results do not depend on
-    scheduling.  A replicate leaving any stratum empty is redrawn and
-    counted in ``n_redrawn``.  A replicate is kept as the per-subject
-    multiplicities of its draw, and all replicates of a stratum pair are
-    scored from them at once; no resampled dataset is built.  A covariance
-    that is not finite raises ``WrocError``.
+    Subjects are resampled with replacement within each group.  Attempt
+    ``a`` of replicate ``b`` draws from the stream of
+    ``np.random.default_rng((seed, b, a))``: ``integers(0, n, n)`` for the
+    diseased group, then for the non-diseased group, so results do not
+    depend on scheduling.  The draws of all replicates come from one
+    vectorised pass (:func:`_bootstrap_draws`) and reproduce those streams
+    bit for bit.  A replicate leaving any stratum empty is redrawn from its
+    next attempt, and each redraw is counted in ``n_redrawn``.  A replicate
+    is kept as the per-subject multiplicities of its draw, and all
+    replicates of a stratum pair are scored from them at once; no
+    resampled dataset is built.  A covariance that is not finite raises
+    ``WrocError``.
     """
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
     if seed < 0:
         raise ValueError(f"bootstrap seed must be non-negative, got {seed}")
     pairs = _stratum_rows(_stratum_blocks(dataset, design)[0])
-    n_dis = dataset.n_diseased
-    n_non = dataset.n_nondiseased
+    sizes = (dataset.n_diseased, dataset.n_nondiseased)
     # per-subject value counts by stratum; times a draw's per-subject
     # multiplicities they give the resampled strata's sizes
     counts_d = np.array([x.counts for x, _ in pairs])
     counts_n = np.array([y.counts for _, y in pairs])
-    # attempt 0 of every replicate, checked all at once; then each failing
-    # replicate is redrawn from attempts 1, 2, ... of its own stream
-    picks_d = np.empty((n_boot, n_dis), dtype=np.intp)
-    picks_n = np.empty((n_boot, n_non), dtype=np.intp)
-    for b in range(n_boot):
-        rng = np.random.default_rng((seed, b, 0))
-        picks_d[b] = rng.integers(0, n_dis, n_dis)
-        picks_n[b] = rng.integers(0, n_non, n_non)
-    mult_d = _multiplicities(picks_d, n_dis)
-    mult_n = _multiplicities(picks_n, n_non)
-    failing = np.flatnonzero(~((mult_d @ counts_d.T).all(axis=1)
-                               & (mult_n @ counts_n.T).all(axis=1)))
-    n_redrawn = int(failing.size)
-    for b in failing.tolist():
-        for attempt in range(1, _MAX_DRAWS):
-            rng = np.random.default_rng((seed, b, attempt))
-            mult_d[b] = np.bincount(rng.integers(0, n_dis, n_dis), minlength=n_dis)
-            mult_n[b] = np.bincount(rng.integers(0, n_non, n_non), minlength=n_non)
-            if (counts_d @ mult_d[b]).all() and (counts_n @ mult_n[b]).all():
-                break
-            n_redrawn += 1
+    # attempt 0 of every replicate, then attempts 1, 2, ... of the
+    # replicates that still leave a stratum empty
+    todo = np.arange(n_boot)
+    n_redrawn = 0
+    for attempt in range(_MAX_DRAWS):
+        picks_d, picks_n = _bootstrap_draws(seed, todo, attempt, sizes)
+        got_d = _multiplicities(picks_d, sizes[0])
+        got_n = _multiplicities(picks_n, sizes[1])
+        if attempt:
+            mult_d[todo], mult_n[todo] = got_d, got_n
         else:
-            raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
+            mult_d, mult_n = got_d, got_n
+        todo = todo[~((got_d @ counts_d.T).all(axis=1) & (got_n @ counts_n.T).all(axis=1))]
+        if not todo.size:
+            break
+        n_redrawn += int(todo.size)
+    else:
+        raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
     draws = np.empty((n_boot, len(pairs)))
     for s, (x, y) in enumerate(pairs):
         draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n)

@@ -533,9 +533,13 @@ def test_negative_seed_exit_2(tmp_path, capsys, rng):
     assert capsys.readouterr().err == "wroc: input error: seed must be non-negative, got -1\n"
     path = write_dataset(tmp_path, reader_dataset(rng))
     for command in (["analyze"], ["compare", "--design", "readers:2"]):
-        assert main([*command, "--input", str(path), "--bootstrap", "100", "--seed", "-3"]) == 2
-        assert capsys.readouterr().err == (
-            "wroc: input error: bootstrap seed must be non-negative, got -3\n")
+        # with the analytic covariance too, and before the input is read
+        for flags in (["--bootstrap", "100"], [], ["--measure", "pauc:0,0.6"]):
+            for source in (path, tmp_path / "missing.csv"):
+                assert main([*command, "--input", str(source), *flags, "--seed", "-3"]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == "wroc: input error: seed must be non-negative, got -3\n"
+                assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [["--rho", "0.9"], ["--family", "normal"], ["--n", "99"],

@@ -53,12 +53,14 @@ import json, sys
 import wroc, wroc.cli
 loaded = {_SCIPY_MODULES}
 polynomial = "numpy.polynomial" in sys.modules
+random = sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'])
 from wroc.measures import parse_measure
 from wroc.simulation import true_wauc
 value = true_wauc(parse_measure("pauc:0,0.6"), 1.0, 1.0, 0.0, 1.0)
 code = wroc.cli.main(["simulate", "table3", "--n", "10", "--reps", "2",
                       "--output", sys.argv[1]])
-print(json.dumps({{"scipy": loaded, "polynomial": polynomial, "pauc": value.hex(),
+print(json.dumps({{"scipy": loaded, "polynomial": polynomial, "random": random,
+                  "pauc": value.hex(),
                   "code": code, "scipy_after": {_SCIPY_MODULES}}}))
 """
 
@@ -99,6 +101,8 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     assert report["scipy"] == []
     # the pAUC rule is built on first use, not at import
     assert not report["polynomial"]
+    # and so is the bootstrap's PCG64 maker: importing wroc loads no numpy.random
+    assert report["random"] == []
     # a pAUC truth and a table3 study, which computes pAUC truths, load no scipy
     assert report["code"] == 0
     assert report["scipy_after"] == []

@@ -452,16 +452,15 @@ def test_empty_stratum_fails_alike_in_estimates_covariance_and_bootstrap():
 
 def test_bootstrap_redraw_exhaustion_is_a_wroc_error(monkeypatch):
     ds = _marker2_missing_in_nondiseased(n_with_marker2=1)
+    attempts = []
 
-    class LastSubjectOnly:
+    def last_subject_only(seed, rows, attempt, sizes):
         """Draws every subject at the last position, which lacks marker 2."""
+        attempts.append((attempt, len(rows)))
+        return [np.full((len(rows), n), n - 1) for n in sizes]
 
-        def __init__(self, seed):
-            pass
-
-        def integers(self, low, high, size):
-            return np.full(size, high - 1)
-
-    monkeypatch.setattr(np.random, "default_rng", LastSubjectOnly)
+    monkeypatch.setattr(covariance, "_bootstrap_draws", last_subject_only)
     with pytest.raises(WrocError, match="could not draw a usable replicate"):
         bootstrap_covariance(ds, None, FULL, 100, seed=1)
+    # every replicate through every attempt, then the error
+    assert attempts == [(attempt, 100) for attempt in range(covariance._MAX_DRAWS)]
