@@ -56,11 +56,11 @@ the placement path centres the sums before the product
 it (:func:`_gram_part`).  Their ``m`` is not each subject's mean score, so
 centring first would change their numbers.
 
-The kernel sums run in place in a work buffer each thread keeps
-(:func:`_kde_work`, 1 MB): a block's points against its values in one
-pass when they fit, else in slices of whole rows or of one row's points.
-The cached plans are read-only, so the analytic covariance may be computed
-from several threads at once.
+The kernel sums run in place in a work buffer of 1 MB that each call of
+:func:`_kde_at` makes for itself: a block's points against its values in
+one pass when they fit, else in slices of whole rows or of one row's
+points.  The cached plans are read-only and nothing else outlives a call,
+so the analytic covariance may be computed from several threads at once.
 
 The bootstrap's draws are those of one ``default_rng((seed, b, attempt))``
 per replicate and attempt, built for all replicates at once
@@ -74,9 +74,7 @@ the first bootstrap, not with the module.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +100,10 @@ _NODES = 64
 _MAX_DRAWS = 1001
 PSD_EIGENVALUE_TOLERANCE = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# entries of a thread's _kde_at work buffer (1 MB).  A table4 block (6
-# strata x 58 thresholds x 200 values) runs in one pass; only larger blocks
-# are cut into slices that fit
+# entries of a _kde_at work buffer (1 MB).  A table4 block (6 strata x 58
+# thresholds x 200 values) runs in one pass; only larger blocks are cut into
+# slices that fit
 _KDE_BLOCK_ENTRIES = 1 << 17
-# each thread's work buffer, kept across calls
-_kde_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -211,21 +207,6 @@ def _lerp(a: float, b: float, t: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def _kde_work(n: int) -> np.ndarray:
-    """The work buffer of :func:`_kde_at` for rows of ``n`` values: this
-    thread's own of ``_KDE_BLOCK_ENTRIES`` entries, made on its first call
-    and kept, or for rows longer than that one of ``n`` entries for this
-    call alone, so what a thread keeps stays at 1 MB.  A kept buffer is
-    never freed, so no call hands pages back to the kernel that the next
-    one must fault in again."""
-    if n > _KDE_BLOCK_ENTRIES:
-        return np.empty(n)
-    work = getattr(_kde_local, "work", None)
-    if work is None:
-        work = _kde_local.work = np.empty(_KDE_BLOCK_ENTRIES)
-    return work
-
-
 @functools.lru_cache(maxsize=256)
 def _kde_slices(shape: tuple[int, ...], n: int) -> tuple:
     """How :func:`_kde_at` cuts points of ``shape`` (``(d,)`` for a stratum,
@@ -263,19 +244,20 @@ def _kde_at(values: np.ndarray, points: np.ndarray, bandwidth: np.ndarray) -> np
     ``points`` with its ``bandwidth``; for a block, of each row's values at
     its row of points with its bandwidth.
 
-    Works in place in this thread's :func:`_kde_work` buffer, the whole
-    block in one pass when it fits, else a slice at a time
-    (:func:`_kde_slices`).  The buffer is filled with the values and the
-    points are subtracted, so it holds ``-(points - values)`` exactly;
-    squared and scaled by the exact ``-0.5`` it gives what
-    ``-0.5 * z * z`` gives after ``exp``.  Each point still sums its whole
-    row, so the bits equal those of ``np.exp(-0.5 * z * z).sum(axis=-1)``
-    with ``z = (points[..., None] - values[..., None, :]) / bandwidth``.
+    Works in place in a buffer of its own, of ``_KDE_BLOCK_ENTRIES``
+    entries or of one row's ``n`` values when that is more: the whole block
+    in one pass when it fits, else a slice at a time (:func:`_kde_slices`).
+    The buffer is filled with the values and the points are subtracted, so
+    it holds ``-(points - values)`` exactly; squared and scaled by the exact
+    ``-0.5`` it gives what ``-0.5 * z * z`` gives after ``exp``.  Each point
+    still sums its whole row, so the bits equal those of
+    ``np.exp(-0.5 * z * z).sum(axis=-1)`` with
+    ``z = (points[..., None] - values[..., None, :]) / bandwidth``.
     """
     n = values.shape[-1]
     scale = bandwidth.reshape(bandwidth.shape + (1, 1))
     sums = np.empty(points.shape)
-    work = _kde_work(n)
+    work = np.empty(max(n, _KDE_BLOCK_ENTRIES))
     for row, value_cut, cuts in _kde_slices(points.shape, n):
         row_values, row_scale = values[value_cut], scale[row]
         for cut, point_cut, shape, size in cuts:
@@ -306,11 +288,6 @@ def _density_ratio_at(x: Stratum, y: Stratum, points: np.ndarray) -> np.ndarray:
 
 
 # -- covariance paths ----------------------------------------------------
-
-
-def _check_group_sizes(dataset: MarkerDataset) -> None:
-    if dataset.n_diseased < 2 or dataset.n_nondiseased < 2:
-        raise ValueError("analytic covariance needs at least 2 subjects per group")
 
 
 def _subject_sums(stratum: Stratum, weights: np.ndarray) -> np.ndarray:
@@ -428,8 +405,7 @@ def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure):
     row-wise sort of the thresholds serves both groups' cumulative weights,
     and one ``bincount`` per group sums the scores.  ``g(v)`` counts only
     thresholds strictly below ``v``, so ties between a value and a
-    threshold score nothing.  Both groups' kernel sums use the calling
-    thread's :func:`_kde_work` buffer in turn.
+    threshold score nothing.
     """
     u_nodes, u_weights = _grid(measure)
     rows, distinct, inverse = _rank_plan(measure, y.n)
@@ -455,8 +431,7 @@ def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
 
     Should a block fail, its strata are scored one at a time in design
     order and the first one's own error is raised; should none of them fail
-    alone, the block's error is.  The walk allocates no KDE buffer: the
-    grid paths' kernel sums run in the calling thread's kept one.
+    alone, the block's error is.
     """
     if measure.kind == "full":
         score = functools.partial(_placement_columns, measure=measure, midrank=midrank)
@@ -510,7 +485,8 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     with or without it, and atomic measures reject it.  A covariance that is
     not finite (an overflowing measure mass) raises ``WrocError``.
     """
-    _check_group_sizes(dataset)
+    if dataset.n_diseased < 2 or dataset.n_nondiseased < 2:
+        raise ValueError("analytic covariance needs at least 2 subjects per group")
     _check_midrank(measure, midrank)
     blocks, labels = _stratum_blocks(dataset, design)
     method = {"full": "placement", "pauc": "quadrature"}.get(measure.kind, "atoms")
@@ -548,53 +524,12 @@ def contrast_covariance(sigma: np.ndarray, design: StudyDesign) -> np.ndarray:
 
 # -- bootstrap draws ------------------------------------------------------
 #
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
-# words, and the constants of its entropy mix and of its state output
-_POOL_WORDS = 4
+# the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx):
+# of its entropy mix, of its pool mix and of its state output
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-
-def _hash_steps(init: int, mult: int):
-    """SeedSequence's running hash constant from ``init``, one step after
-    another: the constant a step's word is XORed with, and the next one,
-    ``mult`` times it, that the word is then multiplied by."""
-    while True:
-        xor, init = init, init * mult & _MASK32
-        yield xor, init
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_plan(n_entropy: int) -> tuple:
-    """SeedSequence's hash constants over ``n_entropy`` words as uint32
-    columns that broadcast over the rows, an ``(xor, mult)`` pair a step,
-    shared read-only.
-
-    The steps: the pool's first hash of its 4 words; per source word of
-    the pool, its hash towards each other pool word; per entropy word past
-    the pool, its hash towards each pool word; and the output's 8 words
-    over the pool twice, shaped ``(2, 4, 1)``.  The constants run on
-    through the first three in that order and each step's pool words take
-    them in turn; a source word's own slot gets a zero pair, and its
-    result is put back.
-    """
-    def take(steps, count, skip=None):
-        pairs = list(itertools.islice(steps, count))
-        if skip is not None:
-            pairs.insert(skip, (0, 0))
-        table = np.array(pairs, dtype=np.uint32)
-        table.flags.writeable = False
-        return table[:, :1], table[:, 1:]
-
-    mixing = _hash_steps(_HASH_INIT_A, _HASH_MULT_A)
-    first = take(mixing, _POOL_WORDS)
-    rounds = [take(mixing, _POOL_WORDS - 1, skip=src) for src in range(_POOL_WORDS)]
-    rounds += [take(mixing, _POOL_WORDS) for _ in range(n_entropy - _POOL_WORDS)]
-    output = [column.reshape(2, _POOL_WORDS, 1)
-              for column in take(_hash_steps(_HASH_INIT_B, _HASH_MULT_B), 2 * _POOL_WORDS)]
-    return first, tuple(rounds), tuple(output)
 
 
 def _stream_states(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
@@ -605,45 +540,47 @@ def _stream_states(seed: int, rows: np.ndarray, attempt: int) -> np.ndarray:
     The entropy is the seed's 32-bit words, low first, then ``b`` and
     ``attempt``, one word each (both stay below 2**32: a replicate index
     that large would need more memory than any machine has).  The hash is
-    numpy's step for step, on uint32 arrays of one column a row whose
-    products wrap as the C ones do.  The constants of :func:`_hash_plan`
-    do not depend on the entropy, so each step is one operation over every
-    row and every pool word it reaches, in place.
+    numpy's ``mix_entropy`` and ``generate_state`` loop for loop, each word
+    a uint32 column of one entry a row whose products wrap as the C ones
+    do; the running hash constant, the same for every row, is a Python int.
     """
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    n_entropy = len(words) + 2
-    first, rounds, (out_xor, out_mult) = _hash_plan(n_entropy)
-    entropy = np.zeros((max(n_entropy, _POOL_WORDS), len(rows)), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = rows
-    entropy[len(words) + 1] = attempt
-    pool, hashed, shifted = np.empty((3, _POOL_WORDS, len(rows)), dtype=np.uint32)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(len(rows), word, np.uint32) for word in words]
+    entropy += [rows.astype(np.uint32), np.full(len(rows), attempt, np.uint32)]
+    hash_const = _HASH_INIT_A
 
-    def hashmix(value, xor, mult, out, shifted):
-        np.bitwise_xor(value, xor, out=out)
-        out *= mult
-        np.right_shift(out, 16, out=shifted)
-        out ^= shifted
+    def hashmix(value, mult=_HASH_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
 
-    hashmix(entropy[:_POOL_WORDS], *first, pool, shifted)
-    for step, (xor, mult) in enumerate(rounds):
-        # a pool word mixes in to the others; entropy past the pool, to all
-        src = pool[step].copy() if step < _POOL_WORDS else entropy[step]
-        hashmix(src, xor, mult, hashed, shifted)
-        pool *= _MIX_MULT_L
-        hashed *= _MIX_MULT_R
-        pool -= hashed
-        np.right_shift(pool, 16, out=shifted)
-        pool ^= shifted
-        if step < _POOL_WORDS:
-            pool[step] = src
-    # generate_state: 8 words over the pool twice, read as 4 little-endian uint64
-    state, shifted = np.empty((2, 2, _POOL_WORDS, len(rows)), dtype=np.uint32)
-    hashmix(pool, out_xor, out_mult, state, shifted)
-    state = np.ascontiguousarray(state.reshape(2 * _POOL_WORDS, -1).T, dtype="<u4")
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        result ^= result >> 16
+        return result
+
+    # mix_entropy, on a pool of 4 words: the entropy up to the pool size
+    # (a zero word past its end), then every pool word into every other,
+    # then each remaining entropy word into every pool word
+    mixer = [hashmix(entropy[i] if i < len(entropy) else np.zeros(len(rows), np.uint32))
+             for i in range(4)]
+    for i_src in range(len(mixer)):
+        for i_dst in range(len(mixer)):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    for i_src in range(len(mixer), len(entropy)):
+        for i_dst in range(len(mixer)):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[i_src]))
+    # generate_state(4, np.uint64): 8 words over the pool, cycled, each
+    # hashed as hashmix does with the second constants, read as 4
+    # little-endian uint64
+    hash_const = _HASH_INIT_B
+    state = np.empty((len(rows), 8), dtype="<u4")
+    for i_dst in range(8):
+        state[:, i_dst] = hashmix(mixer[i_dst % len(mixer)], _HASH_MULT_B)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 

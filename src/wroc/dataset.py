@@ -515,20 +515,20 @@ def read_dataset_csv(source) -> MarkerDataset:
     first bad line.
     """
     text = _read_text(source)
-    if text.isascii() and not any(c in text for c in _NOT_PLAIN):
-        end = _line_end(text, 0)
-        header = text[:end].split(",") if text else None
-        blocks = _plain_blocks(text, end + 1)
-    else:
-        records = _records(text)
-        header = next(records, None)
-        blocks = _quoted_blocks(records)
-    if header is None:
-        raise DataFormatError("empty file, expected header " + ",".join(CSV_HEADER), line=1)
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise DataFormatError(
-            f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
     try:
+        if text.isascii() and not any(c in text for c in _NOT_PLAIN):
+            end = _line_end(text, 0)
+            header = text[:end].split(",") if text else None
+            blocks = _plain_blocks(text, end + 1)
+        else:
+            records = _records(text)
+            header = next(records, None)
+            blocks = _quoted_blocks(records)
+        if header is None:
+            raise DataFormatError("empty file, expected header " + ",".join(CSV_HEADER), line=1)
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataFormatError(
+                f"bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}", line=1)
         return _build(blocks)
     except (_Malformed, csv.Error, OverflowError):
         error = _first_row_error(text)
@@ -667,40 +667,46 @@ def _build(blocks) -> MarkerDataset:
 
 def _first_row_error(text: str) -> DataFormatError | None:
     """The error of the first bad data row in file order, found by checking
-    the rows one by one; ``None`` when every row passes."""
-    records = _records(text)
-    next(records)
+    the rows one by one; ``None`` when every row passes.  A record :mod:`csv`
+    cannot read (a field past its size limit) is an error of its line."""
     seen: set[tuple[str, str, int, int, int]] = set()
-    for line_no, row in enumerate(records, start=2):
-        if len(row) != _N_FIELDS:
-            if _blank(row):
-                continue
-            return DataFormatError(f"expected {_N_FIELDS} fields, got {len(row)}", line=line_no)
-        subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
-        if status not in _STATUSES:
-            return DataFormatError(f"status must be 'D' or 'ND', got {status!r}", line=line_no)
-        try:
-            marker, time, replicate = int(marker_s), int(time_s), int(rep_s)
-        except ValueError:
-            return DataFormatError(
-                f"marker/time/replicate must be integers, got "
-                f"({marker_s!r}, {time_s!r}, {rep_s!r})", line=line_no)
-        if marker < 1 or time < 1 or replicate < 1:
-            return DataFormatError(
-                "marker, time and replicate are 1-based and must be >= 1", line=line_no)
-        if max(marker, time, replicate) > _MAX_INDEX:
-            return DataFormatError(
-                f"marker, time and replicate must be at most {_MAX_INDEX}", line=line_no)
-        try:
-            float(value_s)
-        except ValueError:
-            return DataFormatError(f"bad value {value_s!r}", line=line_no)
-        key = (status, subject_id, marker, time, replicate)
-        if key in seen:
-            return DataFormatError(
-                f"duplicate replicate {replicate} for subject {subject_id!r} "
-                f"(marker {marker}, time {time})", line=line_no)
-        seen.add(key)
+    line_no = 0
+    try:
+        for line_no, row in enumerate(_records(text), start=1):
+            if line_no == 1:
+                continue   # the header, checked before
+            if len(row) != _N_FIELDS:
+                if _blank(row):
+                    continue
+                return DataFormatError(f"expected {_N_FIELDS} fields, got {len(row)}",
+                                       line=line_no)
+            subject_id, status, marker_s, time_s, rep_s, value_s = map(str.strip, row)
+            if status not in _STATUSES:
+                return DataFormatError(f"status must be 'D' or 'ND', got {status!r}", line=line_no)
+            try:
+                marker, time, replicate = int(marker_s), int(time_s), int(rep_s)
+            except ValueError:
+                return DataFormatError(
+                    f"marker/time/replicate must be integers, got "
+                    f"({marker_s!r}, {time_s!r}, {rep_s!r})", line=line_no)
+            if marker < 1 or time < 1 or replicate < 1:
+                return DataFormatError(
+                    "marker, time and replicate are 1-based and must be >= 1", line=line_no)
+            if max(marker, time, replicate) > _MAX_INDEX:
+                return DataFormatError(
+                    f"marker, time and replicate must be at most {_MAX_INDEX}", line=line_no)
+            try:
+                float(value_s)
+            except ValueError:
+                return DataFormatError(f"bad value {value_s!r}", line=line_no)
+            key = (status, subject_id, marker, time, replicate)
+            if key in seen:
+                return DataFormatError(
+                    f"duplicate replicate {replicate} for subject {subject_id!r} "
+                    f"(marker {marker}, time {time})", line=line_no)
+            seen.add(key)
+    except csv.Error as exc:
+        return DataFormatError(str(exc), line=line_no + 1)
     return None
 
 

@@ -19,7 +19,9 @@ class DataFormatError(WrocError):
 
 
 class DegenerateDensityError(WrocError):
-    """Non-diseased density estimate vanished where the density ratio is needed."""
+    """A kernel density estimate cannot be made or used: a stratum of fewer
+    than 2 values, one of zero spread or whose bandwidth underflows, or a
+    non-diseased density that vanishes where the density ratio is needed."""
 
 
 class SingularCovarianceError(WrocError):

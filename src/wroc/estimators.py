@@ -199,18 +199,19 @@ def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:
 
 
 def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
-          below: np.ndarray | None = None) -> np.ndarray:
+          below: np.ndarray | None = None, found: dict | None = None) -> np.ndarray:
     """Each value's win count over the ascending ``ordered`` values of its
     row: 1-D arrays are one stratum, 2-D ones a block's rows.
 
     A value's positions among ``ordered`` are the number of values below
-    it and, with ``midrank``, at or below it.  With ``below`` (one stratum;
-    one row per bootstrap draw, ``below[b, q]`` the draw's values at input
-    positions < q) they are read per draw, over the draw sizes
-    ``n_y = below[:, -1:]`` in place of the row length.  A pauc measure
-    clips them to its window of ranks ``(rank(upper), rank(lower)]`` over
-    ``n_y``.  A win counts 1 and a tie 1/2: wins are half-integers, so every
-    sum of them is exact.
+    it and, with ``midrank``, at or below it: :func:`_positions` on the
+    ``"left"`` and ``"right"`` side, or ``found[side]`` when the caller has
+    searched already.  With ``below`` (one stratum; one row per bootstrap
+    draw, ``below[b, q]`` the draw's values at input positions < q) they
+    are read per draw, over the draw sizes ``n_y = below[:, -1:]`` in place
+    of the row length.  A pauc measure clips them to its window of ranks
+    ``(rank(upper), rank(lower)]`` over ``n_y``.  A win counts 1 and a tie
+    1/2: wins are half-integers, so every sum of them is exact.
     """
     n_y = ordered.shape[-1] if below is None else below[:, -1:]
     window = measure.kind == "pauc"
@@ -218,7 +219,7 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
         hi, lo = _rank(measure.upper, n_y), _rank(measure.lower, n_y)
 
     def positions(side):
-        pos = _positions(ordered, values, side)
+        pos = _positions(ordered, values, side) if found is None else found[side]
         if below is not None:
             pos = below[:, pos]
         return np.minimum(np.maximum(pos, hi), lo) - hi if window else pos
@@ -262,12 +263,16 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
     order statistic.  Wins are half-integers, so each draw's total is exact,
     and the divisions and atom sums run in :func:`_stratum_wauc`'s order, so
     each value equals it bit for bit.  Draws are scored in blocks of about
-    ``_DRAW_BLOCK_ENTRIES`` work array entries.
+    ``_DRAW_BLOCK_ENTRIES`` work array entries, all from one search of the
+    diseased values among the sorted non-diseased ones.
     """
     _check_midrank(measure, midrank)
     y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
     if measure.is_atomic:
         x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
+    else:
+        found = {side: _positions(y.sorted_values, x.values, side)
+                 for side in ("left", "right")[:1 + midrank]}
     step = max(1, _DRAW_BLOCK_ENTRIES // (x.n + y.n + 1))
     out = np.empty(len(mult_x))
     for start in range(0, len(mult_x), step):
@@ -291,7 +296,7 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
                 exceed = above[rows, np.searchsorted(x.sorted_values, threshold, side="right")]
                 value = value + mass * (exceed / n_x)
         else:
-            wins = _wins(x.values, y.sorted_values, measure, midrank, below)
+            wins = _wins(x.values, y.sorted_values, measure, midrank, below, found)
             value = (block_x[:, x.subjects] * wins).sum(axis=1) / (n_x * n_y)
         if measure.normalized:
             value = value / measure.total_mass

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wroc import covariance
+from wroc import covariance, estimators
 from wroc.covariance import bootstrap_covariance
 from wroc.designs import StudyDesign
 from wroc.errors import WrocError
 from wroc.estimators import _rank
 from wroc.measures import parse_measure
 
-from conftest import clustered_dataset
+from conftest import clustered_dataset, paired_dataset
 from oracles import bootstrap_oracle
 from test_estimator_core import clustered_datasets, measures
 
@@ -126,6 +126,31 @@ def test_draws_equal_one_generator_per_draw(seed, attempt, sizes):
     rows = np.array([0, 1, 2, 57, 199, 4096])
     assert_same_draws(covariance._bootstrap_draws(seed, rows, attempt, sizes),
                       per_draw(seed, rows, attempt, sizes))
+
+
+@pytest.mark.parametrize("selector", ["auc", "pauc:0,0.6"])
+@pytest.mark.parametrize("midrank", [False, True])
+def test_draw_blocks_share_one_search(monkeypatch, selector, midrank):
+    """Each stratum pair's diseased values are searched among its sorted
+    non-diseased values once per side, however many blocks its draws are
+    scored in."""
+    rng = np.random.default_rng(3)
+    ds = paired_dataset([rng.normal(1.0, 1.0, 300) for _ in range(4)],
+                        [rng.normal(0.0, 1.0, 300) for _ in range(4)])
+    n_boot = 300
+    assert n_boot > 2 * (estimators._DRAW_BLOCK_ENTRIES // (300 + 300 + 1))
+    calls = []
+    search = estimators._positions
+
+    def counted(*args):
+        calls.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(estimators, "_positions", counted)
+    bootstrap_covariance(ds, StudyDesign.readers(2), parse_measure(selector), n_boot, 5,
+                         midrank=midrank)
+    sides = ["left", "right"] if midrank else ["left"]
+    assert calls == sides * 4
 
 
 def test_seed_words_equal_seed_sequence():

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,20 +230,45 @@ def test_pauc_sigma_from_two_threads_is_the_sequential_one():
     assert got == [[want[0]] * 50, [want[1]] * 50]
 
 
+def test_bootstrap_from_two_threads_is_the_sequential_one():
+    """Two threads bootstrapping table4 pAUC covariances side by side, one
+    from a one-word seed and one from a three-word seed, get the bytes of
+    sequential runs; the PCG64 maker is built afresh while they run."""
+    scenario = table4_scenario(50, "normal")
+    jobs = [(generate_dataset(scenario, replicate_rng(scenario.seed, rep)), seed)
+            for rep, seed in ((0, 1), (1, 2**64 + 1))]
+    want = [bootstrap_covariance(ds, scenario.design, PAUC, 200, seed).sigma.tobytes()
+            for ds, seed in jobs]
+    covariance._pcg64_from_state.cache_clear()
+    got = [[], []]
+
+    def run(slot):
+        ds, seed = jobs[slot]
+        for _ in range(10):
+            got[slot].append(
+                bootstrap_covariance(ds, scenario.design, PAUC, 200, seed).sigma.tobytes())
+
+    _in_threads(lambda: run(0), lambda: run(1))
+    assert got == [[want[0]] * 10, [want[1]] * 10]
+
+
 def test_kde_work_buffer_stays_within_its_cap():
     """Strata of 2,000 values a group (6 of them, as on a large reader CSV)
-    are cut into slices, and the buffer a thread keeps stays at the cap."""
+    are cut into slices, so one call's kernel sums take a buffer of 1 MB
+    (the whole block at once would take about 6 MB) and the call peaks not
+    far above it."""
     rng = np.random.default_rng(17)
     ds = paired_dataset([rng.normal(1.0, 1.0, 2000) for _ in range(6)],
                         [rng.normal(0.0, 1.0, 2000) for _ in range(6)])
-    kept = []
-
-    def run():
-        sigma_matrix(ds, StudyDesign.readers(3), PAUC)
-        kept.append(covariance._kde_local.work.size)
-
-    _in_threads(run)
-    assert kept and kept[0] <= covariance._KDE_BLOCK_ENTRIES
+    design = StudyDesign.readers(3)
+    sigma_matrix(ds, design, PAUC)   # fills the plan caches first
+    tracemalloc.start()
+    try:
+        sigma_matrix(ds, design, PAUC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert covariance._KDE_BLOCK_ENTRIES * 8 <= peak < 1.25 * 2**20
 
 
 def test_silverman_bandwidth_basics():

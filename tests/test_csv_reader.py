@@ -8,7 +8,9 @@ splits on ``\\n`` and ``,``, and padded, quoted, CRLF ones that go through
 ``csv.reader``.  Small block sizes make short texts span many blocks.
 """
 
+import csv
 import io
+import sys
 from unittest import mock
 
 import numpy as np
@@ -263,3 +265,47 @@ def test_index_beyond_intp_names_its_line(tmp_path, capsys, column):
     assert main(["analyze", "--input", str(path)]) == 2
     assert "input error: line 2: marker, time and replicate must be at most" \
         in capsys.readouterr().err
+
+
+def test_field_past_the_csv_limit_names_its_line(tmp_path, capsys):
+    """A quoted field of more than 131,072 characters, the csv module's
+    field size limit, is an input error of its own line, the header's too;
+    an earlier bad row is still the one named, and the process-wide limit
+    is left as it was."""
+    limit = csv.field_size_limit()
+    longest = '"' + "d" * limit + '"'
+    rows = CSV_OK.split("\n")
+    ok = "\n".join(rows[:2] + [rows[2].replace("d2", longest)] + rows[3:])
+    assert read_dataset_csv(io.StringIO(ok)).diseased[1].subject_id == "d" * limit
+    too_long = '"' + "d" * (limit + 1) + '"'
+    on_line_3 = "\n".join(rows[:2] + [rows[2].replace("d2", too_long)] + rows[3:])
+    past = "field larger than field limit"
+    for text, line, message in [
+            (on_line_3, 3, past),
+            ("\n".join([rows[0].replace("subject_id", too_long)] + rows[1:]), 1, past),
+            ("\n".join([rows[0], rows[1].replace(",D,", ",X,"),
+                        rows[2].replace("d2", too_long)] + rows[3:]), 2, "status")]:
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_dataset_csv(io.StringIO(text))
+        assert err.value.line == line
+    assert csv.field_size_limit() == limit
+    path = tmp_path / "long.csv"
+    path.write_text(on_line_3)
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert f"input error: line 3: field larger than field limit ({limit})" \
+        in capsys.readouterr().err
+
+
+def test_nul_byte_on_the_csv_route():
+    """A NUL byte in a field is read as the bulk route reads it, except on
+    Python 3.10, whose csv module rejects the line: an input error of that
+    line."""
+    text = CSV_OK.replace("h1,", "h\x001,").replace("\n", "\r\n")
+    if sys.version_info < (3, 11):
+        with pytest.raises(DataFormatError, match="NUL") as err:
+            read_dataset_csv(io.StringIO(text))
+        assert err.value.line == 4
+    else:
+        got = read_dataset_csv(io.StringIO(text))
+        assert got == read_dataset_csv(io.StringIO(text.replace("\r\n", "\n")))
+        assert got.nondiseased[0].subject_id == "h\x001"
