@@ -56,11 +56,25 @@ the placement path centres the sums before the product
 it (:func:`_gram_part`).  Their ``m`` is not each subject's mean score, so
 centring first would change their numbers.
 
+The placement path reads its diseased values' wins from the dataset's
+search of each block pair, made once per dataset and kept with its blocks
+(``MarkerDataset._searches``), which :func:`~wroc.estimators.wauc_vector`
+reads too.  Each part is symmetrised and checked for an eigenvalue below
+``-PSD_EIGENVALUE_TOLERANCE`` times its largest diagonal entry, and a part
+that has one is repaired by clipping (:func:`_repair_part`).  A placement
+part is a Gram product, positive semidefinite but for rounding, so its
+check is skipped wherever :func:`_placement_rounding` bounds that rounding
+below a tenth of the tolerance (:func:`_placement_part`); quadrature and
+atoms parts subtract ``(C C') o (m m')`` after the product, can need the
+repair, and are always checked.
+
 The kernel sums run in place in a work buffer of 1 MB that each call of
 :func:`_kde_at` makes for itself: a block's points against its values in
 one pass when they fit, else in slices of whole rows or of one row's
-points.  The cached plans are read-only and nothing else outlives a call,
-so the analytic covariance may be computed from several threads at once.
+points.  The cached plans are read-only, a dataset's searches are
+read-only once made (two threads can at worst make one twice), and nothing
+else outlives a call, so the analytic covariance may be computed from
+several threads at once.
 
 The bootstrap's draws are those of one ``default_rng((seed, b, attempt))``
 per replicate and attempt, built for all replicates at once
@@ -86,6 +100,7 @@ from .estimators import (
     _check_midrank,
     _positions,
     _roc_at,
+    _searched_blocks,
     _stratum_blocks,
     _stratum_rows,
     _stratum_wauc_draws,
@@ -298,13 +313,15 @@ def _subject_sums(stratum: Stratum, weights: np.ndarray) -> np.ndarray:
     return sums.reshape(stratum.counts.shape)
 
 
-def _placement_columns(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool):
+def _placement_columns(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool,
+                       found: dict | None = None):
     """Per group of a stratum pair, the per-subject sums of each value's
     placement (its share of pairs won) and the AUC ``omega``; for a block
-    pair, one row of each per stratum."""
+    pair, one row of each per stratum.  ``found`` holds the pair's searches
+    for the diseased values' wins (see :func:`~wroc.estimators._wins`)."""
     # a non-diseased value's wins are the diseased values above it:
     # the same count with the roles swapped, on the negated values
-    wins_x = _wins(x.values, y.sorted_values, measure, midrank)
+    wins_x = _wins(x.values, y.sorted_values, measure, midrank, found=found)
     wins_y = _wins(-y.values, -x.sorted_values[..., ::-1], measure, midrank)
     omega = np.add.reduce(wins_x, axis=-1) / (x.n * y.n)
     return (_subject_sums(x, wins_x / y.n), omega), (_subject_sums(y, wins_y / x.n), omega)
@@ -425,23 +442,28 @@ def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure):
     return columns
 
 
-def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
+def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool, searches=None):
     """The diseased and non-diseased parts over a design's ``n_strata``
     strata, given as block pairs, before normalisation and repair.
+    ``searches`` holds each block pair's cached searches
+    (``MarkerDataset._searches``), which the placement path reads.
 
     Should a block fail, its strata are scored one at a time in design
     order and the first one's own error is raised; should none of them fail
     alone, the block's error is.
     """
     if measure.kind == "full":
-        score = functools.partial(_placement_columns, measure=measure, midrank=midrank)
+        def score(x, y, found=None):
+            return _placement_columns(x, y, measure, midrank, found)
         gram = _centred_gram
     else:
-        score = functools.partial(_integral_columns, measure=measure)
+        def score(x, y, found=None):
+            return _integral_columns(x, y, measure)
         gram = _gram_part
     error = None
     try:
-        columns = [score(x, y) for _, x, y in blocks]
+        columns = [score(x, y, found)
+                   for (_, x, y), found in zip(blocks, searches or [None] * len(blocks))]
     except (DegenerateDensityError, ValueError) as exc:
         error = exc
     if error is not None:
@@ -462,7 +484,70 @@ def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
     return tuple(parts)
 
 
+def _placement_rounding(k: int, n: int) -> float:
+    """How far below zero, as a multiple of the largest diagonal entry,
+    rounding can put the smallest eigenvalue that ``eigvalsh`` finds in a
+    symmetrised placement part of ``k`` strata whose Gram sums over ``n``
+    subjects.
+
+    The part is ``c D (dev dev') D`` with ``c = n / (n - 1)`` and ``D`` the
+    diagonal of ``1 / n_a``, the stratum sizes.  On the deviations as
+    computed, ``M = c D (dev dev') D`` is positive semidefinite: only the
+    rounding of the steps after them can make an eigenvalue negative.
+    With ``u`` the unit roundoff and Higham's ``gamma_m = m u / (1 - m u)``:
+
+    * each Gram entry is an inner product of length ``n``, within
+      ``gamma_n |dev_a| |dev_b|`` of its exact value in any summation order
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3);
+      the product by ``c``, the product ``n_a n_b``, the division by it and
+      the symmetrising sum add four roundings, so every entry of the part is
+      ``M_ab + F_ab`` with ``|F_ab| <= gamma_(n+4) sqrt(M_aa M_bb)``;
+    * so ``||F||_2 <= gamma_(n+4) trace(M) <= k gamma_(n+4) max M_aa``, the
+      exact eigenvalues lie above ``-||F||_2`` (Weyl), and the part's
+      largest diagonal entry ``d`` bounds ``max M_aa <= d / (1 - gamma_(n+4))``;
+    * the eigensolver is backward stable: it returns the eigenvalues of the
+      part perturbed by at most ``p(k) u`` times the part's 2-norm, itself at
+      most ``(1 + gamma_(n+4)) k max M_aa``.  LAPACK states ``p(k)`` as a
+      modestly growing function and takes 1 in its own error bounds; this
+      takes ``k^2``.
+
+    Together the smallest eigenvalue found is at least
+    ``-(k gamma_(n+4) + k^3 u (1 + gamma_(n+4))) d / (1 - gamma_(n+4))``.
+    The placements and ``omega`` are sums of half-integers over ``n_x
+    n_y``, so a nonzero deviation and its products stay far above the
+    underflow threshold, below which this model of rounding would fail.
+    Where ``(n + 4) u`` reaches 1 the bound is infinite.
+    """
+    u = np.finfo(float).eps / 2
+    m = (n + 4) * u
+    if m >= 1.0:
+        return math.inf
+    gamma = m / (1.0 - m)
+    return (k * gamma + k ** 3 * u * (1.0 + gamma)) / (1.0 - gamma)
+
+
+def _placement_part(mat: np.ndarray, n_subjects: int) -> tuple[np.ndarray, bool]:
+    """:func:`_repair_part` of a placement part whose Gram sums over
+    ``n_subjects``, where its check can fire.  Where
+    :func:`_placement_rounding` bounds the rounding below a tenth of the
+    tolerance it cannot, and the part is returned symmetrised as
+    :func:`_repair_part` does it, unrepaired."""
+    if _placement_rounding(len(mat), n_subjects) < 0.1 * PSD_EIGENVALUE_TOLERANCE:
+        return 0.5 * (mat + mat.T), False
+    return _repair_part(mat)
+
+
 def _repair_part(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The symmetrised part, and whether it was repaired: a part whose
+    smallest eigenvalue lies below ``-PSD_EIGENVALUE_TOLERANCE`` times its
+    largest diagonal entry has its negative eigenvalues set to zero.
+
+    Quadrature and atoms parts always come here: they subtract ``(C C') o
+    (m m')`` from their Gram, are no Gram themselves, and do get repaired.
+    A placement part is a Gram product, positive semidefinite but for
+    rounding, and comes here only where that rounding could reach the
+    tolerance (:func:`_placement_part`).
+    """
     sym = 0.5 * (mat + mat.T)
     diag_max = float(np.max(np.diag(sym), initial=0.0))
     eigvals = np.linalg.eigvalsh(sym)
@@ -484,15 +569,24 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     quadrature path stays tie-free (a value scores no threshold it ties)
     with or without it, and atomic measures reject it.  A covariance that is
     not finite (an overflowing measure mass) raises ``WrocError``.
+
+    Each part is symmetrised and checked for a negative eigenvalue
+    (:func:`_repair_part`).  The placement path reads the wins of the
+    diseased values from the dataset's cached searches, which
+    :func:`~wroc.estimators.wauc_vector` shares, and its parts are Gram
+    products, positive semidefinite but for rounding: their eigenvalue check
+    runs only where the rounding bound of :func:`_placement_rounding` does
+    not rule a repair out (:func:`_placement_part`).  Quadrature and atoms
+    parts are always checked.
     """
     if dataset.n_diseased < 2 or dataset.n_nondiseased < 2:
         raise ValueError("analytic covariance needs at least 2 subjects per group")
     _check_midrank(measure, midrank)
-    blocks, labels = _stratum_blocks(dataset, design)
+    blocks, searches, labels = _searched_blocks(dataset, design)
     method = {"full": "placement", "pauc": "quadrature"}.get(measure.kind, "atoms")
     # an overflow leaves a part that is not finite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank)
+        sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank, searches)
         if measure.normalized:
             scale = measure.total_mass ** 2
             sigma1 = sigma1 / scale
@@ -500,8 +594,12 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
         finite = np.isfinite(sigma1 + sigma2).all()
     if not finite:
         raise WrocError(f"the {method} covariance is not finite")
-    sigma1, repaired1 = _repair_part(sigma1)
-    sigma2, repaired2 = _repair_part(sigma2)
+    if method == "placement":
+        sigma1, repaired1 = _placement_part(sigma1, dataset.n_diseased)
+        sigma2, repaired2 = _placement_part(sigma2, dataset.n_nondiseased)
+    else:
+        sigma1, repaired1 = _repair_part(sigma1)
+        sigma2, repaired2 = _repair_part(sigma2)
     return CovarianceEstimate(
         sigma=sigma1 + sigma2,
         sigma_diseased=sigma1,

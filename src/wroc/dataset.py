@@ -13,9 +13,13 @@ records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
 
 Datasets are logically immutable.  Construction sorts each group's rows
 once by (marker, time); a stratum, or a block of equal-size strata stacked
-one row each, is cut from that sort and cached when first read, so two
-threads can at worst build one twice, and workers get copies.  A dataset
-of the same layout with other values shares all of that but the values
+one row each, is cut from that sort and cached when first read.  Beside
+each block pair the dataset keeps the win count's searches of it (where
+each diseased value falls among the sorted non-diseased values), made on
+first read, so the estimate and the covariance of one dataset search a
+pair once.  Two threads can at worst build a block or make a search
+twice, and workers get copies.  A dataset of the same layout with other
+values shares the cuts but not the values or the searches
 (``MarkerDataset._with_values``): the simulator keeps one template dataset
 per scenario, and each replicate fills in only its values, gathered and
 sorted along the template's cuts.
@@ -226,6 +230,7 @@ class MarkerDataset:
                                    cols.subject[inside][order])
         self._block_cache: dict[tuple, tuple] = {}
         self._block_cuts: dict[tuple, list] = {}
+        self._search_cache: dict[tuple, tuple[dict, ...]] = {}
 
     # -- accessors -------------------------------------------------------
 
@@ -297,6 +302,17 @@ class MarkerDataset:
             self._block_cache[strata] = tuple(blocks)
         return self._block_cache[strata]
 
+    def _searches(self, strata: tuple[tuple[int, int | None], ...]) -> tuple[dict, ...]:
+        """Per block pair of ``_blocks(strata)``, in its order, the dict in
+        which the win count (``estimators._wins``) keeps its searches of the
+        pair: the read-only positions of the diseased values among the
+        sorted non-diseased values, by ``searchsorted`` side, each filled on
+        first read.  Cached per ``strata`` with the blocks; every dataset
+        starts with none."""
+        if strata not in self._search_cache:
+            self._search_cache[strata] = tuple({} for _ in self._blocks(strata))
+        return self._search_cache[strata]
+
     def _block(self, group: str, cut: tuple) -> Stratum:
         """One group's strata at ``cut`` (see :func:`_cut`) in the key-sorted rows."""
         _, values, subjects = self._sorted[group]
@@ -314,7 +330,8 @@ class MarkerDataset:
         from them where it was cut here and sorted; its ``subjects``,
         ``counts`` and ``bins`` are shared.  What is shared is made
         read-only.  Strata not cached here are cut when first read, as on
-        any dataset.
+        any dataset.  No search is shared: the new dataset's values are
+        searched when first read (``_searches``).
         """
         new = MarkerDataset.__new__(MarkerDataset)
         new.n_markers, new.n_times = self.n_markers, self.n_times
@@ -329,6 +346,7 @@ class MarkerDataset:
                                                cols.time, value)
             new._sorted[group] = (key, value[inside][order], subjects)
         new._block_cuts = dict(self._block_cuts)
+        new._search_cache = {}
         new._block_cache = {
             strata: tuple((idx, *(new._revalued(group, cut, stratum)
                                   for group, cut, stratum in zip(_GROUPS, cuts, pair)))
@@ -510,14 +528,17 @@ def read_dataset_csv(source) -> MarkerDataset:
     strip) is cut into blocks of lines, and each block is split into its
     fields at once; one pass over the block's separators checks that
     every line holds six fields, since every sixth separator must be a
-    newline and no other may be.  Any other text is read by :mod:`csv`.
-    Only when a check fails are the rows scanned one by one, to name the
-    first bad line.
+    newline and no other may be.  A field longer than the :mod:`csv`
+    module's field size limit fails there as it fails in :mod:`csv`.  Any
+    other text is read by :mod:`csv`.  Only when a check fails are the rows
+    scanned one by one, to name the first bad line.
     """
     text = _read_text(source)
     try:
         if text.isascii() and not any(c in text for c in _NOT_PLAIN):
             end = _line_end(text, 0)
+            if _past_field_limit(text, 0, end):
+                raise _Malformed
             header = text[:end].split(",") if text else None
             blocks = _plain_blocks(text, end + 1)
         else:
@@ -576,6 +597,8 @@ def _plain_blocks(text: str, start: int):
     while start < end:
         stop = text.find("\n", start + _BLOCK_CHARS, end)
         stop = end if stop < 0 else stop
+        if _past_field_limit(text, start, stop):
+            raise _Malformed
         lines = text[start:stop]
         start = stop + 1
         if not _six_fields(lines):
@@ -584,6 +607,20 @@ def _plain_blocks(text: str, start: int):
                 raise _Malformed
         if lines:
             yield lines.replace("\n", ",").split(",")
+
+
+def _past_field_limit(text: str, start: int, stop: int) -> bool:
+    """Whether a plain line in ``text[start:stop]`` holds a field longer
+    than ``csv.field_size_limit()``, which :mod:`csv` rejects.  A block's
+    lines other than its last end before ``start + _BLOCK_CHARS``, so under
+    the default limit only the last line can hold such a field, and only
+    it is split; under a lower limit every line may, and all are."""
+    limit = csv.field_size_limit()
+    if limit >= _BLOCK_CHARS:
+        start = max(start, text.rfind("\n", start, min(stop, start + _BLOCK_CHARS)) + 1)
+    if stop - start <= limit:
+        return False
+    return any(len(f) > limit for f in text[start:stop].replace("\n", ",").split(","))
 
 
 def _six_fields(lines: str) -> bool:

@@ -34,7 +34,12 @@ Every estimate comes from one core of five pieces:
   each diseased value beats, row by row (:func:`_positions`), with the one
   tie rule (``midrank`` scores a tie 1/2) and the one pAUC window rule
   (only values whose rank lies in the window count).  Estimates, placement
-  values and bootstrap draws all read their wins from it.
+  values and bootstrap draws all read their wins from it.  The search of
+  a block pair's diseased values among its sorted non-diseased values is
+  the same for every measure, so the dataset keeps it beside the block
+  (``MarkerDataset._searches``, one per ``searchsorted`` side, made on
+  first read): :func:`wauc_vector` for any full or partial AUC and the
+  placement covariance of one dataset search each pair once.
 * :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
   partial AUCs sum the wins over all pairs (so ``pauc(0, 1)`` is the AUC).
   Atomic measures sum ``mass * ROC(u)`` over their atoms and take no
@@ -147,6 +152,15 @@ def _stratum_blocks(dataset: MarkerDataset, design: StudyDesign | None):
     return _blocks_of(dataset, strata), labels
 
 
+def _searched_blocks(dataset: MarkerDataset, design: StudyDesign | None):
+    """:func:`_stratum_blocks` with the dataset's cached searches of each
+    block pair (``MarkerDataset._searches``): ``(blocks, searches,
+    labels)``."""
+    strata, labels = _design_strata(dataset, design)
+    strata = tuple(strata)
+    return _blocks_of(dataset, strata), dataset._searches(strata), labels
+
+
 def _stratum_rows(blocks) -> list[tuple[Stratum, Stratum]]:
     """The strata of block pairs as 1-D (diseased, non-diseased) pairs, in
     design order: views of the blocks' rows (:meth:`Stratum.split`)."""
@@ -205,8 +219,10 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
 
     A value's positions among ``ordered`` are the number of values below
     it and, with ``midrank``, at or below it: :func:`_positions` on the
-    ``"left"`` and ``"right"`` side, or ``found[side]`` when the caller has
-    searched already.  With ``below`` (one stratum; one row per bootstrap
+    ``"left"`` and ``"right"`` side.  ``found`` keeps them by side for a
+    caller that searches these values more than once: a side it holds is
+    read from it, a side it lacks is searched and kept there, read-only.
+    With ``below`` (one stratum; one row per bootstrap
     draw, ``below[b, q]`` the draw's values at input positions < q) they
     are read per draw, over the draw sizes ``n_y = below[:, -1:]`` in place
     of the row length.  A pauc measure clips them to its window of ranks
@@ -219,7 +235,12 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
         hi, lo = _rank(measure.upper, n_y), _rank(measure.lower, n_y)
 
     def positions(side):
-        pos = _positions(ordered, values, side) if found is None else found[side]
+        pos = None if found is None else found.get(side)
+        if pos is None:
+            pos = _positions(ordered, values, side)
+            if found is not None:
+                pos.flags.writeable = False
+                found[side] = pos
         if below is not None:
             pos = below[:, pos]
         return np.minimum(np.maximum(pos, hi), lo) - hi if window else pos
@@ -231,9 +252,10 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
 
 
 def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure,
-                  midrank: bool) -> np.ndarray:
+                  midrank: bool, found: dict | None = None) -> np.ndarray:
     """Integral of the empirical ROC curve of a stratum pair against the
-    weight measure: a 0-d array, or for a block pair one value per row."""
+    weight measure: a 0-d array, or for a block pair one value per row.
+    ``found`` holds the pair's searches for :func:`_wins`."""
     _check_midrank(measure, midrank)
     if measure.is_atomic:
         _, roc = _roc(x, y, [u for u, _ in measure.atoms])
@@ -242,7 +264,7 @@ def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure,
         for (_, mass), column in zip(measure.atoms, roc.T):
             value = value + mass * column
     else:
-        wins = _wins(x.values, y.sorted_values, measure, midrank)
+        wins = _wins(x.values, y.sorted_values, measure, midrank, found=found)
         value = np.add.reduce(wins, axis=-1) / (x.n * y.n)
     if measure.normalized:
         value = value / measure.total_mass
@@ -271,8 +293,7 @@ def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank:
     if measure.is_atomic:
         x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
     else:
-        found = {side: _positions(y.sorted_values, x.values, side)
-                 for side in ("left", "right")[:1 + midrank]}
+        found = {}   # the one search, made by the first block's _wins
     step = max(1, _DRAW_BLOCK_ENTRIES // (x.n + y.n + 1))
     out = np.empty(len(mult_x))
     for start in range(0, len(mult_x), step):
@@ -378,9 +399,10 @@ class WaucVector:
 def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
                 measure: WeightMeasure, *, midrank: bool = False) -> WaucVector:
     """wAUC per design stratum (markers pooled for reader designs, the
-    marker-by-time grid for longitudinal ones)."""
-    blocks, labels = _stratum_blocks(dataset, design)
+    marker-by-time grid for longitudinal ones).  Full and partial AUCs read
+    each block pair's search from the dataset's cache."""
+    blocks, searches, labels = _searched_blocks(dataset, design)
     values = np.empty(len(labels))
-    for idx, x, y in blocks:
-        values[idx] = _stratum_wauc(x, y, measure, midrank)
+    for (idx, x, y), found in zip(blocks, searches):
+        values[idx] = _stratum_wauc(x, y, measure, midrank, found)
     return WaucVector(values, labels)

@@ -725,6 +725,23 @@ def test_readme_names_every_scenario_key():
     assert taken == set(_KEY_READERS)
 
 
+def test_readme_names_every_report_key(tmp_path, capsys, rng):
+    """The README's report keys, each tagged with the commands that write
+    it, are the keys of the ``results`` each command emits, in any mode."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Report keys"):readme.index("### Data format")]
+    listed = re.findall(r"^- `(\w+)` \((analyze|compare|both)\)", section, re.MULTILINE)
+    assert len(listed) == section.count("\n- ")
+    path = write_dataset(tmp_path, reader_dataset(rng, n=12))
+    for command in ("analyze", "compare"):
+        want = sorted(key for key, tag in listed if tag in (command, "both"))
+        for extra in ([], ["--bootstrap", "100"], ["--measure", "pauc:0,0.6", "--midrank"]):
+            code, report = run_json(capsys, [command, "--input", str(path),
+                                             "--design", "readers:2", *extra])
+            assert code == 0
+            assert sorted(report["results"]) == want, (command, extra)
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme[readme.index("## Command line"):].split("```")[1]

@@ -108,6 +108,105 @@ def test_normalized_measure_scales_covariance():
     np.testing.assert_allclose(norm_est.sigma, raw.sigma / 0.6 ** 2, rtol=1e-12)
 
 
+# -- the placement parts' eigenvalue check --------------------------------
+
+# where the placement parts' rounding bound lets the check be skipped
+SKIP_BELOW = 0.1 * covariance.PSD_EIGENVALUE_TOLERANCE
+
+
+def _unequal_clusters(rng, n_subjects, shift, cells, tied):
+    """One to four values a cell, on a half grid when ``tied``."""
+    def draw():
+        values = rng.normal(shift, 1.0, int(rng.integers(1, 5)))
+        return tuple(np.round(2 * values) / 2 if tied else values)
+
+    return [{cell: draw() for cell in cells} for _ in range(n_subjects)]
+
+
+@pytest.mark.parametrize("midrank", [False, True], ids=["strict", "midrank"])
+@pytest.mark.parametrize("design", [StudyDesign.readers(3), StudyDesign.longitudinal(4), None],
+                         ids=["readers:3", "longitudinal:4", "pooled"])
+def test_placement_parts_skip_a_check_that_cannot_fire(design, midrank, monkeypatch):
+    """On random clustered data with unequal clusters every placement part
+    skips the check, comes back symmetric and unrepaired, and has no
+    eigenvalue below -1e-12 times its largest diagonal entry."""
+    checked = []
+    monkeypatch.setattr(covariance, "_repair_part",
+                        lambda part: checked.append(part) or (part, False))
+    n_markers, n_times = (6, 1) if design is None or design.kind == "readers" else (2, 4)
+    cells = [(m, t) for m in range(1, n_markers + 1) for t in range(1, n_times + 1)]
+    rng = np.random.default_rng(31)
+    for trial in range(30):
+        n_d, n_h = (int(n) for n in rng.integers(2, 30, 2))
+        ds = clustered_dataset(_unequal_clusters(rng, n_d, 0.8, cells, trial % 2),
+                               _unequal_clusters(rng, n_h, 0.0, cells, trial % 2),
+                               n_markers=n_markers, n_times=n_times)
+        est = sigma_matrix(ds, design, FULL, midrank=midrank)
+        assert not est.repaired
+        for part, n in ((est.sigma_diseased, n_d), (est.sigma_nondiseased, n_h)):
+            assert covariance._placement_rounding(len(part), n) < SKIP_BELOW
+            assert np.array_equal(part, part.T)
+            assert np.linalg.eigvalsh(part).min() >= -1e-12 * part.diagonal().max()
+    assert checked == []
+
+
+@pytest.mark.parametrize("k, n", [(8, 5), (6, 3), (12, 40), (3, 200)])
+def test_rounding_bound_holds_on_singular_grams(k, n):
+    """Placement parts of rank below ``k`` (sums from fewer rows than
+    strata, or fewer subjects than strata) over uneven stratum sizes: the
+    smallest eigenvalue ``eigvalsh`` finds of the symmetrised part is never
+    below the bound times the largest diagonal entry."""
+    rng = np.random.default_rng(k * n)
+    bound = covariance._placement_rounding(k, n)
+    for _ in range(50):
+        rank = int(rng.integers(1, min(k, n)))
+        sums = rng.normal(size=(k, rank)) @ rng.normal(size=(rank, n))
+        counts = rng.integers(1, 5, (k, n))
+        sizes = rng.integers(1, 1000, k).astype(float)
+        part = covariance._centred_gram(sums, counts, np.zeros(k), sizes)
+        sym = 0.5 * (part + part.T)
+        assert np.linalg.eigvalsh(sym).min() >= -bound * sym.diagonal().max()
+
+
+def test_check_still_runs_above_the_bound(monkeypatch):
+    """The bound depends on the strata ``k`` and subjects ``n`` alone, so a
+    part too large for it is tried on a small matrix: above the bound the
+    part goes through the check, below it skips with the same result."""
+    assert covariance._placement_rounding(6, 50) < SKIP_BELOW
+    assert covariance._placement_rounding(6, 2_000_000) >= SKIP_BELOW
+    assert covariance._placement_rounding(3000, 50) >= SKIP_BELOW
+    assert covariance._placement_rounding(1, 2 ** 53) == math.inf
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    part = np.array([[2.0, 1.0 + 2e-16], [1.0, 2.0]])
+    skipped = covariance._placement_part(part, 50)
+    assert calls == []
+    assert covariance._placement_rounding(2, 10_000_000) >= SKIP_BELOW
+    checked = covariance._placement_part(part, 10_000_000)
+    assert calls == [(2, 2)]
+    assert skipped[1] is checked[1] is False
+    symmetrised = covariance._repair_part(part)[0].tobytes()
+    assert skipped[0].tobytes() == checked[0].tobytes() == symmetrised
+
+
+def test_quadrature_and_atoms_parts_still_reach_the_check(monkeypatch):
+    reached = []
+    repair = covariance._repair_part
+    monkeypatch.setattr(covariance, "_repair_part",
+                        lambda part: reached.append(part.shape) or repair(part))
+    rng = np.random.default_rng(32)
+    ds = paired_dataset([rng.normal(1, 1, 20) for _ in range(4)],
+                        [rng.normal(0, 1, 25) for _ in range(4)])
+    design = StudyDesign.readers(2)
+    sigma_matrix(ds, design, FULL)
+    assert reached == []
+    sigma_matrix(ds, design, PAUC)
+    assert reached == [(4, 4)] * 2
+    sigma_matrix(ds, design, WeightMeasure.point_mass(0.2))
+    assert reached == [(4, 4)] * 4
+
+
 # -- density ratio -------------------------------------------------------
 
 

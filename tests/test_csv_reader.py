@@ -271,7 +271,8 @@ def test_field_past_the_csv_limit_names_its_line(tmp_path, capsys):
     """A quoted field of more than 131,072 characters, the csv module's
     field size limit, is an input error of its own line, the header's too;
     an earlier bad row is still the one named, and the process-wide limit
-    is left as it was."""
+    is left as it was.  Unquoted, the same file is the same error whether
+    it takes the plain route (LF line ends) or the csv route (CRLF)."""
     limit = csv.field_size_limit()
     longest = '"' + "d" * limit + '"'
     rows = CSV_OK.split("\n")
@@ -288,6 +289,16 @@ def test_field_past_the_csv_limit_names_its_line(tmp_path, capsys):
         with pytest.raises(DataFormatError, match=message) as err:
             read_dataset_csv(io.StringIO(text))
         assert err.value.line == line
+    unquoted = on_line_3.replace(too_long, "d" * (limit + 1))
+    errors = []
+    for text in (unquoted, unquoted.replace("\n", "\r\n")):
+        with pytest.raises(DataFormatError, match=past) as err:
+            read_dataset_csv(io.StringIO(text))
+        errors.append((err.value.line, str(err.value)))
+    assert errors == [(3, f"line 3: {past} ({limit})")] * 2
+    fits = unquoted.replace("d" * (limit + 1), "d" * limit)
+    assert read_dataset_csv(io.StringIO(fits)) == read_dataset_csv(
+        io.StringIO(fits.replace("\n", "\r\n")))
     assert csv.field_size_limit() == limit
     path = tmp_path / "long.csv"
     path.write_text(on_line_3)
