@@ -89,6 +89,12 @@ def _se_ignores_midrank(args, cov) -> bool:
     return bool(args.midrank) and cov.method == "quadrature"
 
 
+def _bootstrap_redrawn(cov) -> int | None:
+    """How many bootstrap replicates were redrawn for leaving a stratum
+    empty; ``None`` for an analytic covariance."""
+    return cov.n_redrawn if cov.method == "bootstrap" else None
+
+
 def _json_text(report: dict) -> str:
     """The report as strict JSON: an undefined (non-finite) number is null."""
     return json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n"
@@ -168,6 +174,7 @@ def _cmd_analyze(args) -> int:
         "covariance_method": cov.method,
         "covariance": [[float(v) for v in row] for row in cov.sigma],
         "psd_repaired": cov.repaired,
+        "bootstrap_redrawn": _bootstrap_redrawn(cov),
         "se_ignores_midrank": _se_ignores_midrank(args, cov),
     }
     _emit(report, args)
@@ -206,6 +213,7 @@ def _cmd_compare(args) -> int:
         "weights_fell_back": result.weights.fell_back,
         "covariance_method": result.covariance.method,
         "psd_repaired": result.covariance.repaired,
+        "bootstrap_redrawn": _bootstrap_redrawn(result.covariance),
         "se_ignores_midrank": _se_ignores_midrank(args, result.covariance),
     }
     _emit(report, args)

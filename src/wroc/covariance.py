@@ -82,13 +82,20 @@ per replicate and attempt, built for all replicates at once
 PCG64 per replicate for its raw words, and numpy's bounded-integer rule
 over the whole draw matrix; only a replicate that meets numpy's rejection
 case is drawn through its own Generator.  ``numpy.random`` is imported on
-the first bootstrap, not with the module.
+the first bootstrap, not with the module.  Each group's draws become one
+``(n_subjects, n_boot)`` matrix of per-subject multiplicities
+(:func:`_multiplicities`), a column a replicate, so the draws lie on the
+last axis and the scoring (:func:`~wroc.estimators._stratum_wauc_draws`)
+gathers whole rows, in blocks of columns, in one work buffer made per
+call (:func:`~wroc.estimators._draw_work`).  A bootstrap keeps nothing
+once it returns, so it too may run from several threads at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +105,7 @@ from .designs import StudyDesign
 from .errors import DegenerateDensityError, WrocError
 from .estimators import (
     _check_midrank,
+    _draw_work,
     _positions,
     _roc_at,
     _searched_blocks,
@@ -751,11 +759,13 @@ def _bootstrap_draws(seed: int, rows: np.ndarray, attempt: int, sizes) -> list[n
 
 
 def _multiplicities(picks: np.ndarray, n: int) -> np.ndarray:
-    """Per-subject multiplicities of every row of draws from ``0..n-1``, by
-    one bincount over the rows' offset subjects; offsets ``picks`` in
-    place."""
-    picks += np.arange(len(picks))[:, None] * n
-    return np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
+    """Per-subject multiplicities of every row of draws from ``0..n-1``,
+    one column per row: ``(n, rows)``, by one bincount over ``pick * rows
+    + row``; offsets ``picks`` in place."""
+    rows = len(picks)
+    picks *= rows
+    picks += np.arange(rows)[:, None]
+    return np.bincount(picks.ravel(), minlength=n * rows).reshape(n, rows)
 
 
 def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
@@ -767,15 +777,19 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     ``a`` of replicate ``b`` draws from the stream of
     ``np.random.default_rng((seed, b, a))``: ``integers(0, n, n)`` for the
     diseased group, then for the non-diseased group, so results do not
-    depend on scheduling.  The draws of all replicates come from one
-    vectorised pass (:func:`_bootstrap_draws`) and reproduce those streams
-    bit for bit.  A replicate leaving any stratum empty is redrawn from its
-    next attempt, and each redraw is counted in ``n_redrawn``.  A replicate
-    is kept as the per-subject multiplicities of its draw, and all
-    replicates of a stratum pair are scored from them at once; no
+    depend on scheduling.  The seed is any integer, a numpy one included
+    (``operator.index``); another type raises ``TypeError``.  The draws of
+    all replicates come from one vectorised pass (:func:`_bootstrap_draws`)
+    and reproduce those streams bit for bit.  A replicate leaving any
+    stratum empty is redrawn from its next attempt, and each redraw is
+    counted in ``n_redrawn``.  A replicate is kept as a column of
+    per-subject multiplicities, ``(n_subjects, n_boot)`` per group, and all
+    replicates of a stratum pair are scored from them at once, in one work
+    buffer made for the call (:func:`~wroc.estimators._draw_work`); no
     resampled dataset is built.  A covariance that is not finite raises
     ``WrocError``.
     """
+    seed = operator.index(seed)
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
     if seed < 0:
@@ -795,18 +809,19 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
         got_d = _multiplicities(picks_d, sizes[0])
         got_n = _multiplicities(picks_n, sizes[1])
         if attempt:
-            mult_d[todo], mult_n[todo] = got_d, got_n
+            mult_d[:, todo], mult_n[:, todo] = got_d, got_n
         else:
             mult_d, mult_n = got_d, got_n
-        todo = todo[~((got_d @ counts_d.T).all(axis=1) & (got_n @ counts_n.T).all(axis=1))]
+        todo = todo[~((counts_d @ got_d).all(axis=0) & (counts_n @ got_n).all(axis=0))]
         if not todo.size:
             break
         n_redrawn += int(todo.size)
     else:
         raise WrocError(f"bootstrap could not draw a usable replicate in {_MAX_DRAWS} draws")
     draws = np.empty((n_boot, len(pairs)))
+    work = _draw_work(pairs, measure, midrank)
     for s, (x, y) in enumerate(pairs):
-        draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n)
+        draws[:, s] = _stratum_wauc_draws(x, y, measure, midrank, mult_d, mult_n, work)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = np.atleast_2d(np.cov(draws, rowvar=False, ddof=1))
     if not np.isfinite(sigma).all():

@@ -33,8 +33,10 @@ Every estimate comes from one core of five pieces:
 * :func:`_wins` is the one win count: how many sorted non-diseased values
   each diseased value beats, row by row (:func:`_positions`), with the one
   tie rule (``midrank`` scores a tie 1/2) and the one pAUC window rule
-  (only values whose rank lies in the window count).  Estimates, placement
-  values and bootstrap draws all read their wins from it.  The search of
+  (only values whose rank lies in the window count: :func:`_window`,
+  :func:`_clip`).  Estimates and placement values read their wins from
+  it; the bootstrap draws count theirs from the same search, window and
+  clip, per draw, in place (:func:`_stratum_wauc_draws`).  The search of
   a block pair's diseased values among its sorted non-diseased values is
   the same for every measure, so the dataset keeps it beside the block
   (``MarkerDataset._searches``, one per ``searchsorted`` side, made on
@@ -45,7 +47,9 @@ Every estimate comes from one core of five pieces:
   Atomic measures sum ``mass * ROC(u)`` over their atoms and take no
   ``midrank``.  :func:`_stratum_wauc_draws` gives the same values for many
   bootstrap draws of one stratum pair at once, from per-subject
-  multiplicities, with the same rank rule and win count.
+  multiplicities with the draws on the last axis (one column a draw),
+  with the same rank rule and win count, in one work buffer per bootstrap
+  (:func:`_draw_work`).
 
 The public estimators, the covariance paths, the bootstrap and the
 simulators call these pieces.
@@ -70,7 +74,9 @@ from .measures import WeightMeasure
 # so larger n are rejected.
 _INDEX_GUARD = 1e-9
 _MAX_RANK_N = 10_000_000
-# work-array entries per block of bootstrap draws scored at once
+# 8-byte entries of the bootstrap's work buffer (512 KB), made once per
+# bootstrap_covariance call: its draws are scored in blocks of as many
+# columns as fit, twice as many where the counts are 32-bit
 _DRAW_BLOCK_ENTRIES = 1 << 16
 
 
@@ -212,8 +218,28 @@ def _check_midrank(measure: WeightMeasure, midrank: bool) -> None:
         raise ValueError(f"midrank applies to auc and pauc measures, not {measure.selector()}")
 
 
+def _window(measure: WeightMeasure, n):
+    """A pauc measure's window of ranks ``(rank(upper), rank(lower)]`` over
+    ``n`` values (an int, or one size a draw), as ``(hi, lo)``; ``None``
+    for the other measures."""
+    if measure.kind != "pauc":
+        return None
+    return _rank(measure.upper, n), _rank(measure.lower, n)
+
+
+def _clip(pos, window, out=None):
+    """The wins of positions ``pos`` that lie in a :func:`_window`: each
+    position clipped into ``[hi, lo]``, less ``hi``; in place in ``out``
+    when given."""
+    hi, lo = window
+    out = np.maximum(pos, hi, out=out)
+    np.minimum(out, lo, out=out)
+    out -= hi
+    return out
+
+
 def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
-          below: np.ndarray | None = None, found: dict | None = None) -> np.ndarray:
+          found: dict | None = None) -> np.ndarray:
     """Each value's win count over the ascending ``ordered`` values of its
     row: 1-D arrays are one stratum, 2-D ones a block's rows.
 
@@ -222,17 +248,11 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
     ``"left"`` and ``"right"`` side.  ``found`` keeps them by side for a
     caller that searches these values more than once: a side it holds is
     read from it, a side it lacks is searched and kept there, read-only.
-    With ``below`` (one stratum; one row per bootstrap
-    draw, ``below[b, q]`` the draw's values at input positions < q) they
-    are read per draw, over the draw sizes ``n_y = below[:, -1:]`` in place
-    of the row length.  A pauc measure clips them to its window of ranks
-    ``(rank(upper), rank(lower)]`` over ``n_y``.  A win counts 1 and a tie
-    1/2: wins are half-integers, so every sum of them is exact.
+    A pauc measure clips them to its window of ranks (:func:`_window`,
+    :func:`_clip`).  A win counts 1 and a tie 1/2: wins are half-integers,
+    so every sum of them is exact.
     """
-    n_y = ordered.shape[-1] if below is None else below[:, -1:]
-    window = measure.kind == "pauc"
-    if window:
-        hi, lo = _rank(measure.upper, n_y), _rank(measure.lower, n_y)
+    window = _window(measure, ordered.shape[-1])
 
     def positions(side):
         pos = None if found is None else found.get(side)
@@ -241,9 +261,7 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
             if found is not None:
                 pos.flags.writeable = False
                 found[side] = pos
-        if below is not None:
-            pos = below[:, pos]
-        return np.minimum(np.maximum(pos, hi), lo) - hi if window else pos
+        return pos if window is None else _clip(pos, window)
 
     wins = positions("left")
     if midrank:
@@ -271,58 +289,134 @@ def _stratum_wauc(x: Stratum, y: Stratum, measure: WeightMeasure,
     return value
 
 
+def _draw_rows(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool) -> tuple:
+    """The rows of the arrays that :func:`_stratum_wauc_draws` cuts from its
+    work buffer, a column each per draw: each group's multiplicities, the
+    prefix counts of the non-diseased values and, for full and partial
+    AUCs, the diseased values' multiplicities and their wins (two with
+    ``midrank``), for atomic measures the diseased prefix counts and one
+    rank test per non-diseased position."""
+    rows = (y.n_subjects, x.n_subjects, y.n + 1)
+    if measure.is_atomic:
+        return rows + (x.n + 1, y.n + 1)
+    return rows + (x.n,) * (3 if midrank else 2)
+
+
+def _draw_work(pairs, measure: WeightMeasure, midrank: bool) -> np.ndarray:
+    """The one work buffer in which :func:`_stratum_wauc_draws` scores the
+    draws of every stratum pair in ``pairs``: ``_DRAW_BLOCK_ENTRIES``
+    8-byte entries, or one draw of the largest pair (:func:`_draw_rows`)
+    when that is more."""
+    entries = max([_DRAW_BLOCK_ENTRIES] + [sum(_draw_rows(x, y, measure, midrank))
+                                           for x, y in pairs])
+    return np.empty(entries, np.int64)
+
+
+def _columns(work: np.ndarray, n_cols: int, n_rows) -> list[np.ndarray]:
+    """Consecutive ``(rows, n_cols)`` arrays in ``work``, one per entry of
+    ``n_rows``, each contiguous."""
+    views, at = [], 0
+    for rows in n_rows:
+        views.append(work[at:at + rows * n_cols].reshape(rows, n_cols))
+        at += rows * n_cols
+    return views
+
+
 def _stratum_wauc_draws(x: Stratum, y: Stratum, measure: WeightMeasure, midrank: bool,
-                        mult_x: np.ndarray, mult_y: np.ndarray) -> np.ndarray:
+                        mult_x: np.ndarray, mult_y: np.ndarray,
+                        work: np.ndarray) -> np.ndarray:
     """The wAUC (as :func:`_stratum_wauc` gives it) of every resampled copy
     of one stratum pair.
 
-    Row b of ``mult_x`` (``mult_y``) holds each diseased (non-diseased)
+    Column b of ``mult_x`` (``mult_y``) holds each diseased (non-diseased)
     subject's multiplicity in draw b: the resampled stratum holds subject
-    s's values ``mult_x[b, s]`` times.  No resampled stratum is built or
-    sorted.  Cumulative multiplicities over the input's sorted non-diseased
-    values count a draw's values below any input position: :func:`_wins`
-    reads each draw's win counts through them, and they give each atom's
-    order statistic.  Wins are half-integers, so each draw's total is exact,
-    and the divisions and atom sums run in :func:`_stratum_wauc`'s order, so
-    each value equals it bit for bit.  Draws are scored in blocks of about
-    ``_DRAW_BLOCK_ENTRIES`` work array entries, all from one search of the
-    diseased values among the sorted non-diseased ones.
+    s's values ``mult_x[s, b]`` times.  No resampled stratum is built or
+    sorted.  Prefix sums of the multiplicities over the input's sorted
+    values count a draw's values below any input position: the diseased
+    values' positions among the sorted non-diseased ones (one search per
+    side, :func:`_positions`), read through them and clipped to a pauc
+    window of the draw's size (:func:`_window`, :func:`_clip`), are each
+    draw's win counts, and they give each atom's order statistic.
+
+    Draws lie on the last axis, so every gather copies whole rows
+    (``np.take(..., axis=0, out=...)``).  Draws are scored in blocks of
+    columns, in arrays cut from ``work`` (:func:`_draw_work`, whose dtype
+    the counts take) and filled in place, so no block makes an array of
+    its values.  Wins, prefix counts and their products are integers, each
+    draw's sums are exact, and the divisions and atom sums run in
+    :func:`_stratum_wauc`'s order, so each value equals it bit for bit.
     """
     _check_midrank(measure, midrank)
-    y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
+    n_draws = mult_x.shape[1]
+    n_x, n_y = x.counts @ mult_x, y.counts @ mult_y
+    # every count is a drawn stratum's size or less, and every product a
+    # multiplicity times one: int32 holds them below 2**31
+    largest = max(int(mult_x.max(initial=0)), int(mult_y.max(initial=0)), 1)
+    drawn = max(int(n_x.max(initial=0)), int(n_y.max(initial=0)), 1)
+    if largest * drawn < 2**31:
+        work = work.view(np.int32)
+    rows = _draw_rows(x, y, measure, midrank)
+    step = max(1, len(work) // sum(rows))
+    y_order = y.subjects[np.argsort(y.values, kind="stable")]
     if measure.is_atomic:
-        x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
+        x_order = x.subjects[np.argsort(x.values, kind="stable")]
+        value = np.empty(n_draws)
     else:
-        found = {}   # the one search, made by the first block's _wins
-    step = max(1, _DRAW_BLOCK_ENTRIES // (x.n + y.n + 1))
-    out = np.empty(len(mult_x))
-    for start in range(0, len(mult_x), step):
-        block_x, block_y = mult_x[start:start + step], mult_y[start:start + step]
-        # below[b, q]: values of draw b's stratum at sorted input positions < q
-        below = np.zeros((len(block_y), y.n + 1), dtype=np.intp)
-        np.cumsum(block_y[:, y_subjects], axis=1, out=below[:, 1:])
-        n_y = below[:, -1]
-        n_x = block_x @ x.counts
+        sides = ("left", "right") if midrank else ("left",)
+        positions = [_positions(y.sorted_values, x.values, side) for side in sides]
+        window = _window(measure, n_y)
+        if window is not None:
+            window = [edge.astype(work.dtype) for edge in window]
+        sums = np.empty((len(sides), n_draws), dtype=np.int64)
+    for start in range(0, n_draws, step):
+        block = slice(start, start + step)
+        my, mx, below, *rest = _columns(work, min(step, n_draws - start), rows)
+        # below[q, b]: values of draw b's stratum at sorted input positions < q.
+        # take copies a strided input and a buffer of another dtype, so the
+        # block's columns go into the buffer first; mode="clip" only spares
+        # take a buffered copy of out: every index is in range
+        np.copyto(my, mult_y[:, block])
+        np.copyto(mx, mult_x[:, block])
+        below[0] = 0
+        np.take(my, y_order, axis=0, out=below[1:], mode="clip")
+        np.cumsum(below, axis=0, out=below)
         if measure.is_atomic:
-            # above[b, j]: values of draw b's stratum at sorted input positions >= j
-            above = np.zeros((len(n_x), x.n + 1), dtype=np.intp)
-            above[:, :-1] = np.cumsum(block_x[:, x_subjects[::-1]], axis=1)[:, ::-1]
-            rows = np.arange(len(n_x))
-            value = 0.0
+            # the same over the diseased values: n_x[b] - below_x[j, b] of
+            # draw b's values lie at sorted input positions >= j
+            below_x, under = rest
+            below_x[0] = 0
+            np.take(mx, x_order, axis=0, out=below_x[1:], mode="clip")
+            np.cumsum(below_x, axis=0, out=below_x)
+            cols = np.arange(below.shape[1])
+            block_value = 0.0
             for u, mass in measure.atoms:
-                rank = np.maximum(_rank(u, n_y), 1)
+                rank = np.maximum(_rank(u, n_y[block]), 1).astype(work.dtype)
                 # the rank-th smallest drawn value sits at the last input
                 # position with fewer than rank drawn values below it
-                threshold = y.sorted_values[(below < rank[:, None]).sum(axis=1) - 1]
-                exceed = above[rows, np.searchsorted(x.sorted_values, threshold, side="right")]
-                value = value + mass * (exceed / n_x)
+                np.less(below, rank, out=under)
+                threshold = y.sorted_values[under.sum(axis=0) - 1]
+                past = below_x[np.searchsorted(x.sorted_values, threshold, side="right"), cols]
+                block_value = block_value + mass * ((n_x[block] - past) / n_x[block])
+            value[block] = block_value
         else:
-            wins = _wins(x.values, y.sorted_values, measure, midrank, below, found)
-            value = (block_x[:, x.subjects] * wins).sum(axis=1) / (n_x * n_y)
-        if measure.normalized:
-            value = value / measure.total_mass
-        out[start:start + step] = value
-    return out
+            weights, *wins = rest
+            np.take(mx, x.subjects, axis=0, out=weights, mode="clip")
+            for pos, side_wins in zip(positions, wins):
+                np.take(below, pos, axis=0, out=side_wins, mode="clip")
+                if window is not None:
+                    _clip(side_wins, [edge[block] for edge in window], out=side_wins)
+            if midrank:
+                # a tie counts 1/2: the values at or below, less those below
+                wins[1] -= wins[0]
+            for side_wins, total in zip(wins, sums):
+                side_wins *= weights
+                np.add.reduce(side_wins, axis=0, dtype=np.int64, out=total[block])
+    if not measure.is_atomic:
+        total = sums[0] + 0.5 * sums[1] if midrank else sums[0]
+        value = total / (n_x * n_y)
+    if measure.normalized:
+        value = value / measure.total_mass
+    return value
 
 
 # -- public estimators ---------------------------------------------------

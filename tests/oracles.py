@@ -630,8 +630,12 @@ def old_stratum_wauc(x, y, measure, midrank):
 
 
 def old_stratum_wauc_draws(x, y, measure, midrank, mult_x, mult_y):
-    """The auc and pauc branch, all draws in one block."""
+    """All draws in one block, one row of ``mult_x`` and ``mult_y`` a draw.
+    The atoms branch is the draws-first kernel's as it was before draws
+    moved to the last axis."""
     y_subjects = y.subjects[np.argsort(y.values, kind="stable")]
+    if measure.is_atomic:
+        return _old_atom_draws(x, y, measure, mult_x, mult_y, y_subjects)
     sides = ("left", "right") if midrank else ("left",)
     positions = [np.searchsorted(y.sorted_values, x.values, side=side) for side in sides]
     below = np.zeros((len(mult_y), y.n + 1), dtype=np.intp)
@@ -648,6 +652,27 @@ def old_stratum_wauc_draws(x, y, measure, midrank, mult_x, mult_y):
     if midrank:
         total += 0.5 * (weights * (counts[1] - counts[0])).sum(axis=1).astype(float)
     value = total / (n_x * n_y)
+    if measure.normalized:
+        value = value / measure.total_mass
+    return value
+
+
+def _old_atom_draws(x, y, measure, mult_x, mult_y, y_subjects):
+    below = np.zeros((len(mult_y), y.n + 1), dtype=np.intp)
+    np.cumsum(mult_y[:, y_subjects], axis=1, out=below[:, 1:])
+    n_y = below[:, -1]
+    n_x = mult_x @ x.counts
+    # above[b, j]: values of draw b's stratum at sorted input positions >= j
+    x_subjects = x.subjects[np.argsort(x.values, kind="stable")]
+    above = np.zeros((len(n_x), x.n + 1), dtype=np.intp)
+    above[:, :-1] = np.cumsum(mult_x[:, x_subjects[::-1]], axis=1)[:, ::-1]
+    rows = np.arange(len(n_x))
+    value = 0.0
+    for u, mass in measure.atoms:
+        rank = np.maximum(np.ceil((1.0 - u) * n_y - OLD_INDEX_GUARD).astype(np.intp), 1)
+        threshold = y.sorted_values[(below < rank[:, None]).sum(axis=1) - 1]
+        exceed = above[rows, np.searchsorted(x.sorted_values, threshold, side="right")]
+        value = value + mass * (exceed / n_x)
     if measure.normalized:
         value = value / measure.total_mass
     return value

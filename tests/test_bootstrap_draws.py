@@ -1,6 +1,9 @@
 """The bootstrap scored from per-subject multiplicities against the
 per-draw loop it replaced, its vectorised draws against one Generator per
-draw, and the bound of the rank rule."""
+draw, its seed types, the memory its scoring takes, and the bound of the
+rank rule."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,11 +92,84 @@ def test_bootstrap_scores_draws_in_blocks(monkeypatch):
     ds = _ragged_dataset()
     design = StudyDesign.longitudinal(2)
     measure = parse_measure("pauc:0.1,0.7")
-    # a few entries a block: one draw at a time
+    # a few entries a block: the buffer holds one draw of the largest pair
+    # in 8-byte entries, so each pair's draws are scored a few at a time
     monkeypatch.setattr("wroc.estimators._DRAW_BLOCK_ENTRIES", 7)
     assert bootstrap_outcome(bootstrap_covariance, ds, design, measure, 100, 3,
                              midrank=True) == \
         bootstrap_outcome(bootstrap_oracle, ds, design, measure, 100, 3, midrank=True)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1), np.int32(0)])
+def test_a_numpy_integer_seed_is_its_python_int(seed):
+    ds = _ragged_dataset()
+    design, measure = StudyDesign.longitudinal(2), parse_measure("auc")
+    got = bootstrap_outcome(bootstrap_covariance, ds, design, measure, 100, seed)
+    assert got[0] == "value"
+    assert got == bootstrap_outcome(bootstrap_covariance, ds, design, measure, 100, int(seed))
+
+
+@pytest.mark.parametrize("seed", [5.0, np.float64(5.0), "5"])
+def test_a_seed_that_is_no_integer_raises_before_any_draw(monkeypatch, seed):
+    def no_draws(*args):
+        raise AssertionError("drew with a seed that is no integer")
+
+    monkeypatch.setattr(covariance, "_bootstrap_draws", no_draws)
+    with pytest.raises(TypeError):
+        bootstrap_covariance(_ragged_dataset(), None, parse_measure("auc"), 100, seed)
+
+
+def _visits_dataset():
+    """200 subjects a group at 2 markers and 3 times, as on the benchmark's
+    bootstrap CSV: half the diseased subjects have 2 values a cell and half
+    4, the non-diseased 5 and 3, so each of the 6 strata holds 600 diseased
+    and 800 non-diseased values."""
+    rng = np.random.default_rng(600)
+    cells = [(marker, time) for marker in (1, 2) for time in (1, 2, 3)]
+
+    def group(sizes, shift):
+        return [{cell: tuple(rng.normal(shift, 1.0, size)) for cell in cells}
+                for size in sizes for _ in range(100)]
+
+    return clustered_dataset(group((2, 4), 1.0), group((5, 3), 0.0), n_markers=2, n_times=3)
+
+
+def test_scoring_memory_stays_flat_in_the_replicate_count(monkeypatch):
+    """From the work buffer's allocation to the last stratum scored, a warm
+    call takes the buffer (``_DRAW_BLOCK_ENTRIES`` 8-byte entries), numpy's
+    fixed loop buffers and a few numbers a draw, at 200 and at 2,000
+    replicates alike.  An array of draws by values would take 600 x 1,800
+    x 4 bytes more at 2,000."""
+    ds = _visits_dataset()
+    design, measure = StudyDesign.longitudinal(3), parse_measure("pauc:0,0.6")
+    make_work, score = covariance._draw_work, covariance._stratum_wauc_draws
+    marks = {}
+
+    def work(*args):
+        # the multiplicities and the (replicates, strata) draws array exist by now
+        marks["base"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return make_work(*args)
+
+    def scored(*args):
+        out = score(*args)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    monkeypatch.setattr(covariance, "_draw_work", work)
+    monkeypatch.setattr(covariance, "_stratum_wauc_draws", scored)
+    cap = 8 * estimators._DRAW_BLOCK_ENTRIES
+    # numpy's casting loops (the int64 sums of int32 products) keep buffers
+    # of np.getbufsize() elements of their own, whatever the array sizes
+    slack = 16 * np.getbufsize()
+    for n_boot in (200, 2000):
+        bootstrap_covariance(ds, design, measure, n_boot, 5)
+        tracemalloc.start()
+        try:
+            bootstrap_covariance(ds, design, measure, n_boot, 5)
+        finally:
+            tracemalloc.stop()
+        assert cap <= marks["peak"] - marks["base"] < cap + slack + 64 * n_boot, n_boot
 
 
 # -- the draws against one Generator per draw ----------------------------
@@ -138,7 +214,10 @@ def test_draw_blocks_share_one_search(monkeypatch, selector, midrank):
     ds = paired_dataset([rng.normal(1.0, 1.0, 300) for _ in range(4)],
                         [rng.normal(0.0, 1.0, 300) for _ in range(4)])
     n_boot = 300
-    assert n_boot > 2 * (estimators._DRAW_BLOCK_ENTRIES // (300 + 300 + 1))
+    # more than two blocks of 32-bit counts (twice the 8-byte entries)
+    x, y = estimators._stratum_rows(estimators._stratum_blocks(ds, StudyDesign.readers(2))[0])[0]
+    per_draw = sum(estimators._draw_rows(x, y, parse_measure(selector), midrank))
+    assert n_boot > 2 * (2 * estimators._DRAW_BLOCK_ENTRIES // per_draw)
     calls = []
     search = estimators._positions
 

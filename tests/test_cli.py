@@ -13,6 +13,7 @@ import pytest
 
 from wroc import __version__
 from wroc.cli import build_parser, main
+from wroc.covariance import bootstrap_covariance
 from wroc.dataset import dataset_to_csv_text, read_dataset_csv
 from wroc.designs import StudyDesign
 from wroc.estimators import empirical_roc, wauc
@@ -167,6 +168,23 @@ def test_compare_bootstrap_covariance(tmp_path, capsys, rng):
     assert code == 0
     assert report["results"]["covariance_method"] == "bootstrap"
     assert report["config"]["bootstrap"] == 150
+
+
+def test_reports_count_the_bootstrap_redraws(tmp_path, capsys, rng):
+    """Both reports carry the bootstrap's redraw count, an int, and null
+    without ``--bootstrap``.  A valid input gives every subject every cell,
+    so no draw leaves a stratum empty and the count is 0."""
+    ds = reader_dataset(rng, n=6)
+    path = write_dataset(tmp_path, ds)
+    for command in ("analyze", "compare"):
+        argv = [command, "--input", str(path), "--design", "readers:2"]
+        code, report = run_json(capsys, argv + ["--bootstrap", "100", "--seed", "7"])
+        assert code == 0
+        assert type(report["results"]["bootstrap_redrawn"]) is int
+        assert report["results"]["bootstrap_redrawn"] == bootstrap_covariance(
+            ds, StudyDesign.readers(2), WeightMeasure.full_auc(), 100, 7).n_redrawn == 0
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["results"]["bootstrap_redrawn"] is None
 
 
 # -- exit codes ----------------------------------------------------------

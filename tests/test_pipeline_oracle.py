@@ -93,6 +93,7 @@ def old_cli_compare_results(dataset, weights_spec, bootstrap, seed):
         "weights_fell_back": weights.fell_back,
         "covariance_method": cov.method,
         "psd_repaired": cov.repaired,
+        "bootstrap_redrawn": cov.n_redrawn if bootstrap else None,
         "se_ignores_midrank": False,   # no --midrank here
     }
 
