@@ -56,9 +56,9 @@ the placement path centres the sums before the product
 it (:func:`_gram_part`).  Their ``m`` is not each subject's mean score, so
 centring first would change their numbers.
 
-The placement path reads its diseased values' wins from the dataset's
-search of each block pair, made once per dataset and kept with its blocks
-(``MarkerDataset._searches``), which :func:`~wroc.estimators.wauc_vector`
+The placement path reads its diseased values' wins from the search that
+each cached block pair carries, made once per dataset (its ``searches``;
+see ``MarkerDataset._blocks``), which :func:`~wroc.estimators.wauc_vector`
 reads too.  Each part is symmetrised and checked for an eigenvalue below
 ``-PSD_EIGENVALUE_TOLERANCE`` times its largest diagonal entry, and a part
 that has one is repaired by clipping (:func:`_repair_part`).  A placement
@@ -108,7 +108,6 @@ from .estimators import (
     _draw_work,
     _positions,
     _roc_at,
-    _searched_blocks,
     _stratum_blocks,
     _stratum_rows,
     _stratum_wauc_draws,
@@ -450,11 +449,10 @@ def _integral_columns(x: Stratum, y: Stratum, measure: WeightMeasure):
     return columns
 
 
-def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool, searches=None):
+def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool):
     """The diseased and non-diseased parts over a design's ``n_strata``
-    strata, given as block pairs, before normalisation and repair.
-    ``searches`` holds each block pair's cached searches
-    (``MarkerDataset._searches``), which the placement path reads.
+    strata, given as block pairs, before normalisation and repair.  The
+    placement path reads and fills each block pair's ``searches``.
 
     Should a block fail, its strata are scored one at a time in design
     order and the first one's own error is raised; should none of them fail
@@ -470,8 +468,7 @@ def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool, searches
         gram = _gram_part
     error = None
     try:
-        columns = [score(x, y, found)
-                   for (_, x, y), found in zip(blocks, searches or [None] * len(blocks))]
+        columns = [score(x, y, found) for _, x, y, found in blocks]
     except (DegenerateDensityError, ValueError) as exc:
         error = exc
     if error is not None:
@@ -484,7 +481,7 @@ def _walk(blocks, n_strata: int, measure: WeightMeasure, midrank: bool, searches
         sums = np.empty((n_strata, n_subjects))
         counts = np.empty((n_strata, n_subjects), dtype=np.intp)
         centres, sizes = np.empty(n_strata), np.empty(n_strata)
-        for (idx, *pair), block_columns in zip(blocks, columns):
+        for (idx, *pair, _), block_columns in zip(blocks, columns):
             sums[idx], centres[idx] = block_columns[group]
             counts[idx] = pair[group].counts
             sizes[idx] = pair[group].n
@@ -580,8 +577,8 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
 
     Each part is symmetrised and checked for a negative eigenvalue
     (:func:`_repair_part`).  The placement path reads the wins of the
-    diseased values from the dataset's cached searches, which
-    :func:`~wroc.estimators.wauc_vector` shares, and its parts are Gram
+    diseased values from the searches that each cached block pair carries,
+    which :func:`~wroc.estimators.wauc_vector` shares, and its parts are Gram
     products, positive semidefinite but for rounding: their eigenvalue check
     runs only where the rounding bound of :func:`_placement_rounding` does
     not rule a repair out (:func:`_placement_part`).  Quadrature and atoms
@@ -590,11 +587,11 @@ def sigma_matrix(dataset: MarkerDataset, design: StudyDesign | None,
     if dataset.n_diseased < 2 or dataset.n_nondiseased < 2:
         raise ValueError("analytic covariance needs at least 2 subjects per group")
     _check_midrank(measure, midrank)
-    blocks, searches, labels = _searched_blocks(dataset, design)
+    blocks, labels = _stratum_blocks(dataset, design)
     method = {"full": "placement", "pauc": "quadrature"}.get(measure.kind, "atoms")
     # an overflow leaves a part that is not finite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank, searches)
+        sigma1, sigma2 = _walk(blocks, len(labels), measure, midrank)
         if measure.normalized:
             scale = measure.total_mass ** 2
             sigma1 = sigma1 / scale
@@ -777,19 +774,19 @@ def bootstrap_covariance(dataset: MarkerDataset, design: StudyDesign | None,
     ``a`` of replicate ``b`` draws from the stream of
     ``np.random.default_rng((seed, b, a))``: ``integers(0, n, n)`` for the
     diseased group, then for the non-diseased group, so results do not
-    depend on scheduling.  The seed is any integer, a numpy one included
-    (``operator.index``); another type raises ``TypeError``.  The draws of
-    all replicates come from one vectorised pass (:func:`_bootstrap_draws`)
-    and reproduce those streams bit for bit.  A replicate leaving any
-    stratum empty is redrawn from its next attempt, and each redraw is
-    counted in ``n_redrawn``.  A replicate is kept as a column of
-    per-subject multiplicities, ``(n_subjects, n_boot)`` per group, and all
-    replicates of a stratum pair are scored from them at once, in one work
-    buffer made for the call (:func:`~wroc.estimators._draw_work`); no
-    resampled dataset is built.  A covariance that is not finite raises
-    ``WrocError``.
+    depend on scheduling.  The seed and ``n_boot`` are any integers, numpy
+    ones included (``operator.index``); another type raises ``TypeError``
+    before any draw.  The draws of all replicates come from one vectorised
+    pass (:func:`_bootstrap_draws`) and reproduce those streams bit for
+    bit.  A replicate leaving any stratum empty is redrawn from its next
+    attempt, and each redraw is counted in ``n_redrawn``.  A replicate is
+    kept as a column of per-subject multiplicities, ``(n_subjects,
+    n_boot)`` per group, and all replicates of a stratum pair are scored
+    from them at once, in one work buffer made for the call
+    (:func:`~wroc.estimators._draw_work`); no resampled dataset is built.
+    A covariance that is not finite raises ``WrocError``.
     """
-    seed = operator.index(seed)
+    seed, n_boot = operator.index(seed), operator.index(n_boot)
     if n_boot < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {n_boot}")
     if seed < 0:

@@ -13,16 +13,16 @@ records, and ``dataset.diseased`` / ``dataset.nondiseased`` derive them back.
 
 Datasets are logically immutable.  Construction sorts each group's rows
 once by (marker, time); a stratum, or a block of equal-size strata stacked
-one row each, is cut from that sort and cached when first read.  Beside
-each block pair the dataset keeps the win count's searches of it (where
-each diseased value falls among the sorted non-diseased values), made on
-first read, so the estimate and the covariance of one dataset search a
-pair once.  Two threads can at worst build a block or make a search
-twice, and workers get copies.  A dataset of the same layout with other
-values shares the cuts but not the values or the searches
-(``MarkerDataset._with_values``): the simulator keeps one template dataset
-per scenario, and each replicate fills in only its values, gathered and
-sorted along the template's cuts.
+one row each, is cut from that sort when first read.  One cache entry per
+set of strata holds its block pairs and where each was cut, and each block
+pair carries the win count's searches of it (where each diseased value
+falls among the sorted non-diseased values), made on first read, so the
+estimate and the covariance of one dataset search a pair once.  Two
+threads can at worst build a block or make a search twice, and workers get
+copies.  A dataset of the same layout with other values shares the cuts
+but not the values or the searches (``MarkerDataset._with_values``): the
+simulator keeps one template dataset per scenario, and each replicate
+fills in only its values, gathered and sorted along the template's cuts.
 """
 
 from __future__ import annotations
@@ -216,21 +216,18 @@ class MarkerDataset:
             raise ValueError(f"{n_markers} markers x {n_times} times overflow the stratum key")
         # per group, the in-range rows in one stable sort on the (marker, time)
         # key: subject-then-replicate order within a stratum, each marker's
-        # rows time-major.  ``_row_order`` keeps the in-range mask and the
-        # sort's order, ``_block_cuts`` where each cached block lies in the sort
-        self._sorted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._row_order: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # rows time-major.  Each holds the sorted keys, values and subject
+        # rows and the gather index of the sort into the group's columns
+        self._sorted: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         for group, cols in self._columns.items():
             inside = ((cols.marker >= 1) & (cols.marker <= self.n_markers)
                       & (cols.time >= 1) & (cols.time <= self.n_times))
             key = ((cols.marker - 1) * self.n_times + cols.time - 1)[inside]
             order = np.argsort(key, kind="stable")
-            self._row_order[group] = (inside, order)
-            self._sorted[group] = (key[order], cols.value[inside][order],
-                                   cols.subject[inside][order])
-        self._block_cache: dict[tuple, tuple] = {}
-        self._block_cuts: dict[tuple, list] = {}
-        self._search_cache: dict[tuple, tuple[dict, ...]] = {}
+            rows = np.flatnonzero(inside)[order]
+            self._sorted[group] = (key[order], cols.value[rows], cols.subject[rows], rows)
+        # per strata key, its block pairs and the cut of each (see _blocks)
+        self._block_cache: dict[tuple, tuple[tuple, tuple]] = {}
 
     # -- accessors -------------------------------------------------------
 
@@ -259,8 +256,8 @@ class MarkerDataset:
         ``ValueError``."""
         if group not in _GROUPS:
             raise ValueError(f"group must be 'diseased' or 'nondiseased', got {group!r}")
-        ((_, *pair),) = self._blocks(((marker, time),))
-        return pair[_GROUPS.index(group)]
+        ((_, x, y, _),) = self._blocks(((marker, time),))
+        return (x, y)[_GROUPS.index(group)]
 
     def _key_range(self, marker: int, time: int | None) -> tuple[int, int]:
         """The (marker, time) keys ``[first, last)`` of one stratum; time None
@@ -275,13 +272,18 @@ class MarkerDataset:
 
     def _blocks(self, strata: tuple[tuple[int, int | None], ...]):
         """The strata, given as (marker, time) pairs, as
-        ``(positions, diseased, non-diseased)`` :class:`Stratum` pairs: one
-        for each set of strata whose diseased sizes and non-diseased sizes
-        are both equal, in order of first appearance.  A set of one is a
-        single stratum and its position in ``strata`` an int; more make a
-        block, with the positions of its strata as an array.  Strata may be
-        empty.  Cached per ``strata``."""
-        if strata not in self._block_cache:
+        ``(positions, diseased, non-diseased, searches)`` block pairs: one
+        pair of :class:`Stratum` for each set of strata whose diseased sizes
+        and non-diseased sizes are both equal, in order of first appearance.
+        A set of one is a single stratum and its position in ``strata`` an
+        int; more make a block, with the positions of its strata as an
+        array.  Strata may be empty.  ``searches`` is the dict in which the
+        win count (``estimators._wins``) keeps its searches of the pair, by
+        ``searchsorted`` side, each made on first read; every block pair
+        starts with none.  Cached per ``strata``, one entry holding the
+        block pairs and the cut of each (see :func:`_cut`)."""
+        entry = self._block_cache.get(strata)
+        if entry is None:
             keys = np.array([self._key_range(marker, time) for marker, time in strata])
             starts, sizes = {}, []
             for group in _GROUPS:
@@ -296,26 +298,15 @@ class MarkerDataset:
                 cut = tuple(_cut([starts[group][s] for s in positions], n)
                             for group, n in zip(_GROUPS, size))
                 blocks.append((positions[0] if len(positions) == 1 else np.array(positions),
-                               *(self._block(group, rows) for group, rows in zip(_GROUPS, cut))))
+                               *(self._block(group, rows) for group, rows in zip(_GROUPS, cut)),
+                               {}))
                 cuts.append(cut)
-            self._block_cuts[strata] = cuts
-            self._block_cache[strata] = tuple(blocks)
-        return self._block_cache[strata]
-
-    def _searches(self, strata: tuple[tuple[int, int | None], ...]) -> tuple[dict, ...]:
-        """Per block pair of ``_blocks(strata)``, in its order, the dict in
-        which the win count (``estimators._wins``) keeps its searches of the
-        pair: the read-only positions of the diseased values among the
-        sorted non-diseased values, by ``searchsorted`` side, each filled on
-        first read.  Cached per ``strata`` with the blocks; every dataset
-        starts with none."""
-        if strata not in self._search_cache:
-            self._search_cache[strata] = tuple({} for _ in self._blocks(strata))
-        return self._search_cache[strata]
+            entry = self._block_cache[strata] = (tuple(blocks), tuple(cuts))
+        return entry[0]
 
     def _block(self, group: str, cut: tuple) -> Stratum:
         """One group's strata at ``cut`` (see :func:`_cut`) in the key-sorted rows."""
-        _, values, subjects = self._sorted[group]
+        _, values, subjects, _ = self._sorted[group]
         rows, shape = cut
         return _make_stratum(values[rows].reshape(shape), subjects[rows].reshape(shape),
                              self._columns[group].n_subjects)
@@ -324,34 +315,30 @@ class MarkerDataset:
         """A dataset of this one's layout with new value columns, one per
         group in its canonical row order.
 
-        It shares this dataset's columns bar the values, the order of its
-        sort and the cuts of its cached blocks.  Each group's values are
+        It shares this dataset's columns bar the values, the gather index of
+        its sort and the cuts of its cached blocks.  Each group's values are
         gathered into the sort's order, and every block cached here is cut
         from them where it was cut here and sorted; its ``subjects``,
         ``counts`` and ``bins`` are shared.  What is shared is made
         read-only.  Strata not cached here are cut when first read, as on
-        any dataset.  No search is shared: the new dataset's values are
-        searched when first read (``_searches``).
+        any dataset.  No search is shared: each new block pair starts with
+        empty searches, made when first read.
         """
         new = MarkerDataset.__new__(MarkerDataset)
         new.n_markers, new.n_times = self.n_markers, self.n_times
-        new._columns, new._sorted, new._row_order = {}, {}, self._row_order
+        new._columns, new._sorted = {}, {}
         for group, value in zip(_GROUPS, (diseased, nondiseased)):
             cols = self._columns[group]
-            key, _, subjects = self._sorted[group]
-            inside, order = self._row_order[group]
-            _read_only(cols.subject_ids, cols.subject, cols.marker, cols.time,
-                       key, subjects, inside, order)
+            key, _, subjects, rows = self._sorted[group]
+            _read_only(cols.subject_ids, cols.subject, cols.marker, cols.time, key, subjects, rows)
             new._columns[group] = GroupColumns(cols.subject_ids, cols.subject, cols.marker,
                                                cols.time, value)
-            new._sorted[group] = (key, value[inside][order], subjects)
-        new._block_cuts = dict(self._block_cuts)
-        new._search_cache = {}
+            new._sorted[group] = (key, value[rows], subjects, rows)
         new._block_cache = {
-            strata: tuple((idx, *(new._revalued(group, cut, stratum)
-                                  for group, cut, stratum in zip(_GROUPS, cuts, pair)))
-                          for (idx, *pair), cuts in zip(blocks, self._block_cuts[strata]))
-            for strata, blocks in self._block_cache.items()}
+            strata: (tuple((idx, new._revalued("diseased", cut_x, x),
+                            new._revalued("nondiseased", cut_y, y), {})
+                           for (idx, x, y, _), (cut_x, cut_y) in zip(blocks, cuts)), cuts)
+            for strata, (blocks, cuts) in self._block_cache.items()}
         return new
 
     def _revalued(self, group: str, cut: tuple, stratum: Stratum) -> Stratum:
@@ -396,7 +383,9 @@ def _cut(starts: list[int], n: int) -> tuple[slice | np.ndarray, tuple[int, ...]
         return slice(first, first + n), (n,)
     if n == 0 or starts == list(range(first, first + k * n, n)):
         return slice(first, first + k * n), (k, n)
-    return np.array(starts)[:, None] + np.arange(n), (k, n)
+    rows = np.array(starts)[:, None] + np.arange(n)
+    _read_only(rows)   # shared by every dataset revalued from this one
+    return rows, (k, n)
 
 
 def _read_only(*arrays: np.ndarray) -> None:

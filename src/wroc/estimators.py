@@ -15,7 +15,8 @@ Every estimate comes from one core of five pieces:
   A block pair holds the strata whose diseased sizes and non-diseased
   sizes are both equal: per group a :class:`Stratum` of ``(k, n)``
   values, sorted values and subject rows plus ``(k, n_subjects)`` counts,
-  and the positions of its strata in design order.  Equal-size strata, as
+  the positions of its strata in design order, and the dict of its
+  searches (see :func:`_wins`).  Equal-size strata, as
   in every simulated study, make one block.  A stratum of its own size is
   a 1-D :class:`Stratum` at an int position, and the same code takes it
   as one row.  Estimates and the analytic covariance take one vectorised
@@ -38,10 +39,11 @@ Every estimate comes from one core of five pieces:
   it; the bootstrap draws count theirs from the same search, window and
   clip, per draw, in place (:func:`_stratum_wauc_draws`).  The search of
   a block pair's diseased values among its sorted non-diseased values is
-  the same for every measure, so the dataset keeps it beside the block
-  (``MarkerDataset._searches``, one per ``searchsorted`` side, made on
-  first read): :func:`wauc_vector` for any full or partial AUC and the
-  placement covariance of one dataset search each pair once.
+  the same for every measure, so each cached block pair carries it (its
+  ``searches`` dict, one entry per ``searchsorted`` side, made on first
+  read; see ``MarkerDataset._blocks``): :func:`wauc_vector` for any full
+  or partial AUC and the placement covariance of one dataset search each
+  pair once.
 * :func:`_stratum_wauc` is the one dispatch over measure kinds.  Full and
   partial AUCs sum the wins over all pairs (so ``pauc(0, 1)`` is the AUC).
   Atomic measures sum ``mass * ROC(u)`` over their atoms and take no
@@ -142,11 +144,12 @@ def _design_strata(dataset: MarkerDataset, design: StudyDesign | None):
 
 
 def _blocks_of(dataset: MarkerDataset, strata):
-    """The (marker, time) strata as ``(positions, diseased, non-diseased)``
-    block pairs (see ``MarkerDataset._blocks``), each stratum with both
-    groups non-empty: the first stratum with an empty group raises."""
+    """The (marker, time) strata as ``(positions, diseased, non-diseased,
+    searches)`` block pairs (see ``MarkerDataset._blocks``), each stratum
+    with both groups non-empty: the first stratum with an empty group
+    raises."""
     blocks = dataset._blocks(tuple(strata))
-    empty = [int(np.min(idx)) for idx, x, y in blocks if x.n == 0 or y.n == 0]
+    empty = [int(np.min(idx)) for idx, x, y, _ in blocks if x.n == 0 or y.n == 0]
     if empty:
         raise _empty_group(strata[min(empty)][0])
     return blocks
@@ -158,19 +161,10 @@ def _stratum_blocks(dataset: MarkerDataset, design: StudyDesign | None):
     return _blocks_of(dataset, strata), labels
 
 
-def _searched_blocks(dataset: MarkerDataset, design: StudyDesign | None):
-    """:func:`_stratum_blocks` with the dataset's cached searches of each
-    block pair (``MarkerDataset._searches``): ``(blocks, searches,
-    labels)``."""
-    strata, labels = _design_strata(dataset, design)
-    strata = tuple(strata)
-    return _blocks_of(dataset, strata), dataset._searches(strata), labels
-
-
 def _stratum_rows(blocks) -> list[tuple[Stratum, Stratum]]:
     """The strata of block pairs as 1-D (diseased, non-diseased) pairs, in
     design order: views of the blocks' rows (:meth:`Stratum.split`)."""
-    rows = [(s, x_row, y_row) for idx, x, y in blocks
+    rows = [(s, x_row, y_row) for idx, x, y, _ in blocks
             for s, x_row, y_row in zip(np.atleast_1d(idx).tolist(), x.split(), y.split())]
     rows.sort(key=lambda row: row[0])
     return [(x, y) for _, x, y in rows]
@@ -246,8 +240,9 @@ def _wins(values, ordered, measure: WeightMeasure, midrank: bool,
     A value's positions among ``ordered`` are the number of values below
     it and, with ``midrank``, at or below it: :func:`_positions` on the
     ``"left"`` and ``"right"`` side.  ``found`` keeps them by side for a
-    caller that searches these values more than once: a side it holds is
-    read from it, a side it lacks is searched and kept there, read-only.
+    caller that searches these values more than once, as a cached block
+    pair's ``searches`` dict does: a side it holds is read from it, a side
+    it lacks is searched and kept there, read-only.
     A pauc measure clips them to its window of ranks (:func:`_window`,
     :func:`_clip`).  A win counts 1 and a tie 1/2: wins are half-integers,
     so every sum of them is exact.
@@ -467,7 +462,7 @@ def sensitivity_at_fpr(dataset: MarkerDataset, marker: int, at: float, *,
 
 def empirical_roc(dataset: MarkerDataset, marker: int, u, *, time: int | None = None):
     """Empirical ROC value(s): diseased survival at the non-diseased threshold."""
-    ((_, x, y),) = _blocks_of(dataset, ((marker, time),))
+    ((_, x, y, _),) = _blocks_of(dataset, ((marker, time),))
     _, roc = _roc(x, y, u)
     return float(roc) if np.isscalar(u) else roc
 
@@ -475,7 +470,7 @@ def empirical_roc(dataset: MarkerDataset, marker: int, u, *, time: int | None = 
 def wauc(dataset: MarkerDataset, marker: int, measure: WeightMeasure, *,
          time: int | None = None, midrank: bool = False) -> float:
     """Integral of the empirical ROC curve against the weight measure."""
-    ((_, x, y),) = _blocks_of(dataset, ((marker, time),))
+    ((_, x, y, _),) = _blocks_of(dataset, ((marker, time),))
     return float(_stratum_wauc(x, y, measure, midrank))
 
 
@@ -494,9 +489,9 @@ def wauc_vector(dataset: MarkerDataset, design: StudyDesign | None,
                 measure: WeightMeasure, *, midrank: bool = False) -> WaucVector:
     """wAUC per design stratum (markers pooled for reader designs, the
     marker-by-time grid for longitudinal ones).  Full and partial AUCs read
-    each block pair's search from the dataset's cache."""
-    blocks, searches, labels = _searched_blocks(dataset, design)
+    each block pair's search from its cached ``searches``."""
+    blocks, labels = _stratum_blocks(dataset, design)
     values = np.empty(len(labels))
-    for (idx, x, y), found in zip(blocks, searches):
+    for idx, x, y, found in blocks:
         values[idx] = _stratum_wauc(x, y, measure, midrank, found)
     return WaucVector(values, labels)

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time as _time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -550,8 +551,9 @@ def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int, pooled: bool = False)
     plan's template is cut as ``_build_plan(scenario, pooled)`` cuts it.
 
     With ``n_jobs > 1`` contiguous chunks of replicates run in at most that
-    many worker processes, one per chunk, and each builds its own plan;
-    ``one_rep`` must be module-level.
+    many worker processes, one per chunk and no more than
+    ``os.cpu_count()``, and each builds its own plan; ``one_rep`` must be
+    module-level.
     """
     n_reps = scenario.n_reps
     if n_jobs <= 1 or n_reps <= 1:
@@ -564,7 +566,7 @@ def _fan_out(one_rep, scenario: ScenarioSpec, n_jobs: int, pooled: bool = False)
     size, extra = divmod(n_reps, n_chunks)
     chunks = [range(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra))
               for i in range(n_chunks)]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks))) as pool:
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(chunks), os.cpu_count() or 1)) as pool:
         pieces = pool.map(_rep_range, [one_rep] * len(chunks), [scenario] * len(chunks),
                           [pooled] * len(chunks), chunks)
         for chunk, piece in zip(chunks, pieces):
@@ -728,14 +730,7 @@ class MethodCell:
     rmse: float
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "marker": self.marker,
-            "truth": self.truth,
-            "mean_estimate": self.mean_estimate,
-            "bias": self.bias,
-            "rmse": self.rmse,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

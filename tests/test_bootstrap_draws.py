@@ -119,6 +119,24 @@ def test_a_seed_that_is_no_integer_raises_before_any_draw(monkeypatch, seed):
         bootstrap_covariance(_ragged_dataset(), None, parse_measure("auc"), 100, seed)
 
 
+@pytest.mark.parametrize("n_boot", [150.0, np.float64(150.0), "150"])
+def test_a_replicate_count_that_is_no_integer_raises_before_any_draw(monkeypatch, n_boot):
+    def no_draws(*args):
+        raise AssertionError("drew with a replicate count that is no integer")
+
+    monkeypatch.setattr(covariance, "_bootstrap_draws", no_draws)
+    with pytest.raises(TypeError):
+        bootstrap_covariance(_ragged_dataset(), None, parse_measure("auc"), n_boot, 5)
+
+
+def test_a_numpy_replicate_count_gives_the_bytes_of_the_equal_int():
+    dataset, measure = _ragged_dataset(), parse_measure("auc")
+    want = bootstrap_outcome(bootstrap_covariance, dataset, None, measure, 137, 5)
+    assert want[0] == "value"
+    for n_boot in (np.int64(137), np.int32(137), np.uint16(137)):
+        assert bootstrap_outcome(bootstrap_covariance, dataset, None, measure, n_boot, 5) == want
+
+
 def _visits_dataset():
     """200 subjects a group at 2 markers and 3 times, as on the benchmark's
     bootstrap CSV: half the diseased subjects have 2 values a cell and half

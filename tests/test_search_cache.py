@@ -1,10 +1,11 @@
 """The dataset's cached searches against a fresh search.
 
 ``wauc_vector`` and ``sigma_matrix`` read the wins of a block pair's
-diseased values from one search per ``searchsorted`` side, kept beside the
-dataset's blocks.  Whatever order the calls come in, each result must equal,
-byte for byte, the same call on an uncached copy of the dataset, whose win
-counts search afresh (``_wins`` without ``found``).
+diseased values from one search per ``searchsorted`` side, kept in the
+block pair's ``searches`` dict in the dataset's block cache.  Whatever
+order the calls come in, each result must equal, byte for byte, the same
+call on an uncached copy of the dataset, whose win counts search afresh
+(``_wins`` without ``found``).
 """
 
 import io
@@ -84,6 +85,13 @@ def _call(dataset, design, func, selector, midrank):
             cov.method, cov.repaired)
 
 
+def _searches(dataset):
+    """The ``searches`` dict of every block pair of the dataset's one
+    cache entry, in block order."""
+    ((blocks, _),) = dataset._block_cache.values()
+    return [found for *_, found in blocks]
+
+
 def _copy(dataset):
     """The dataset rebuilt from its columns: nothing cut, nothing searched."""
     return MarkerDataset(dataset._columns["diseased"], dataset._columns["nondiseased"],
@@ -116,8 +124,7 @@ def test_cached_search_equals_a_fresh_one(name, dataset, design, order, fresh_se
     for call in order:
         assert _call(dataset, design, *call) == fresh_search(dataset, design, *call), call
     # both sides of every block were searched once and kept read-only
-    (searches,) = dataset._search_cache.values()
-    for found in searches:
+    for found in _searches(dataset):
         assert sorted(found) == ["left", "right"]
         assert not any(positions.flags.writeable for positions in found.values())
 
@@ -159,7 +166,7 @@ def test_strict_calls_search_one_side():
     for selector in SELECTORS:
         wauc_vector(dataset, design, parse_measure(selector))
         sigma_matrix(dataset, design, parse_measure(selector))
-    (searches,) = dataset._search_cache.values()
+    searches = _searches(dataset)
     assert [sorted(found) for found in searches] == [["left"]] * len(searches)
 
 
@@ -170,15 +177,15 @@ def test_replicates_of_one_template_search_their_own_values():
                      for rep in range(2))
     for dataset in (first, second):
         wauc_vector(dataset, scenario.design, parse_measure("auc"))
-    assert plan.template._search_cache == {}
-    ((strata, searches),) = first._search_cache.items()
-    (other,) = second._search_cache[strata]
-    (found,) = searches
+    assert _searches(plan.template) == [{}]
+    ((strata, (blocks, _)),) = first._block_cache.items()
+    ((*_, other),) = second._block_cache[strata][0]
+    ((*_, found),) = blocks
     assert found["left"] is not other["left"]
     assert not np.array_equal(found["left"], other["left"])
     # a replicate cut after the first two were searched still starts with none
     third = simulation.generate_dataset(scenario, simulation.replicate_rng(1, 2), plan)
-    assert third._search_cache == {}
+    assert _searches(third) == [{}]
 
 
 @pytest.mark.parametrize("study, keys", [("table3", {"rho": 0.5}),

@@ -454,7 +454,9 @@ def test_run_study_counts_package_errors_and_raises_others(monkeypatch):
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """A stand-in pool that runs the chunks in this process and starts no
-    worker; it records the workers asked for and the chunks handed out."""
+    worker; it records the workers asked for and the chunks handed out.
+    The machine reports 64 CPUs, so the CPU cap asks for no fewer workers
+    than the test expects on any host."""
 
     class InProcessPool:
         asked = []
@@ -474,6 +476,7 @@ def in_process_pool(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr("wroc.simulation.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("wroc.simulation.os.cpu_count", lambda: 64)
     return InProcessPool
 
 
@@ -484,6 +487,20 @@ def test_run_study_starts_no_more_workers_than_chunks(in_process_pool):
     assert in_process_pool.asked == [5]
     for got, want in zip(fanned.cells, run_study(sc).cells):
         np.testing.assert_array_equal(got.estimates, want.estimates)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_run_study_starts_no_more_workers_than_cpus(in_process_pool, monkeypatch, cpus, workers):
+    """``n_jobs=10000`` over 20 replicates asks for one worker a CPU, or
+    one when the CPU count is unknown, with the results of one process."""
+    monkeypatch.setattr("wroc.simulation.os.cpu_count", lambda: cpus)
+    sc = replace(null_scenario(0.5, 10), n_reps=20)
+    fanned = run_study(sc, n_jobs=10000)
+    assert in_process_pool.asked == [workers]
+    assert len(in_process_pool.chunks) == 20
+    for got, want in zip(fanned.cells, run_study(sc).cells):
+        np.testing.assert_array_equal(got.estimates, want.estimates)
+        np.testing.assert_array_equal(got.variances, want.variances)
 
 
 def test_fan_out_hands_out_ranges_with_array_splits_bounds(in_process_pool):

@@ -78,8 +78,8 @@ def _assert_sigma_equals_the_loop(dataset, design, measure, midrank=False):
 def test_alternating_sizes_make_two_interleaved_blocks(design, seed):
     dataset = _dataset(design, *_alternating_study(design, seed))
     blocks, _ = _stratum_blocks(dataset, design)
-    assert [idx.tolist() for idx, _, _ in blocks] == [[0, 2], [1, 3]]
-    for idx, x, y in blocks:
+    assert [idx.tolist() for idx, *_ in blocks] == [[0, 2], [1, 3]]
+    for idx, x, y, _ in blocks:
         assert x.values.shape == (2, x.n) and y.values.shape == (2, y.n)
     assert blocks[0][1].n == 48 and blocks[0][2].n == 40
 
@@ -203,10 +203,10 @@ def test_a_lone_stratum_is_the_one_dimensional_stratum(design, sizes):
              else _sized_study(design, 5, sizes))
     dataset = _dataset(design, *study)
     blocks, _ = _stratum_blocks(dataset, design)
-    lone = [idx for idx, _, _ in blocks if np.ndim(idx) == 0]
+    lone = [idx for idx, *_ in blocks if np.ndim(idx) == 0]
     assert len(lone) == {(1, 2, 3, 4): 4, (3, 2, 2, 1): 2, "alternating": 0}[sizes]
     sliced = []
-    for idx, x, y in blocks:
+    for idx, x, y, _ in blocks:
         for block, group in ((x, "diseased"), (y, "nondiseased")):
             rows = block.split()
             assert len(rows) == np.size(idx)

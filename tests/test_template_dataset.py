@@ -11,7 +11,8 @@ import pytest
 from wroc import simulation
 from wroc.dataset import GroupColumns, MarkerDataset
 from wroc.designs import StudyDesign
-from wroc.estimators import _stratum_blocks
+from wroc.estimators import _stratum_blocks, wauc_vector
+from wroc.measures import parse_measure
 from wroc.simulation import (
     _build_plan,
     _comparison_rep,
@@ -61,7 +62,7 @@ def _assert_stratum_bits(got, want, where):
 
 def _assert_blocks_bits(got, want, where):
     assert len(got) == len(want), where
-    for (idx, *pair), (want_idx, *want_pair) in zip(got, want):
+    for (idx, *pair, _), (want_idx, *want_pair, _) in zip(got, want):
         assert np.array_equal(idx, want_idx), where
         for group, stratum, want_stratum in zip(GROUPS, pair, want_pair):
             _assert_stratum_bits(stratum, want_stratum, (where, group, idx))
@@ -117,13 +118,13 @@ def _template_arrays(template):
             arrays[group, field] = getattr(cols, field)
         for i, array in enumerate(template._sorted[group]):
             arrays[group, "sorted", i] = array
-        for i, array in enumerate(template._row_order[group]):
-            arrays[group, "row_order", i] = array
-    for strata, blocks in template._block_cache.items():
-        for b, (idx, *pair) in enumerate(blocks):
-            for group, stratum in zip(GROUPS, pair):
+    for strata, (blocks, cuts) in template._block_cache.items():
+        for b, ((idx, x, y, _), cut) in enumerate(zip(blocks, cuts)):
+            for group, stratum, (rows, _) in zip(GROUPS, (x, y), cut):
                 for field in FIELDS:
                     arrays[strata, b, group, field] = getattr(stratum, field)
+                if isinstance(rows, np.ndarray):
+                    arrays[strata, b, group, "cut"] = rows
     return arrays
 
 
@@ -148,13 +149,13 @@ def test_the_template_is_unchanged_and_shares_only_read_only_arrays(name):
         for field in ("subject_ids", "subject", "marker", "time"):
             assert getattr(cols, field) is getattr(template_cols, field)
             shared.append(getattr(cols, field))
-        key, values, subjects = dataset._sorted[group]
+        key, values, subjects, rows = dataset._sorted[group]
         assert key is template._sorted[group][0] and subjects is template._sorted[group][2]
-        assert dataset._row_order[group] is template._row_order[group]
-        shared += [key, subjects, *dataset._row_order[group]]
+        assert rows is template._sorted[group][3]
+        shared += [key, subjects, rows]
         assert not np.shares_memory(values, template._sorted[group][1])
         assert not np.shares_memory(cols.value, template_cols.value)
-    for (idx, *pair), (_, *template_pair) in zip(
+    for (idx, *pair, found), (_, *template_pair, template_found) in zip(
             dataset._blocks(tuple(scenario.design.strata())),
             template._blocks(tuple(scenario.design.strata()))):
         for stratum, template_stratum in zip(pair, template_pair):
@@ -163,6 +164,7 @@ def test_the_template_is_unchanged_and_shares_only_read_only_arrays(name):
                 shared.append(getattr(stratum, field))
             assert not np.shares_memory(stratum.values, template_stratum.values)
             assert not np.shares_memory(stratum.sorted_values, template_stratum.sorted_values)
+        assert found is not template_found
     for array in shared:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -181,6 +183,37 @@ def test_reader_blocks_stay_views_of_the_sorted_values(name):
         assert np.ndim(idx) == 1
         for group, stratum in zip(GROUPS, pair):
             assert np.shares_memory(stratum.values, dataset._sorted[group][1])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_a_replicate_shares_the_templates_cuts_but_not_its_searches(name):
+    """Each replicate's cache entry holds the template's cuts and each
+    group's gather index, read-only, beside block pairs of its own, whose
+    searches start empty and stay its own; the template's stay unsearched."""
+    scenario = SCENARIOS[name]
+    plan = _build_plan(scenario)
+    template_blocks, template_cuts = plan.template._block_cache[tuple(scenario.design.strata())]
+    searches = []
+    for rep in range(2):
+        dataset = generate_dataset(scenario, _rng(scenario, rep), plan)
+        blocks, cuts = dataset._block_cache[tuple(scenario.design.strata())]
+        assert cuts is template_cuts
+        gathered = [rows for cut in cuts for rows, _ in cut if isinstance(rows, np.ndarray)]
+        for group in GROUPS:
+            assert dataset._sorted[group][3] is plan.template._sorted[group][3]
+            gathered.append(dataset._sorted[group][3])
+        for rows in gathered:
+            with pytest.raises(ValueError, match="read-only"):
+                rows[...] = 0
+        assert len(blocks) == len(template_blocks)
+        for (*_, found), (*_, template_found) in zip(blocks, template_blocks):
+            assert found == {} and found is not template_found
+        wauc_vector(dataset, scenario.design, parse_measure("auc"))
+        searches.append([found for *_, found in blocks])
+    for first, second, (*_, template_found) in zip(*searches, template_blocks):
+        assert sorted(first) == sorted(second) == ["left"]
+        assert first["left"] is not second["left"]
+        assert template_found == {}
 
 
 def _interleaved_dataset(rng):
@@ -205,13 +238,19 @@ def test_gathered_blocks_take_the_new_values():
     design = StudyDesign.longitudinal(2)
     template = _interleaved_dataset(rng)
     blocks, _ = _stratum_blocks(template, design)
-    assert [idx.tolist() for idx, _, _ in blocks] == [[0, 2], [1, 3]]
+    assert [idx.tolist() for idx, *_ in blocks] == [[0, 2], [1, 3]]
     assert all(isinstance(rows, np.ndarray)
-               for cuts in template._block_cuts.values() for cut in cuts for rows, _ in cut)
+               for _, cuts in template._block_cache.values() for cut in cuts for rows, _ in cut)
     for _ in range(3):
         values = [np.round(2 * rng.normal(size=template._columns[g].value.size)) / 2
                   for g in GROUPS]
         got = template._with_values(*values)
+        assert got._block_cache.keys() == template._block_cache.keys()
+        for key, (_, cuts) in template._block_cache.items():
+            assert got._block_cache[key][1] is cuts
+            for cut in cuts:
+                for rows, _ in cut:
+                    assert not rows.flags.writeable
         want = MarkerDataset(*(GroupColumns(*(getattr(template._columns[g], field) for field in
                                               ("subject_ids", "subject", "marker", "time")), v)
                                for g, v in zip(GROUPS, values)), n_markers=2, n_times=2)
